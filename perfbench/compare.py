@@ -1,6 +1,6 @@
 """Compare two sets of benchmark runs, one row per (workload, metric).
 
-    python3 perfbench/compare.py BASE_DIR NEW_DIR [--trace 1] [--json]
+    python3 perfbench/compare.py BASE_DIR NEW_DIR [--trace 1]
     python3 perfbench/compare.py RUNS_DIR
 
 With one directory it prints a summary instead: per workload the median and
@@ -34,6 +34,7 @@ import statistics
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SPEC_PATH = os.path.join(os.path.dirname(HERE), "BENCHMARK.json")
 
 
 def saved_runs(directory: str, trace: int) -> list:
@@ -155,20 +156,14 @@ def main(argv=None) -> int:
     p.add_argument("base")
     p.add_argument("new", nargs="?")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--spec", default=os.path.join(os.path.dirname(HERE), "BENCHMARK.json"))
-    p.add_argument("--json", action="store_true")
     args = p.parse_args(argv)
-    with open(args.spec) as fh:
+    with open(SPEC_PATH) as fh:
         spec = json.load(fh)
     if args.new is None:
         json.dump(summary(args.base, spec), sys.stdout, indent=1)
         sys.stdout.write("\n")
         return 0
     rows = compare(args.base, args.new, args.trace, spec)
-    if args.json:
-        json.dump(rows, sys.stdout, indent=1)
-        sys.stdout.write("\n")
-        return 0
     print(f"{'workload':9s} {'metric':36s} {'base median [q1, q3]':32s} {'new median [q1, q3]':32s} "
           f"{'wins':>7s}  verdict")
     for r in rows:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp, mpf, workprec
 
 # pinned acceptance tolerances (tests/test_acceptance.py)
@@ -87,6 +88,7 @@ class ExactUniformPair:
     def __init__(self, mu1_doc: dict, mu2_doc: dict):
         self._pieces = (self._uniform_pieces(mu1_doc), self._uniform_pieces(mu2_doc))
         self._moms: tuple[list, list] = ([], [])
+        self._zeros: dict = {}
         self.type2 = lru_cache(maxsize=None)(self._type2)
 
     @staticmethod
@@ -117,6 +119,40 @@ class ExactUniformPair:
                 A.append([self.moment(j, m + i) for i in range(d)])
                 rhs.append(-self.moment(j, m + d))
         return tuple(_solve(A, rhs)) + (Fraction(1),)
+
+    def zeros(self, n) -> list:
+        """Brackets (lo, hi) of the zeros of the type II polynomial P_n, sorted.
+
+        Double-precision companion roots are refined by Newton steps on the
+        exact coefficients, and each zero is certified by a sign change of
+        P_n across a bracket of relative width 2e-40; returns None when the
+        brackets do not give deg P_n distinct real zeros.
+        """
+        if n not in self._zeros:
+            coeffs = self.type2(n)
+            roots = np.roots([float(c) for c in reversed(coeffs)]) if len(coeffs) > 1 else []
+            out = []
+            with workprec(_ORACLE_BITS):
+                p = [_mp(c) for c in reversed(coeffs)]
+                dp = [c * (len(p) - 1 - k) for k, c in enumerate(p[:-1])]
+                for r in roots:
+                    x = mpf(float(r.real))
+                    for _ in range(60):
+                        step = mp.polyval(p, x) / mp.polyval(dp, x)
+                        x -= step
+                        if abs(step) < mpf(2) ** (-_ORACLE_BITS // 2):
+                            break
+                    d = mpf(10) ** -40 * max(1, abs(x))
+                    if mp.polyval(p, x - d) * mp.polyval(p, x + d) >= 0:
+                        out = None
+                        break
+                    out.append((x - d, x + d))
+            if out is not None:
+                out.sort()
+                if any(a[1] >= b[0] for a, b in zip(out, out[1:])):
+                    out = None
+            self._zeros[n] = out
+        return self._zeros[n]
 
     def h(self, n, j: int) -> Fraction:
         return sum(c * self.moment(j, n[j - 1] + i) for i, c in enumerate(self.type2(n)))
@@ -161,6 +197,16 @@ def type1_biorthogonality(exact: ExactUniformPair, n, A1, A2) -> Verdict:
             s += mp.fsum(_mp(c) * _mp(exact.moment(2, i + k)) for i, c in enumerate(A2 or ()))
             err = max(err, abs(s - (1 if k == d - 1 else 0)))
     return within(f"type1{tuple(n)} biorthogonality", err, CONSISTENCY_ABS)
+
+
+def interlacing_vs_exact(exact: ExactUniformPair, n, i: int) -> Verdict:
+    """Strict interlacing of the zeros of the exact P_n and P_{n+e_i}: their
+    certified brackets are disjoint and alternate."""
+    up = (n[0] + 1, n[1]) if i == 1 else (n[0], n[1] + 1)
+    zn, zu = exact.zeros(tuple(n)), exact.zeros(up)
+    ok = (zn is not None and zu is not None and len(zu) == len(zn) + 1
+          and all(zu[k][1] < zn[k][0] and zn[k][1] < zu[k + 1][0] for k in range(len(zn))))
+    return holds(f"interlacing{tuple(n)},{i} exact", ok)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ class Tracer:
         self.queries: list[int] = []
         self.counts: dict[str, float] = defaultdict(float)
         self.query = -1
+        self.paused = False      # set while an oracle runs: its library calls are not the query's
         self._stack: list[int] = []
         self._restore: list[tuple] = []
 
@@ -70,6 +71,8 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if tracer.paused:
+                return fn(*args, **kwargs)
             state = before(args) if before else None
             if calls:
                 tracer.counts[calls] += 1

@@ -44,6 +44,10 @@ def import_library(root: str) -> float:
 def run_queries(queries, tracer=None) -> list:
     """Call each query, then its oracle; one record per query.
 
+    Some oracles call library code (an assembled operator, the unit identity);
+    the tracer is paused while they run, so their time counts in ``other_s``
+    and in no layer.
+
     status is ``ok``, ``wrong`` (a returned result failed its oracle) or
     ``raised`` (the call raised).  digits is the smallest digits of agreement
     among the oracle's checks, or None when it made only pass/fail checks.
@@ -60,6 +64,8 @@ def run_queries(queries, tracer=None) -> list:
                             "digits": None, "detail": f"{type(exc).__name__}: {exc}"})
             continue
         latency = time.perf_counter() - t
+        if tracer is not None:
+            tracer.paused = True
         try:
             verdicts = q.check(result)
         except Exception as exc:
@@ -68,6 +74,9 @@ def run_queries(queries, tracer=None) -> list:
         else:
             bad = [v.what for v in verdicts if not v.ok]
             detail = "; ".join(bad[:3])
+        finally:
+            if tracer is not None:
+                tracer.paused = False
         ok = bool(verdicts) and all(v.ok for v in verdicts)
         digits = [v.digits for v in verdicts or () if v.digits is not None]
         records.append({"label": q.label, "latency": latency, "status": "ok" if ok else "wrong",

@@ -18,7 +18,7 @@ import numpy as np
 
 from oracles import (
     DENSE_GAP, EIGVEC_RESIDUAL, GRAM_OFFDIAG, GREEN_REL, MASS_ABS, UNIT_IDENTITY, XI_SPREAD,
-    CONSISTENCY_ABS, ExactUniformPair, consistency_identities, holds,
+    CONSISTENCY_ABS, ExactUniformPair, consistency_identities, holds, interlacing_vs_exact,
     nikishin_sign_expected, recurrence_vs_exact, type1_biorthogonality, within,
 )
 
@@ -35,9 +35,11 @@ SIZES = {
         "green_depths": (12,),      # tree: truncation depths for every X <= Y pair
         "ang_trees": ((3, 2), (5, 4)),
         "nik_trees": ((4, 3),),
-        "dual_points": 10,          # spectral: x samples per interval
-        "dos_points": 100,          # spectral: x samples on the cuts
+        "dual_points": 10,          # spectral: x samples per reference-measure sweep
+        "dos_sweeps": 3,            # spectral: dos sweeps per sheet and cut
+        "dos_points": 10,           # spectral: x samples per dos sweep
         "profile_points": 100,
+        "subtree_roots": 6,         # spectral: rho_sub at the first this many words
     },
     "smoke": {
         "ang_order": 3,
@@ -47,8 +49,10 @@ SIZES = {
         "ang_trees": ((2, 1),),
         "nik_trees": ((2, 1),),
         "dual_points": 2,
-        "dos_points": 4,
+        "dos_sweeps": 1,
+        "dos_points": 2,
         "profile_points": 4,
+        "subtree_roots": 2,
     },
 }
 
@@ -120,13 +124,16 @@ def _lattice(systems, rng, size):
         for n1 in range(1, d):
             n = (n1, d - n1)
             qs.append(Query(f"consistency_residual{n}", partial(consistency_residual, sysm, n),
-                            lambda r: [within("consistency", max(float(x) for x in r), CONSISTENCY_ABS)]))
+                            partial(lambda n, r: [within("reported consistency", max(float(x) for x in r),
+                                                         CONSISTENCY_ABS),
+                                                  consistency_identities(sysm.recurrence, n)], n)))
     for d in range(N):
         for n1 in range(d + 1):
             for i in (1, 2):
                 n = (n1, d - n1)
                 qs.append(Query(f"interlacing_check{n},{i}", partial(interlacing_check, sysm, n, i),
-                                lambda ok: [holds("interlacing", ok is True)]))
+                                partial(lambda n, i, ok: [holds("reported interlacing", ok is True),
+                                                          interlacing_vs_exact(exact, n, i)], n, i)))
 
     nmax = size["nik_signs"]
 
@@ -258,8 +265,9 @@ def _spectral(systems, rng, size):
         b10 = exact.recurrence((1, 0))[3]
         return kappa[0] * float(b01) + kappa[1] * float(b10)
 
-    # Four queries each pay a find_e_kappa sweep; eight mid-size integrals
-    # follow them, so the tail percentile lands inside that cluster.
+    # Four queries each pay a find_e_kappa sweep; two dos_total_mass and ten
+    # mid-size integrals follow them, so the tail percentile lands inside the
+    # cluster of integrals.
     ka, kb = kappa_draw(), kappa_draw()
     for key, kappa in (("a", ka), ("b", kb)):
         qs.append(Query(f"rho_o kappa={kappa}", partial(measure, key, rho_o, asys, kappa), rep_oracle))
@@ -268,27 +276,31 @@ def _spectral(systems, rng, size):
                         partial(lambda kappa, m: [within("first moment", m - root_diagonal(kappa), MASS_ABS)], kappa)))
     qs.append(Query("profile a", lambda: reps["a"].profile(size["profile_points"]),
                     lambda pts: [holds("profile positive", all(np.isfinite(y) and y > 0 for _, y in pts))]))
-    words = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
-    for i in rng.choice(len(words), 2, replace=False):
-        X = words[int(i)]
+    # every subtree root of depth <= 2: a seeded choice among them would make
+    # the cost of a pass depend on the seed
+    for X in [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)][: size["subtree_roots"]]:
         qs.append(Query(f"rho_sub X={X}", partial(measure, X, rho_sub, asys, X), rep_oracle))
         qs.append(Query(f"total_mass X={X}", lambda X=X: reps[X].total_mass(), unit_mass))
 
+    # reference measure: one sweep of x samples per interval and xi
     xi_a, xi_b = (float(v) for v in rng.uniform(-0.8, 0.8, 2))
     dual: dict = {}
 
-    def via_dual(x, xi):
-        dual[(x, xi)] = reference_measure_via_dual(asys, (2, 2), x, xi)
-        return dual[(x, xi)]
+    def via_dual(k, xs, xi):
+        dual[(k, xi)] = [reference_measure_via_dual(asys, (2, 2), x, xi) for x in xs]
+        return dual[(k, xi)]
 
-    for a, b in (asys.delta1, asys.delta2):
+    def xi_spread(k, ws):
+        err = max(abs(w - v) for w, v in zip(ws, dual[(k, xi_a)]))
+        return [within("xi spread", err, XI_SPREAD)]
+
+    for k, (a, b) in enumerate((asys.delta1, asys.delta2)):
         pad = (b - a) * 0.02
-        for x in np.sort(rng.uniform(a + pad, b - pad, size["dual_points"])):
-            x = float(x)
-            qs.append(Query(f"reference_measure_via_dual x={x:.4f} xi_a", partial(via_dual, x, xi_a),
-                            lambda w: [holds("finite", np.isfinite(w))]))
-            qs.append(Query(f"reference_measure_via_dual x={x:.4f} xi_b", partial(via_dual, x, xi_b),
-                            partial(lambda x, w: [within("xi spread", w - dual[(x, xi_a)], XI_SPREAD)], x)))
+        xs = [float(x) for x in np.sort(rng.uniform(a + pad, b - pad, size["dual_points"]))]
+        qs.append(Query(f"reference_measure_via_dual sweep {k + 1} xi_a", partial(via_dual, k, xs, xi_a),
+                        lambda ws: [holds("finite", all(np.isfinite(w) for w in ws))]))
+        qs.append(Query(f"reference_measure_via_dual sweep {k + 1} xi_b", partial(via_dual, k, xs, xi_b),
+                        partial(xi_spread, k)))
 
     zr = float(rng.choice([-1.0, 1.0]) * rng.uniform(2.4, 4.0))
     qs.append(Query(f"green real z={zr:.4f}", partial(green, asys, ka, (), (), zr, depth=8),
@@ -313,23 +325,27 @@ def _spectral(systems, rng, size):
         return surf_box["s"]
 
     qs.append(Query("from_params", surface, lambda s: [holds("two cuts", len(s.cuts) == 2)]))
-    def dos_at(l, u):
-        # u = (cut index, position in the cut); the cuts exist once from_params ran
-        a, b = surf_box["s"].cuts[u[0]]
-        x = a + 1e-4 + u[1] * (b - a - 2e-4)
-        return x, ps.dos(surf_box["s"], l, x)
+
+    def dos_sweep(l, k, us):
+        # sample positions us in (0, 1) along cut k; the cuts exist once from_params ran
+        a, b = surf_box["s"].cuts[k]
+        xs = [a + 1e-4 + u * (b - a - 2e-4) for u in us]
+        return xs, [ps.dos(surf_box["s"], l, x) for x in xs]
 
     def dos_oracle(res):
-        x, val = res
+        xs, vals = res
         return [
-            holds("dos positive", np.isfinite(val) and val > 0),
-            within("unit identity", ps.unit_identity_residual(surf_box["s"], x), UNIT_IDENTITY),
+            holds("dos positive", all(np.isfinite(v) and v > 0 for v in vals)),
+            within("unit identity", max(ps.unit_identity_residual(surf_box["s"], x) for x in xs), UNIT_IDENTITY),
         ]
 
-    for _ in range(size["dos_points"]):
-        u = (int(rng.integers(2)), float(rng.uniform()))
-        l = int(rng.integers(1, 3))
-        qs.append(Query(f"dos l={l}", partial(dos_at, l, u), dos_oracle))
+    # The density of states over a grid, in short sweeps per sheet and cut;
+    # they are the middle of the pass, so task_p50_s lands inside them.
+    for l in (1, 2):
+        for k in (0, 1):
+            for j in range(size["dos_sweeps"]):
+                us = [float(u) for u in np.sort(rng.uniform(size=size["dos_points"]))]
+                qs.append(Query(f"dos sweep l={l} cut={k + 1} #{j + 1}", partial(dos_sweep, l, k, us), dos_oracle))
     for l in (1, 2):
         qs.append(Query(f"dos_total_mass l={l}", partial(lambda l: ps.dos_total_mass(surf_box["s"], l), l),
                         unit_mass))
