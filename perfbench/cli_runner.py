@@ -1,12 +1,14 @@
-"""Run one ``mop-trees`` command with the benchmark's tracing installed.
+"""Run one ``mop-trees`` command in this fresh process, as the console script does.
 
-    python3 perfbench/cli_runner.py --trace-out SUMMARY.json -- <mop-trees arguments>
+    python3 perfbench/cli_runner.py --summary SUMMARY.json [--trace] -- <mop-trees arguments>
 
-It imports the library from the checkout's ``src/``, wraps the layers as
-``tracing.install`` does, calls ``mop_trees.cli.main(argv)`` and writes the
-span self times and counts of this process to SUMMARY.json, and the spans
-themselves next to it (``SUMMARY.spans.json.gz``).  Standard output
-is the command's own, so it can be compared with the goldens.
+It imports the library from the checkout's ``src/``, calls
+``mop_trees.cli.main(argv)`` and writes to SUMMARY.json the mean machine
+speed over its life and the time its speed sampler took (``speed.py``).
+With ``--trace`` the sampler is off; the layers are wrapped as
+``tracing.install`` does, and the summary holds the span self times and
+counts, with the spans themselves next to it (``SUMMARY.spans.json.gz``).
+Standard output is the command's own, so it can be compared with the goldens.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from __future__ import annotations
 import time
 
 T0 = time.perf_counter()
+
+import speed  # noqa: E402
+
+if __name__ == "__main__":
+    speed.start()
+M0 = speed.mark()
 
 import json  # noqa: E402
 import os  # noqa: E402
@@ -24,18 +32,30 @@ sys.path.insert(0, HERE)
 
 
 def main(argv: list) -> int:
-    if len(argv) < 3 or argv[0] != "--trace-out" or argv[2] != "--":
-        sys.stderr.write("usage: cli_runner.py --trace-out FILE -- ARGS...\n")
+    trace = len(argv) > 2 and argv[2] == "--trace"
+    sep = 3 if trace else 2
+    if len(argv) <= sep or argv[0] != "--summary" or argv[sep] != "--":
+        sys.stderr.write("usage: cli_runner.py --summary FILE [--trace] -- ARGS...\n")
         return 1
-    out_path, args = argv[1], argv[3:]
+    out_path, args = argv[1], argv[sep + 1:]
+    if trace:
+        speed.stop()
     from worker import import_library
 
     import_s = import_library(os.path.dirname(HERE))
+    import mop_trees.cli
+
+    if not trace:
+        code = mop_trees.cli.main(args)
+        sys.stdout.flush()
+        summary = {"speed": speed.since(M0)[2], "handler_s": speed.handler_s()}
+        with open(out_path, "w") as fh:
+            json.dump(summary, fh)
+        return code
+
     import tracing
 
     tracer = tracing.install(tracing.Tracer())
-    import mop_trees.cli
-
     t = time.perf_counter()
     code = mop_trees.cli.main(args)
     t_end = time.perf_counter()

@@ -6,7 +6,7 @@ Run from the root of a checkout:
 
 Workloads ``lattice``, ``tree`` and ``spectral`` run their queries inside a
 fresh worker process per pass (``worker.py``); ``cli`` runs the README
-commands, each as a fresh ``mop-trees`` process, and compares their output
+commands, each in a fresh ``cli_runner.py`` process, and compares their output
 byte for byte with the goldens in ``goldens/``.  A run first starts a few
 set-up probes (fresh processes that only import the library and load the
 workload's systems), then repeats passes while they fit in ``--seconds``
@@ -14,8 +14,9 @@ workload's systems), then repeats passes while they fit in ``--seconds``
 time.
 
 With ``--trace 0`` the last line of standard output holds the end-to-end
-metrics; with ``--trace 1`` the run makes one untraced and one traced pass
-and reports the per-layer metrics of the traced one.  Every run is also
+metrics, times in reference seconds (``speed.py``); with ``--trace 1`` the
+run makes one untraced and one traced pass and reports the per-layer
+metrics of the traced one.  Every run is also
 saved under ``.perfbench/results/`` for ``compare.py``.
 """
 
@@ -106,7 +107,7 @@ def worker_pass(workload: str, seed: int, trace: bool, size: str, setup_only: bo
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=ROOT, env=child_env(), stdout=subprocess.PIPE, stderr=err, text=True)
         try:
-            ready = proc.stdout.readline()
+            ready = proc.stdout.readline().split()
             t_ready = time.perf_counter()
             out, _ = proc.communicate(timeout=PASS_TIMEOUT)
         finally:
@@ -116,12 +117,15 @@ def worker_pass(workload: str, seed: int, trace: bool, size: str, setup_only: bo
         t_end = time.perf_counter()
         err.seek(0)
         err_text = err.read()
-    if ready.strip() != "READY" or proc.returncode != 0:
+    if ready[:1] != ["READY"] or proc.returncode != 0:
         raise BenchError(f"worker failed (exit {proc.returncode}): {err_text[-2000:]}")
+    setup_speed, setup_handler_s = float(ready[1]), float(ready[2])
+    setup_raw = t_ready - t0 - setup_handler_s
+    setup = {"setup_s": setup_raw * setup_speed, "setup_raw_s": setup_raw}
     if setup_only:
-        return {"setup_s": t_ready - t0}
+        return setup
     rec = json.loads(out.strip().splitlines()[-1])
-    rec["setup_s"] = t_ready - t0
+    rec.update(setup)
     rec["process_s"] = (t_end - t0) - rec["internal_s"]
     rec["total_s"] = t_end - t0
     return rec
@@ -154,19 +158,17 @@ def read_outputs(directory: str) -> dict:
 
 
 def run_command(name: str, argv: list, trace: bool) -> tuple:
-    """One CLI command in a fresh process, in an empty working directory.
+    """One CLI command in a fresh ``cli_runner.py`` process, in an empty working directory.
 
-    Returns (exit code, wall seconds, max RSS in MB, outputs, trace summary).
+    Returns (exit code, wall seconds, max RSS in MB, outputs, runner summary).
     """
     work = os.path.join(STATE, "work", name)
     shutil.rmtree(work, ignore_errors=True)
     os.makedirs(work)
     argv = [os.path.join(ROOT, a) if a == SYSTEM else a for a in argv]
-    summary_path = os.path.join(STATE, "work", f"{name}.trace.json")
-    if trace:
-        cmd = [PYTHON, os.path.join(HERE, "cli_runner.py"), "--trace-out", summary_path, "--", *argv]
-    else:
-        cmd = [PYTHON, "-m", "mop_trees.cli", *argv]
+    summary_path = os.path.join(STATE, "work", f"{name}.summary.json")
+    cmd = [PYTHON, os.path.join(HERE, "cli_runner.py"), "--summary", summary_path,
+           *(["--trace"] if trace else []), "--", *argv]
     stdout_path = os.path.join(STATE, "work", f"{name}.stdout")
     with open(stdout_path, "wb") as out, open(os.devnull, "wb") as null:
         t0 = time.perf_counter()
@@ -183,9 +185,10 @@ def run_command(name: str, argv: list, trace: bool) -> tuple:
     with open(stdout_path, "rb") as fh:
         outputs["stdout"] = fh.read()
     summary = None
-    if trace:
+    if os.path.exists(summary_path):
         with open(summary_path) as fh:
             summary = json.load(fh)
+        os.remove(summary_path)
     shutil.rmtree(work)
     return proc.returncode, wall, usage.ru_maxrss / 1024.0, outputs, summary
 
@@ -196,6 +199,12 @@ def golden_outputs(name: str) -> dict:
 
 
 def cli_pass(trace: bool, size: str) -> dict:
+    """The commands one after another; wall_s sums their reference times.
+
+    A command's reference time is its process's wall time, less the runner's
+    sampling time, at the mean speed the runner measured.  A traced command
+    has no sampler, so it reads its raw time.
+    """
     records, rss, summaries = [], 0.0, []
     t_start = time.perf_counter()
     for name, argv in CLI_COMMANDS:
@@ -203,15 +212,21 @@ def cli_pass(trace: bool, size: str) -> dict:
             continue
         code, wall, peak, outputs, summary = run_command(name, argv, trace)
         verdicts = _cli_verdicts(name, code, outputs, golden_outputs(name))
+        if summary is None:
+            verdicts.append(holds("runner summary written", False))
+            summary = {}
         digits = [v.digits for v in verdicts if v.digits is not None]
         bad = [v.what for v in verdicts if not v.ok]
-        records.append({"label": name, "latency": wall, "status": "wrong" if bad else "ok",
+        raw = wall - summary.get("handler_s", 0.0)
+        records.append({"label": name, "latency": raw * summary.get("speed", 1.0), "latency_raw": raw,
+                        "status": "wrong" if bad else "ok",
                         "digits": min(digits) if digits else None, "detail": "; ".join(bad)})
         rss = max(rss, peak)
-        if summary:
+        if trace and summary:
             summary["process_s"] = wall - summary["internal_s"]
             summaries.append(summary)
-    rec = {"workload": "cli", "wall_s": time.perf_counter() - t_start, "rss_mb": rss, "queries": records}
+    rec = {"workload": "cli", "wall_s": sum(q["latency"] for q in records),
+           "wall_raw_s": time.perf_counter() - t_start, "rss_mb": rss, "queries": records}
     if trace:
         rec["trace"] = merge_summaries(summaries)
     return rec
@@ -241,8 +256,8 @@ def one_pass(workload: str, seed: int, trace: bool, size: str) -> dict:
     return worker_pass(workload, seed, trace, size)
 
 
-def setup_probe(workload: str, size: str) -> float:
-    return worker_pass(workload, 0, False, size, setup_only=True)["setup_s"]
+def setup_probe(workload: str, size: str) -> dict:
+    return worker_pass(workload, 0, False, size, setup_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +282,24 @@ def percentile(values: list, p: int) -> float:
     return xs[max(0, math.ceil(p / 100 * len(xs)) - 1)]
 
 
-def end_to_end(passes: list, setups: list) -> dict:
-    latencies = [q["latency"] for p in passes for q in p["queries"]]
-    digits = [q["digits"] for p in passes for q in p["queries"] if q["digits"] is not None]
-    attempted = len(latencies)
-    failed = sum(q["status"] != "ok" for p in passes for q in p["queries"])
-    p_tail = tail_percentile(len(passes[0]["queries"]))
-    values = {
-        "setup_s": statistics.median(setups),
-        "wall_s": statistics.median(p["wall_s"] for p in passes),
+def times(passes: list, setups: list, raw: bool = False) -> dict:
+    """The four time metrics, in reference seconds, or in raw seconds with ``raw``."""
+    sfx = "_raw" if raw else ""
+    latencies = [q["latency" + sfx] for p in passes for q in p["queries"]]
+    return {
+        "setup_s": statistics.median(s[f"setup{sfx}_s"] for s in setups),
+        "wall_s": statistics.median(p[f"wall{sfx}_s"] for p in passes),
         "task_p50_s": statistics.median(latencies),
-        "task_tail_s": percentile(latencies, p_tail),
+        "task_tail_s": percentile(latencies, tail_percentile(len(passes[0]["queries"]))),
+    }
+
+
+def end_to_end(passes: list, setups: list) -> dict:
+    digits = [q["digits"] for p in passes for q in p["queries"] if q["digits"] is not None]
+    attempted = sum(len(p["queries"]) for p in passes)
+    failed = sum(q["status"] != "ok" for p in passes for q in p["queries"])
+    values = {
+        **times(passes, setups),
         "ok_ratio": (attempted - failed) / attempted,
         "digits_min": min(digits) if digits else 0.0,
         "peak_rss_mb": statistics.median(p["rss_mb"] for p in passes),
@@ -297,7 +319,7 @@ def per_layer(traced: dict, untraced: dict) -> dict:
         values["cli.import_s"] = traced["import_s"]
         values["cli.process_s"] = traced["process_s"]
     values["other_s"] = tr["untraced_s"]
-    values["trace.overhead_s"] = traced["wall_s"] - untraced["wall_s"]
+    values["trace.overhead_s"] = traced["wall_raw_s"] - untraced["wall_raw_s"]
     values["trace.spans"] = tr["spans"]
     return values
 
@@ -319,6 +341,7 @@ def per_layer_unit(name: str) -> str:
 
 def measure(workload: str, seed: int, seconds: float, trace: bool, size: str) -> dict:
     start = time.perf_counter()
+    raw_times = None
     if trace:
         untraced = one_pass(workload, seed, False, size)
         traced = one_pass(workload, seed, True, size)
@@ -331,11 +354,12 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, size: str) ->
             p = one_pass(workload, seed, False, size)
             passes.append(p)
             if "setup_s" in p:
-                setups.append(p["setup_s"])
+                setups.append(p)
             elapsed = time.perf_counter() - start
-            if elapsed + p.get("total_s", p["wall_s"]) > seconds:
+            if elapsed + p.get("total_s", p["wall_raw_s"]) > seconds:
                 break
         metrics = {k: (v, E2E_UNITS[k]) for k, v in end_to_end(passes, setups).items()}
+        raw_times = times(passes, setups, raw=True)
     attempted = sum(len(p["queries"]) for p in passes)
     wrong = [q for p in passes for q in p["queries"] if q["status"] == "wrong"]
     raised = [q for p in passes for q in p["queries"] if q["status"] == "raised"]
@@ -347,6 +371,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, size: str) ->
         "size": size,
         "passes": len(passes),
         "pass_wall_s": [p["wall_s"] for p in passes],
+        "raw_times": raw_times,
         "queries_per_pass": len(passes[0]["queries"]),
         "tail_percentile": tail_percentile(len(passes[0]["queries"])),
         "attempted": attempted,

@@ -22,6 +22,7 @@ sys.path.insert(0, HERE)
 
 import compare  # noqa: E402
 import run  # noqa: E402
+import speed  # noqa: E402
 import worker  # noqa: E402
 from oracles import ExactUniformPair, recurrence_vs_exact  # noqa: E402
 from workloads import Query  # noqa: E402
@@ -63,7 +64,7 @@ def test_wrong_answer_is_counted_as_failure():
     ]
     records = worker.run_queries(queries)
     assert [r["status"] for r in records] == ["ok", "wrong"]
-    values = run.end_to_end([{"queries": records, "wall_s": 1.0, "rss_mb": 1.0}], [1.0])
+    values = run.end_to_end([{"queries": records, "wall_s": 1.0, "rss_mb": 1.0}], [{"setup_s": 1.0}])
     assert values["ok_ratio"] == 0.5
 
 
@@ -73,7 +74,15 @@ def test_raising_query_is_counted_as_failure():
 
     records = worker.run_queries([Query("boom", boom, lambda r: [])])
     assert records[0]["status"] == "raised"
-    assert run.end_to_end([{"queries": records, "wall_s": 1.0, "rss_mb": 1.0}], [1.0])["ok_ratio"] == 0.0
+    assert run.end_to_end([{"queries": records, "wall_s": 1.0, "rss_mb": 1.0}], [{"setup_s": 1.0}])["ok_ratio"] == 0.0
+
+
+def test_reference_time_is_raw_time_at_sampled_speed():
+    m = speed.mark()
+    speed.calibration()
+    raw, ref, s = speed.since(m)  # no timer running: samples taken around the span
+    assert raw > 0 and s > 0
+    assert ref == pytest.approx(raw * s)
 
 
 def test_tail_percentile_leaves_ten_queries_beyond():

@@ -5,10 +5,11 @@ Run from the root of a checkout by ``run.py``:
     python3 perfbench/worker.py --workload lattice --seed 1 [--trace 1] [--setup-only]
 
 The worker imports ``mop_trees`` from ``src/``, builds the workload's systems
-from their files (this is set-up) and prints ``READY``; the parent times the
+from their files (this is set-up) and prints ``READY`` with the mean machine
+speed and the sampling time of its set-up (``speed.py``); the parent times the
 span from spawning the process to that line.  It then runs every query once,
 checks each result against its oracle and prints one JSON line with the
-per-query latencies and verdicts.
+per-query latencies and verdicts, in raw and reference seconds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from __future__ import annotations
 import time
 
 T0 = time.perf_counter()
+
+import speed  # noqa: E402
+
+if __name__ == "__main__":
+    speed.start()
+M0 = speed.mark()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -56,14 +63,15 @@ def run_queries(queries, tracer=None) -> list:
     for qid, q in enumerate(queries):
         if tracer is not None:
             tracer.query = qid
-        t = time.perf_counter()
+        m = speed.mark()
         try:
             result = q.call()
         except Exception as exc:  # a failing query is counted, not fatal
-            records.append({"label": q.label, "latency": time.perf_counter() - t, "status": "raised",
+            raw, latency, _ = speed.since(m)
+            records.append({"label": q.label, "latency": latency, "latency_raw": raw, "status": "raised",
                             "digits": None, "detail": f"{type(exc).__name__}: {exc}"})
             continue
-        latency = time.perf_counter() - t
+        raw, latency, _ = speed.since(m)
         if tracer is not None:
             tracer.paused = True
         try:
@@ -79,7 +87,7 @@ def run_queries(queries, tracer=None) -> list:
                 tracer.paused = False
         ok = bool(verdicts) and all(v.ok for v in verdicts)
         digits = [v.digits for v in verdicts or () if v.digits is not None]
-        records.append({"label": q.label, "latency": latency, "status": "ok" if ok else "wrong",
+        records.append({"label": q.label, "latency": latency, "latency_raw": raw, "status": "ok" if ok else "wrong",
                         "digits": min(digits) if digits else None, "detail": detail})
     return records
 
@@ -121,23 +129,27 @@ def main(argv=None) -> int:
     import tracing
     import workloads
 
+    if args.trace:
+        speed.stop()  # keep the sampler's time out of the traced spans
     tracer = tracing.install(tracing.Tracer()) if args.trace else None
     t_setup = time.perf_counter()
     systems = workloads.load_systems(args.workload, root)
-    sys.stdout.write("READY\n")
+    sys.stdout.write(f"READY {speed.since(M0)[2]!r} {speed.handler_s()!r}\n")
     sys.stdout.flush()
     if args.setup_only:
         return 0
 
     queries = workloads.build(args.workload, systems, args.seed, args.size)
-    t_start = time.perf_counter()
+    m = speed.mark()
     records = run_queries(queries, tracer)
+    wall_raw, wall, _ = speed.since(m)
     t_end = time.perf_counter()
     out = {
         "workload": args.workload,
         "seed": args.seed,
         "import_s": import_s,
-        "wall_s": t_end - t_start,
+        "wall_s": wall,
+        "wall_raw_s": wall_raw,
         "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "queries": records,
         "shared_measures": workloads.shared_measures(systems),

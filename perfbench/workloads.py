@@ -36,7 +36,7 @@ SIZES = {
         "ang_trees": ((3, 2), (5, 4)),
         "nik_trees": ((4, 3),),
         "dual_points": 10,          # spectral: x samples per reference-measure sweep
-        "dos_sweeps": 3,            # spectral: dos sweeps per sheet and cut
+        "dos_sweeps": 4,            # spectral: dos sweeps per sheet and cut
         "dos_points": 10,           # spectral: x samples per dos sweep
         "profile_points": 100,
         "subtree_roots": 6,         # spectral: rho_sub at the first this many words
