@@ -5,9 +5,9 @@
 It imports the library from the checkout's ``src/``, calls
 ``mop_trees.cli.main(argv)`` and writes to SUMMARY.json the mean machine
 speed over its life and the time its speed sampler took (``speed.py``).
-With ``--trace`` the sampler is off; the layers are wrapped as
-``tracing.install`` does, and the summary holds the span self times and
-counts, with the spans themselves next to it (``SUMMARY.spans.json.gz``).
+With ``--trace`` the layers are wrapped as ``tracing.install`` does, and
+the summary also holds the span self times and counts, with the spans
+themselves next to it (``SUMMARY.spans.json.gz``).
 Standard output is the command's own, so it can be compared with the goldens.
 """
 
@@ -38,39 +38,35 @@ def main(argv: list) -> int:
         sys.stderr.write("usage: cli_runner.py --summary FILE [--trace] -- ARGS...\n")
         return 1
     out_path, args = argv[1], argv[sep + 1:]
-    if trace:
-        speed.stop()
     from worker import import_library
 
     import_s = import_library(os.path.dirname(HERE))
     import mop_trees.cli
 
-    if not trace:
-        code = mop_trees.cli.main(args)
-        sys.stdout.flush()
-        summary = {"speed": speed.since(M0)[2], "handler_s": speed.handler_s()}
-        with open(out_path, "w") as fh:
-            json.dump(summary, fh)
-        return code
+    tracer = None
+    if trace:
+        import tracing
 
-    import tracing
-
-    tracer = tracing.install(tracing.Tracer())
+        tracer = tracing.install(tracing.Tracer())
     t = time.perf_counter()
     code = mop_trees.cli.main(args)
     t_end = time.perf_counter()
-    tracer.uninstall()
     sys.stdout.flush()
-    tracer.dump(os.path.splitext(out_path)[0] + ".spans.json.gz")
-    with open(out_path, "w") as fh:
-        json.dump({
+    summary = {}
+    if tracer is not None:
+        tracer.uninstall()
+        tracer.dump(os.path.splitext(out_path)[0] + ".spans.json.gz")
+        summary = {
             "import_s": import_s,
             "self_times": tracer.self_times(),
             "counts": dict(tracer.counts),
             "untraced_s": (t_end - t) - tracer.covered(),
             "spans": len(tracer.names),
             "internal_s": time.perf_counter() - T0,
-        }, fh)
+        }
+    summary.update(speed=speed.since(M0)[2], handler_s=speed.handler_s())
+    with open(out_path, "w") as fh:
+        json.dump(summary, fh)
     return code
 
 

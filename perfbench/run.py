@@ -202,8 +202,7 @@ def cli_pass(trace: bool, size: str) -> dict:
     """The commands one after another; wall_s sums their reference times.
 
     A command's reference time is its process's wall time, less the runner's
-    sampling time, at the mean speed the runner measured.  A traced command
-    has no sampler, so it reads its raw time.
+    sampling time, at the mean speed the runner measured.
     """
     records, rss, summaries = [], 0.0, []
     t_start = time.perf_counter()
@@ -319,7 +318,7 @@ def per_layer(traced: dict, untraced: dict) -> dict:
         values["cli.import_s"] = traced["import_s"]
         values["cli.process_s"] = traced["process_s"]
     values["other_s"] = tr["untraced_s"]
-    values["trace.overhead_s"] = traced["wall_raw_s"] - untraced["wall_raw_s"]
+    values["trace.overhead_s"] = traced["wall_s"] - untraced["wall_s"]
     values["trace.spans"] = tr["spans"]
     return values
 

@@ -129,8 +129,6 @@ def main(argv=None) -> int:
     import tracing
     import workloads
 
-    if args.trace:
-        speed.stop()  # keep the sampler's time out of the traced spans
     tracer = tracing.install(tracing.Tracer()) if args.trace else None
     t_setup = time.perf_counter()
     systems = workloads.load_systems(args.workload, root)

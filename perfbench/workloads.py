@@ -37,7 +37,7 @@ SIZES = {
         "nik_trees": ((4, 3),),
         "dual_points": 10,          # spectral: x samples per reference-measure sweep
         "dos_sweeps": 4,            # spectral: dos sweeps per sheet and cut
-        "dos_points": 10,           # spectral: x samples per dos sweep
+        "dos_points": 30,           # spectral: x samples per dos sweep
         "profile_points": 100,
         "subtree_roots": 6,         # spectral: rho_sub at the first this many words
     },
