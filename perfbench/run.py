@@ -16,8 +16,8 @@ time.
 With ``--trace 0`` the last line of standard output holds the end-to-end
 metrics, times in reference seconds (``speed.py``); with ``--trace 1`` the
 run makes one untraced and one traced pass and reports the per-layer
-metrics of the traced one.  Every run is also
-saved under ``.perfbench/results/`` for ``compare.py``.
+metrics of the traced one.  Every run is also saved under
+``.perfbench/results/`` for ``compare.py``.
 """
 
 from __future__ import annotations
