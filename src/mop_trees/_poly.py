@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 
 def pval(c, x):
@@ -10,6 +10,14 @@ def pval(c, x):
     acc = 0 * x
     for ci in reversed(c):
         acc = acc * x + ci
+    return acc
+
+
+def pval_exact(c, x):
+    """Horner evaluation in mpmath without rounding (float or mpf input)."""
+    acc = mpf(0)
+    for ci in reversed(c):
+        acc = mp.fadd(mp.fmul(acc, x, exact=True), ci, exact=True)
     return acc
 
 
@@ -46,10 +54,3 @@ def pxshift(c):
 def pfloat(c):
     return [float(ci) for ci in c]
 
-
-def prodval(roots, lead, x):
-    """Evaluate lead * prod(x - r) from the root factorization (backward stable)."""
-    acc = lead
-    for r in roots:
-        acc = acc * (x - r)
-    return acc

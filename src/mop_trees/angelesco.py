@@ -22,28 +22,27 @@ precision; profile/density sweeps use stable double-precision routes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import DomainError, EndpointError, OverlapError
-from .measures import Measure, concat
+from .measures import Measure, cauchy, concat
 from .mop_engine import (
     E1,
     E2,
     MopSystem,
+    _deflate,
     add,
-    order,
     real_zeros,
     second_kind,
     second_kind_boundary,
     second_kind_boundary_mp,
-    sub,
 )
 from .tree_jacobi import assemble_subtree, assemble_truncated
 from .tree_topology import cayley_truncation
@@ -58,6 +57,7 @@ class AngelescoSystem:
     delta2: tuple
     mustar: Measure
     xi_mass: float           # difference of the normalized first moments (> 0)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def masses(self) -> tuple:
@@ -392,13 +392,14 @@ def _real_z_forbidden(asys, kappa, x, X):
 # ---------------------------------------------------------------------------
 
 
-def _t_polynomials(asys, n, l):
-    """The degree-(|n|-1) bridge polynomial of consecutive type I pairs and its
-    monic factors split by interval; cached on the system record."""
-    key = ("tpoly", n, l)
-    cache = asys.sys.mu1._cache  # piggyback: system-lifetime cache
-    if key in cache:
-        return cache[key]
+def _bridge_weights(asys, n, l) -> dict:
+    """Per interval k, the zeros of the bridge polynomial T on the opposite
+    interval and the coefficients of T_{3-k} T, T_{3-k} the monic factor with
+    those zeros; T is the degree-(|n|-1) bridge of consecutive type I pairs.
+    Cached on the system."""
+    key = ("bridge", n, l)
+    if key in asys._cache:
+        return asys._cache[key]
     e = E1 if l == 1 else E2
     rn = asys.sys.type1_record(n)
     ru = asys.sys.type1_record(add(n, e))
@@ -409,14 +410,18 @@ def _t_polynomials(asys, n, l):
         )
         while len(t) > 1 and t[-1] == 0:
             t = t[:-1]
-        lead = t[-1]
         zs = real_zeros(t, asys.sys.precision_bits) if len(t) > 1 else []
         z1 = [float(z) for z in zs if float(z) <= asys.delta1[1] + 1e-9]
         z2 = [float(z) for z in zs if float(z) >= asys.delta2[0] - 1e-9]
         if len(z1) + len(z2) != len(t) - 1:
             raise DomainError("bridge polynomial zeros escape the two intervals")
-    out = (t, float(lead), z1, z2)
-    cache[key] = out
+        out = {}
+        for k, zs_other in ((1, z2), (2, z1)):
+            weight = t
+            for r in zs_other:
+                weight = P.pmul(weight, (-mpf(r), mpf(1)))
+            out[k] = (zs_other, weight)
+    asys._cache[key] = out
     return out
 
 
@@ -436,29 +441,10 @@ def s_x(asys: AngelescoSystem, X, x: float) -> float:
 
 
 def _s_x_by_quadrature(asys, n, l, x):
-    t, lead, z1, z2 = _t_polynomials(asys, n, l)
     k = asys.side_of(x)
+    zs_other, weight = _bridge_weights(asys, n, l)[k]
     mu_other = asys.sys.mu2 if k == 1 else asys.sys.mu1
-    zs_other = z2 if k == 1 else z1
-    key = ("tpoly_nodes", n, l, k)
-    cache = asys.sys.mu1._cache
-    if key not in cache:
-        # node table of T_{3-k}(s) T(s) w(s) over the opposite interval
-        tf = np.asarray(P.pfloat(t))
-        xs_all, vals_all = [], []
-        from .quadrature import map_rule
-
-        for p in mu_other.pieces:
-            xs, ws = map_rule(p.a, p.b, mu_other.quad_order)
-            tmonic = np.ones_like(xs)
-            for r in zs_other:
-                tmonic *= xs - r
-            tv = np.polynomial.polynomial.polyval(xs, tf)
-            vals_all.append(ws * p.density(xs, p.a, p.b) * tmonic * tv)
-            xs_all.append(xs)
-        cache[key] = (np.concatenate(xs_all), np.concatenate(vals_all))
-    xs, vals = cache[key]
-    integral = float(np.sum(vals / (x - xs)))
+    integral = cauchy(mu_other, x, weight).real
     tmx = np.prod([x - r for r in zs_other]) if zs_other else 1.0
     return float((-1.0) ** k * integral / tmx)
 
@@ -613,20 +599,9 @@ def _deflate_twice(asys, n, xi, k, xs, E):
         num = P.pscale(num, mpf(-1) ** n[1])
         ak = rec.A1 if k == 1 else rec.A2
         num = P.pmul(num, ak)  # = D * A^{(k)}, double zero at E
-        q = _synthetic_division(num, mpf(E))
-        q = _synthetic_division(q, mpf(E))
+        q = _deflate(_deflate(num, mpf(E)), mpf(E))
         qf = np.asarray(P.pfloat(q))
     return np.polynomial.polynomial.polyval(xs, qf)
-
-
-def _synthetic_division(coeffs, r):
-    """coeffs / (x - r), discarding the (tiny) remainder."""
-    out = [mpf(0)] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = carry
-        carry = coeffs[i] + carry * r
-    return tuple(out)
 
 
 def dual_pole_weight_residual(asys: AngelescoSystem, n, E: float, xi: float) -> float:

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -41,21 +39,6 @@ SCHEMA = "mop-trees/1"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MOP_TREES_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, xs):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, xs))
 
 
 def load_system(path: str, precision_bits: int | None = None) -> dict:
@@ -284,7 +267,7 @@ def cmd_periodic_dos(args):
     for a, b in surf.cuts:
         pad = (b - a) * 1e-6
         xs = np.linspace(a + pad, b - pad, args.grid // 2)
-        pts.extend(zip(map(float, xs), _grid_map(lambda x: psur.dos(surf, args.l, float(x)), xs)))
+        pts.extend((float(x), psur.dos(surf, args.l, float(x))) for x in xs)
     if args.format == "csv" or args.out:
         emit_plot_data(pts, args.out or "dos.csv")
         sys.stdout.write(f"wrote {len(pts)} points\n")

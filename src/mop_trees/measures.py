@@ -1,19 +1,23 @@
-"""Compactly supported real measures: moments, Markov functions, boundary values.
+"""Compactly supported real measures, their moments and their Cauchy transforms.
 
 A :class:`Measure` is a finite list of point masses plus absolutely continuous
-pieces carried by disjoint intervals.  Everything downstream consumes measures
-through three primitives:
+pieces carried by disjoint intervals.  Monomial moments come from
+``moment(k)`` (double) and ``moments_mp`` (extended precision).  Every
+transform of the form ``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes
+through one kernel, :func:`cauchy`: the Markov function and its boundary
+values (the ``Measure.markov*`` methods), the second-kind functions of the
+MOP engine and the bridge integrals of the Angelesco subtree factors.  Off the
+support it switches to graded panels near the pole; on an ac piece it gives
+the boundary values from above/below by the Plemelj split (principal value
+-/+ i*pi*g*density).
 
-* ``moment(k)``      -- monomial moments (double or extended precision),
-* ``markov(z)``      -- the Cauchy transform ``int (z - x)^{-1} dm(x)``,
-* ``markov_boundary``-- its boundary values from above/below via the
-  Plemelj split (principal value -/+ i*pi*density).
-
-All operations are pure; instances are immutable and safe to share.
+Instances are immutable and safe to share: the only state is a cache of
+quadrature node tables keyed by everything the tables depend on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
+from ._poly import pval, pval_exact
 from .errors import DomainError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -84,9 +89,7 @@ class DensitySpec:
             if self.kind == "uniform":
                 return mpf(1)
             if self.kind == "jacobi_weight":
-                val = mpf(0)
-                for c in reversed(self.poly):
-                    val = val * x + mpf(c)
+                val = pval([mpf(c) for c in self.poly], x)
                 if self.p != 0:
                     val *= (x - mpf(a)) ** mpf(self.p)
                 if self.q != 0:
@@ -189,7 +192,8 @@ class Measure:
 
     def support_distance(self, z) -> float:
         """Distance from z to the support (intervals and atoms)."""
-        zr, zi = float(np.real(z)), float(np.imag(z))
+        z = complex(z)
+        zr, zi = z.real, z.imag
         d = math.inf
         for p in self.pieces:
             dx = 0.0 if p.a <= zr <= p.b else min(abs(zr - p.a), abs(zr - p.b))
@@ -210,9 +214,9 @@ class Measure:
         key = ("mom", k)
         if key not in self._cache:
             total = sum(m * x**k for x, m in self.atoms)
-            for p in self.pieces:
-                xs, ws = map_rule(p.a, p.b, self.quad_order)
-                total += float(np.sum(ws * p.density(xs, p.a, p.b) * xs**k))
+            for i in range(len(self.pieces)):
+                xs, ws, dens = _piece_table(self, i, (), None)
+                total += float(np.sum(ws * dens * xs**k))
             self._cache[key] = total
         return self._cache[key]
 
@@ -223,9 +227,8 @@ class Measure:
         if len(table) <= upto:
             with workprec(prec):
                 node_tables = []
-                for p in self.pieces:
-                    xs, ws = map_rule_mp(p.a, p.b, self.quad_order, prec)
-                    dens = [p.density.mp_value(x, p.a, p.b, prec) for x in xs]
+                for i in range(len(self.pieces)):
+                    xs, ws, dens = _piece_table(self, i, (), prec)
                     node_tables.append((xs, [w * d for w, d in zip(ws, dens)]))
                 start = len(table)
                 # incremental powers: x^k tables carried across k
@@ -246,54 +249,15 @@ class Measure:
             self._cache[key] = table
         return table[: upto + 1]
 
-    # -- Markov function ---------------------------------------------------
+    # -- Cauchy transforms ------------------------------------------------
 
     def markov(self, z) -> complex:
         """Cauchy transform ``int (z - x)^{-1} dm(x)`` off the support."""
-        if self.support_distance(z) < _SUPPORT_TOL:
-            raise DomainError("markov evaluation on the support")
-        z = complex(z)
-        total = sum(m / (z - x) for x, m in self.atoms)
-        for p in self.pieces:
-            total += self._piece_cauchy(p, z)
-        if abs(z.imag) == 0:
-            return complex(total.real, 0.0)
-        return total
-
-    def _piece_cauchy(self, p: Piece, z: complex) -> complex:
-        dist = self.support_distance(z)
-        length = p.b - p.a
-        if dist >= _NEAR_FACTOR * length:
-            xs, ws = map_rule(p.a, p.b, self.quad_order)
-            return complex(np.sum(ws * p.density(xs, p.a, p.b) / (z - xs)))
-        total = 0j
-        for a, b in graded_panels(p.a, p.b, z.real, max(dist, 1e-14)):
-            xs, ws = map_rule(a, b, _PANEL_ORDER)
-            total += complex(np.sum(ws * p.density(xs, p.a, p.b) / (z - xs)))
-        return total
+        return cauchy(self, z)
 
     def markov_mp(self, z, prec: int):
         """Markov function at ``prec`` bits (single point)."""
-        if self.support_distance(complex(z)) < _SUPPORT_TOL:
-            raise DomainError("markov evaluation on the support")
-        with workprec(prec):
-            zm = mpc(z) if (np.iscomplexobj(z) or isinstance(z, (complex, mpc))) else mpf(z)
-            total = mp.fsum(mpf(m) / (zm - mpf(x)) for x, m in self.atoms)
-            dist = self.support_distance(complex(z))
-            for p in self.pieces:
-                if dist >= _NEAR_FACTOR * (p.b - p.a):
-                    panels = [(p.a, p.b)]
-                    order = self.quad_order
-                else:
-                    panels = graded_panels(p.a, p.b, float(np.real(complex(z))), max(dist, 1e-14))
-                    order = _PANEL_ORDER
-                for a, b in panels:
-                    xs, ws = map_rule_mp(a, b, order, prec)
-                    total += mp.fsum(
-                        w * p.density.mp_value(x, p.a, p.b, prec) / (zm - x)
-                        for x, w in zip(xs, ws)
-                    )
-            return total
+        return cauchy(self, z, prec=prec)
 
     def density_at(self, x: float) -> float:
         """Density of the absolutely continuous part at x (0 off the pieces)."""
@@ -303,67 +267,12 @@ class Measure:
         return 0.0
 
     def markov_boundary(self, x: float, side: str = "+") -> complex:
-        """Boundary value of the Markov function on an ac piece.
-
-        Plemelj split: principal value minus (side ``+``) or plus (side ``-``)
-        i*pi*density(x).  The principal value over the host piece uses the
-        singularity subtraction
-        ``pv int f(t)/(x-t) dt = int (f(t)-f(x))/(x-t) dt + f(x) log((x-a)/(b-x))``,
-        which is exact for constant densities.
-        """
-        if side not in ("+", "-"):
-            raise ValueError("side must be '+' or '-'")
-        host = None
-        for p in self.pieces:
-            if p.a < x < p.b:
-                host = p
-                break
-        if host is None:
-            raise DomainError("boundary value requires x strictly inside an ac piece")
-        if any(abs(x - xa) < _SUPPORT_TOL for xa, _ in self.atoms):
-            raise DomainError("boundary value at an atom")
-
-        fx = float(host.density(x, host.a, host.b))
-        xs, ws = map_rule(host.a, host.b, self.quad_order)
-        fvals = host.density(xs, host.a, host.b)
-        pv = float(np.sum(ws * (fvals - fx) / (x - xs)))
-        pv += fx * math.log((x - host.a) / (host.b - x))
-        total = complex(pv, 0.0)
-        for p in self.pieces:
-            if p is not host:
-                total += self._piece_cauchy(p, complex(x))
-        total += sum(m / (x - xa) for xa, m in self.atoms)
-        im = -math.pi * fx if side == "+" else math.pi * fx
-        return complex(total.real, im)
+        """Boundary value of the Markov function on an ac piece (Plemelj split, see :func:`cauchy`)."""
+        return cauchy(self, x, side=side)
 
     def markov_boundary_mp(self, x, side: str, prec: int):
         """Boundary value at ``prec`` bits (single point)."""
-        host = None
-        for p in self.pieces:
-            if p.a < x < p.b:
-                host = p
-                break
-        if host is None:
-            raise DomainError("boundary value requires x strictly inside an ac piece")
-        with workprec(prec):
-            xm = mpf(x)
-            fx = host.density.mp_value(xm, host.a, host.b, prec)
-            xs, ws = map_rule_mp(host.a, host.b, self.quad_order, prec)
-            pv = mp.fsum(
-                w * (host.density.mp_value(t, host.a, host.b, prec) - fx) / (xm - t)
-                for t, w in zip(xs, ws)
-            )
-            pv += fx * mp.log((xm - host.a) / (host.b - xm))
-            for p in self.pieces:
-                if p is not host:
-                    xs, ws = map_rule_mp(p.a, p.b, self.quad_order, prec)
-                    pv += mp.fsum(
-                        w * p.density.mp_value(t, p.a, p.b, prec) / (xm - t)
-                        for t, w in zip(xs, ws)
-                    )
-            pv += mp.fsum(mpf(m) / (xm - mpf(xa)) for xa, m in self.atoms)
-            im = -mp.pi * fx if side == "+" else mp.pi * fx
-            return mpc(pv, im)
+        return cauchy(self, x, side=side, prec=prec)
 
     # -- serialization -----------------------------------------------------
 
@@ -375,6 +284,125 @@ class Measure:
             ],
             "quad_order": self.quad_order,
         }
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy-transform kernel
+# ---------------------------------------------------------------------------
+
+
+def _rule_table(p: Piece, a, b, order: int, prec):
+    """Nodes, weights and density values of the Gauss-Legendre rule on [a, b] inside p."""
+    if prec is None:
+        xs, ws = map_rule(a, b, order)
+        return xs, ws, p.density(xs, p.a, p.b)
+    xs, ws = map_rule_mp(a, b, order, prec)
+    return xs, ws, [p.density.mp_value(x, p.a, p.b, prec) for x in xs]
+
+
+def _times_weight(table, weight: tuple, prec):
+    """The table with g*density in place of the density.
+
+    In double precision g is evaluated exactly at each node and rounded once:
+    the monomial form of a weight can be far worse conditioned than g itself.
+    """
+    if not weight:
+        return table
+    xs, ws, dens = table
+    if prec is None:
+        return xs, ws, np.array([float(pval_exact(weight, x)) for x in xs]) * dens
+    return xs, ws, [pval(weight, x) * d for x, d in zip(xs, dens)]
+
+
+def _piece_table(mu: Measure, i: int, weight: tuple, prec):
+    """(nodes, weights, g*density) of the full rule on piece i, cached on mu."""
+    # raw mpf tuples hash far faster than mpf values and identify them exactly
+    key = ("cauchy", i, mu.quad_order, tuple([getattr(c, "_mpf_", c) for c in weight]), prec)
+    if key not in mu._cache:
+        p = mu.pieces[i]
+        base = _piece_table(mu, i, (), prec) if weight else _rule_table(p, p.a, p.b, mu.quad_order, prec)
+        mu._cache[key] = _times_weight(base, weight, prec)
+    return mu._cache[key]
+
+
+def _node_sum(table, z, prec, fx=0):
+    """Sum of ``w * (g*density - fx) / (z - t)`` over a node table."""
+    xs, ws, gd = table
+    if fx:
+        gd = gd - fx if prec is None else [g - fx for g in gd]
+    if prec is None:
+        return complex((ws * gd / (z - xs)).sum())
+    return mp.fsum(w * g / (z - x) for x, w, g in zip(xs, ws, gd))
+
+
+def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
+    """``int g(t) dmu(t) / (z - t)``, g the polynomial with ascending coefficients ``weight``.
+
+    An empty ``weight`` is g = 1, the Markov function.  With ``side=None``, z
+    is off the support and may be complex.  With ``side`` ``'+'``/``'-'``, z is
+    a real x strictly inside an ac piece and the result is the boundary value
+    from above/below: the Plemelj split ``pv -/+ i*pi*g(x)*density(x)`` on that
+    piece, its principal value by the singularity subtraction
+    ``pv int f(t)/(x-t) dt = int (f(t)-f(x))/(x-t) dt + f(x) log((x-a)/(b-x))``;
+    the other pieces and the atoms enter as off the support, at distance 0.
+    A piece is integrated on graded panels toward z when the support is
+    closer to z than ``_NEAR_FACTOR`` times the piece's length.
+
+    ``prec=None`` works in double precision and returns a complex; an int
+    works in mpmath at that many bits and returns an mpf for real z off the
+    support, an mpc otherwise.  Full-piece node tables are cached on ``mu``
+    under piece, rule order, weight and precision; panels are not cached.
+    """
+    weight = tuple(weight)
+    zc = complex(z)
+    host, dist = None, 0.0
+    if side is None:
+        dist = mu.support_distance(zc)
+        if dist < _SUPPORT_TOL:
+            raise DomainError("Cauchy transform evaluated on the support")
+    elif side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    else:
+        host = next((p for p in mu.pieces if p.a < zc.real < p.b and zc.imag == 0), None)
+        if host is None:
+            raise DomainError("boundary value requires x strictly inside an ac piece")
+        if any(abs(zc.real - xa) < _SUPPORT_TOL for xa, _ in mu.atoms):
+            raise DomainError("boundary value at an atom")
+
+    def g(t):  # at the atoms and at x; node values come from the tables
+        if not weight:
+            return 1
+        return pval(weight, t) if prec else pval([float(c) for c in weight], t)
+
+    with workprec(prec) if prec else contextlib.nullcontext():
+        if prec is None:
+            zq = zc if host is None else zc.real
+            total = sum(m * g(xa) / (zq - xa) for xa, m in mu.atoms)
+            log, pi = math.log, math.pi
+        else:
+            zq = mpc(z) if host is None and isinstance(z, (complex, mpc)) else mpf(z)
+            total = mp.fsum(mpf(m) * g(mpf(xa)) / (zq - mpf(xa)) for xa, m in mu.atoms)
+            log, pi = mp.log, mp.pi
+        for i, p in enumerate(mu.pieces):
+            if p is host:
+                dens = float(p.density(zq, p.a, p.b)) if prec is None else p.density.mp_value(zq, p.a, p.b, prec)
+                fx = g(zq) * dens
+                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec, fx).real
+                total += fx * log((zq - p.a) / (p.b - zq))
+            elif dist >= _NEAR_FACTOR * (p.b - p.a):
+                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec)
+            else:
+                panels = graded_panels(p.a, p.b, zc.real, max(dist, 1e-14))
+                total += sum(
+                    _node_sum(_times_weight(_rule_table(p, a, b, _PANEL_ORDER, prec), weight, prec), zq, prec)
+                    for a, b in panels
+                )
+        if host is not None:
+            im = -pi * fx if side == "+" else pi * fx
+            return complex(total.real, im) if prec is None else mpc(total.real, im)
+        if prec is None:
+            return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
+        return total
 
 
 def measure_from_json(doc) -> Measure:

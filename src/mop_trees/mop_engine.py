@@ -23,14 +23,14 @@ Conventions, for a multi-index n = (n1, n2):
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import lu_solve, matrix, mp, mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import ConvergenceError, DomainError, NormalityError, ZeroError
-from .measures import Measure
+from .measures import Measure, cauchy
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -338,7 +338,7 @@ def second_kind(sys: MopSystem, n, z) -> tuple:
 
     L_n is evaluated through its partial-fraction form
     ``A1*markov1 + A2*markov2 - A0`` (large cancellation, hence mp); the R's
-    are Cauchy transforms of P_n dmu_k computed by quadrature.
+    are Cauchy transforms of P_n dmu_k.
     """
     prec = sys.precision_bits
     rec = sys.type1_record(n)
@@ -349,32 +349,8 @@ def second_kind(sys: MopSystem, n, z) -> tuple:
         L = P.pval(rec.A1 or (mpf(0),), zm) * mu1h + P.pval(rec.A2 or (mpf(0),), zm) * mu2h
         if rec.A0:
             L -= P.pval(rec.A0, zm)
-        Rs = []
-        for mu in (sys.mu1, sys.mu2):
-            Rs.append(_cauchy_of_poly_mp(mu, rec.P, zm, prec))
-        return L, Rs[0], Rs[1]
-
-
-def _cauchy_of_poly_mp(mu: Measure, coeffs, z, prec):
-    from .quadrature import graded_panels, map_rule_mp
-
-    with workprec(prec):
-        total = mp.fsum(mpf(m) * P.pval(coeffs, mpf(x)) / (z - mpf(x)) for x, m in mu.atoms)
-        dist = mu.support_distance(complex(z))
-        if dist < 1e-12:
-            raise DomainError("second-kind evaluation on the support")
-        for p in mu.pieces:
-            if dist >= 0.1 * (p.b - p.a):
-                panels, order_ = [(p.a, p.b)], mu.quad_order
-            else:
-                panels, order_ = graded_panels(p.a, p.b, float(complex(z).real), dist), 32
-            for a, b in panels:
-                xs, ws = map_rule_mp(a, b, order_, prec)
-                total += mp.fsum(
-                    w * p.density.mp_value(x, p.a, p.b, prec) * P.pval(coeffs, x) / (z - x)
-                    for x, w in zip(xs, ws)
-                )
-        return total
+        R1, R2 = (cauchy(mu, zm, rec.P, prec=prec) for mu in (sys.mu1, sys.mu2))
+        return L, R1, R2
 
 
 def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):
@@ -384,68 +360,30 @@ def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):
     density of the linear form; this route avoids the A0 cancellation and is
     accurate in double precision for moderate |n|.
     """
-    from .quadrature import map_rule
-
-    rec = sys.type1_record(n)
-    a1 = np.asarray(P.pfloat(rec.A1 or (0.0,)))
-    a2 = np.asarray(P.pfloat(rec.A2 or (0.0,)))
-    val = 0j
-    host_found = False
-    for mu, coeffs in ((sys.mu1, a1), (sys.mu2, a2)):
-        for p in mu.pieces:
-            xs, ws = map_rule(p.a, p.b, mu.quad_order)
-            dens = p.density(xs, p.a, p.b)
-            fvals = np.polynomial.polynomial.polyval(xs, coeffs) * dens
-            if p.a < x < p.b:
-                host_found = True
-                fx = float(np.polynomial.polynomial.polyval(x, coeffs)) * float(
-                    p.density(x, p.a, p.b)
-                )
-                pv = float(np.sum(ws * (fvals - fx) / (x - xs)))
-                pv += fx * np.log((x - p.a) / (p.b - x))
-                im = -np.pi * fx if side == "+" else np.pi * fx
-                val += complex(pv, im)
-            else:
-                val += complex(np.sum(ws * fvals / (x - xs)))
-        for xa, m in mu.atoms:
-            val += m * float(np.polynomial.polynomial.polyval(xa, coeffs)) / (x - xa)
-    if not host_found:
-        raise DomainError("boundary value requires x inside an ac piece")
-    return val
+    return _linear_form_boundary(sys, n, x, side, None)
 
 
 def second_kind_boundary_mp(sys: MopSystem, n, x, side: str = "+"):
     """Extended-precision boundary value of L_n (same Plemelj route)."""
-    prec = sys.precision_bits
-    rec = sys.type1_record(n)
-    with workprec(prec):
-        xm = mpf(x)
-        total = mpc(0)
-        host_found = False
-        from .quadrature import map_rule_mp
+    return _linear_form_boundary(sys, n, x, side, sys.precision_bits)
 
-        for mu, coeffs in ((sys.mu1, rec.A1 or (mpf(0),)), (sys.mu2, rec.A2 or (mpf(0),))):
-            for p in mu.pieces:
-                xs, ws = map_rule_mp(p.a, p.b, mu.quad_order, prec)
-                if p.a < x < p.b:
-                    host_found = True
-                    fx = P.pval(coeffs, xm) * p.density.mp_value(xm, p.a, p.b, prec)
-                    pv = mp.fsum(
-                        w * (P.pval(coeffs, t) * p.density.mp_value(t, p.a, p.b, prec) - fx) / (xm - t)
-                        for t, w in zip(xs, ws)
-                    )
-                    pv += fx * mp.log((xm - p.a) / (p.b - xm))
-                    total += mpc(pv, -mp.pi * fx if side == "+" else mp.pi * fx)
-                else:
-                    total += mp.fsum(
-                        w * P.pval(coeffs, t) * p.density.mp_value(t, p.a, p.b, prec) / (xm - t)
-                        for t, w in zip(xs, ws)
-                    )
-            for xa, m in mu.atoms:
-                total += mpf(m) * P.pval(coeffs, mpf(xa)) / (xm - mpf(xa))
-        if not host_found:
-            raise DomainError("boundary value requires x inside an ac piece")
-        return total
+
+def _linear_form_boundary(sys: MopSystem, n, x, side, prec):
+    """Transform of the linear form ``A1 dmu1 + A2 dmu2`` at x: the boundary
+    value on the measure holding x, the plain Cauchy transform on the other."""
+    rec = sys.type1_record(n)
+    inside = [any(p.a < x < p.b for p in mu.pieces) for mu in (sys.mu1, sys.mu2)]
+    if not any(inside):
+        raise DomainError("boundary value requires x inside an ac piece")
+    parts = [
+        cauchy(mu, x, coeffs, side if host else None, prec)
+        for mu, coeffs, host in zip((sys.mu1, sys.mu2), (rec.A1, rec.A2), inside)
+        if coeffs
+    ]
+    if prec is None:
+        return sum(parts)
+    with workprec(prec):
+        return mp.fsum(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp, mpf, workprec
 
 from .errors import OverlapError, SeriesError
-from .measures import DensitySpec, Measure, Piece
+from .measures import DensitySpec, Measure, Piece, cauchy
 from .mop_engine import MopSystem
 from .quadrature import map_rule
 
@@ -189,23 +189,14 @@ def second_kind_tau_integral(nsys: NikishinSystem, n, k: int) -> float:
     Vanishes for k <= min(n1, n2 - 1); at k = n2 with n2 = n1 + 1 it equals
     ``|tau| h_{n,1} - h_{n,2}``.
     """
-    sys = nsys.sys
-    rec = sys.record(n)
-    pf = np.asarray([float(c) for c in rec.P])
+    pn = nsys.sys.record(n).P
 
-    inner_nodes = []
-    for p in sys.mu1.pieces:
-        xs, ws = map_rule(p.a, p.b, sys.mu1.quad_order)
-        inner_nodes.append((xs, ws * p.density(xs, p.a, p.b) * np.polynomial.polynomial.polyval(xs, pf)))
+    def r(x):
+        return cauchy(nsys.mu1, x, pn).real
 
-    total = 0.0
+    total = sum(m * xa**k * r(xa) for xa, m in nsys.tau.atoms)
     for q in nsys.tau.pieces:
-        xs_t, ws_t = map_rule(q.a, q.b, nsys.tau.quad_order)
-        dens_t = q.density(xs_t, q.a, q.b)
-        for x, w in zip(xs_t, ws_t * dens_t):
-            r = sum(float(np.sum(wd / (x - xs))) for xs, wd in inner_nodes)
-            total += w * x**k * r
-    for xa, m in nsys.tau.atoms:
-        r = sum(float(np.sum(wd / (xa - xs))) for xs, wd in inner_nodes)
-        total += m * xa**k * r
-    return total
+        xs, ws = map_rule(q.a, q.b, nsys.tau.quad_order)
+        for x, w in zip(xs, ws * q.density(xs, q.a, q.b)):
+            total += w * x**k * r(x)
+    return float(total)

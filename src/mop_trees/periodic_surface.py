@@ -88,12 +88,7 @@ def from_params(A1: float, A2: float, B1: float, B2: float) -> SurfaceParams:
     cuts = ((math.nan, math.nan), (math.nan, math.nan))
     branch = ()
     if valid:
-        class _P:  # minimal view for zmap before the dataclass exists
-            pass
-
-        _p = _P()
-        _p.A1, _p.A2, _p.B1, _p.B2 = A1, A2, B1, B2
-        vals = sorted(zmap(_p, c) for c in real_crit)
+        vals = sorted(c + A1 / (c - B1) + A2 / (c - B2) for c in real_crit)
         branch = tuple(vals)
         if vals[1] < vals[2]:
             cuts = ((vals[0], vals[1]), (vals[2], vals[3]))

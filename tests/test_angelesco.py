@@ -175,6 +175,15 @@ class TestSubtreeSpectralData:
             for x in np.linspace(1.05, 1.95, 25):
                 assert s_x(ang_u, X, float(x)) > 0
 
+    def test_shared_measure_keeps_systems_apart(self):
+        shared = uniform(-2, -1)
+        a = angelesco_system(shared, uniform(0, 1))
+        b = angelesco_system(shared, uniform(0, 2))
+        s_x(a, (1,), -1.5)
+        fresh = s_x(angelesco_system(uniform(-2, -1), uniform(0, 2)), (1,), -1.5)
+        assert fresh == pytest.approx(24 / 13, rel=1e-12)
+        assert s_x(b, (1,), -1.5) == fresh
+
     def test_subtree_measure_unit_mass(self, ang_u):
         rep = rho_sub(ang_u, (1,))
         assert rep.total_mass() == pytest.approx(1.0, abs=1e-8)

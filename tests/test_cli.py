@@ -1,5 +1,5 @@
 import json
-import os
+from pathlib import Path
 
 import pytest
 
@@ -170,8 +170,7 @@ class TestExitCodesAndDeterminism:
         )
         assert code == 1
 
-    def test_thread_env_respected(self, ang_file, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("MOP_TREES_THREADS", "2")
+    def test_dos_small_grid_csv(self, capsys, tmp_path):
         out_path = str(tmp_path / "dos2.csv")
         code, _ = run(
             capsys,
@@ -180,3 +179,39 @@ class TestExitCodesAndDeterminism:
         )
         assert code == 0
         assert len(open(out_path).read().splitlines()) == 51
+
+
+# The README commands timed by the benchmark (CLI_COMMANDS in perfbench/run.py),
+# each checked byte for byte against its recorded output in perfbench/goldens.
+ROOT = Path(__file__).resolve().parents[1]
+GOLDENS = ROOT / "perfbench" / "goldens"
+SYSTEM = str(ROOT / "demos" / "systems" / "ang_u.json")
+GOLDEN_COMMANDS = {
+    "mop-coeffs": ["mop", "coeffs", "--system", SYSTEM, "--n", "1,1"],
+    "tree-spectrum": ["tree", "spectrum", "--system", SYSTEM, "--N", "2,1", "--kappa", "0,1"],
+    "tree-svec": ["tree", "svec", "--system", SYSTEM, "--N", "1,1", "--kappa", "1,0"],
+    "angelesco-green": ["angelesco", "green", "--system", SYSTEM, "--kappa", "1,0", "--z", "5",
+                        "--X", "1", "--Y", "1,2"],
+    "angelesco-rho": ["angelesco", "rho", "--system", SYSTEM, "--kappa", "0.5,0.5"],
+    "angelesco-dos-profile": ["angelesco", "dos-profile", "--system", SYSTEM, "--kappa", "1,0",
+                              "--grid", "400", "--out", "rho.csv"],
+    "periodic-surface": ["periodic", "surface", "--A", "0.25,0.25", "--B=-1,1"],
+    "periodic-dos": ["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", "400",
+                     "--out", "dos.csv"],
+    "periodic-raylimit": ["periodic", "raylimit", "--system", SYSTEM, "--c", "0.5", "--nmax", "8"],
+}
+
+
+def test_golden_set_is_covered():
+    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(GOLDEN_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(list(GOLDEN_COMMANDS[name]))
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    outputs.update((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    expected = {p.name: p.read_bytes() for p in (GOLDENS / name).iterdir()}
+    assert code == 0
+    assert outputs == expected

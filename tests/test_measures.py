@@ -121,6 +121,14 @@ class TestBoundary:
         b = complex(m.markov_boundary_mp(-1.3, "+", 256))
         assert a == pytest.approx(b, abs=1e-13)
 
+    def test_nearby_piece_both_precisions(self):
+        # x sits 1.5e-4 from the second piece, which both routes must panel
+        m = Measure(pieces=(Piece(0, 1), Piece(1.0001, 2)))
+        x = 0.99995
+        closed = math.log(x / (1 - x)) + math.log((1.0001 - x) / (2 - x))
+        assert m.markov_boundary(x, "+").real == pytest.approx(closed, abs=1e-10)
+        assert float(m.markov_boundary_mp(x, "+", 256).real) == pytest.approx(closed, abs=1e-10)
+
 
 class TestConcat:
     def test_two_pieces(self):
