@@ -44,8 +44,7 @@ from .mop_engine import (
     second_kind_boundary,
     second_kind_boundary_mp,
 )
-from .tree_jacobi import assemble_subtree, assemble_truncated
-from .tree_topology import cayley_truncation
+from .tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
 
 _ENDPOINT_EXCLUSION = 1e-6
 
@@ -224,8 +223,15 @@ def s_o_value(asys: AngelescoSystem, x: float) -> float:
     return scale * asys.sys.mu1.markov(x).real
 
 
+def _require_atomless(asys: AngelescoSystem) -> None:
+    # the point masses that atoms of mu1 or mu2 induce are not derived here
+    if asys.sys.mu1.atoms or asys.sys.mu2.atoms:
+        raise DomainError("spectral measures require measures without atoms")
+
+
 def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
-    """Spectral measure of the root vector for the kappa operator."""
+    """Spectral measure of the root vector for the kappa operator (atomless measures only)."""
+    _require_atomless(asys)
     kappa = (float(kappa[0]), float(kappa[1]))
 
     def raw(x: float) -> float:
@@ -258,7 +264,7 @@ def point_mass_at(asys, kappa, E: float) -> float:
         lp = l_kappa_mp(asys, kappa, Em + h, prec)
         lm = l_kappa_mp(asys, kappa, Em - h, prec)
         dL = (lp - lm) / (2 * h)
-        L1 = second_kind(asys.sys, (1, 1), Em)[0]
+        L1 = second_kind(asys.sys, (1, 1), Em)
         return float((L1 / dL).real)
 
 
@@ -270,21 +276,18 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
     by L at (1,1).  Extended precision throughout (the type I values carry
     large cancellations).
     """
-    tree = cayley_truncation(depth)
     op = assemble_truncated(asys.sys, kappa, depth)
-    m = op.m_weights()
+    points, m = op.tree.points, op.m_weights()
     prec = asys.sys.precision_bits
     sysm = asys.sys
 
     E = find_e_kappa(asys, kappa)
     if E is not None and abs(x - E) < 1e-12:
         with workprec(prec):
-            L1 = second_kind(sysm, (1, 1), mpf(x))[0]
-            vals = [
-                float((second_kind(sysm, tree.proj[v], mpf(x))[0] / L1).real) / m[v]
-                for v in range(len(tree))
-            ]
-        return np.array(vals)
+            L1 = second_kind(sysm, (1, 1), mpf(x))
+            return lattice_values(
+                lambda n: float((second_kind(sysm, n, mpf(x)) / L1).real), points
+            ) / m
 
     k = asys.side_of(x)
     with workprec(prec):
@@ -304,15 +307,15 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
             s_o = hat_other / (xi * m1 * m2)
             w_k = vk2
         sgn = mpf(-1) ** k
-        vals = np.empty(len(tree))
-        for v in range(len(tree)):
-            rec = sysm.type1_record(tree.proj[v])
+
+        def value(n):
+            rec = sysm.type1_record(n)
             l0 = P.pval(rec.A0, xm) if rec.A0 else mpf(0)
             l1 = P.pval(rec.A1, xm) if rec.A1 else mpf(0)
             l2 = P.pval(rec.A2, xm) if rec.A2 else mpf(0)
-            val = (l0 * w_k - sgn * hat_other * (l2 * vk1 - l1 * vk2)) / s_o
-            vals[v] = float(val) / m[v]
-    return vals
+            return float((l0 * w_k - sgn * hat_other * (l2 * vk1 - l1 * vk2)) / s_o)
+
+        return lattice_values(value, points) / m
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +332,7 @@ def _path_data(asys, word):
     for step in word:
         parent_proj = proj
         proj = add(proj, E1 if step == 1 else E2)
-        a = float(asys.sys.recurrence(parent_proj)[step - 1])
+        a = asys.sys.recurrence_float(parent_proj)[step - 1]
         mX *= abs(a) ** -0.5
         iota = step
     return mX, proj, parent_proj, iota
@@ -355,11 +358,11 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     mY, projY, _, _ = _path_data(asys, Y)
     with workprec(prec):
         zm = mpc(z)
-        LY = second_kind(asys.sys, projY, zm)[0]
+        LY = second_kind(asys.sys, projY, zm)
         if X == ():
             Lden = l_kappa_mp(asys, kappa, zm, prec)
         else:
-            Lden = second_kind(asys.sys, parentX, zm)[0]
+            Lden = second_kind(asys.sys, parentX, zm)
         formula = complex(-(mpf(mX) / mpf(mY)) * LY / Lden)
 
     if X == ():
@@ -462,7 +465,6 @@ def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
     mX, projX, n, l = _path_data(asys, X)
     k = asys.side_of(x)
     op = assemble_subtree(asys.sys, projX, l, depth)
-    tree = op.tree
     m_rel = op.m_weights()  # equals m_Y / m_X for Y in the subtree
     prec = asys.sys.precision_bits
     sysm = asys.sys
@@ -477,14 +479,15 @@ def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
             return P.pval(src, xm) if src else mpf(0)
 
         ap = {j: a_val(rp, j) for j in (0, 1, 2)}
-        vals = np.empty(len(tree))
-        for v in range(len(tree)):
-            rv = sysm.type1_record(tree.proj[v])
-            av = {j: a_val(rv, j) for j in (0, 1, 2)}
+
+        def value(n):
+            av = {j: a_val(sysm.type1_record(n), j) for j in (0, 1, 2)}
             core = (ap[k] * av[0] - av[k] * ap[0]) + (
                 ap[3 - k] * av[k] - av[3 - k] * ap[k]
             ) * hat_other
-            vals[v] = float(core) / m_rel[v]
+            return float(core)
+
+        vals = lattice_values(value, op.tree.points) / m_rel
     return vals, op, float(vals[0])
 
 
@@ -495,7 +498,8 @@ def psi_x(asys: AngelescoSystem, X, x: float, depth: int) -> np.ndarray:
 
 
 def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
-    """Spectral measure of the subtree root vector at X (unit mass)."""
+    """Spectral measure of the subtree root vector at X (unit mass; atomless measures only)."""
+    _require_atomless(asys)
     X = tuple(X)
     _, projX, n, l = _path_data(asys, X)
 

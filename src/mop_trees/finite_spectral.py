@@ -23,8 +23,8 @@ import scipy.linalg
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
 from .mop_engine import E1, E2, MopSystem, add, order, real_zeros
-from .tree_jacobi import TreeOperator, assemble_finite, signature_diagonal
-from .tree_topology import ROOT_PARENT, Tree
+from .tree_jacobi import TreeOperator, _kappa, assemble_finite, lattice_values, signature_diagonal
+from .tree_topology import ROOT_PARENT, Tree, finite_tree
 
 _CLASH_TOL = 1e-9
 
@@ -100,9 +100,7 @@ def eigenvalue_set(sys: MopSystem, kappa, N, clash_tol: float = _CLASH_TOL):
     each relevant multi-index key to its sorted zero list.
     """
     N = (int(N[0]), int(N[1]))
-    kappa = (float(kappa[0]), float(kappa[1]))
-    tree = assemble_finite(sys, kappa, N).tree  # only for projections / joints
-    return _eigenvalue_set_on(sys, kappa, N, tree, clash_tol)
+    return _eigenvalue_set_on(sys, _kappa(kappa), N, finite_tree(N), clash_tol)
 
 
 def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
@@ -140,9 +138,8 @@ def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
             events.extend((z, n) for z in zero_table[n])
     events.sort(key=lambda t: t[0])
     joint_vertices: dict = {}
-    for v in range(len(tree)):
-        if len(tree.children[v]) == 2:
-            joint_vertices.setdefault(tree.proj[v], []).append(v)
+    for v in np.flatnonzero(np.diff(tree.first_child) == 2).tolist():
+        joint_vertices.setdefault(tree.proj[v], []).append(v)
 
     eigenvalues = []
     i = 0
@@ -176,10 +173,8 @@ def canonical_vector(sys: MopSystem, kappa, N, E: float, X, op: TreeOperator | N
     if op is None:
         op = assemble_finite(sys, kappa, N)
     tree = op.tree
-    m = op.m_weights()
-    pvals = np.array(
-        [float(P.pval(sys.record(tree.proj[v]).P, E)) / m[v] for v in range(len(tree))]
-    )
+    p = lattice_values(lambda n: float(P.pval(sys.record(n).P, E)), tree.points)
+    pvals = p / op.m_weights()
     if X == ROOT_PARENT:
         bpoly = boundary_polynomial(sys, kappa, N)
         if abs(float(P.pval(bpoly, E))) > 1e-6:
@@ -187,14 +182,14 @@ def canonical_vector(sys: MopSystem, kappa, N, E: float, X, op: TreeOperator | N
         return pvals
     if len(tree.children[X]) != 2:
         raise JointError("joint must have two children")
-    if abs(float(P.pval(sys.record(tree.proj[X]).P, E))) > 1e-6:
+    if abs(p[X]) > 1e-6:
         raise JointError("E is not a zero of the polynomial at the joint")
     vec = np.zeros(len(tree))
     (c1, _), (c2, _) = tree.children[X]
     for sgn, c in ((-1.0, c1), (1.0, c2)):
         coef = sgn * (-1.0) ** op.sigma[c] / (np.sqrt(op.W[c]) * pvals[c])
-        for v in tree.subtree_ids(c):
-            vec[v] = coef * pvals[v]
+        ids = tree.subtree_ids(c)
+        vec[ids] = coef * pvals[ids]
     return vec
 
 

@@ -22,7 +22,6 @@ Conventions, for a multi-index n = (n1, n2):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +61,18 @@ class MopRecord:
 
 
 class MopSystem:
-    """Two measures plus a write-once cache of MOP data per multi-index."""
+    """Two measures plus a write-once cache of MOP data per multi-index.
+
+    Not thread-safe: every solve runs under ``workprec``, which sets the
+    process-global mpmath precision.
+    """
 
     def __init__(self, mu1: Measure, mu2: Measure, precision_bits: int = 256):
         self.mu1 = mu1
         self.mu2 = mu2
         self.precision_bits = int(precision_bits)
         self._records: dict[tuple, MopRecord] = {}
-        self._lock = threading.Lock()
+        self._floats: dict[tuple, tuple] = {}
 
     # -- moments -----------------------------------------------------------
 
@@ -88,16 +91,11 @@ class MopSystem:
         if n[0] < 0 or n[1] < 0:
             raise ValueError("multi-index must be componentwise nonnegative")
         rec = self._records.get(n)
-        if rec is not None and rec.P:
-            return rec
-        with self._lock:
-            rec = self._records.get(n)
-            if rec is None:
-                rec = MopRecord(n=n)
-                self._records[n] = rec
-            if not rec.P:
-                rec.P = self._solve_type2(n)
-                rec.h = (self._h_value(rec, 1), self._h_value(rec, 2))
+        if rec is None:
+            rec = self._records[n] = MopRecord(n=n)
+        if not rec.P:
+            rec.P = self._solve_type2(n)
+            rec.h = (self._h_value(rec, 1), self._h_value(rec, 2))
         return rec
 
     def _solve_type2(self, n) -> tuple:
@@ -153,38 +151,35 @@ class MopSystem:
         prec = self.precision_bits
         m1 = self.moments(1, 2 * d)
         m2 = self.moments(2, 2 * d)
-        with self._lock:
-            if rec.A1 is not None:
-                return rec
-            with workprec(prec):
-                if d == 1:
-                    a1 = (1 / m1[0],) if n[0] == 1 else ()
-                    a2 = (1 / m2[0],) if n[1] == 1 else ()
-                else:
-                    A = matrix(d, d)
-                    b = matrix(d, 1)
-                    for m in range(d):
-                        for i in range(n[0]):
-                            A[m, i] = m1[m + i]
-                        for i in range(n[1]):
-                            A[m, n[0] + i] = m2[m + i]
-                        b[m] = mpf(1) if m == d - 1 else mpf(0)
-                    try:
-                        c = lu_solve(A, b)
-                    except ZeroDivisionError as exc:
-                        raise NormalityError(f"type I moment matrix singular at n={n}") from exc
-                    a1 = tuple(c[i] for i in range(n[0]))
-                    a2 = tuple(c[n[0] + i] for i in range(n[1]))
-                # polynomial part of the Cauchy transform of the linear form
-                deg0 = max(n) - 2
-                a0 = []
-                for i in range(max(deg0 + 1, 0)):
-                    s = mpf(0)
-                    for coeffs, mom in ((a1, m1), (a2, m2)):
-                        for jj in range(i + 1, len(coeffs)):
-                            s += coeffs[jj] * mom[jj - 1 - i]
-                    a0.append(s)
-                rec.A1, rec.A2, rec.A0 = a1, a2, tuple(a0)
+        with workprec(prec):
+            if d == 1:
+                a1 = (1 / m1[0],) if n[0] == 1 else ()
+                a2 = (1 / m2[0],) if n[1] == 1 else ()
+            else:
+                A = matrix(d, d)
+                b = matrix(d, 1)
+                for m in range(d):
+                    for i in range(n[0]):
+                        A[m, i] = m1[m + i]
+                    for i in range(n[1]):
+                        A[m, n[0] + i] = m2[m + i]
+                    b[m] = mpf(1) if m == d - 1 else mpf(0)
+                try:
+                    c = lu_solve(A, b)
+                except ZeroDivisionError as exc:
+                    raise NormalityError(f"type I moment matrix singular at n={n}") from exc
+                a1 = tuple(c[i] for i in range(n[0]))
+                a2 = tuple(c[n[0] + i] for i in range(n[1]))
+            # polynomial part of the Cauchy transform of the linear form
+            deg0 = max(n) - 2
+            a0 = []
+            for i in range(max(deg0 + 1, 0)):
+                s = mpf(0)
+                for coeffs, mom in ((a1, m1), (a2, m2)):
+                    for jj in range(i + 1, len(coeffs)):
+                        s += coeffs[jj] * mom[jj - 1 - i]
+                a0.append(s)
+            rec.A1, rec.A2, rec.A0 = a1, a2, tuple(a0)
         return rec
 
     # -- public facade -------------------------------------------------------
@@ -228,6 +223,14 @@ class MopSystem:
             self._check_recurrence(n, a1, a2, b1, b2)
             rec.rec = (a1, a2, b1, b2)
         return rec.rec
+
+    def recurrence_float(self, n) -> tuple:
+        """:meth:`recurrence` in double precision, converted once per point and system."""
+        n = (int(n[0]), int(n[1]))
+        row = self._floats.get(n)
+        if row is None:
+            row = self._floats[n] = tuple(float(c) for c in self.recurrence(n))
+        return row
 
     def _check_recurrence(self, n, a1, a2, b1, b2):
         # x P_n - P_{n+e_i} - b_i P_n - a1 P_{n-e1} - a2 P_{n-e2} must vanish
@@ -333,12 +336,12 @@ def type1_recursion_residual(sys: MopSystem, n, i: int, j: int):
 # ---------------------------------------------------------------------------
 
 
-def second_kind(sys: MopSystem, n, z) -> tuple:
-    """(L_n(z), R_{n,1}(z), R_{n,2}(z)) off the supports, extended precision inside.
+def second_kind(sys: MopSystem, n, z):
+    """L_n(z) off the supports, in extended precision.
 
     L_n is evaluated through its partial-fraction form
-    ``A1*markov1 + A2*markov2 - A0`` (large cancellation, hence mp); the R's
-    are Cauchy transforms of P_n dmu_k.
+    ``A1*markov1 + A2*markov2 - A0`` (large cancellation, hence mp).  The
+    functions R_{n,k} are the Cauchy transforms ``cauchy(mu_k, z, P_n)``.
     """
     prec = sys.precision_bits
     rec = sys.type1_record(n)
@@ -349,8 +352,7 @@ def second_kind(sys: MopSystem, n, z) -> tuple:
         L = P.pval(rec.A1 or (mpf(0),), zm) * mu1h + P.pval(rec.A2 or (mpf(0),), zm) * mu2h
         if rec.A0:
             L -= P.pval(rec.A0, zm)
-        R1, R2 = (cauchy(mu, zm, rec.P, prec=prec) for mu in (sys.mu1, sys.mu2))
-        return L, R1, R2
+        return L
 
 
 def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):

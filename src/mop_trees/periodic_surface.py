@@ -327,15 +327,11 @@ def assemble_Lc(surf: SurfaceParams, l: int, depth: int):
     from .tree_jacobi import TreeOperator
 
     tree = cayley_truncation(depth)
-    n = len(tree)
-    V = np.empty(n)
-    W = np.ones(n)
-    sigma = np.zeros(n, dtype=int)
-    V[0] = surf.b_of(l)
-    for v in range(1, n):
-        t = tree.iota[v]
-        V[v] = surf.b_of(t)
-        W[v] = surf.a_of(t)
+    t = np.concatenate([[l], tree.iota[1:]]) - 1  # vertex type minus one
+    V = np.array([surf.b_of(1), surf.b_of(2)], dtype=float)[t]
+    W = np.array([surf.a_of(1), surf.a_of(2)], dtype=float)[t]
+    W[0] = 1.0
+    sigma = np.zeros(len(tree), dtype=int)
     return TreeOperator(tree, V, W, sigma, None, None, {"surface": surf, "root_type": l})
 
 
@@ -367,7 +363,7 @@ def ray_limit_estimate(asys, c: float, nmax: int) -> RayLimitReport:
         pts.append((n1 + 1, n2) if abs((n1 + 1) / k - c) <= abs(n1 / k - c) else (n1, n2 + 1))
     rows = []
     for n in pts:
-        a1, a2, b1, b2 = (float(v) for v in sys.recurrence(n))
+        a1, a2, b1, b2 = sys.recurrence_float(n)
         rows.append((n[0], n[1], a1, a2, b1, b2))
     diffs = []
     diag = [r for r in rows if r[0] == r[1]]

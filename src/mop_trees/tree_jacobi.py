@@ -14,6 +14,11 @@ symmetric; otherwise it is self-adjoint only in the indefinite inner product
 Nikishin input is accepted as well: the truncations are perfectly good finite
 matrices even though their coefficients blow up along the near-diagonal
 multi-indices, so no bounded operator exists in the limit.
+
+A vertex enters every per-vertex quantity (the coefficients and the values of
+the eigenfunction families) only through a lattice point, so
+:func:`lattice_values` evaluates each quantity once per distinct point and
+gathers it to the vertices by integer-array indexing.
 """
 
 from __future__ import annotations
@@ -30,6 +35,16 @@ from .mop_engine import E1, E2, MopSystem, add, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
+
+
+def lattice_values(fn, points) -> np.ndarray:
+    """``fn(n)`` once per distinct lattice point n in N^2 among the rows of
+    ``points``, gathered back to the rows."""
+    n1, n2 = np.reshape(points, (-1, 2)).T
+    width = int(n2.max(initial=0)) + 1
+    keys, inverse = np.unique(n1 * width + n2, return_inverse=True)
+    table = np.array([fn((k // width, k % width)) for k in keys.tolist()])
+    return table[inverse]
 
 
 @dataclass
@@ -50,16 +65,11 @@ class TreeOperator:
     def sparse(self) -> sp.csr_matrix:
         if self._sparse is None:
             n = self.n_vertices
-            rows, cols, vals = list(range(n)), list(range(n)), list(self.V)
-            sq = np.sqrt(self.W)
-            for v in range(1, n):
-                p = self.tree.parent[v]
-                rows.append(v)
-                cols.append(p)
-                vals.append(sq[v])                       # row v, parent column
-                rows.append(p)
-                cols.append(v)
-                vals.append((-1.0) ** self.sigma[v] * sq[v])
+            ids, v, p = np.arange(n), np.arange(1, n), self.tree.parent[1:]
+            sq = np.sqrt(self.W[1:])
+            rows = np.concatenate([ids, v, p])           # row v, parent column: sqrt(W_v)
+            cols = np.concatenate([ids, p, v])
+            vals = np.concatenate([self.V, sq, np.where(self.sigma[1:], -sq, sq)])
             self._sparse = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._sparse
 
@@ -73,12 +83,7 @@ class TreeOperator:
 
     def m_weights(self) -> np.ndarray:
         """m_Y = prod of W^{-1/2} along the path to the root (both ends included)."""
-        m = np.empty(self.n_vertices)
-        sq = 1.0 / np.sqrt(self.W)
-        for v in range(self.n_vertices):
-            p = self.tree.parent[v]
-            m[v] = sq[v] if p < 0 else m[p] * sq[v]
-        return m
+        return self.tree.path_products(1.0 / np.sqrt(self.W))
 
     def to_matrix_market(self) -> str:
         buf = io.BytesIO()
@@ -97,72 +102,51 @@ class TreeOperator:
         }
 
 
-def _weights_from_system(sys: MopSystem, tree: Tree, parent_proj, v_index) -> tuple:
-    """V, W, sigma arrays for a tree whose coefficients come from ``sys``.
+def _assemble(sys: MopSystem, tree: Tree, root_terms, kappa, meta) -> TreeOperator:
+    """The operator on ``tree`` with coefficients read from one table of ``sys``.
 
-    ``parent_proj(v)`` gives the multi-index at which the edge coefficient
-    ``a`` is read; ``v_index(v)`` gives (multi-index, component) for the
-    diagonal entry b.
+    A vertex v below the root reads a_{iota_v} at its parent's projection
+    (W_v = |a|, sigma_v = 1 when a < 0) and b_{iota_v} at the lower end of the
+    edge to its parent (V_v).  The root reads ``V = w1 b_1(n1) + w2 b_2(n2)``
+    for ``root_terms = ((n1, w1), (n2, w2))``.
     """
     n = len(tree)
-    V = np.empty(n)
-    W = np.ones(n)
-    sigma = np.zeros(n, dtype=int)
-    for v in range(n):
-        m, comp = v_index(v)
-        V[v] = float(sys.recurrence(m)[comp + 2])
-        if v == 0:
-            continue
-        a = float(sys.recurrence(parent_proj(v))[tree.iota[v] - 1])
-        if a == 0:
-            raise ZeroWeightError(f"vanishing recurrence coefficient on edge to vertex {v}")
-        W[v] = abs(a)
-        sigma[v] = 0 if a > 0 else 1
-    return V, W, sigma
+    lab = tree.iota[1:] - 1
+    upper = tree.points[tree.parent[1:]]
+    lower = np.minimum(upper, tree.points[1:])
+    (n1, w1), (n2, w2) = root_terms
+    rows = lattice_values(sys.recurrence_float, np.vstack([upper, lower, [n1, n2]]))
+    edge = np.arange(n - 1)
+    a = rows[edge, lab]
+    if np.any(a == 0):
+        v = int(np.flatnonzero(a == 0)[0]) + 1
+        raise ZeroWeightError(f"vanishing recurrence coefficient on edge to vertex {v}")
+    V = np.concatenate([[w1 * rows[-2, 2] + w2 * rows[-1, 3]], rows[n - 1 + edge, 2 + lab]])
+    W = np.concatenate([[1.0], np.abs(a)])
+    sigma = np.concatenate([[0], (a < 0).astype(int)])
+    return TreeOperator(tree, V, W, sigma, kappa, sys, meta)
+
+
+def _kappa(kappa) -> tuple:
+    kappa = (float(kappa[0]), float(kappa[1]))
+    if abs(kappa[0] + kappa[1] - 1) > 1e-12:
+        raise ValueError("kappa must sum to 1")
+    return kappa
 
 
 def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
     """Operator on the finite tree for root mixing weights kappa (kappa1 + kappa2 = 1)."""
-    kappa = (float(kappa[0]), float(kappa[1]))
-    if abs(kappa[0] + kappa[1] - 1) > 1e-12:
-        raise ValueError("kappa must sum to 1")
+    kappa = _kappa(kappa)
     tree = finite_tree(N)
-    N = tuple(int(x) for x in N)
-
-    def parent_proj(v):
-        return tree.proj[tree.parent[v]]
-
-    def v_index(v):
-        if v == 0:
-            return N, 0  # placeholder, replaced below
-        return tree.proj[v], tree.iota[v] - 1
-
-    V, W, sigma = _weights_from_system(sys, tree, parent_proj, v_index)
-    b_N = sys.recurrence(N)
-    V[0] = kappa[0] * float(b_N[2]) + kappa[1] * float(b_N[3])
-    return TreeOperator(tree, V, W, sigma, kappa, sys, {"N": N})
+    N = tree.root_proj
+    return _assemble(sys, tree, ((N, kappa[0]), (N, kappa[1])), kappa, {"N": N})
 
 
 def assemble_truncated(sys: MopSystem, kappa, depth: int) -> TreeOperator:
     """Dirichlet truncation of the operator on the rooted Cayley tree."""
-    kappa = (float(kappa[0]), float(kappa[1]))
-    if abs(kappa[0] + kappa[1] - 1) > 1e-12:
-        raise ValueError("kappa must sum to 1")
-    tree = cayley_truncation(depth)
-
-    def parent_proj(v):
-        return tree.proj[tree.parent[v]]
-
-    def v_index(v):
-        if v == 0:
-            return (1, 1), 0  # placeholder
-        return tree.proj[tree.parent[v]], tree.iota[v] - 1
-
-    V, W, sigma = _weights_from_system(sys, tree, parent_proj, v_index)
-    V[0] = kappa[0] * float(sys.recurrence((0, 1))[2]) + kappa[1] * float(
-        sys.recurrence((1, 0))[3]
-    )
-    return TreeOperator(tree, V, W, sigma, kappa, sys, {"depth": depth})
+    kappa = _kappa(kappa)
+    root_terms = (((0, 1), kappa[0]), ((1, 0), kappa[1]))
+    return _assemble(sys, cayley_truncation(depth), root_terms, kappa, {"depth": depth})
 
 
 def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> TreeOperator:
@@ -172,26 +156,15 @@ def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> T
     ``root_iota``; the restriction keeps the diagonal entry of X but drops the
     coupling to its parent.
     """
-    tree = cayley_truncation(depth, root_proj=tuple(root_proj))
-
-    def parent_proj(v):
-        return tree.proj[tree.parent[v]]
-
-    def v_index(v):
-        if v == 0:
-            return sub(tuple(root_proj), E1 if root_iota == 1 else E2), root_iota - 1
-        return tree.proj[tree.parent[v]], tree.iota[v] - 1
-
-    V, W, sigma = _weights_from_system(sys, tree, parent_proj, v_index)
-    return TreeOperator(tree, V, W, sigma, None, sys, {"root_proj": tuple(root_proj)})
+    tree = cayley_truncation(depth, root_proj=root_proj)
+    low = sub(tree.root_proj, E1 if root_iota == 1 else E2)
+    w = (1.0, 0.0) if root_iota == 1 else (0.0, 1.0)  # V_X = b_{root_iota}(low) exactly
+    return _assemble(sys, tree, ((low, w[0]), (low, w[1])), None, {"root_proj": tree.root_proj})
 
 
 def signature_diagonal(op: TreeOperator) -> np.ndarray:
     """+-1 diagonal making the operator self-adjoint in the indefinite product."""
-    s = np.ones(op.n_vertices)
-    for v in range(1, op.n_vertices):
-        s[v] = s[op.tree.parent[v]] * (-1.0) ** op.sigma[v]
-    return s
+    return op.tree.path_products(np.where(op.sigma, -1.0, 1.0))
 
 
 def s_selfadjoint_check(op: TreeOperator) -> float:
@@ -210,23 +183,15 @@ def s_selfadjoint_check(op: TreeOperator) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _interior(op: TreeOperator) -> list:
-    """Vertices whose children were not removed by truncation."""
-    tree = op.tree
-    if tree.kind == "finite":
-        return list(range(op.n_vertices))
-    return [v for v in range(op.n_vertices) if tree.children[v]]
-
-
-def _row_residual(op: TreeOperator, f: np.ndarray, z: complex, v: int, restrict_root=None):
-    tree = op.tree
-    acc = (op.V[v] - z) * f[v]
-    p = tree.parent[v]
-    if p >= 0 and v != restrict_root:
-        acc += np.sqrt(op.W[v]) * f[p]
-    for c, _ in tree.children[v]:
-        acc += (-1.0) ** op.sigma[c] * np.sqrt(op.W[c]) * f[c]
-    return acc
+def _second_kind_rows(op: TreeOperator, z) -> tuple:
+    """((J - z) f for the second-kind family f, the root boundary term by the Markov route)."""
+    sys = op.sys
+    f = lattice_values(lambda n: complex(second_kind(sys, n, z)), op.tree.points) / op.m_weights()
+    k1, k2 = op.kappa
+    markov_route = k2 * complex(sys.mu1.markov(z)) / float(sys.mass(1)) + k1 * complex(
+        sys.mu2.markov(z)
+    ) / float(sys.mass(2))
+    return op.apply(f) - z * f, markov_route
 
 
 def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) -> float:
@@ -246,58 +211,42 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
     if kind == "p":
         if tree.kind != "finite":
             raise ValueError("kind 'p' requires a finite-tree operator")
-        m = op.m_weights()
-        f = np.array(
-            [complex(P.pval(sys.record(tree.proj[v]).P, z)) / m[v] for v in range(len(tree))]
-        )
+        f = lattice_values(lambda n: complex(P.pval(sys.record(n).P, z)), tree.points)
+        f /= op.m_weights()
         N = op.meta["N"]
         bnd = op.kappa[0] * complex(P.pval(sys.record(add(N, E1)).P, z)) + op.kappa[1] * complex(
             P.pval(sys.record(add(N, E2)).P, z)
         )
-        res = [abs(_row_residual(op, f, z, v)) for v in range(1, len(tree))]
-        res.append(abs(_row_residual(op, f, z, 0) + bnd))
-        return float(max(res))
+        res = op.apply(f) - z * f
+        res[0] += bnd
+        return float(np.max(np.abs(res)))
 
     if kind == "l":
         if tree.kind != "cayley":
             raise ValueError("kind 'l' requires a Cayley truncation")
-        m = op.m_weights()
-        f = np.array(
-            [complex(second_kind(sys, tree.proj[v], z)[0]) / m[v] for v in range(len(tree))]
-        )
-        k1, k2 = op.kappa
-        bnd = k2 * complex(sys.mu1.markov(z)) / float(sys.mass(1)) + k1 * complex(
-            sys.mu2.markov(z)
-        ) / float(sys.mass(2))
-        res = [abs(_row_residual(op, f, z, v)) for v in _interior(op) if v != 0]
-        res.append(abs(_row_residual(op, f, z, 0) + bnd))
-        return float(max(res))
+        res, bnd = _second_kind_rows(op, z)
+        res[0] += bnd
+        rows = tree.interior()
+        rows[0] = True
+        return float(np.max(np.abs(res[rows])))
 
     if kind == "lambda_commutator":
         if X is None or X == 0:
             raise ValueError("lambda_commutator requires an interior subtree root X != O")
-        k, l = kl
-        m = op.m_weights()
-        Xp = tree.parent[X]
 
-        def lam(j, v):
-            rec = sys.type1_record(tree.proj[v])
-            src = {0: rec.A0, 1: rec.A1, 2: rec.A2}[j]
-            return (complex(P.pval(src, z)) if src else 0.0) / m[v]
+        def type1_values(n):
+            rec = sys.type1_record(n)
+            srcs = (rec.A0, rec.A1, rec.A2)
+            return [complex(P.pval(srcs[j], z)) if srcs[j] else 0j for j in kl]
 
-        lk_p, ll_p = lam(k, Xp), lam(l, Xp)
         ids = tree.subtree_ids(X)
+        at = np.concatenate([[tree.parent[X]], ids])
+        lam = lattice_values(type1_values, tree.points[at]) / op.m_weights()[at, None]
         f = np.zeros(len(tree), dtype=complex)
-        for v in ids:
-            f[v] = lk_p * lam(l, v) - lam(k, v) * ll_p
+        f[ids] = lam[0, 0] * lam[1:, 1] - lam[1:, 0] * lam[0, 1]
         f /= np.max(np.abs(f))  # the identity is scale-free (no boundary term)
-        interior = set(_interior(op))
-        res = [
-            abs(_row_residual(op, f, z, v, restrict_root=X))
-            for v in ids
-            if v in interior
-        ]
-        return float(max(res))
+        res = op.apply(f) - z * f  # f vanishes at the parent of X
+        return float(np.max(np.abs(res[ids[tree.interior()[ids]]])))
 
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -308,15 +257,5 @@ def root_boundary_gap(op: TreeOperator, z) -> tuple:
     The two numbers must agree: the root row of the identity equals the
     kappa-combination of the order-one second-kind functions.
     """
-    sys = op.sys
-    tree = op.tree
-    m = op.m_weights()
-    f = np.array(
-        [complex(second_kind(sys, tree.proj[v], z)[0]) / m[v] for v in range(len(tree))]
-    )
-    raw = -_row_residual(op, f, z, 0)
-    k1, k2 = op.kappa
-    markov_route = k2 * complex(sys.mu1.markov(z)) / float(sys.mass(1)) + k1 * complex(
-        sys.mu2.markov(z)
-    ) / float(sys.mass(2))
-    return raw, markov_route
+    res, markov_route = _second_kind_rows(op, z)
+    return -res[0], markov_route

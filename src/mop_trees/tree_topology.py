@@ -13,13 +13,20 @@ The Cayley variant also carries the deterministic edge/vertex type labeling
 used by the periodic operators: a vertex's type equals the label of the edge
 to its parent, and the two child edges of every vertex are labeled 1 then 2
 in child order.
+
+Ids are assigned a generation at a time with children labelled 1 then 2, so
+the children of v are the id range ``first_child[v]:first_child[v + 1]`` and
+the descendants of v form one contiguous id range per generation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+
+import numpy as np
 
 ROOT_PARENT = -1  # sentinel id for the formal parent of the root
 
@@ -28,12 +35,11 @@ ROOT_PARENT = -1  # sentinel id for the formal parent of the root
 class Tree:
     kind: str                    # "finite" or "cayley"
     root_proj: tuple
-    parent: list
-    children: list               # per vertex: list of (child_id, iota)
-    proj: list
-    iota: list                   # step label of the edge to the parent (0 at root)
-    depth: list
-    _subtree_cache: dict = field(default_factory=dict, repr=False)
+    parent: np.ndarray           # ROOT_PARENT at the root
+    points: np.ndarray           # (n, 2) int array; row v is the projection of v
+    iota: np.ndarray             # step label of the edge to the parent (0 at root)
+    depth: np.ndarray
+    first_child: np.ndarray      # (n + 1,) children of v: first_child[v]:first_child[v + 1]
 
     def __len__(self):
         return len(self.parent)
@@ -42,39 +48,64 @@ class Tree:
     def n_vertices(self) -> int:
         return len(self.parent)
 
+    @cached_property
+    def proj(self) -> list:
+        return list(map(tuple, self.points.tolist()))
+
+    @cached_property
+    def children(self) -> list:
+        """Per vertex: list of (child_id, iota)."""
+        fc, lab = self.first_child.tolist(), self.iota.tolist()
+        return [[(c, lab[c]) for c in range(fc[v], fc[v + 1])] for v in range(len(self))]
+
     def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+        return self.first_child[v] == self.first_child[v + 1]
+
+    def interior(self) -> np.ndarray:
+        """Boolean mask of the vertices that have children."""
+        return np.diff(self.first_child) > 0
 
     def leaves(self) -> list:
-        return [v for v in range(len(self)) if self.is_leaf(v)]
+        return np.flatnonzero(~self.interior()).tolist()
 
     def canopy(self) -> list:
         """Vertices projecting to (0, 0) (finite trees only)."""
-        return [v for v in range(len(self)) if self.proj[v] == (0, 0)]
+        return np.flatnonzero(~self.points.any(axis=1)).tolist()
 
     def path_to_root(self, v: int) -> list:
         """Vertex ids from v up to and including the root."""
         out = [v]
         while self.parent[out[-1]] != ROOT_PARENT:
-            out.append(self.parent[out[-1]])
+            out.append(int(self.parent[out[-1]]))
         return out
 
-    def subtree_ids(self, v: int) -> list:
+    def _ranges(self, lo: int, hi: int):
+        """Id ranges, one per generation, of the descendants of the ids lo..hi-1."""
+        while lo < hi:
+            yield lo, hi
+            lo, hi = int(self.first_child[lo]), int(self.first_child[hi])
+
+    def generations(self) -> list:
+        """Id range (lo, hi) of every generation, the root's first."""
+        return list(self._ranges(0, 1))
+
+    def subtree_ids(self, v: int) -> np.ndarray:
         """All descendants of v including v, BFS order."""
-        if v not in self._subtree_cache:
-            out, queue = [], [v]
-            while queue:
-                u = queue.pop(0)
-                out.append(u)
-                queue.extend(c for c, _ in self.children[u])
-            self._subtree_cache[v] = out
-        return self._subtree_cache[v]
+        return np.concatenate([np.arange(lo, hi) for lo, hi in self._ranges(v, v + 1)])
+
+    def path_products(self, factors) -> np.ndarray:
+        """Per vertex, the product of ``factors`` from it up to the root (both ends included)."""
+        out = np.array(factors, dtype=float)
+        for lo, hi in self.generations()[1:]:
+            out[lo:hi] *= out[self.parent[lo:hi]]
+        return out
 
     def vertex_by_path(self, word) -> int:
         """Resolve a path word (sequence of child labels from the root) to an id."""
         v = 0
         for step in word:
-            nxt = [c for c, lab in self.children[v] if lab == step]
+            kids = range(self.first_child[v], self.first_child[v + 1])
+            nxt = [c for c in kids if self.iota[c] == step]
             if not nxt:
                 raise KeyError(f"path word {tuple(word)} leaves the tree")
             v = nxt[0]
@@ -102,30 +133,41 @@ class Tree:
             {
                 "kind": self.kind,
                 "root_proj": list(self.root_proj),
-                "parent": self.parent,
-                "proj": [list(p) for p in self.proj],
-                "iota": self.iota,
+                "parent": self.parent.tolist(),
+                "proj": self.points.tolist(),
+                "iota": self.iota.tolist(),
             },
             sort_keys=True,
         )
 
 
-def _grow(kind: str, root_proj, child_projs) -> Tree:
-    """Generic BFS construction; child_projs(proj) yields (child_proj, iota)."""
-    parent, children, proj, iota, depth = [ROOT_PARENT], [[]], [root_proj], [0], [0]
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for cp, lab in child_projs(proj[v], depth[v]):
-            cid = len(parent)
-            parent.append(v)
-            children.append([])
-            proj.append(cp)
-            iota.append(lab)
-            depth.append(depth[v] + 1)
-            children[v].append((cid, lab))
-            queue.append(cid)
-    return Tree(kind, root_proj, parent, children, proj, iota, depth)
+def _grow(kind: str, root_proj, step: int, depth: int | None = None) -> Tree:
+    """BFS construction, one generation at a time.
+
+    The child of label i has projection ``proj + step * e_i``.  With step -1
+    (finite trees) it exists while that coordinate is positive; with step +1
+    (Cayley truncations) both children exist for the first ``depth`` generations.
+    """
+    gens, parents, labels = [np.array([root_proj])], [np.array([ROOT_PARENT])], [np.array([0])]
+    n_kids, start = [], 0
+    while True:
+        p = gens[-1]
+        has = p > 0 if step < 0 else np.full(p.shape, len(gens) <= depth)
+        n_kids.append(has.sum(axis=1))
+        kid = np.flatnonzero(has)  # row-major: vertex order, label 1 before 2
+        if not kid.size:
+            break
+        par, lab = kid // 2, kid % 2
+        gens.append(p[par] + step * np.eye(2, dtype=int)[lab])
+        parents.append(start + par)
+        labels.append(lab + 1)
+        start += len(p)
+    depth_of = np.repeat(np.arange(len(gens)), [len(g) for g in gens])
+    first_child = np.concatenate([[1], 1 + np.cumsum(np.concatenate(n_kids))])
+    return Tree(
+        kind, tuple(root_proj), np.concatenate(parents), np.concatenate(gens),
+        np.concatenate(labels), depth_of, first_child,
+    )
 
 
 def finite_tree(N) -> Tree:
@@ -133,16 +175,7 @@ def finite_tree(N) -> Tree:
     N = (int(N[0]), int(N[1]))
     if N[0] < 1 or N[1] < 1:
         raise ValueError("finite tree requires N in N^2")
-
-    def kids(p, _d):
-        out = []
-        if p[0] > 0:
-            out.append(((p[0] - 1, p[1]), 1))
-        if p[1] > 0:
-            out.append(((p[0], p[1] - 1), 2))
-        return out
-
-    return _grow("finite", N, kids)
+    return _grow("finite", N, -1)
 
 
 def finite_tree_vertex_count(N) -> int:
@@ -158,18 +191,4 @@ def cayley_truncation(depth: int, root_proj=(1, 1)) -> Tree:
     """Truncation of the rooted Cayley tree to ``depth`` generations below the root."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-
-    def kids(p, d):
-        if d >= depth:
-            return []
-        return [((p[0] + 1, p[1]), 1), ((p[0], p[1] + 1), 2)]
-
-    return _grow("cayley", tuple(root_proj), kids)
-
-
-def path_weight(tree: Tree, W, y: int) -> float:
-    """Product of W^{-1/2} along the path from y to the root, both ends included."""
-    m = 1.0
-    for v in tree.path_to_root(y):
-        m *= float(W[v]) ** -0.5
-    return m
+    return _grow("cayley", (int(root_proj[0]), int(root_proj[1])), 1, depth)

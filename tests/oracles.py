@@ -99,3 +99,49 @@ def refine_cauchy(a, b, z, n=2_000_001):
 def refine_markov_log(a, b, x):
     """Closed-form pv of the unit density on [a, b] at interior x."""
     return float(np.log((x - a) / (b - x)))
+
+
+class BfsTree:
+    """Reference tree built by a FIFO breadth-first search with stored lists.
+
+    ``child_projs(proj, depth)`` yields ``(child_proj, label)`` pairs in child
+    order; ids are assigned in BFS order, as in ``mop_trees.tree_topology``.
+    """
+
+    def __init__(self, root_proj, child_projs):
+        self.parent, self.children = [-1], [[]]
+        self.proj, self.iota, self.depth = [tuple(root_proj)], [0], [0]
+        queue = [0]
+        while queue:
+            v = queue.pop(0)
+            for cp, lab in child_projs(self.proj[v], self.depth[v]):
+                cid = len(self.parent)
+                self.parent.append(v)
+                self.children.append([])
+                self.proj.append(tuple(cp))
+                self.iota.append(lab)
+                self.depth.append(self.depth[v] + 1)
+                self.children[v].append((cid, lab))
+                queue.append(cid)
+
+    def subtree_ids(self, v):
+        out, queue = [], [v]
+        while queue:
+            u = queue.pop(0)
+            out.append(u)
+            queue.extend(c for c, _ in self.children[u])
+        return out
+
+
+def bfs_finite_tree(N):
+    def kids(p, _d):
+        return [((p[0] - 1, p[1]), 1)] * (p[0] > 0) + [((p[0], p[1] - 1), 2)] * (p[1] > 0)
+
+    return BfsTree(N, kids)
+
+
+def bfs_cayley_truncation(depth, root_proj=(1, 1)):
+    def kids(p, d):
+        return [] if d >= depth else [((p[0] + 1, p[1]), 1), ((p[0], p[1] + 1), 2)]
+
+    return BfsTree(root_proj, kids)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from mop_trees import tree_jacobi
+from mop_trees.angelesco import angelesco_system
+from mop_trees.measures import uniform
 from mop_trees.tree_jacobi import (
     assemble_finite,
     assemble_subtree,
@@ -96,6 +99,28 @@ class TestSignature:
         assert np.max(np.abs(R.toarray())) > 0.05
 
 
+class TestLoopReference:
+    """The vectorized path products and matrix equal the per-vertex loops bit for bit."""
+
+    @pytest.mark.parametrize("build", [lambda s: assemble_finite(s, (0.3, 0.7), (3, 2)),
+                                       lambda s: assemble_truncated(s, (0.5, 0.5), 4)])
+    def test_against_loops(self, nik_sys, build):
+        op = build(nik_sys)
+        parent, n = op.tree.parent, op.n_vertices
+        m, s, J = np.empty(n), np.ones(n), np.diag(op.V)
+        for v in range(n):
+            p, q = parent[v], 1.0 / np.sqrt(op.W[v])
+            m[v] = q if p < 0 else m[p] * q
+            if p >= 0:
+                s[v] = s[p] * (-1.0) ** op.sigma[v]
+                J[v, p] = np.sqrt(op.W[v])
+                J[p, v] = (-1.0) ** op.sigma[v] * np.sqrt(op.W[v])
+        assert np.array_equal(op.m_weights(), m)
+        assert np.array_equal(signature_diagonal(op), s)
+        assert np.array_equal(op.dense(), J)
+        assert int(op.sigma.sum()) > 0
+
+
 class TestEigenfunctionIdentities:
     def test_polynomial_family_finite(self, ang_sys):
         op = assemble_finite(ang_sys, (0, 1), (1, 1))
@@ -133,3 +158,54 @@ class TestExports:
         doc = op.metadata_json()
         assert doc["n_vertices"] == 19
         assert doc["signature_minus"] == 9
+
+
+class TestOneReadPerPoint:
+    """Each lattice point the tree reads is evaluated once, however many vertices read it."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        sys = angelesco_system(uniform(-2, -1), uniform(1, 2)).sys
+        calls = []
+        recurrence = sys.recurrence
+
+        def counting(n):
+            calls.append(tuple(n))
+            return recurrence(n)
+
+        monkeypatch.setattr(sys, "recurrence", counting)
+        return sys, calls
+
+    @staticmethod
+    def corner(n0, depth):
+        """Projections of the first ``depth`` generations of a Cayley tree rooted at n0."""
+        return {(n0[0] + i, n0[1] + j) for i in range(depth) for j in range(depth - i)}
+
+    def test_truncated(self, counted):
+        sys, calls = counted
+        assemble_truncated(sys, (0.5, 0.5), 8)
+        assert sorted(calls) == sorted(self.corner((1, 1), 8) | {(0, 1), (1, 0)})  # 38 points
+        assemble_truncated(sys, (1, 0), 8)
+        assert len(calls) == 38  # the float table lives on the system
+
+    def test_finite(self, counted):
+        sys, calls = counted
+        assemble_finite(sys, (0.5, 0.5), (4, 3))
+        assert sorted(calls) == [(n1, n2) for n1 in range(5) for n2 in range(4)]
+
+    def test_subtree(self, counted):
+        sys, calls = counted
+        assemble_subtree(sys, (2, 2), 1, 6)
+        assert sorted(calls) == sorted(self.corner((2, 2), 6) | {(1, 2)})  # 22 points
+
+    def test_second_kind_family(self, ang_sys, monkeypatch):
+        calls = []
+        second_kind = tree_jacobi.second_kind
+        def counting(s, n, z):
+            calls.append(tuple(n))
+            return second_kind(s, n, z)
+
+        monkeypatch.setattr(tree_jacobi, "second_kind", counting)
+        op = assemble_truncated(ang_sys, (1, 0), 6)
+        eigenfunction_residual(op, "l", 5.0)
+        assert sorted(calls) == sorted(self.corner((1, 1), 7))  # 28 points for 127 vertices

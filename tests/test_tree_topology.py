@@ -1,16 +1,19 @@
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mop_trees.tree_jacobi import TreeOperator
 from mop_trees.tree_topology import (
     ROOT_PARENT,
     cayley_truncation,
     finite_tree,
     finite_tree_vertex_count,
-    path_weight,
 )
+
+from oracles import bfs_cayley_truncation, bfs_finite_tree
 
 
 class TestFiniteTree:
@@ -78,22 +81,57 @@ class TestCayley:
             t.vertex_by_path((1, 1, 1, 1, 1))
 
 
+def m_weights(tree, W):
+    n = len(tree)
+    op = TreeOperator(tree, np.zeros(n), np.asarray(W), np.zeros(n, dtype=int), None, None)
+    return op.m_weights()
+
+
 class TestPathWeight:
     def test_unit_weights(self):
         t = finite_tree((2, 1))
-        W = [1.0] * len(t)
-        assert all(path_weight(t, W, v) == 1.0 for v in range(len(t)))
+        assert np.all(m_weights(t, [1.0] * len(t)) == 1.0)
 
     def test_root_weight_one(self):
         t = finite_tree((1, 1))
-        W = [1.0, 4.0, 9.0, 4.0, 9.0]
-        assert path_weight(t, W, 0) == 1.0
+        assert m_weights(t, [1.0, 4.0, 9.0, 4.0, 9.0])[0] == 1.0
 
     def test_chain_product(self):
         t = cayley_truncation(2)
         W = [1.0] + [4.0] * (len(t) - 1)
         left_leaf = t.vertex_by_path((1, 1))
-        assert path_weight(t, W, left_leaf) == pytest.approx(1 / 4)
+        assert m_weights(t, W)[left_leaf] == pytest.approx(1 / 4)
+
+
+def assert_same_tree(t, ref):
+    assert len(t) == len(ref.parent)
+    assert list(t.parent) == ref.parent
+    assert t.children == ref.children
+    assert t.proj == ref.proj
+    assert list(t.iota) == ref.iota
+    assert list(t.depth) == ref.depth
+    for v in range(len(t)):
+        assert list(t.subtree_ids(v)) == ref.subtree_ids(v)
+
+
+class TestAgainstBfsReference:
+    @pytest.mark.parametrize("N", [(n1, n2) for n1 in range(1, 5) for n2 in range(1, 5)])
+    def test_finite(self, N):
+        assert_same_tree(finite_tree(N), bfs_finite_tree(N))
+
+    @pytest.mark.parametrize("root_proj", [(1, 1), (2, 3)])
+    @pytest.mark.parametrize("depth", range(9))
+    def test_cayley(self, depth, root_proj):
+        ref = bfs_cayley_truncation(depth, root_proj)
+        assert_same_tree(cayley_truncation(depth, root_proj), ref)
+
+    def test_descendants_are_one_range_per_generation(self):
+        t = finite_tree((3, 3))
+        for v in range(len(t)):
+            ids = t.subtree_ids(v)
+            for d in np.unique(t.depth[ids]):
+                layer = ids[t.depth[ids] == d]
+                assert np.array_equal(layer, np.arange(layer[0], layer[-1] + 1))
 
 
 class TestExports:
