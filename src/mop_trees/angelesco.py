@@ -32,13 +32,15 @@ from mpmath import mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import DomainError, EndpointError, OverlapError
-from .measures import Measure, cauchy, concat
+from .measures import Measure, _piece_table, cauchy, concat
 from .mop_engine import (
     E1,
     E2,
     MopSystem,
     _deflate,
     add,
+    kappa_weights,
+    l_kappa,
     real_zeros,
     second_kind,
     second_kind_boundary,
@@ -57,10 +59,6 @@ class AngelescoSystem:
     mustar: Measure
     xi_mass: float           # difference of the normalized first moments (> 0)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def masses(self) -> tuple:
-        return float(self.sys.mass(1)), float(self.sys.mass(2))
 
     def interval(self, k: int) -> tuple:
         return self.delta1 if k == 1 else self.delta2
@@ -92,41 +90,20 @@ def angelesco_system(mu1: Measure, mu2: Measure, precision_bits: int = 256) -> A
 # ---------------------------------------------------------------------------
 
 
-def l_kappa(asys: AngelescoSystem, kappa, z) -> complex:
-    """kappa2 L_{e1}(z) + kappa1 L_{e2}(z) = (kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2.
-
-    This is the boundary form attached to the formal root parent: the swap of
-    the components keeps the meaning of the order-one second-kind functions.
-    """
-    m1, m2 = asys.masses
-    return (kappa[1] / m1) * asys.sys.mu1.markov(z) + (kappa[0] / m2) * asys.sys.mu2.markov(z)
+_E_GRID = 4000  # points per sampled component; they fix the cell E is bisected in, hence its bits
 
 
-def l_kappa_mp(asys, kappa, z, prec=None):
-    prec = prec or asys.sys.precision_bits
-    m1 = asys.sys.mu1.moments_mp(0, prec)[0]
-    m2 = asys.sys.mu2.moments_mp(0, prec)[0]
-    with workprec(prec):
-        return (mpf(kappa[1]) / m1) * asys.sys.mu1.markov_mp(z, prec) + (
-            mpf(kappa[0]) / m2
-        ) * asys.sys.mu2.markov_mp(z, prec)
-
-
-def l_kappa_boundary(asys, kappa, x: float, side: str = "+") -> complex:
-    m1, m2 = asys.masses
-    k = asys.side_of(x)
-    mu_k = asys.sys.mu1 if k == 1 else asys.sys.mu2
-    mu_o = asys.sys.mu2 if k == 1 else asys.sys.mu1
-    w_k = kappa[1] / m1 if k == 1 else kappa[0] / m2
-    w_o = kappa[0] / m2 if k == 1 else kappa[1] / m1
-    return w_k * mu_k.markov_boundary(x, side) + w_o * complex(mu_o.markov(x))
-
-
-def find_e_kappa(asys: AngelescoSystem, kappa, grid: int = 4000):
+def find_e_kappa(asys: AngelescoSystem, kappa):
     """The at-most-one real zero of the kappa-form off the two intervals (or None).
 
-    Bracketed by sign changes on the gap and on both outer rays (compactified
-    through 1/x), then bisected and Newton-polished.
+    With m_k the Markov function of mu_k, m1/m2 strictly increases on each
+    component of the real line off the hulls: on the gap m1 > 0 > m2 and both
+    decrease; on the outer rays ``(log|m_k|)'`` is a mean of ``-/+1/(x - t)``
+    under ``dmu_k/|x - t|``, and mu2 lies right of mu1.  So the form
+    ``m2 (c1 m1/m2 + c2)`` changes sign at most once per component, for any
+    kappa.  On a fixed grid per component (the gap linear, the outer rays
+    geometric out to 50 spans) the cell holding the sign change is found by
+    bisection over grid indices, then bisected down to rounding level.
     """
     a1, b1 = asys.delta1
     a2, b2 = asys.delta2
@@ -134,34 +111,41 @@ def find_e_kappa(asys: AngelescoSystem, kappa, grid: int = 4000):
     g = 1e-9 * span
 
     def f(x):
-        return l_kappa(asys, kappa, x).real
+        return l_kappa(asys.sys, kappa, x).real
 
     segments = []
     if b1 + g < a2 - g:
-        segments.append(np.linspace(b1 + 10 * g, a2 - 10 * g, grid))
-    segments.append(a1 - np.geomspace(10 * g, 50 * span, grid))
-    segments.append(b2 + np.geomspace(10 * g, 50 * span, grid))
+        segments.append(np.linspace(b1 + 10 * g, a2 - 10 * g, _E_GRID))
+    segments.append(a1 - np.geomspace(10 * g, 50 * span, _E_GRID))
+    segments.append(b2 + np.geomspace(10 * g, 50 * span, _E_GRID))
     zeros = []
     for xs in segments:
         xs = np.sort(xs)
-        vals = np.array([f(x) for x in xs])
-        sgn = np.sign(vals)
-        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
-            lo, hi = xs[i], xs[i + 1]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if f(lo) * f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-15 * max(1, abs(mid)):
-                    break
-            zeros.append(0.5 * (lo + hi))
-    if not zeros:
-        return None
+        i, j = 0, len(xs) - 1
+        fi = f(xs[i])
+        if not np.sign(fi) * np.sign(f(xs[j])) < 0:
+            continue
+        while j - i > 1:
+            m = (i + j) // 2
+            fm = f(xs[m])
+            if np.sign(fm) == np.sign(fi):
+                i, fi = m, fm
+            else:
+                j = m
+        lo, hi, flo = xs[i], xs[j], fi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if flo * fmid <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+            if hi - lo < 1e-15 * max(1, abs(mid)):
+                break
+        zeros.append(0.5 * (lo + hi))
     if len(zeros) > 1:
-        raise DomainError("more than one zero of the kappa-form found (numerical artifact)")
-    return float(zeros[0])
+        raise DomainError("zeros of the kappa-form on two components (numerical artifact)")
+    return float(zeros[0]) if zeros else None
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +157,7 @@ def find_e_kappa(asys: AngelescoSystem, kappa, grid: int = 4000):
 class SpectralMeasureRep:
     """Absolutely continuous density on the two intervals plus point masses."""
 
-    density: object                    # callable x -> float (guarded)
-    raw_density: object                # same, without endpoint guard (for integration)
+    density: object                    # callable x -> float; calling the rep adds the endpoint guard
     point_masses: list
     provenance: str
     intervals: tuple
@@ -188,18 +171,15 @@ class SpectralMeasureRep:
         raise DomainError("density evaluation off the intervals")
 
     def total_mass(self) -> float:
-        total = sum(m for _, m in self.point_masses)
-        for a, b in self.intervals:
-            val, _ = scipy.integrate.quad(self.raw_density, a, b, limit=400, epsabs=1e-12)
-            total += val
-        return float(total)
+        return self._moment(0)
 
     def first_moment(self) -> float:
-        total = sum(E * m for E, m in self.point_masses)
+        return self._moment(1)
+
+    def _moment(self, k: int) -> float:
+        total = sum(E**k * m for E, m in self.point_masses)
         for a, b in self.intervals:
-            val, _ = scipy.integrate.quad(
-                lambda x: x * self.raw_density(x), a, b, limit=400, epsabs=1e-12
-            )
+            val, _ = scipy.integrate.quad(lambda x: x**k * self.density(x), a, b, limit=400, epsabs=1e-12)
             total += val
         return float(total)
 
@@ -215,9 +195,8 @@ class SpectralMeasureRep:
 def s_o_value(asys: AngelescoSystem, x: float) -> float:
     """The positive weight (markov1 on the right interval, -markov2 on the left)
     divided by (Xi * |mu1| * |mu2|)."""
-    m1, m2 = asys.masses
     k = asys.side_of(x)
-    scale = 1.0 / (asys.xi_mass * m1 * m2)
+    scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
     if k == 1:
         return scale * (-asys.sys.mu2.markov(x).real)
     return scale * asys.sys.mu1.markov(x).real
@@ -236,19 +215,17 @@ def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
 
     def raw(x: float) -> float:
         x = float(x)
-        k = asys.side_of(x)
-        mu = asys.sys.mu1 if k == 1 else asys.sys.mu2
-        dens = mu.density_at(x)
+        dens = asys.mustar.density_at(x)
         if dens == 0.0:
             return 0.0
-        lk = l_kappa_boundary(asys, kappa, x, "+")
+        lk = l_kappa(asys.sys, kappa, x, "+")
         return s_o_value(asys, x) * dens / abs(lk) ** 2
 
     masses = []
     E = find_e_kappa(asys, kappa)
     if E is not None:
         masses.append((E, point_mass_at(asys, kappa, E)))
-    return SpectralMeasureRep(raw, raw, masses, "root-kappa-form", (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(raw, masses, "root-kappa-form", (asys.delta1, asys.delta2))
 
 
 def point_mass_at(asys, kappa, E: float) -> float:
@@ -261,8 +238,8 @@ def point_mass_at(asys, kappa, E: float) -> float:
     with workprec(prec):
         h = mpf(10) ** -6
         Em = mpf(E)
-        lp = l_kappa_mp(asys, kappa, Em + h, prec)
-        lm = l_kappa_mp(asys, kappa, Em - h, prec)
+        lp = l_kappa(asys.sys, kappa, Em + h, prec=prec)
+        lm = l_kappa(asys.sys, kappa, Em - h, prec=prec)
         dL = (lp - lm) / (2 * h)
         L1 = second_kind(asys.sys, (1, 1), Em)
         return float((L1 / dL).real)
@@ -292,21 +269,14 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
     k = asys.side_of(x)
     with workprec(prec):
         xm = mpf(x)
-        m1 = sysm.mu1.moments_mp(0, prec)[0]
-        m2 = sysm.mu2.moments_mp(0, prec)[0]
-        vk1, vk2 = mpf(kappa[1]) / m1, mpf(kappa[0]) / m2  # swapped components
+        m1, m2 = sysm.mass(1), sysm.mass(2)
+        vk1, vk2 = kappa_weights(sysm, kappa, prec)
         mu_other = sysm.mu2 if k == 1 else sysm.mu1
         hat_other = mu_other.markov_mp(xm, prec)
-        xi = mpf(asys.sys.mu2.moments_mp(1, prec)[1]) / m2 - mpf(
-            asys.sys.mu1.moments_mp(1, prec)[1]
-        ) / m1
-        if k == 1:
-            s_o = -hat_other / (xi * m1 * m2)
-            w_k = vk1
-        else:
-            s_o = hat_other / (xi * m1 * m2)
-            w_k = vk2
+        xi = sysm.moments(2, 1)[1] / m2 - sysm.moments(1, 1)[1] / m1
         sgn = mpf(-1) ** k
+        s_o = sgn * hat_other / (xi * m1 * m2)
+        w_k = (vk1, vk2)[k - 1]
 
         def value(n):
             rec = sysm.type1_record(n)
@@ -360,7 +330,7 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
         zm = mpc(z)
         LY = second_kind(asys.sys, projY, zm)
         if X == ():
-            Lden = l_kappa_mp(asys, kappa, zm, prec)
+            Lden = l_kappa(asys.sys, kappa, zm, prec=prec)
         else:
             Lden = second_kind(asys.sys, parentX, zm)
         formula = complex(-(mpf(mX) / mpf(mY)) * LY / Lden)
@@ -505,15 +475,13 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
 
     def raw(x: float) -> float:
         x = float(x)
-        k = asys.side_of(x)
-        mu = asys.sys.mu1 if k == 1 else asys.sys.mu2
-        dens = mu.density_at(x)
+        dens = asys.mustar.density_at(x)
         if dens == 0.0:
             return 0.0
         L = second_kind_boundary(asys.sys, n, x, "+")
         return _s_x_by_quadrature(asys, n, l, x) * dens / abs(L) ** 2
 
-    return SpectralMeasureRep(raw, raw, [], f"subtree-{X}", (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(raw, [], f"subtree-{X}", (asys.delta1, asys.delta2))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +507,7 @@ def _s_n_xi(asys, n, xi, x):
 
 def reference_measure(asys: AngelescoSystem, n, x: float) -> float:
     """Reference density |L_n(x)|^{-2} mustar'(x) (direct route)."""
-    k = asys.side_of(x)
-    mu = asys.sys.mu1 if k == 1 else asys.sys.mu2
-    dens = mu.density_at(x)
+    dens = asys.mustar.density_at(x)
     L = second_kind_boundary(asys.sys, n, x, "+")
     return dens / abs(L) ** 2
 
@@ -578,31 +544,30 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
         if not coeffs:
             continue
         cf = np.asarray(P.pfloat(coeffs))
-        from .quadrature import map_rule as _mr
-
-        for p in mu.pieces:
-            xs, ws = _mr(p.a, p.b, mu.quad_order)
-            dens = p.density(xs, p.a, p.b)
-            dvals = np.array([d_n_xi(asys, n, xi, x) for x in xs])
-            avals = np.polynomial.polynomial.polyval(xs, cf)
+        for i in range(len(mu.pieces)):
+            xs, ws, dens = _piece_table(mu, i, (), None)
             if k == kE:
                 # squared zero cancels the double pole: deflate analytically
-                rE = _deflate_twice(asys, n, xi, k, xs, E)
+                rE = _deflate_twice(asys, n, xi, coeffs, xs, E)
                 total += float(np.sum(ws * dens * rE))
             else:
+                dvals = np.array([d_n_xi(asys, n, xi, x) for x in xs])
+                avals = np.polynomial.polynomial.polyval(xs, cf)
                 total += float(np.sum(ws * dens * dvals * avals / (xs - E) ** 2))
     return total
 
 
-def _deflate_twice(asys, n, xi, k, xs, E):
-    """Values of D_{n,xi} A^{(k)} / (x-E)^2 with the singularity removed exactly."""
+def _d_n_xi_poly(asys, n, xi) -> tuple:
+    """Extended-precision coefficients of D_{n,xi} = (-1)^{n2} (x - xi) A_n^{(1)} A_n^{(2)}."""
     rec = asys.sys.type1_record(n)
     with workprec(asys.sys.precision_bits):
-        num = P.pmul(rec.A1, rec.A2)
-        num = P.pmul(num, (-mpf(xi), mpf(1)))
-        num = P.pscale(num, mpf(-1) ** n[1])
-        ak = rec.A1 if k == 1 else rec.A2
-        num = P.pmul(num, ak)  # = D * A^{(k)}, double zero at E
+        return P.pscale(P.pmul(P.pmul(rec.A1, rec.A2), (-mpf(xi), mpf(1))), mpf(-1) ** n[1])
+
+
+def _deflate_twice(asys, n, xi, ak, xs, E):
+    """Values of D_{n,xi} A^{(k)} / (x-E)^2 with the singularity removed exactly; ak = A^{(k)}."""
+    with workprec(asys.sys.precision_bits):
+        num = P.pmul(_d_n_xi_poly(asys, n, xi), ak)  # double zero at E
         q = _deflate(_deflate(num, mpf(E)), mpf(E))
         qf = np.asarray(P.pfloat(q))
     return np.polynomial.polynomial.polyval(xs, qf)
@@ -615,12 +580,8 @@ def dual_pole_weight_residual(asys: AngelescoSystem, n, E: float, xi: float) -> 
     the Plemelj split, the mass through the deflated integrand); the measures
     here are atomless, so no point-mass correction enters.
     """
-    rec = asys.sys.type1_record(n)
     with workprec(asys.sys.precision_bits):
-        dpoly = P.pmul(rec.A1, rec.A2)
-        dpoly = P.pmul(dpoly, (-mpf(xi), mpf(1)))
-        dpoly = P.pscale(dpoly, mpf(-1) ** n[1])
-        dprime = float(P.pval(P.pder(dpoly), mpf(E)))
+        dprime = float(P.pval(P.pder(_d_n_xi_poly(asys, n, xi)), mpf(E)))
     Lp = second_kind_boundary_mp(asys.sys, n, E, "+")
     lhs = float(-dprime * complex(Lp).real)  # L_+ is real at a type I zero
     rhs = nu_ne_mass(asys, n, E, xi)

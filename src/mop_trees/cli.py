@@ -194,11 +194,11 @@ def cmd_angelesco_rho(args):
 
 
 def cmd_angelesco_dos_profile(args):
+    if not args.grid or args.grid < 1:
+        raise ValueError("empty grid: pass --grid with a positive count")
     asys = load_system(args.system, args.precision_bits)["asys"]
     kappa = _parse_pair(args.kappa)
     rep = ang.rho_o(asys, kappa)
-    if not args.grid or args.grid < 1:
-        raise ValueError("empty grid: pass --grid with a positive count")
     pts = rep.profile(args.grid)
     if args.format == "csv" or args.out:
         emit_plot_data(pts, args.out or "rho_profile.csv", masses=rep.point_masses)
@@ -260,9 +260,9 @@ def cmd_periodic_surface(args):
 
 
 def cmd_periodic_dos(args):
-    surf = _surface_from_args(args)
     if not args.grid or args.grid < 1:
         raise ValueError("empty grid: pass --grid with a positive count")
+    surf = _surface_from_args(args)
     pts = []
     for a, b in surf.cuts:
         pad = (b - a) * 1e-6

@@ -172,25 +172,33 @@ def canonical_vector(sys: MopSystem, kappa, N, E: float, X, op: TreeOperator | N
     """The canonical eigenvector b(E, X); X = ROOT_PARENT gives the trivial one."""
     if op is None:
         op = assemble_finite(sys, kappa, N)
+    return _canonical_family(sys, op, op.m_weights(), boundary_polynomial(sys, kappa, N), E)(X)
+
+
+def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
+    """X -> b(E, X), all from one table of P_n(E) over the tree; m = op.m_weights()."""
     tree = op.tree
     p = lattice_values(lambda n: float(P.pval(sys.record(n).P, E)), tree.points)
-    pvals = p / op.m_weights()
-    if X == ROOT_PARENT:
-        bpoly = boundary_polynomial(sys, kappa, N)
-        if abs(float(P.pval(bpoly, E))) > 1e-6:
-            raise JointError("E is not a zero of the boundary polynomial")
-        return pvals
-    if len(tree.children[X]) != 2:
-        raise JointError("joint must have two children")
-    if abs(p[X]) > 1e-6:
-        raise JointError("E is not a zero of the polynomial at the joint")
-    vec = np.zeros(len(tree))
-    (c1, _), (c2, _) = tree.children[X]
-    for sgn, c in ((-1.0, c1), (1.0, c2)):
-        coef = sgn * (-1.0) ** op.sigma[c] / (np.sqrt(op.W[c]) * pvals[c])
-        ids = tree.subtree_ids(c)
-        vec[ids] = coef * pvals[ids]
-    return vec
+    pvals = p / m
+
+    def vector(X):
+        if X == ROOT_PARENT:
+            if abs(float(P.pval(bpoly, E))) > 1e-6:
+                raise JointError("E is not a zero of the boundary polynomial")
+            return pvals
+        if len(tree.children[X]) != 2:
+            raise JointError("joint must have two children")
+        if abs(p[X]) > 1e-6:
+            raise JointError("E is not a zero of the polynomial at the joint")
+        vec = np.zeros(len(tree))
+        (c1, _), (c2, _) = tree.children[X]
+        for sgn, c in ((-1.0, c1), (1.0, c2)):
+            coef = sgn * (-1.0) ** op.sigma[c] / (np.sqrt(op.W[c]) * pvals[c])
+            ids = tree.subtree_ids(c)
+            vec[ids] = coef * pvals[ids]
+        return vec
+
+    return vector
 
 
 def full_basis(sys: MopSystem, kappa, N, residual_factor: float = 1e-9) -> SpectralDecomposition:
@@ -211,10 +219,12 @@ def full_basis(sys: MopSystem, kappa, N, residual_factor: float = 1e-9) -> Spect
 
     J = op.dense()
     tol = residual_factor * np.linalg.norm(J, 2)
+    m = op.m_weights()
     vectors = {}
     for i, ev in enumerate(eigenvalues):
+        vector = _canonical_family(sys, op, m, bpoly, ev.E)
         for X in ev.joint_star:
-            b = canonical_vector(sys, kappa, N, ev.E, X, op=op)
+            b = vector(X)
             res = np.linalg.norm(J @ b - ev.E * b) / np.linalg.norm(b)
             if res > tol:
                 raise AssumptionError(f"eigenvector residual {res:.2e} exceeds {tol:.2e}")

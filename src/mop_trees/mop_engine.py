@@ -22,6 +22,7 @@ Conventions, for a multi-index n = (n1, n2):
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,22 +371,48 @@ def second_kind_boundary_mp(sys: MopSystem, n, x, side: str = "+"):
     return _linear_form_boundary(sys, n, x, side, sys.precision_bits)
 
 
+def _sides(sys: MopSystem, x, side) -> tuple:
+    """Per measure, ``side`` if one of its ac pieces strictly holds x, else None."""
+    sides = tuple(side if any(p.a < x < p.b for p in mu.pieces) else None for mu in (sys.mu1, sys.mu2))
+    if sides == (None, None):
+        raise DomainError("boundary value requires x inside an ac piece")
+    return sides
+
+
 def _linear_form_boundary(sys: MopSystem, n, x, side, prec):
     """Transform of the linear form ``A1 dmu1 + A2 dmu2`` at x: the boundary
     value on the measure holding x, the plain Cauchy transform on the other."""
     rec = sys.type1_record(n)
-    inside = [any(p.a < x < p.b for p in mu.pieces) for mu in (sys.mu1, sys.mu2)]
-    if not any(inside):
-        raise DomainError("boundary value requires x inside an ac piece")
     parts = [
-        cauchy(mu, x, coeffs, side if host else None, prec)
-        for mu, coeffs, host in zip((sys.mu1, sys.mu2), (rec.A1, rec.A2), inside)
+        cauchy(mu, x, coeffs, s, prec)
+        for mu, coeffs, s in zip((sys.mu1, sys.mu2), (rec.A1, rec.A2), _sides(sys, x, side))
         if coeffs
     ]
     if prec is None:
         return sum(parts)
     with workprec(prec):
         return mp.fsum(parts)
+
+
+def kappa_weights(sys: MopSystem, kappa, prec=None) -> tuple:
+    """(kappa2/|mu1|, kappa1/|mu2|), the weights of markov1 and markov2 in the kappa-form; mpf with ``prec``."""
+    if prec is None:
+        return kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))
+    with workprec(prec):
+        return mpf(kappa[1]) / sys.mass(1), mpf(kappa[0]) / sys.mass(2)
+
+
+def l_kappa(sys: MopSystem, kappa, z, side=None, prec=None):
+    """The kappa-form ``kappa2 L_{e1}(z) + kappa1 L_{e2}(z) = (kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2``.
+
+    The boundary form of the formal root parent (the components swap).  With
+    ``side``, as in :func:`cauchy`, the measure whose ac piece strictly holds
+    the real z gives its boundary value and the other its plain transform.
+    """
+    w1, w2 = kappa_weights(sys, kappa, prec)
+    s1, s2 = (None, None) if side is None else _sides(sys, z, side)
+    with workprec(prec) if prec else contextlib.nullcontext():
+        return w1 * cauchy(sys.mu1, z, side=s1, prec=prec) + w2 * cauchy(sys.mu2, z, side=s2, prec=prec)
 
 
 # ---------------------------------------------------------------------------

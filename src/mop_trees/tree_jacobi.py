@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import E1, E2, MopSystem, add, second_kind, sub
+from .mop_engine import E1, E2, MopSystem, add, l_kappa, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
@@ -185,13 +185,8 @@ def s_selfadjoint_check(op: TreeOperator) -> float:
 
 def _second_kind_rows(op: TreeOperator, z) -> tuple:
     """((J - z) f for the second-kind family f, the root boundary term by the Markov route)."""
-    sys = op.sys
-    f = lattice_values(lambda n: complex(second_kind(sys, n, z)), op.tree.points) / op.m_weights()
-    k1, k2 = op.kappa
-    markov_route = k2 * complex(sys.mu1.markov(z)) / float(sys.mass(1)) + k1 * complex(
-        sys.mu2.markov(z)
-    ) / float(sys.mass(2))
-    return op.apply(f) - z * f, markov_route
+    f = lattice_values(lambda n: complex(second_kind(op.sys, n, z)), op.tree.points) / op.m_weights()
+    return op.apply(f) - z * f, l_kappa(op.sys, op.kappa, z)
 
 
 def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) -> float:

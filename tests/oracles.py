@@ -145,3 +145,49 @@ def bfs_cayley_truncation(depth, root_proj=(1, 1)):
         return [] if d >= depth else [((p[0] + 1, p[1]), 1), ((p[0], p[1] + 1), 2)]
 
     return BfsTree(root_proj, kids)
+
+
+def find_e_kappa_sweep(asys, kappa, grid: int = 4000):
+    """Reference zero search for the kappa-form: the sign at every grid point.
+
+    The search of ``angelesco.find_e_kappa`` before it used the monotonicity
+    of markov1/markov2: the same three grids, a sign scan over all 3 * grid
+    points and a bisection in every cell with a sign change (about 12,000
+    evaluations of the form).  Returns the same bits as the library search.
+    """
+    a1, b1 = asys.delta1
+    a2, b2 = asys.delta2
+    span = b2 - a1
+    g = 1e-9 * span
+
+    def f(x):
+        m1, m2 = float(asys.sys.mass(1)), float(asys.sys.mass(2))
+        form = (kappa[1] / m1) * asys.sys.mu1.markov(x) + (kappa[0] / m2) * asys.sys.mu2.markov(x)
+        return form.real
+
+    segments = []
+    if b1 + g < a2 - g:
+        segments.append(np.linspace(b1 + 10 * g, a2 - 10 * g, grid))
+    segments.append(a1 - np.geomspace(10 * g, 50 * span, grid))
+    segments.append(b2 + np.geomspace(10 * g, 50 * span, grid))
+    zeros = []
+    for xs in segments:
+        xs = np.sort(xs)
+        vals = np.array([f(x) for x in xs])
+        sgn = np.sign(vals)
+        for i in np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]:
+            lo, hi = xs[i], xs[i + 1]
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(lo) * f(mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+                if hi - lo < 1e-15 * max(1, abs(mid)):
+                    break
+            zeros.append(0.5 * (lo + hi))
+    if not zeros:
+        return None
+    if len(zeros) > 1:
+        raise ValueError("more than one zero of the kappa-form found (numerical artifact)")
+    return float(zeros[0])

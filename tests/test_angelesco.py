@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from mop_trees import angelesco
 from mop_trees.angelesco import (
     angelesco_system,
     dual_pole_weight_residual,
     find_e_kappa,
     green,
-    l_kappa,
     nu_ne_mass,
     psi_o,
     psi_tilde,
@@ -20,9 +20,11 @@ from mop_trees.angelesco import (
     type1_zero_set,
 )
 from mop_trees.errors import DomainError, EndpointError, OverlapError
-from mop_trees.measures import Measure, Piece, uniform
-from mop_trees.mop_engine import second_kind_boundary
+from mop_trees.measures import DensitySpec, Measure, Piece, uniform
+from mop_trees.mop_engine import l_kappa, second_kind_boundary
 from mop_trees.tree_jacobi import assemble_subtree, assemble_truncated
+
+from oracles import find_e_kappa_sweep
 
 
 class TestConstruction:
@@ -64,7 +66,46 @@ class TestKappaForm:
         # kappa = e1 attaches the order-one form of the second measure
         z = 5.0
         direct = ang_u.sys.mu2.markov(z) / ang_u.sys.mu2.mass()
-        assert l_kappa(ang_u, (1, 0), z) == pytest.approx(direct)
+        assert l_kappa(ang_u.sys, (1, 0), z) == pytest.approx(direct)
+
+    @pytest.mark.parametrize("kappa", [(0.5, 0.5), (0.3, 0.7), (1, 0), (2, -1), (-0.5, 1.5)])
+    def test_search_matches_reference_sweep(self, ang_u, kappa):
+        assert find_e_kappa(ang_u, kappa) == find_e_kappa_sweep(ang_u, kappa)
+
+    @pytest.mark.parametrize("kappa", [(0.5, 0.5), (2, -1)])
+    def test_search_matches_reference_sweep_jacobi_weights(self, kappa):
+        asys = angelesco_system(
+            Measure(pieces=(Piece(-2, -0.5, DensitySpec("jacobi_weight", p=0.5, q=-0.5)),)),
+            Measure(pieces=(Piece(1, 2.5, DensitySpec("jacobi_weight", p=1.5, q=0.5)),)),
+        )
+        E = find_e_kappa(asys, kappa)
+        assert E is not None
+        assert E == find_e_kappa_sweep(asys, kappa)
+
+    def test_search_evaluates_form_at_most_70_times(self, ang_u, monkeypatch):
+        points = []
+
+        def counting(sys, kappa, z, *args, **kwargs):
+            points.append(z)
+            return l_kappa(sys, kappa, z, *args, **kwargs)
+
+        monkeypatch.setattr(angelesco, "l_kappa", counting)
+        assert find_e_kappa(ang_u, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
+        assert len(points) <= 70
+
+    def test_boundary_form_takes_host_boundary_value(self, ang_u):
+        # with side, the measure holding x gives its boundary value, the other its plain transform
+        x = 1.3
+        w1, w2 = 0.7 / ang_u.sys.mu1.mass(), 0.3 / ang_u.sys.mu2.mass()
+        expected = w1 * ang_u.sys.mu1.markov(x) + w2 * ang_u.sys.mu2.markov_boundary(x, "-")
+        assert l_kappa(ang_u.sys, (0.3, 0.7), x, "-") == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(DomainError):
+            l_kappa(ang_u.sys, (0.3, 0.7), 0.0, "+")
+
+    def test_precisions_agree(self, ang_u):
+        for z, side in ((3.5, None), (0.2 + 0.7j, None), (-1.4, "+")):
+            mp_value = complex(l_kappa(ang_u.sys, (0.3, 0.7), z, side, prec=128))
+            assert mp_value == pytest.approx(l_kappa(ang_u.sys, (0.3, 0.7), z, side), rel=1e-13)
 
 
 class TestRhoO:

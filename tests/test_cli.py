@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mop_trees import angelesco, cli, periodic_surface
 from mop_trees.cli import main
 
 ANG_DOC = {
@@ -32,6 +33,10 @@ def nik_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("sys") / "nik_u.json"
     p.write_text(json.dumps(NIK_DOC))
     return str(p)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before the argument check")
 
 
 def run(capsys, *argv):
@@ -164,10 +169,18 @@ class TestExitCodesAndDeterminism:
         _, out2 = run(capsys, "mop", "coeffs", "--system", ang_file, "--n", "1,1")
         assert out1 == out2
 
-    def test_empty_grid_usage_error(self, ang_file, capsys):
+    def test_empty_grid_usage_error(self, ang_file, capsys, monkeypatch):
+        # the grid is checked before the system is loaded or rho_o runs
+        monkeypatch.setattr(angelesco, "rho_o", _must_not_run)
+        monkeypatch.setattr(cli, "load_system", _must_not_run)
         code = main(
             ["angelesco", "dos-profile", "--system", ang_file, "--kappa", "1,0", "--grid", "0"]
         )
+        assert code == 1
+
+    def test_periodic_empty_grid_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(periodic_surface, "from_params", _must_not_run)
+        code = main(["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", "0"])
         assert code == 1
 
     def test_dos_small_grid_csv(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mop_trees import finite_spectral
 from mop_trees.errors import JointError
 from mop_trees.finite_spectral import (
     canonical_vector,
@@ -38,6 +39,25 @@ class TestEigenvalueSet:
 
 
 class TestCanonicalVectors:
+    def test_one_value_table_per_eigenvalue(self, ang_sys, monkeypatch):
+        tables = []
+        lattice_values = finite_spectral.lattice_values
+
+        def counting(fn, points):
+            tables.append(len(points))
+            return lattice_values(fn, points)
+
+        monkeypatch.setattr(finite_spectral, "lattice_values", counting)
+        dec = full_basis(ang_sys, (0, 1), (3, 2))
+        assert len(dec.eigenvalues) == 27
+        assert len(tables) == 27  # 34 (eigenvalue, joint) pairs read them
+
+    def test_basis_vectors_equal_single_vectors(self, ang_sys):
+        dec = full_basis(ang_sys, (0, 1), (3, 2))
+        for (i, X), vec in dec.vectors.items():
+            single = canonical_vector(ang_sys, (0, 1), (3, 2), dec.eigenvalues[i].E, X, op=dec.op)
+            assert np.array_equal(vec, single)
+
     def test_trivial_vector_nonzero_at_root(self, ang_sys):
         eigs, table, _ = eigenvalue_set(ang_sys, (0, 1), (2, 1))
         E = table["boundary"][0]
