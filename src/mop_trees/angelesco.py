@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
 from mpmath import mpc, mpf, workprec
@@ -177,9 +176,10 @@ class SpectralMeasureRep:
         return self._moment(1)
 
     def _moment(self, k: int) -> float:
+        from scipy.integrate import quad
         total = sum(E**k * m for E, m in self.point_masses)
         for a, b in self.intervals:
-            val, _ = scipy.integrate.quad(lambda x: x**k * self.density(x), a, b, limit=400, epsabs=1e-12)
+            val, _ = quad(lambda x: x**k * self.density(x), a, b, limit=400, epsabs=1e-12)
             total += val
         return float(total)
 

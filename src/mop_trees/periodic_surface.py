@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import BranchError, DomainError, InvalidSurfaceError
 from .tree_topology import Tree, cayley_truncation
@@ -286,9 +285,10 @@ def dos(surf: SurfaceParams, l: int, x: float) -> float:
 
 
 def dos_total_mass(surf: SurfaceParams, l: int) -> float:
+    from scipy.integrate import quad
     total = 0.0
     for a, b in surf.cuts:
-        val, _ = scipy.integrate.quad(
+        val, _ = quad(
             lambda x: dos(surf, l, x), a + _BRANCH_GUARD * 2, b - _BRANCH_GUARD * 2,
             limit=400, epsabs=1e-12,
         )

@@ -11,7 +11,9 @@ distance.
 from __future__ import annotations
 
 import numpy as np
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
+
+from .errors import ConvergenceError
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GAUSS_MP_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
@@ -24,44 +26,52 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_CACHE[order]
 
 
-def _legendre_pair(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, mpmath arithmetic."""
-    pm, p = mpf(1), x
-    for k in range(1, n):
-        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
-    dp = n * (x * p - pm) / (x * x - 1)
-    return p, dp
-
-
 def gauss_legendre_mp(order: int, prec: int) -> tuple[list, list]:
-    """Nodes and weights on [-1, 1] at ``prec`` bits, Newton-polished from double seeds."""
+    """Nodes and weights on [-1, 1] at ``prec + 24`` bits, Newton-polished from double seeds.
+
+    Newton runs on the integer X = x 2^bits, with guard bits for the cancellation
+    in 1 - x^2 near +-1 and the recurrence's rounding; each node and weight is
+    rounded once.  ``ConvergenceError`` if a node does not converge or two seeds
+    find the same node.
+    """
     key = (order, prec)
     if key in _GAUSS_MP_CACHE:
         return _GAUSS_MP_CACHE[key]
+    out, log_n = prec + 24, order.bit_length()
+    bits = out + 8 + 4 * log_n
+    # Newton leaves an error of about dx^2 / (1 - x^2) <= dx^2 order^2, so a
+    # step with dx^2 below 2^-(out + 8) / order^2 gives the final node.
+    final_step = 1 << (2 * bits - out - 8 - 2 * log_n)
     xs, _ = gauss_legendre(order)
     nodes: list = [None] * order
     weights: list = [None] * order
-    with workprec(prec + 24):
-        tol = mpf(2) ** (-(prec + 8))
-        half = (order + 1) // 2
-        for i in range(order - half, order):
-            x = mpf(float(xs[i]))
-            dp = mpf(1)
+    prev = -1
+    with workprec(out):
+        for i in range(order // 2, order):
+            num, den = float(xs[i]).as_integer_ratio()
+            X = 0 if 2 * i + 1 == order else (num << bits) // den
+            done = False
             for _ in range(60):
-                p, dp = _legendre_pair(order, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < tol * max(1, abs(x)):
-                    p, dp = _legendre_pair(order, x)
+                # p = P_n(x) 2^bits and E = (P_{n-1}(x) - x P_n(x)) 2^(2 bits),
+                # so P_n'(x) = n E / D with D = (1 - x^2) 2^(2 bits), exact in X.
+                pm, p = 1 << bits, X
+                for k in range(1, order):
+                    pm, p = p, ((2 * k + 1) * ((X * p) >> bits) - k * pm) // (k + 1)
+                D, E = (1 << 2 * bits) - X * X, (pm << bits) - X * p
+                if done:
                     break
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes[i], weights[i] = x, w
-            nodes[order - 1 - i], weights[order - 1 - i] = -x, w
-        if order % 2 == 1:
-            x = mpf(0)
-            p, dp = _legendre_pair(order, x)
-            nodes[order // 2] = x
-            weights[order // 2] = 2 / (dp * dp)
+                dX = p * D // (order * E)
+                X -= dX
+                done = dX * dX <= final_step
+            else:
+                raise ConvergenceError(f"Gauss-Legendre node {i} of {order} did not converge")
+            if not prev < X < 1 << bits:
+                raise ConvergenceError(f"Gauss-Legendre nodes {i - 1}, {i} of {order} not increasing in [0, 1)")
+            prev = X
+            # w = 2 / ((1 - x^2) P_n'(x)^2) = 2 (1 - x^2) / (n (P_{n-1} - x P_n))^2
+            W = (D << (3 * bits + 1)) // (order * order * E * E)
+            nodes[i], nodes[order - 1 - i] = mpf((X, -bits)), mpf((-X, -bits))
+            weights[i] = weights[order - 1 - i] = mpf((W, -bits))
     _GAUSS_MP_CACHE[key] = (nodes, weights)
     return nodes, weights
 

@@ -9,6 +9,9 @@ composite rules on ~10^6 nodes.
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mpf, workprec
+
+from mop_trees.quadrature import gauss_legendre
 
 
 def uniform_moment(a, b, k) -> Fraction:
@@ -191,3 +194,52 @@ def find_e_kappa_sweep(asys, kappa, grid: int = 4000):
     if len(zeros) > 1:
         raise ValueError("more than one zero of the kappa-form found (numerical artifact)")
     return float(zeros[0])
+
+
+_GAUSS_MP_CACHE: dict = {}
+
+
+def _legendre_pair(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, mpmath arithmetic."""
+    pm, p = mpf(1), x
+    for k in range(1, n):
+        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
+    dp = n * (x * p - pm) / (x * x - 1)
+    return p, dp
+
+
+def gauss_legendre_mp(order: int, prec: int) -> tuple[list, list]:
+    """Nodes and weights on [-1, 1] at ``prec`` bits, Newton-polished from double seeds.
+
+    The mpf Newton polish of ``quadrature.gauss_legendre_mp`` before it ran in
+    fixed-point integers, kept verbatim (with its own cache) as the reference.
+    """
+    key = (order, prec)
+    if key in _GAUSS_MP_CACHE:
+        return _GAUSS_MP_CACHE[key]
+    xs, _ = gauss_legendre(order)
+    nodes: list = [None] * order
+    weights: list = [None] * order
+    with workprec(prec + 24):
+        tol = mpf(2) ** (-(prec + 8))
+        half = (order + 1) // 2
+        for i in range(order - half, order):
+            x = mpf(float(xs[i]))
+            dp = mpf(1)
+            for _ in range(60):
+                p, dp = _legendre_pair(order, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) < tol * max(1, abs(x)):
+                    p, dp = _legendre_pair(order, x)
+                    break
+            w = 2 / ((1 - x * x) * dp * dp)
+            nodes[i], weights[i] = x, w
+            nodes[order - 1 - i], weights[order - 1 - i] = -x, w
+        if order % 2 == 1:
+            x = mpf(0)
+            p, dp = _legendre_pair(order, x)
+            nodes[order // 2] = x
+            weights[order // 2] = 2 / (dp * dp)
+    _GAUSS_MP_CACHE[key] = (nodes, weights)
+    return nodes, weights

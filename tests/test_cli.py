@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,6 +216,15 @@ GOLDEN_COMMANDS = {
                      "--out", "dos.csv"],
     "periodic-raylimit": ["periodic", "raylimit", "--system", SYSTEM, "--c", "0.5", "--nmax", "8"],
 }
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # Every CLI command is a fresh process; scipy.integrate (which pulls in
+    # scipy.special and scipy.optimize) is imported only where a quad runs.
+    code = "import mop_trees.cli, sys; sys.exit('scipy.integrate' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_golden_set_is_covered():
