@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
-from ._poly import pval, pval_exact
+from ._poly import dot, pval, pval_exact
 from .errors import DomainError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -239,7 +239,7 @@ class Measure:
                     for (x, m), xp in zip(self.atoms, atom_pows):
                         total += mpf(m) * xp
                     for (xs, wd), xp in zip(node_tables, pow_tables):
-                        total += mp.fsum(w * t for w, t in zip(wd, xp))
+                        total += dot(wd, xp, prec)
                     table.append(total)
                     atom_pows = [xp * mpf(x) for (x, _), xp in zip(self.atoms, atom_pows)]
                     pow_tables = [

@@ -26,7 +26,7 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import lu_solve, matrix, mp, mpc, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import ConvergenceError, DomainError, NormalityError, ZeroError
@@ -107,20 +107,16 @@ class MopSystem:
         m1 = self.moments(1, n[0] + d)
         m2 = self.moments(2, n[1] + d)
         with workprec(prec):
-            A = matrix(d, d)
-            b = matrix(d, 1)
-            row = 0
-            for k, nk, mom in ((1, n[0], m1), (2, n[1], m2)):
+            rows, rhs = [], []
+            for nk, mom in ((n[0], m1), (n[1], m2)):
                 for m in range(nk):
-                    for i in range(d):
-                        A[row, i] = mom[m + i]
-                    b[row] = -mom[m + d]
-                    row += 1
+                    rows.append(mom[m : m + d])
+                    rhs.append(-mom[m + d])
             try:
-                c = lu_solve(A, b)
+                c = P.lu_solve(rows, rhs, prec)
             except ZeroDivisionError as exc:
                 raise NormalityError(f"type II moment matrix singular at n={n}") from exc
-            coeffs = tuple(c[i] for i in range(d)) + (mpf(1),)
+            coeffs = tuple(c) + (mpf(1),)
             self._check_orthogonality(coeffs, n, (m1, m2))
             return coeffs
 
@@ -130,15 +126,14 @@ class MopSystem:
         scale = max(abs(c) for c in coeffs)
         for nk, mom in zip(n, moms):
             for m in range(nk):
-                r = mp.fsum(c * mom[m + i] for i, c in enumerate(coeffs))
+                r = P.dot(coeffs, mom[m:], self.precision_bits)
                 if abs(r) > tol * scale * max(abs(x) for x in mom[: m + len(coeffs)]):
                     raise NormalityError(f"orthogonality residual too large at n={n}")
 
     def _h_value(self, rec: MopRecord, j: int):
         n = rec.n
         mom = self.moments(j, n[j - 1] + order(n))
-        with workprec(self.precision_bits):
-            return mp.fsum(c * mom[n[j - 1] + i] for i, c in enumerate(rec.P))
+        return P.dot(rec.P, mom[n[j - 1] :], self.precision_bits)
 
     def type1_record(self, n) -> MopRecord:
         """Type I polynomials (A1, A2, A0) at n (computing if needed)."""
@@ -157,20 +152,13 @@ class MopSystem:
                 a1 = (1 / m1[0],) if n[0] == 1 else ()
                 a2 = (1 / m2[0],) if n[1] == 1 else ()
             else:
-                A = matrix(d, d)
-                b = matrix(d, 1)
-                for m in range(d):
-                    for i in range(n[0]):
-                        A[m, i] = m1[m + i]
-                    for i in range(n[1]):
-                        A[m, n[0] + i] = m2[m + i]
-                    b[m] = mpf(1) if m == d - 1 else mpf(0)
+                rows = [m1[m : m + n[0]] + m2[m : m + n[1]] for m in range(d)]
+                rhs = [mpf(0)] * (d - 1) + [mpf(1)]
                 try:
-                    c = lu_solve(A, b)
+                    c = P.lu_solve(rows, rhs, prec)
                 except ZeroDivisionError as exc:
                     raise NormalityError(f"type I moment matrix singular at n={n}") from exc
-                a1 = tuple(c[i] for i in range(n[0]))
-                a2 = tuple(c[n[0] + i] for i in range(n[1]))
+                a1, a2 = tuple(c[: n[0]]), tuple(c[n[0] :])
             # polynomial part of the Cauchy transform of the linear form
             deg0 = max(n) - 2
             a0 = []

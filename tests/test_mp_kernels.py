@@ -1,0 +1,215 @@
+"""The raw-tuple mp kernels replay mpmath bit for bit, and the engine's bits are pinned."""
+
+import hashlib
+import random
+
+import pytest
+from mpmath import lu_solve as mp_lu_solve, matrix, mp, mpf, workprec
+
+from mop_trees import _poly as P
+from mop_trees.angelesco import angelesco_system
+from mop_trees.errors import NormalityError
+from mop_trees.measures import Measure, uniform
+from mop_trees.mop_engine import MopRecord, MopSystem
+from mop_trees.nikishin import nikishin_system
+
+
+def bits(values):
+    return [v._mpf_ for v in values]
+
+
+def mpmath_solve(rows, rhs, prec):
+    with workprec(prec):
+        return bits(mp_lu_solve(matrix(rows), matrix(rhs)))
+
+
+def assert_replays_mpmath(rows, rhs, prec):
+    """Both solve to the same bits, or both reject the matrix."""
+    try:
+        expected = mpmath_solve(rows, rhs, prec)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            P.lu_solve(rows, rhs, prec)
+        return
+    assert bits(P.lu_solve(rows, rhs, prec)) == expected
+
+
+def type2_system(sys, n):
+    d = n[0] + n[1]
+    rows, rhs = [], []
+    for j, nk in ((1, n[0]), (2, n[1])):
+        mom = sys.moments(j, nk + d)
+        with workprec(sys.precision_bits):
+            for m in range(nk):
+                rows.append(mom[m : m + d])
+                rhs.append(-mom[m + d])
+    return rows, rhs
+
+
+def type1_system(sys, n):
+    d = n[0] + n[1]
+    m1, m2 = sys.moments(1, 2 * d), sys.moments(2, 2 * d)
+    rows = [m1[m : m + n[0]] + m2[m : m + n[1]] for m in range(d)]
+    return rows, [mpf(0)] * (d - 1) + [mpf(1)]
+
+
+@pytest.fixture(scope="module")
+def fresh_systems():
+    return {
+        "angelesco": angelesco_system(uniform(-2, -1), uniform(1, 2)).sys,
+        "nikishin": nikishin_system(uniform(2, 3), uniform(0, 1)).sys,
+    }
+
+
+class TestLuSolve:
+    @pytest.mark.parametrize("family", ["angelesco", "nikishin"])
+    @pytest.mark.parametrize("d", range(1, 22))
+    def test_moment_matrices_match_mpmath(self, fresh_systems, family, d):
+        sys = fresh_systems[family]
+        diagonal = (d - d // 2, d // 2)
+        cases = [type2_system(sys, diagonal), type2_system(sys, (d, 0))]
+        if d >= 2:
+            cases.append(type1_system(sys, diagonal))
+        for rows, rhs in cases:
+            assert_replays_mpmath(rows, rhs, sys.precision_bits)
+
+    @pytest.mark.parametrize("prec", [64, 256, 512])
+    def test_random_dense_matrices_match_mpmath(self, prec):
+        rng = random.Random(prec)
+
+        def draw():
+            # wider than the working precision, so the kernel's roundings all bite
+            return mpf((rng.choice((-1, 1)) * rng.getrandbits(prec + 40), rng.randint(-prec - 48, -prec - 32)))
+
+        for size in range(1, 13):
+            with workprec(prec + 40):
+                rows = [[draw() for _ in range(size)] for _ in range(size)]
+                rhs = [draw() for _ in range(size)]
+            assert_replays_mpmath(rows, rhs, prec)
+
+    def test_first_maximal_pivot_score_wins(self):
+        # rows 0 and 1 score |a_k0| / sum_l |a_kl| = 1/3 and 2/6: an exact tie
+        rows = [[mpf(1), mpf(2), mpf(0)], [mpf(2), mpf(1), mpf(3)], [mpf(0), mpf(1), mpf(1)]]
+        rhs = [mpf(1)] * 3
+        with workprec(64):
+            assert 1 / mpf(3) == 2 * (1 / mpf(6))
+        got = bits(P.lu_solve(rows, rhs, 64))
+        assert got == mpmath_solve(rows, rhs, 64)
+        # the other pivot order rounds differently, so the tie rule is visible
+        assert got != bits(P.lu_solve([rows[1], rows[0], rows[2]], rhs, 64))
+
+    def test_rank_deficient_raises_where_mpmath_raises(self):
+        rows = [[mpf(1), mpf(2), mpf(3)], [mpf(2), mpf(4), mpf(6)], [mpf(1), mpf(1), mpf(1)]]
+        rhs = [mpf(1)] * 3
+        with pytest.raises(ZeroDivisionError):
+            mpmath_solve(rows, rhs, 64)
+        with pytest.raises(ZeroDivisionError):
+            P.lu_solve(rows, rhs, 64)
+
+    def test_zero_pivot_column_raises(self):
+        # mpmath fails here with a TypeError (no pivot row is ever chosen)
+        rows = [[mpf(0), mpf(1)], [mpf(0), mpf(2)]]
+        with pytest.raises(TypeError):
+            mpmath_solve(rows, [mpf(1)] * 2, 64)
+        with pytest.raises(ZeroDivisionError):
+            P.lu_solve(rows, [mpf(1)] * 2, 64)
+
+
+class TestSingularMomentMatrices:
+    """Two atoms at 0 and 1 have exact moments 1, 1/2, 1/2, ...: rank 2."""
+
+    def system(self):
+        return MopSystem(Measure(atoms=((0, 0.5), (1, 0.5))), uniform(2, 3), 128)
+
+    def test_type2_raises_normality_error(self):
+        sys = self.system()
+        rows, rhs = type2_system(sys, (3, 0))
+        with pytest.raises(ZeroDivisionError):
+            mpmath_solve(rows, rhs, 128)
+        with pytest.raises(NormalityError, match="type II moment matrix singular"):
+            sys.type2((3, 0))
+
+    def test_type1_raises_normality_error(self, monkeypatch):
+        sys = self.system()
+        rows, rhs = type1_system(sys, (3, 0))
+        with pytest.raises(ZeroDivisionError):
+            mpmath_solve(rows, rhs, 128)
+        # reach the type I solve without the type II one, which fails first
+        monkeypatch.setattr(MopSystem, "record", lambda self, n: MopRecord(n=tuple(n)))
+        with pytest.raises(NormalityError, match="type I moment matrix singular"):
+            sys.type1_record((3, 0))
+
+
+class TestDot:
+    @pytest.mark.parametrize("prec", [24, 53, 256, 512])
+    def test_equals_fsum_of_products(self, prec):
+        rng = random.Random(prec)
+        with workprec(300):
+            xs, ys = (
+                [mpf((rng.choice((-1, 1)) * rng.getrandbits(300), rng.randint(-400, 100))) for _ in range(40)]
+                for _ in range(2)
+            )
+        xs[3] = ys[7] = mpf(0)
+        for k in (0, 1, 2, 40):
+            with workprec(prec):
+                expected = mp.fsum(x * y for x, y in zip(xs[:k], ys[:k]))
+            assert P.dot(xs[:k], ys[:k], prec)._mpf_ == expected._mpf_
+
+    def test_empty_and_zero_terms(self):
+        assert P.dot([], [], 256)._mpf_ == mpf(0)._mpf_
+        assert P.dot([mpf(0), mpf(3)], [mpf(5), mpf(0)], 256)._mpf_ == mpf(0)._mpf_
+
+    @pytest.mark.parametrize("prec, expected", [(24, 0), (256, 1)])
+    def test_large_exponent_gaps_as_fsum(self, prec, expected):
+        # fsum drops a term more than 2*prec bits below the running sum
+        xs = [mpf(2) ** 100, mpf(1), -(mpf(2) ** 100)]
+        ones = [mpf(1)] * 3
+        with workprec(prec):
+            assert mp.fsum(x * y for x, y in zip(xs, ones)) == expected
+        assert P.dot(xs, ones, prec) == expected
+
+
+# ---------------------------------------------------------------------------
+# bit pin of the engine
+# ---------------------------------------------------------------------------
+
+# sha256 of the fields below as computed by the mpmath.lu_solve / mp.fsum engine;
+# any change to the bits of a moment, record or recurrence row breaks it
+ENGINE_DIGEST = "ca8fdb837e79f9facf6c6fd038cfbffdb05e39015dbb4d61f3ac6466cb0b9e50"
+
+
+def engine_fields(sys, nmax, moments_upto=40):
+    """Moments 0..40 of both measures, then P, h, A1, A2, A0 and the recurrence row for |n| <= nmax."""
+    out = [("mom", bits(mu.moments_mp(moments_upto, sys.precision_bits))) for mu in (sys.mu1, sys.mu2)]
+    for d in range(nmax + 1):
+        for n1 in range(d, -1, -1):
+            n = (n1, d - n1)
+            rec = sys.record(n)
+            out.append((n, "P", bits(rec.P)))
+            out.append((n, "h", bits(rec.h)))
+            if d >= 1:
+                rec = sys.type1_record(n)
+                out.extend((n, name, bits(getattr(rec, name))) for name in ("A1", "A2", "A0"))
+            out.append((n, "rec", bits(sys.recurrence(n))))
+    return out
+
+
+def engine_digest():
+    fields = engine_fields(angelesco_system(uniform(-2, -1), uniform(1, 2)).sys, 10)
+    fields += engine_fields(nikishin_system(uniform(2, 3), uniform(0, 1)).sys, 6)
+    h = hashlib.sha256()
+    for *label, values in fields:
+        h.update(repr(tuple(label)).encode())
+        for sign, man, exp, bc in values:
+            h.update(f"{sign} {int(man)} {exp} {bc};".encode())
+    return h.hexdigest()
+
+
+def test_engine_bits_pinned():
+    assert engine_digest() == ENGINE_DIGEST
+
+
+@pytest.mark.parametrize("ambient", [24, 1024])
+def test_engine_bits_ignore_ambient_precision(ambient):
+    with workprec(ambient):
+        assert engine_digest() == ENGINE_DIGEST
