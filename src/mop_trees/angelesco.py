@@ -493,8 +493,9 @@ def d_n_xi(asys, n, xi: float, x):
     """(-1)^{n2} (x - xi) A_n^{(1)}(x) A_n^{(2)}(x), the positive multiplier of the
     linear form for gap values xi."""
     rec = asys.sys.type1_record(n)
-    a1 = float(P.pval(rec.A1, x)) if rec.A1 else 0.0
-    a2 = float(P.pval(rec.A2, x)) if rec.A2 else 0.0
+    with workprec(asys.sys.precision_bits):
+        a1 = float(P.pval(rec.A1, mpf(x))) if rec.A1 else 0.0
+        a2 = float(P.pval(rec.A2, mpf(x))) if rec.A2 else 0.0
     return (-1.0) ** n[1] * (x - xi) * a1 * a2
 
 
@@ -502,7 +503,9 @@ def _s_n_xi(asys, n, xi, x):
     rec = asys.sys.type1_record(n)
     k = asys.side_of(x)
     other = rec.A2 if k == 1 else rec.A1
-    return abs(float(P.pval(other, x))) ** -1 / abs(x - xi)
+    with workprec(asys.sys.precision_bits):
+        val = float(P.pval(other, mpf(x)))
+    return abs(val) ** -1 / abs(x - xi)
 
 
 def reference_measure(asys: AngelescoSystem, n, x: float) -> float:

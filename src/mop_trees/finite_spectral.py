@@ -10,7 +10,7 @@ cancel.
 
 The standing numerical assumptions (all zeros real and simple, parent/child
 zero sets disjoint) are verified on entry, not assumed; a clash within
-``clash_tol`` raises :class:`AssumptionError`.
+``_CLASH_TOL`` raises :class:`AssumptionError`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .mop_engine import E1, E2, MopSystem, add, order, real_zeros
 from .tree_jacobi import TreeOperator, _kappa, assemble_finite, lattice_values, signature_diagonal
 from .tree_topology import ROOT_PARENT, Tree, finite_tree
 
-_CLASH_TOL = 1e-9
+_CLASH_TOL = 1e-9        # zeros closer than this count as one eigenvalue (or a clash)
+_RESIDUAL_FACTOR = 1e-9  # eigenvector residual bound, relative to ||J||_2
+_NEUTRAL_TOL = 1e-10     # |[psi, psi]| below this times <psi, psi> is a neutral vector
 
 
 @dataclass
@@ -51,13 +53,6 @@ class SpectralDecomposition:
     @property
     def tree(self) -> Tree:
         return self.op.tree
-
-    def basis_matrix(self) -> np.ndarray:
-        cols = []
-        for i, ev in enumerate(self.eigenvalues):
-            for X in ev.joint_star:
-                cols.append(self.vectors[(i, X)])
-        return np.column_stack(cols)
 
     def eigenvalue_csv(self) -> str:
         """Two-column CSV of eigenvalues and their multiplicities."""
@@ -88,22 +83,23 @@ class SpectralDecomposition:
 
 def boundary_polynomial(sys: MopSystem, kappa, N) -> tuple:
     """kappa1 P_{N+e1} + kappa2 P_{N+e2}; monic of degree |N|+1 since kappa sums to 1."""
+    # Ambient mp.prec, as in _canonical_family: sys.precision_bits moves the tree-svec golden.
     p1 = sys.record(add(tuple(N), E1)).P
     p2 = sys.record(add(tuple(N), E2)).P
     return P.padd(P.pscale(p1, kappa[0]), P.pscale(p2, kappa[1]))
 
 
-def eigenvalue_set(sys: MopSystem, kappa, N, clash_tol: float = _CLASH_TOL):
+def eigenvalue_set(sys: MopSystem, kappa, N):
     """Eigenvalues with provenance; verifies the zero-structure assumptions.
 
     Returns (eigenvalues, zero_table, boundary_poly) where zero_table maps
     each relevant multi-index key to its sorted zero list.
     """
     N = (int(N[0]), int(N[1]))
-    return _eigenvalue_set_on(sys, _kappa(kappa), N, finite_tree(N), clash_tol)
+    return _eigenvalue_set_on(sys, _kappa(kappa), N, finite_tree(N))
 
 
-def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
+def _eigenvalue_set_on(sys, kappa, N, tree):
     prec = sys.precision_bits
     bpoly = boundary_polynomial(sys, kappa, N)
     zero_table: dict = {"boundary": [float(z) for z in real_zeros(bpoly, prec)]}
@@ -122,14 +118,14 @@ def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
         zs = zero_table[n]
         if len(zs) != order(n):
             raise AssumptionError(f"P_{n} has fewer real simple zeros than its degree")
-        if any(b - a < clash_tol for a, b in zip(zs[:-1], zs[1:])):
+        if any(b - a < _CLASH_TOL for a, b in zip(zs[:-1], zs[1:])):
             raise AssumptionError(f"P_{n} has nearly multiple zeros")
 
     # parent/child zero sets disjoint
     pairs = [(n, add(n, e)) for n in inner for e in (E1, E2) if add(n, e) in zero_table]
     for n, m in pairs:
-        _assert_disjoint(zero_table[n], zero_table[m], clash_tol, f"{n} vs {m}")
-    _assert_disjoint(zero_table[N], zero_table["boundary"], clash_tol, f"{N} vs boundary")
+        _assert_disjoint(zero_table[n], zero_table[m], f"{n} vs {m}")
+    _assert_disjoint(zero_table[N], zero_table["boundary"], f"{N} vs boundary")
 
     # cluster across polynomials
     events = [(z, "boundary") for z in zero_table["boundary"]]
@@ -138,14 +134,15 @@ def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
             events.extend((z, n) for z in zero_table[n])
     events.sort(key=lambda t: t[0])
     joint_vertices: dict = {}
-    for v in np.flatnonzero(np.diff(tree.first_child) == 2).tolist():
-        joint_vertices.setdefault(tree.proj[v], []).append(v)
+    joints = np.flatnonzero(np.diff(tree.first_child) == 2)
+    for v, n in zip(joints.tolist(), map(tuple, tree.points[joints].tolist())):
+        joint_vertices.setdefault(n, []).append(v)
 
     eigenvalues = []
     i = 0
     while i < len(events):
         j = i + 1
-        while j < len(events) and events[j][0] - events[j - 1][0] < clash_tol:
+        while j < len(events) and events[j][0] - events[j - 1][0] < _CLASH_TOL:
             j += 1
         cluster = events[i:j]
         E = float(np.mean([z for z, _ in cluster]))
@@ -161,10 +158,10 @@ def _eigenvalue_set_on(sys, kappa, N, tree, clash_tol):
     return eigenvalues, zero_table, bpoly
 
 
-def _assert_disjoint(z1, z2, tol, label):
+def _assert_disjoint(z1, z2, label):
     for a in z1:
         for b in z2:
-            if abs(a - b) < tol:
+            if abs(a - b) < _CLASH_TOL:
                 raise AssumptionError(f"zero clash between {label}: {a} ~ {b}")
 
 
@@ -186,13 +183,13 @@ def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
             if abs(float(P.pval(bpoly, E))) > 1e-6:
                 raise JointError("E is not a zero of the boundary polynomial")
             return pvals
-        if len(tree.children[X]) != 2:
+        c1 = int(tree.first_child[X])
+        if tree.first_child[X + 1] - c1 != 2:
             raise JointError("joint must have two children")
         if abs(p[X]) > 1e-6:
             raise JointError("E is not a zero of the polynomial at the joint")
         vec = np.zeros(len(tree))
-        (c1, _), (c2, _) = tree.children[X]
-        for sgn, c in ((-1.0, c1), (1.0, c2)):
+        for sgn, c in ((-1.0, c1), (1.0, c1 + 1)):
             coef = sgn * (-1.0) ** op.sigma[c] / (np.sqrt(op.W[c]) * pvals[c])
             ids = tree.subtree_ids(c)
             vec[ids] = coef * pvals[ids]
@@ -201,7 +198,7 @@ def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
     return vector
 
 
-def full_basis(sys: MopSystem, kappa, N, residual_factor: float = 1e-9) -> SpectralDecomposition:
+def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     """All canonical eigenvectors, verified against the assembled matrix.
 
     Verifies per-vector residuals, the counting identity
@@ -211,14 +208,14 @@ def full_basis(sys: MopSystem, kappa, N, residual_factor: float = 1e-9) -> Spect
     N = (int(N[0]), int(N[1]))
     kappa = (float(kappa[0]), float(kappa[1]))
     op = assemble_finite(sys, kappa, N)
-    eigenvalues, zero_table, bpoly = _eigenvalue_set_on(sys, kappa, N, op.tree, _CLASH_TOL)
+    eigenvalues, zero_table, bpoly = _eigenvalue_set_on(sys, kappa, N, op.tree)
 
     nv = op.n_vertices
     if sum(ev.g for ev in eigenvalues) != nv:
         raise AssumptionError("counting identity #V = sum g_E fails")
 
     J = op.dense()
-    tol = residual_factor * np.linalg.norm(J, 2)
+    tol = _RESIDUAL_FACTOR * np.linalg.norm(J, 2)
     m = op.m_weights()
     vectors = {}
     for i, ev in enumerate(eigenvalues):
@@ -256,58 +253,35 @@ def full_basis(sys: MopSystem, kappa, N, residual_factor: float = 1e-9) -> Spect
 # ---------------------------------------------------------------------------
 
 
+def _joint_levels(tree: Tree, is_joint: np.ndarray) -> np.ndarray:
+    """Per vertex, the number of joints strictly above it: one walk down the generations.
+
+    ``is_joint`` is a boolean mask over the vertices, or a (vertices, sets)
+    array with one joint set per column.
+    """
+    level = np.zeros(is_joint.shape, dtype=int)
+    for lo, hi in tree.generations()[1:]:
+        par = tree.parent[lo:hi]
+        level[lo:hi] = level[par] + is_joint[par]
+    return level
+
+
 def waves_and_fronts_on(tree: Tree, joints) -> list:
     """Partition the vertex set into waves with fronts, given the joint set.
 
-    Wave 1 grows down from the root and stops at joints (inclusive); wave k+1
-    grows from the children of the previous front's joints.  Fronts consist of
-    the canopy and joint vertices reached by each wave.  An empty joint set
-    yields a single wave covering the tree.
+    Wave k holds the vertices with k - 1 joints strictly above them: wave 1
+    grows down from the root and stops at joints (inclusive), wave k+1 grows
+    from the children of wave k's joints.  A wave's front is its joints and
+    its canopy vertices (the leaves).  An empty joint set yields a single
+    wave covering the tree.
     """
-    joints = set(joints)
-    canopy = set(tree.canopy()) if tree.kind == "finite" else set(tree.leaves())
-    assigned = set()
-    waves = []
-
-    def sweep(starts):
-        wave, stops = set(), set()
-        queue = list(starts)
-        while queue:
-            v = queue.pop(0)
-            if v in assigned or v in wave:
-                continue
-            wave.add(v)
-            if v in joints:
-                stops.add(v)
-                continue
-            queue.extend(c for c, _ in tree.children[v])
-        front = (wave & canopy) | stops
-        return wave, front
-
-    if 0 in joints:
-        waves.append(({0}, {0}))
-        assigned.add(0)
-        frontier = [0]
-    else:
-        wave, front = sweep([0])
-        waves.append((wave, front))
-        assigned |= wave
-        frontier = sorted(front & joints)
-
-    while frontier:
-        starts = [c for f in frontier for c, _ in tree.children[f]]
-        if not starts:
-            break
-        wave, front = sweep(starts)
-        if not wave:
-            break
-        waves.append((wave, front))
-        assigned |= wave
-        frontier = sorted(front & joints)
-    leftover = set(range(len(tree))) - assigned
-    if leftover:
-        raise AssumptionError("wave partition failed to exhaust the vertex set")
-    return waves
+    is_joint = np.isin(np.arange(len(tree)), list(joints))
+    level = _joint_levels(tree, is_joint)
+    stop = is_joint | ~tree.interior()
+    return [
+        (set(np.flatnonzero(level == k).tolist()), set(np.flatnonzero((level == k) & stop).tolist()))
+        for k in range(level.max() + 1)
+    ]
 
 
 def waves_and_fronts(decomp: SpectralDecomposition, E: float) -> list:
@@ -328,26 +302,25 @@ class IndefiniteBasis:
     inertia: tuple           # (#positive, #negative)
 
 
-def s_orthogonalize(decomp: SpectralDecomposition, neutral_tol: float = 1e-10) -> IndefiniteBasis:
+def s_orthogonalize(decomp: SpectralDecomposition) -> IndefiniteBasis:
     """Per-eigenspace Gram-Schmidt in the indefinite inner product.
 
-    Within each eigenspace, vectors are processed from the deepest wave
-    upward (trivial vector last), so each new vector only needs its
+    Within each eigenspace, vectors are processed from the deepest joint
+    level upward (trivial vector last), so each new vector only needs its
     projections onto previously produced ones subtracted.  Distinct
     eigenspaces are automatically orthogonal.  The output satisfies
     ``|[psi_i, psi_j]| <= tol`` off the diagonal, ``[psi_i, psi_i] = +-1``,
     and the sign counts reproduce the inertia of the signature diagonal.
     """
     s = signature_diagonal(decomp.op)
+    joints = [[X for X in ev.joint_star if X != ROOT_PARENT] for ev in decomp.eigenvalues]
+    is_joint = np.zeros((len(s), len(joints)), dtype=bool)  # one column per eigenspace
+    for i, js in enumerate(joints):
+        is_joint[js, i] = True
+    level = _joint_levels(decomp.tree, is_joint)
     cols, signs, labels = [], [], []
     for i, ev in enumerate(decomp.eigenvalues):
-        joints = [X for X in ev.joint_star if X != ROOT_PARENT]
-        waves = waves_and_fronts_on(decomp.tree, joints)
-        wave_of = {}
-        for wi, (wave, _) in enumerate(waves):
-            for v in wave:
-                wave_of[v] = wi
-        ordered = sorted(joints, key=lambda X: (-wave_of[X], X))
+        ordered = sorted(joints[i], key=lambda X: (-level[X, i], X))
         if ROOT_PARENT in ev.joint_star:
             ordered.append(ROOT_PARENT)
         produced = []
@@ -356,7 +329,7 @@ def s_orthogonalize(decomp: SpectralDecomposition, neutral_tol: float = 1e-10) -
             for phi, sg in produced:
                 psi -= sg * float(np.dot(s * psi, phi)) * phi
             nu = float(np.dot(s * psi, psi))
-            if abs(nu) < neutral_tol * float(np.dot(psi, psi)):
+            if abs(nu) < _NEUTRAL_TOL * float(np.dot(psi, psi)):
                 raise NeutralVectorError(f"neutral vector at E={ev.E}, X={X}")
             psi /= np.sqrt(abs(nu))
             sg = 1.0 if nu > 0 else -1.0

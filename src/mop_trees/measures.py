@@ -230,11 +230,12 @@ class Measure:
                 for i in range(len(self.pieces)):
                     xs, ws, dens = _piece_table(self, i, (), prec)
                     node_tables.append((xs, [w * d for w, d in zip(ws, dens)]))
-                start = len(table)
-                # incremental powers: x^k tables carried across k
-                pow_tables = [[x**start for x in xs] for xs, _ in node_tables]
-                atom_pows = [mpf(x) ** start for x, _ in self.atoms]
-                for k in range(start, upto + 1):
+                # x^k per node and atom, carried across k and across extensions,
+                # so the bits do not depend on how the table was grown
+                pow_tables, atom_pows = self._cache.get(("mom_pows", prec)) or (
+                    [[mpf(1)] * len(xs) for xs, _ in node_tables], [mpf(1)] * len(self.atoms)
+                )
+                for k in range(len(table), upto + 1):
                     total = mpf(0)
                     for (x, m), xp in zip(self.atoms, atom_pows):
                         total += mpf(m) * xp
@@ -247,6 +248,7 @@ class Measure:
                         for (xs, _), xp in zip(node_tables, pow_tables)
                     ]
             self._cache[key] = table
+            self._cache[("mom_pows", prec)] = (pow_tables, atom_pows)
         return table[: upto + 1]
 
     # -- Cauchy transforms ------------------------------------------------

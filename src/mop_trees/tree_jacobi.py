@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
@@ -173,9 +174,7 @@ def s_selfadjoint_check(op: TreeOperator) -> float:
     s = signature_diagonal(op)
     S = sp.diags(s)
     R = S @ J - J.T @ S
-    return float(np.max(np.abs(R.toarray()))) if op.n_vertices <= _DENSE_LIMIT else float(
-        abs(R).max()
-    )
+    return float(abs(R).max())
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +205,14 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
     if kind == "p":
         if tree.kind != "finite":
             raise ValueError("kind 'p' requires a finite-tree operator")
-        f = lattice_values(lambda n: complex(P.pval(sys.record(n).P, z)), tree.points)
-        f /= op.m_weights()
         N = op.meta["N"]
-        bnd = op.kappa[0] * complex(P.pval(sys.record(add(N, E1)).P, z)) + op.kappa[1] * complex(
-            P.pval(sys.record(add(N, E2)).P, z)
-        )
+        with workprec(sys.precision_bits):  # not at the ambient mp.prec
+            zp = mpc(z)
+            f = lattice_values(lambda n: complex(P.pval(sys.record(n).P, zp)), tree.points)
+            bnd = op.kappa[0] * complex(P.pval(sys.record(add(N, E1)).P, zp)) + op.kappa[1] * complex(
+                P.pval(sys.record(add(N, E2)).P, zp)
+            )
+        f /= op.m_weights()
         res = op.apply(f) - z * f
         res[0] += bnd
         return float(np.max(np.abs(res)))
@@ -232,11 +233,13 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
         def type1_values(n):
             rec = sys.type1_record(n)
             srcs = (rec.A0, rec.A1, rec.A2)
-            return [complex(P.pval(srcs[j], z)) if srcs[j] else 0j for j in kl]
+            return [complex(P.pval(srcs[j], zp)) if srcs[j] else 0j for j in kl]
 
         ids = tree.subtree_ids(X)
         at = np.concatenate([[tree.parent[X]], ids])
-        lam = lattice_values(type1_values, tree.points[at]) / op.m_weights()[at, None]
+        with workprec(sys.precision_bits):
+            zp = mpc(z)
+            lam = lattice_values(type1_values, tree.points[at]) / op.m_weights()[at, None]
         f = np.zeros(len(tree), dtype=complex)
         f[ids] = lam[0, 0] * lam[1:, 1] - lam[1:, 0] * lam[0, 1]
         f /= np.max(np.abs(f))  # the identity is scale-free (no boundary term)

@@ -44,10 +44,6 @@ class Tree:
     def __len__(self):
         return len(self.parent)
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.parent)
-
     @cached_property
     def proj(self) -> list:
         return list(map(tuple, self.points.tolist()))
@@ -57,9 +53,6 @@ class Tree:
         """Per vertex: list of (child_id, iota)."""
         fc, lab = self.first_child.tolist(), self.iota.tolist()
         return [[(c, lab[c]) for c in range(fc[v], fc[v + 1])] for v in range(len(self))]
-
-    def is_leaf(self, v: int) -> bool:
-        return self.first_child[v] == self.first_child[v + 1]
 
     def interior(self) -> np.ndarray:
         """Boolean mask of the vertices that have children."""
@@ -71,13 +64,6 @@ class Tree:
     def canopy(self) -> list:
         """Vertices projecting to (0, 0) (finite trees only)."""
         return np.flatnonzero(~self.points.any(axis=1)).tolist()
-
-    def path_to_root(self, v: int) -> list:
-        """Vertex ids from v up to and including the root."""
-        out = [v]
-        while self.parent[out[-1]] != ROOT_PARENT:
-            out.append(int(self.parent[out[-1]]))
-        return out
 
     def _ranges(self, lo: int, hi: int):
         """Id ranges, one per generation, of the descendants of the ids lo..hi-1."""

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from mop_trees.angelesco import angelesco_system
 from mop_trees.measures import uniform
 from mop_trees.nikishin import nikishin_system
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

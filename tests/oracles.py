@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mpf, workprec
 
+from mop_trees.errors import AssumptionError
 from mop_trees.quadrature import gauss_legendre
 
 
@@ -148,6 +149,60 @@ def bfs_cayley_truncation(depth, root_proj=(1, 1)):
         return [] if d >= depth else [((p[0] + 1, p[1]), 1), ((p[0], p[1] + 1), 2)]
 
     return BfsTree(root_proj, kids)
+
+
+def waves_and_fronts_sweep(tree, joints) -> list:
+    """Reference wave partition: the set-based FIFO sweep of
+    ``finite_spectral.waves_and_fronts_on`` before it read joint levels.
+
+    Wave 1 grows down from the root and stops at joints (inclusive); wave k+1
+    grows from the children of the previous front's joints.  Fronts consist of
+    the canopy and joint vertices reached by each wave.
+    """
+    joints = set(joints)
+    canopy = set(tree.canopy()) if tree.kind == "finite" else set(tree.leaves())
+    assigned = set()
+    waves = []
+
+    def sweep(starts):
+        wave, stops = set(), set()
+        queue = list(starts)
+        while queue:
+            v = queue.pop(0)
+            if v in assigned or v in wave:
+                continue
+            wave.add(v)
+            if v in joints:
+                stops.add(v)
+                continue
+            queue.extend(c for c, _ in tree.children[v])
+        front = (wave & canopy) | stops
+        return wave, front
+
+    if 0 in joints:
+        waves.append(({0}, {0}))
+        assigned.add(0)
+        frontier = [0]
+    else:
+        wave, front = sweep([0])
+        waves.append((wave, front))
+        assigned |= wave
+        frontier = sorted(front & joints)
+
+    while frontier:
+        starts = [c for f in frontier for c, _ in tree.children[f]]
+        if not starts:
+            break
+        wave, front = sweep(starts)
+        if not wave:
+            break
+        waves.append((wave, front))
+        assigned |= wave
+        frontier = sorted(front & joints)
+    leftover = set(range(len(tree))) - assigned
+    if leftover:
+        raise AssumptionError("wave partition failed to exhaust the vertex set")
+    return waves
 
 
 def find_e_kappa_sweep(asys, kappa, grid: int = 4000):

@@ -60,7 +60,7 @@ def report(name):
 def test_criterion_01_finite_tree_spectral_theorem():
     t0 = time.perf_counter()
     asys = angelesco_system(uniform(-2, -1), uniform(1, 2))
-    dec = full_basis(asys.sys, (0.0, 1.0), (2, 1), residual_factor=1e-9)
+    dec = full_basis(asys.sys, (0.0, 1.0), (2, 1))
     assert dec.op.n_vertices == 9
     assert sum(e.g for e in dec.eigenvalues) == 9
     sizes = dec.report["zero_table_sizes"]

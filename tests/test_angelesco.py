@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import workprec
 
 from mop_trees import angelesco
 from mop_trees.angelesco import (
@@ -287,6 +288,16 @@ class TestReferenceMeasure:
     def test_nu_mass_positive(self, ang_u):
         for E in type1_zero_set(ang_u, (2, 2)):
             assert nu_ne_mass(ang_u, (2, 2), E, 0.1) > 0
+
+    def test_dual_route_ignores_ambient_precision(self, ang_u):
+        zeros = type1_zero_set(ang_u, (2, 2))
+        points = [(x, xi) for x in (-1.55, 1.44) for xi in (-0.3, 0.4)]
+        seen = set()
+        for ambient in (24, 53, 1024):
+            with workprec(ambient):
+                dual = [reference_measure_via_dual(ang_u, (2, 2), x, xi) for x, xi in points]
+                seen.add(tuple(dual + [nu_ne_mass(ang_u, (2, 2), E, 0.1) for E in zeros]))
+        assert len(seen) == 1
 
     def test_form_nonvanishing_on_real_line(self, ang_u):
         # |L_n| stays away from zero on a grid crossing both intervals and the gap

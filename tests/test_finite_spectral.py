@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import waves_and_fronts_sweep
 
 from mop_trees import finite_spectral
 from mop_trees.errors import JointError
@@ -145,14 +146,15 @@ class TestWaves:
         waves = waves_and_fronts(dec, dec.eigenvalues[i].E)
         assert waves[0][0] == {0} and waves[0][1] == {0}
 
+    @staticmethod
+    def worked_joint(t):
+        """The vertex with proj (2, 1) below the (2, 2) child of the (3, 2) root."""
+        return next(v for v in range(len(t)) if t.proj[v] == (2, 1) and t.proj[t.parent[v]] == (2, 2))
+
     def test_worked_partition_on_three_two(self):
         # synthetic joint set {root, X} with proj(X) = (2, 1) below the (2,2) child
         t = finite_tree((3, 2))
-        X = next(
-            v
-            for v in range(len(t))
-            if t.proj[v] == (2, 1) and t.proj[t.parent[v]] == (2, 2)
-        )
+        X = self.worked_joint(t)
         waves = waves_and_fronts_on(t, [0, X])
         assert [len(w) for w, _ in waves] == [1, 25, 8]
         w2 = waves[1][0]
@@ -166,6 +168,20 @@ class TestWaves:
         waves = waves_and_fronts_on(t, [])
         assert len(waves) == 1 and len(waves[0][0]) == len(t)
         assert waves[0][1] == set(t.canopy())
+
+    @pytest.mark.parametrize("system, N", [("ang", (2, 1)), ("ang", (3, 2)), ("ang", (5, 4)), ("nik", (2, 2))])
+    def test_eigenvalue_joint_sets_match_reference_sweep(self, request, system, N):
+        sysm = request.getfixturevalue(f"{system}_sys")
+        eigs, _, _ = eigenvalue_set(sysm, (0, 1), N)
+        t = finite_tree(N)
+        for ev in eigs:
+            joints = [X for X in ev.joint_star if X != ROOT_PARENT]
+            assert waves_and_fronts_on(t, joints) == waves_and_fronts_sweep(t, joints)
+
+    def test_synthetic_joint_sets_match_reference_sweep(self):
+        t = finite_tree((3, 2))
+        for joints in ([], [0], [0, self.worked_joint(t)]):
+            assert waves_and_fronts_on(t, joints) == waves_and_fronts_sweep(t, joints)
 
 
 class TestOrthogonalization:

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from mop_trees import _poly as P
 from mop_trees.errors import NormalityError
-from mop_trees.measures import cauchy, uniform
+from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
     MopSystem,
     consistency_residual,
@@ -300,3 +302,34 @@ class TestRecordExport:
         assert doc["P"] == pytest.approx([-7 / 3, 0.0, 1.0])
         assert doc["a"] == pytest.approx([1 / 12, 1 / 12])
         assert set(doc) == {"n", "P", "A1", "A2", "a", "b", "h"}
+
+
+exponent = st.floats(min_value=-0.5, max_value=2)
+width = st.floats(min_value=0.2, max_value=2)
+
+
+class TestJacobiWeightPairs:
+    """Random Angelesco pairs: (x-a)^p (b-x)^q on two disjoint intervals."""
+
+    @staticmethod
+    def system(a1, w1, gap, w2, p1, q1, p2, q2):
+        def measure(a, b, p, q):
+            return Measure(pieces=(Piece(a, b, DensitySpec("jacobi_weight", p=p, q=q)),))
+
+        b1, a2 = a1 + w1, a1 + w1 + gap
+        return MopSystem(measure(a1, b1, p1, q1), measure(a2, a2 + w2, p2, q2))
+
+    @given(
+        a1=st.floats(min_value=-3, max_value=0), w1=width, gap=st.floats(min_value=0.1, max_value=2), w2=width,
+        p1=exponent, q1=exponent, p2=exponent, q2=exponent,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_consistency_and_interlacing(self, a1, w1, gap, w2, p1, q1, p2, q2):
+        sysm = self.system(a1, w1, gap, w2, p1, q1, p2, q2)
+        for n1 in range(1, 5):
+            for n2 in range(1, 6 - n1):
+                assert max(float(r) for r in consistency_residual(sysm, (n1, n2))) < 1e-25
+        for n1 in range(5):
+            for n2 in range(5 - n1):
+                for i in (1, 2):
+                    assert interlacing_check(sysm, (n1, n2), i), f"fails at {(n1, n2)}, i={i}"

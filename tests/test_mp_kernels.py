@@ -213,3 +213,17 @@ def test_engine_bits_pinned():
 def test_engine_bits_ignore_ambient_precision(ambient):
     with workprec(ambient):
         assert engine_digest() == ENGINE_DIGEST
+
+
+def test_moment_bits_ignore_call_history():
+    # extending a cached moment table carries the power rows, so a system that
+    # solved (2,2) first holds the same bits as one that solves (10,10) cold
+    warm = angelesco_system(uniform(-2, -1), uniform(1, 2)).sys
+    warm.record((2, 2))
+    cold = angelesco_system(uniform(-2, -1), uniform(1, 2)).sys
+    for sys in (warm, cold):
+        sys.record((10, 10))
+    prec = cold.precision_bits
+    for mu_w, mu_c in ((warm.mu1, cold.mu1), (warm.mu2, cold.mu2)):
+        assert bits(mu_w.moments_mp(30, prec)) == bits(mu_c.moments_mp(30, prec))
+    assert bits(warm.record((10, 10)).P) == bits(cold.record((10, 10)).P)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import workprec
 
 from mop_trees import tree_jacobi
 from mop_trees.angelesco import angelesco_system
@@ -144,6 +145,18 @@ class TestEigenfunctionIdentities:
         for X in (1, 2):
             for kl in ((1, 0), (2, 0), (2, 1)):
                 assert eigenfunction_residual(op, "lambda_commutator", 5.0, X=X, kl=kl) < 1e-12
+
+    def test_mp_families_ignore_ambient_precision(self, ang_sys):
+        finite = assemble_finite(ang_sys, (0.3, 0.7), (2, 1))
+        cayley = assemble_truncated(ang_sys, (1, 0), 4)
+        seen = set()
+        for ambient in (24, 53, 1024):
+            with workprec(ambient):
+                seen.add((
+                    eigenfunction_residual(finite, "p", 0.4 + 0.2j),
+                    eigenfunction_residual(cayley, "lambda_commutator", 5.0, X=1, kl=(2, 1)),
+                ))
+        assert len(seen) == 1
 
 
 class TestExports:
