@@ -45,7 +45,7 @@ from .mop_engine import (
     second_kind_boundary,
     second_kind_boundary_mp,
 )
-from .tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
+from .tree_jacobi import _kappa, assemble_subtree, assemble_truncated, lattice_values
 
 _ENDPOINT_EXCLUSION = 1e-6
 
@@ -211,7 +211,7 @@ def _require_atomless(asys: AngelescoSystem) -> None:
 def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
     """Spectral measure of the root vector for the kappa operator (atomless measures only)."""
     _require_atomless(asys)
-    kappa = (float(kappa[0]), float(kappa[1]))
+    kappa = _kappa(kappa)
 
     def raw(x: float) -> float:
         x = float(x)
@@ -279,10 +279,7 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
         w_k = (vk1, vk2)[k - 1]
 
         def value(n):
-            rec = sysm.type1_record(n)
-            l0 = P.pval(rec.A0, xm) if rec.A0 else mpf(0)
-            l1 = P.pval(rec.A1, xm) if rec.A1 else mpf(0)
-            l2 = P.pval(rec.A2, xm) if rec.A2 else mpf(0)
+            l0, l1, l2 = sysm.type1_values(n, xm)
             return float((l0 * w_k - sgn * hat_other * (l2 * vk1 - l1 * vk2)) / s_o)
 
         return lattice_values(value, points) / m
@@ -300,6 +297,8 @@ def _path_data(asys, word):
     iota = 0
     parent_proj = None
     for step in word:
+        if step not in (1, 2):
+            raise DomainError(f"child labels are 1 and 2, not {step!r}")
         parent_proj = proj
         proj = add(proj, E1 if step == 1 else E2)
         a = asys.sys.recurrence_float(parent_proj)[step - 1]
@@ -442,16 +441,10 @@ def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
         xm = mpf(x)
         mu_other = sysm.mu2 if k == 1 else sysm.mu1
         hat_other = mu_other.markov_mp(xm, prec)
-        rp = sysm.type1_record(n)
+        ap = sysm.type1_values(n, xm)
 
-        def a_val(rec, j):
-            src = {0: rec.A0, 1: rec.A1, 2: rec.A2}[j]
-            return P.pval(src, xm) if src else mpf(0)
-
-        ap = {j: a_val(rp, j) for j in (0, 1, 2)}
-
-        def value(n):
-            av = {j: a_val(sysm.type1_record(n), j) for j in (0, 1, 2)}
+        def value(m):
+            av = sysm.type1_values(m, xm)
             core = (ap[k] * av[0] - av[k] * ap[0]) + (
                 ap[3 - k] * av[k] - av[3 - k] * ap[k]
             ) * hat_other
@@ -492,20 +485,13 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
 def d_n_xi(asys, n, xi: float, x):
     """(-1)^{n2} (x - xi) A_n^{(1)}(x) A_n^{(2)}(x), the positive multiplier of the
     linear form for gap values xi."""
-    rec = asys.sys.type1_record(n)
-    with workprec(asys.sys.precision_bits):
-        a1 = float(P.pval(rec.A1, mpf(x))) if rec.A1 else 0.0
-        a2 = float(P.pval(rec.A2, mpf(x))) if rec.A2 else 0.0
-    return (-1.0) ** n[1] * (x - xi) * a1 * a2
+    _, a1, a2 = asys.sys.type1_values(n, x)
+    return (-1.0) ** n[1] * (x - xi) * float(a1) * float(a2)
 
 
 def _s_n_xi(asys, n, xi, x):
-    rec = asys.sys.type1_record(n)
-    k = asys.side_of(x)
-    other = rec.A2 if k == 1 else rec.A1
-    with workprec(asys.sys.precision_bits):
-        val = float(P.pval(other, mpf(x)))
-    return abs(val) ** -1 / abs(x - xi)
+    other = asys.sys.type1_values(n, x)[3 - asys.side_of(x)]  # A_n^{(3-k)} for x in interval k
+    return abs(float(other)) ** -1 / abs(x - xi)
 
 
 def reference_measure(asys: AngelescoSystem, n, x: float) -> float:
@@ -593,12 +579,7 @@ def dual_pole_weight_residual(asys: AngelescoSystem, n, E: float, xi: float) -> 
 
 def type1_zero_set(asys, n) -> list:
     """Zeros of A_n^{(1)} A_n^{(2)} (each localized in its own interval)."""
-    rec = asys.sys.type1_record(n)
-    out = []
-    for coeffs in (rec.A1, rec.A2):
-        if coeffs and len(coeffs) > 1:
-            out.extend(float(z) for z in real_zeros(coeffs, asys.sys.precision_bits))
-    return sorted(out)
+    return sorted(float(z) for k in (1, 2) for z in asys.sys.zeros(n, k))
 
 
 # ---------------------------------------------------------------------------

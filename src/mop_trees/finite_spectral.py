@@ -109,7 +109,7 @@ def _eigenvalue_set_on(sys, kappa, N, tree):
         for n2 in range(N[1] + 1)
     ]
     for n in inner:
-        zero_table[n] = [float(z) for z in real_zeros(sys.record(n).P, prec)]
+        zero_table[n] = [float(z) for z in sys.zeros(n)]
 
     # zeros real and simple with the advertised counts
     if len(zero_table["boundary"]) != order(N) + 1:

@@ -23,7 +23,8 @@ Conventions, for a multi-index n = (n1, n2):
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
@@ -34,6 +35,7 @@ from .measures import Measure, cauchy
 
 E1 = (1, 0)
 E2 = (0, 1)
+_ZERO = mpf(0)
 
 
 def add(n, e):
@@ -59,6 +61,7 @@ class MopRecord:
     A2: tuple | None = None
     A0: tuple | None = None
     rec: tuple | None = None  # (a1, a2, b1, b2)
+    zeros: dict = field(default_factory=dict)  # k -> zeros of P (k = 0) or of A_k
 
 
 class MopSystem:
@@ -182,6 +185,24 @@ class MopSystem:
 
     def h_values(self, n) -> tuple:
         return self.record(n).h
+
+    def type1_values(self, n, z) -> tuple:
+        """(A0, A1, A2) at z, evaluated at ``precision_bits``; 0 for an empty polynomial."""
+        rec = self.type1_record(n)
+        bits = self.precision_bits
+        # second_kind, psi_o and psi_tilde already run under workprec(bits): skip the redundant switch
+        with contextlib.nullcontext() if mp.prec == bits else workprec(bits):
+            z = mp.mpmathify(z)
+            return tuple([P.pval(c, z) if c else _ZERO for c in (rec.A0, rec.A1, rec.A2)])
+
+    def zeros(self, n, k: int = 0) -> tuple:
+        """Real zeros of P_n (k = 0) or of A_n^{(k)} (k = 1, 2), ascending mpf, found
+        once per record by :func:`real_zeros`; a constant or empty polynomial has none."""
+        rec = self.record(n) if k == 0 else self.type1_record(n)
+        if k not in rec.zeros:
+            c = (rec.P, rec.A1, rec.A2)[k]
+            rec.zeros[k] = tuple(real_zeros(c, self.precision_bits)) if len(c) > 1 else ()
+        return rec.zeros[k]
 
     def recurrence(self, n) -> tuple:
         """(a1, a2, b1, b2) at n, with a_{n,i} = 0 when n_i = 0."""
@@ -333,15 +354,10 @@ def second_kind(sys: MopSystem, n, z):
     functions R_{n,k} are the Cauchy transforms ``cauchy(mu_k, z, P_n)``.
     """
     prec = sys.precision_bits
-    rec = sys.type1_record(n)
     with workprec(prec):
         zm = mpc(z)
-        mu1h = sys.mu1.markov_mp(zm, prec)
-        mu2h = sys.mu2.markov_mp(zm, prec)
-        L = P.pval(rec.A1 or (mpf(0),), zm) * mu1h + P.pval(rec.A2 or (mpf(0),), zm) * mu2h
-        if rec.A0:
-            L -= P.pval(rec.A0, zm)
-        return L
+        a0, a1, a2 = sys.type1_values(n, zm)
+        return a1 * sys.mu1.markov_mp(zm, prec) + a2 * sys.mu2.markov_mp(zm, prec) - a0
 
 
 def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):
@@ -408,11 +424,8 @@ def l_kappa(sys: MopSystem, kappa, z, side=None, prec=None):
 # ---------------------------------------------------------------------------
 
 
-_ZERO_CACHE: dict = {}
-
-
-def _polish(coeffs, seeds, prec: int) -> list:
-    """Newton-polish each seed on the extended-precision coefficients.
+def _polish(cm, seeds, prec: int) -> list:
+    """Newton-polish each seed on the mpf coefficients ``cm``.
 
     Accepts a step either below the target tolerance or stagnating at the
     rounding floor of the evaluation; anything else raises
@@ -420,7 +433,6 @@ def _polish(coeffs, seeds, prec: int) -> list:
     """
     out = []
     with workprec(prec + 16):
-        cm = tuple(mpf(c) if not hasattr(c, "_mpf_") else c for c in coeffs)
         dcm = P.pder(cm)
         tol = mpf(2) ** (-(prec - 8))
         floor_tol = mpf(2) ** (-(prec // 2))
@@ -447,80 +459,59 @@ def _polish(coeffs, seeds, prec: int) -> list:
     return out
 
 
-def _shifted_seeds(coeffs, prec: int) -> list:
-    """Companion seeds computed after an extended-precision Taylor shift.
+def _shifted_seeds(cm, prec: int) -> list:
+    """Real companion-matrix seeds for the mpf coefficients ``cm`` (degree >= 1).
 
-    Centering at the root centroid and rescaling by a Cauchy-type radius makes
-    the double-precision coefficient rounding harmless for real-rooted input.
+    The polynomial is Taylor-shifted in mp to its root centroid, then scaled
+    in double by the power of two above a Fujiwara-type root radius (exact),
+    so that the double-precision rounding of the coefficients stays harmless
+    for real-rooted input.
     """
-    d = len(coeffs) - 1
+    d = len(cm) - 1
     with workprec(prec):
-        cm = [mpf(c) if not hasattr(c, "_mpf_") else c for c in coeffs]
-        mu = -cm[d - 1] / (d * cm[d])
-        for i in range(d + 1):  # Horner shift x -> mu + t
+        c = list(cm)
+        mu = -c[d - 1] / (d * c[d])
+        for i in range(d):  # Horner shift x -> mu + t
             for j in range(d - 1, i - 1, -1):
-                cm[j] = cm[j] + mu * cm[j + 1]
-        r = 2 * max((abs(cm[k] / cm[d])) ** (1 / mpf(d - k)) for k in range(d))
-        if r == 0:
-            return [float(mu)] * d
-        cs = [cm[k] * r**k for k in range(d + 1)]
-        top = max(abs(c) for c in cs)
-        cf = np.asarray([float(c / top) for c in cs])
-        roots = np.roots(cf[::-1])
-        return [
-            float(mu) + float(r) * z.real
-            for z in roots
-            if abs(z.imag) <= 1e-6 * max(1.0, abs(z))
-        ]
+                c[j] = c[j] + mu * c[j + 1]
+        ratios = [float(ck / c[d]) for ck in c[:d]]
+    r = 2 * max(abs(q) ** (1 / (d - k)) for k, q in enumerate(ratios))
+    if r == 0:
+        return [float(mu)] * d
+    e = math.frexp(r)[1]  # 2^e > r
+    roots = np.roots([1.0] + [math.ldexp(ratios[k], -e * (d - k)) for k in range(d - 1, -1, -1)])
+    return [float(mu) + math.ldexp(t.real, e) for t in roots if abs(t.imag) <= 1e-6 * max(1.0, abs(t))]
 
 
 def real_zeros(coeffs, prec: int = 256) -> list:
     """All real zeros of a polynomial, Newton-polished in extended precision.
 
-    Seeds come from the double-precision companion matrix; each seed with a
-    negligible imaginary part is polished on the mp coefficients.  Zeros are
-    returned sorted ascending as mpf values.
+    One loop: seed from the current quotient (:func:`_shifted_seeds`),
+    polish the zeros found so far together with the new seeds on the
+    original coefficients, deduplicate, and deflate the found zeros out of
+    the original to get the next quotient.  The loop stops when a round adds
+    no zero, so separated clusters that one companion matrix misses are
+    picked up from the quotient.  Zeros are returned sorted ascending as mpf
+    values.
     """
-    coeffs = tuple(coeffs)
-    cache_key = (coeffs, prec)
-    if cache_key in _ZERO_CACHE:
-        return list(_ZERO_CACHE[cache_key])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) == 0 or all(c == 0 for c in coeffs):
-        raise ValueError("real_zeros requires a nonzero polynomial")
-    if len(coeffs) == 1:
-        return []
-    cf = np.asarray(P.pfloat(coeffs))
-    scale = float(np.max(np.abs(cf)))
-    roots = np.roots(cf[::-1] / scale)
-    seeds = [r.real for r in roots if abs(r.imag) <= 1e-6 * max(1.0, abs(r))]
-    if len(seeds) < len(coeffs) - 1:
-        # monomial coefficients too ill-conditioned in double: reseed from the
-        # polynomial Taylor-shifted to its root centroid and rescaled
-        seeds = _shifted_seeds(coeffs, prec)
-    out = _polish(coeffs, seeds, prec)
-    out.sort()
-    dedup = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > mpf(1e-12) * max(1, abs(r)):
-            dedup.append(r)
-    if 0 < len(dedup) < len(coeffs) - 1:
-        # separated root clusters: deflate the found ones and recurse on the
-        # quotient, whose own centroid shift then targets the missing cluster
-        with workprec(prec + 16):
-            quotient = tuple(mpf(c) if not hasattr(c, "_mpf_") else c for c in coeffs)
-            for r in dedup:
+    with workprec(prec + 16):
+        cm = [c if hasattr(c, "_mpf_") else mpf(c) for c in coeffs]
+        while cm and cm[-1] == 0:
+            cm.pop()
+        if not cm:
+            raise ValueError("real_zeros requires a nonzero polynomial")
+        found, quotient = [], cm
+        while len(found) < len(cm) - 1:
+            zeros = []
+            for r in sorted(_polish(cm, found + _shifted_seeds(quotient, prec), prec)):
+                if not zeros or abs(r - zeros[-1]) > mpf(1e-12) * max(1, abs(r)):
+                    zeros.append(r)
+            if len(zeros) <= len(found):
+                break
+            found, quotient = zeros, cm
+            for r in found:
                 quotient = _deflate(quotient, r)
-        more = real_zeros(quotient, prec)
-        if more:
-            polished = _polish(coeffs, dedup + more, prec)
-            dedup = []
-            for r in sorted(polished):
-                if not dedup or abs(r - dedup[-1]) > mpf(1e-12) * max(1, abs(r)):
-                    dedup.append(r)
-    _ZERO_CACHE[cache_key] = tuple(dedup)
-    return dedup
+    return found
 
 
 def _deflate(coeffs, r):
@@ -545,9 +536,8 @@ def _strict_interlace(inner, outer) -> bool:
 
 def interlacing_check(sys: MopSystem, n, i: int) -> bool:
     """Strict interlacing of the zeros of P_n and P_{n+e_i}."""
-    e = E1 if i == 1 else E2
-    zn = real_zeros(sys.record(n).P, sys.precision_bits)
-    zu = real_zeros(sys.record(add(n, e)).P, sys.precision_bits)
+    zn = sys.zeros(n)
+    zu = sys.zeros(add(n, E1 if i == 1 else E2))
     if len(zn) != order(n) or len(zu) != order(n) + 1:
         raise ZeroError(f"zero count mismatch at n={n} (multiple root?)")
     return _strict_interlace(zn, zu)
@@ -562,41 +552,26 @@ def type1_interlacing_check(sys: MopSystem, n, k: int, l: int) -> bool:
     second-family zeros right, adding e_2 pulls the first-family zeros left);
     for k = l the larger family brackets the smaller one.
     """
-    rec_n = sys.type1_record(n)
-    e = E1 if l == 1 else E2
-    rec_u = sys.type1_record(add(n, e))
-    an = rec_n.A1 if k == 1 else rec_n.A2
-    au = rec_u.A1 if k == 1 else rec_u.A2
-    mu = sys.mu1 if k == 1 else sys.mu2
-    lo, hi = mu.hull()
+    lo, hi = (sys.mu1 if k == 1 else sys.mu2).hull()
 
-    def zeros_of(c, m):
-        if m <= 0:
-            return []
-        z = real_zeros(c, sys.precision_bits)
-        if len(z) != m:
+    def zeros_of(m):
+        z = sys.zeros(m, k)
+        if len(z) != max(m[k - 1] - 1, 0):
             raise ZeroError(f"type I zero count mismatch at n={n}, k={k}")
         if not all(lo <= float(x) <= hi for x in z):
             raise ZeroError(f"type I zeros leave the host interval at n={n}, k={k}")
         return z
 
-    nk = n[k - 1]
-    uk = nk + (1 if k == l else 0)
-    zn = zeros_of(an, nk - 1)
-    zu = zeros_of(au, uk - 1)
+    zn = zeros_of(n)
+    zu = zeros_of(add(n, E1 if l == 1 else E2))
     if k == l:
         return _strict_interlace(zn, zu) if zn or zu else True
-    if not zn and not zu:
-        return True
     # equal counts: strict alternation with the stated dominance direction
     if len(zn) != len(zu):
         return False
-    if (k, l) == (2, 1):
-        pairs = zip(zn, zu)  # zeros of A_{n+e_1}^{(2)} dominate
-        merged = [v for pair in zip(zn, zu) for v in pair]
-    else:
-        pairs = zip(zu, zn)  # zeros of A_n^{(1)} dominate
-        merged = [v for pair in zip(zu, zn) for v in pair]
+    # zeros of A_{n+e_1}^{(2)} dominate for (k, l) = (2, 1), of A_n^{(1)} for (1, 2)
+    first, second = (zn, zu) if (k, l) == (2, 1) else (zu, zn)
+    merged = [v for pair in zip(first, second) for v in pair]
     return all(a < b for a, b in zip(merged[:-1], merged[1:]))
 
 

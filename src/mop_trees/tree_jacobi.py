@@ -229,17 +229,12 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
     if kind == "lambda_commutator":
         if X is None or X == 0:
             raise ValueError("lambda_commutator requires an interior subtree root X != O")
-
-        def type1_values(n):
-            rec = sys.type1_record(n)
-            srcs = (rec.A0, rec.A1, rec.A2)
-            return [complex(P.pval(srcs[j], zp)) if srcs[j] else 0j for j in kl]
-
         ids = tree.subtree_ids(X)
         at = np.concatenate([[tree.parent[X]], ids])
         with workprec(sys.precision_bits):
             zp = mpc(z)
-            lam = lattice_values(type1_values, tree.points[at]) / op.m_weights()[at, None]
+            lam = lattice_values(lambda n: [complex(sys.type1_values(n, zp)[j]) for j in kl], tree.points[at])
+        lam /= op.m_weights()[at, None]
         f = np.zeros(len(tree), dtype=complex)
         f[ids] = lam[0, 0] * lam[1:, 1] - lam[1:, 0] * lam[0, 1]
         f /= np.max(np.abs(f))  # the identity is scale-free (no boundary term)

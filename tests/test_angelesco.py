@@ -123,6 +123,12 @@ class TestRhoO:
         assert 0 < mass < 1
         assert rep.total_mass() == pytest.approx(1.0, abs=1e-8)
 
+    def test_kappa_must_sum_to_one(self, ang_u):
+        # the measure has unit mass by construction; a kappa off the simplex
+        # used to return a measure of mass 0.186
+        with pytest.raises(ValueError):
+            rho_o(ang_u, (2, 3))
+
     def test_first_moment_is_root_potential(self, ang_u):
         for kappa in ((1.0, 0.0), (0.5, 0.5)):
             rep = rho_o(ang_u, kappa)
@@ -181,6 +187,16 @@ class TestGreen:
     def test_y_outside_subtree_rejected(self, ang_u):
         with pytest.raises(DomainError):
             green(ang_u, (1, 0), (2,), (1,), 5.0)
+
+    @pytest.mark.parametrize("word", [(3,), (1, 0), (2, -1)])
+    def test_invalid_child_label_rejected(self, ang_u, word):
+        # labels other than 1 and 2 used to be read as 2
+        with pytest.raises(DomainError):
+            green(ang_u, (1, 0), word, word, 5.0, depth=4)
+        with pytest.raises(DomainError):
+            s_x(ang_u, word, 1.5)
+        with pytest.raises(DomainError):
+            rho_sub(ang_u, word)
 
     def test_boundary_ratio_trend(self, ang_u):
         # Im G(Y,X)/Im G(X,X) at x + i*eps approaches the eigenfunction value

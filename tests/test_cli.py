@@ -167,6 +167,18 @@ class TestExitCodesAndDeterminism:
         assert code == 2
         assert "OverlapError" in json.loads(out)["error"]["code"]
 
+    def test_invalid_child_label_exits_two(self, capsys):
+        code = main(["angelesco", "green", "--system", SYSTEM, "--kappa", "1,0", "--z", "5", "--X", "3", "--Y", "3"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "angelesco.DomainError"
+
+    @pytest.mark.parametrize("cmd", ["rho", "dos-profile"])
+    def test_kappa_off_simplex_exits_one(self, cmd, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["angelesco", cmd, "--system", SYSTEM, "--kappa", "2,3", "--grid", "4"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_byte_identical_reruns(self, ang_file, capsys):
         _, out1 = run(capsys, "mop", "coeffs", "--system", ang_file, "--n", "1,1")
         _, out2 = run(capsys, "mop", "coeffs", "--system", ang_file, "--n", "1,1")

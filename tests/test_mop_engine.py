@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from mop_trees import _poly as P
+from mop_trees import mop_engine
 from mop_trees.errors import NormalityError
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
@@ -209,10 +210,48 @@ class TestSecondKind:
         assert a == pytest.approx(np.conj(b))
 
 
+def _from_roots(roots, prec=256):
+    """Ascending mp coefficients of prod (x - r)."""
+    with workprec(prec):
+        c = [mpf(1)]
+        for r in roots:
+            c = [(c[i - 1] if i else 0) - mpf(r) * (c[i] if i < len(c) else 0) for i in range(len(c) + 1)]
+    return tuple(c)
+
+
 class TestZeros:
     def test_quadratic(self):
         zs = real_zeros((-1.0, 0.0, 1.0))
         assert [float(z) for z in zs] == pytest.approx([-1.0, 1.0], abs=1e-30)
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((-6.0, 1.0, -5.0, 1.0, 1.0), [-3.0, 2.0]),  # (x^2 + 1)(x - 2)(x + 3)
+            ((2.5,), []),
+            ((3.0, 0.0), []),  # a zero top coefficient is dropped
+        ],
+    )
+    def test_complex_pairs_and_constants(self, coeffs, expected):
+        zs = real_zeros(coeffs)
+        assert [float(z) for z in zs] == pytest.approx(expected, abs=1e-30)
+
+    @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, 0.0, 0.0)])
+    def test_zero_polynomial_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            real_zeros(coeffs)
+
+    def test_separated_clusters(self, monkeypatch):
+        # 18 dyadic roots in three clusters; the first companion matrix finds
+        # only some of them, the deflated quotient the rest
+        roots = sorted(c + j / 64 for c in (-3, 0.25, 4) for j in range(6))
+        seeded = []
+        orig = mop_engine._shifted_seeds
+        monkeypatch.setattr(mop_engine, "_shifted_seeds", lambda cm, prec: seeded.append(cm) or orig(cm, prec))
+        zs = real_zeros(_from_roots(roots))
+        assert len(zs) == len(roots)
+        assert max(abs(z - r) / abs(r) for z, r in zip(zs, roots)) < mpf(2) ** -200
+        assert len(seeded) >= 2 and len(seeded[-1]) < len(seeded[0])  # a quotient was seeded
 
     def test_degree_one(self, ang_sys):
         zs = real_zeros(ang_sys.type2((1, 0)))
@@ -235,6 +274,42 @@ class TestZeros:
             for z in real_zeros(ang_sys.record(n).P):
                 x = float(z)
                 assert -2 <= x <= -1 or 1 <= x <= 2
+
+
+class TestZerosOnRecords:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        orig = mop_engine.real_zeros
+        monkeypatch.setattr(mop_engine, "real_zeros", lambda c, prec=256: seen.append(c) or orig(c, prec))
+        return seen
+
+    def test_interlacing_reads_record_zeros(self, calls):
+        sys = MopSystem(uniform(-2, -1), uniform(1, 2))
+        assert interlacing_check(sys, (3, 2), 1)
+        assert interlacing_check(sys, (3, 2), 2)
+        assert len(calls) == 3  # P_(3,2), P_(4,2), P_(3,3): P_(3,2) only once
+
+    def test_type1_check_repeats_without_new_searches(self, calls):
+        sys = MopSystem(uniform(-2, -1), uniform(1, 2))
+        assert type1_interlacing_check(sys, (2, 2), 2, 1)
+        first = len(calls)
+        assert type1_interlacing_check(sys, (2, 2), 2, 1)
+        assert first > 0 and len(calls) == first
+
+    def test_record_zeros_match_direct_search(self, ang_sys):
+        for n, k in [((3, 2), 0), ((3, 2), 1), ((3, 2), 2), ((0, 3), 1), ((1, 1), 2)]:
+            rec = ang_sys.record(n) if k == 0 else ang_sys.type1_record(n)
+            c = (rec.P, rec.A1, rec.A2)[k]
+            assert ang_sys.zeros(n, k) == (tuple(real_zeros(c)) if len(c) > 1 else ())
+
+    def test_type1_values_match_horner(self, ang_sys):
+        z = mpf("1.25")
+        rec = ang_sys.type1_record((3, 2))
+        with workprec(256):
+            expected = tuple(P.pval(c, z) for c in (rec.A0, rec.A1, rec.A2))
+        assert ang_sys.type1_values((3, 2), z) == expected
+        assert ang_sys.type1_values((0, 1), z)[1] == 0  # A1 = 0 when n1 = 0
 
 
 class TestInterlacing:
