@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 from mpmath import mpc, mpf, workprec
 
 from . import _poly as P
@@ -341,6 +339,7 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     tree = op.tree
     y_id = tree.vertex_by_path(Y[len(X):])
     n = op.n_vertices
+    import scipy.sparse.linalg
     A = op.sparse().astype(complex) - zc * scipy.sparse.identity(n, format="csr")
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = 1.0
@@ -594,6 +593,7 @@ def spectrum_envelope_check(asys: AngelescoSystem, kappa, depth_list) -> dict:
     to the union of the two intervals and the kappa-form zero, plus the
     fill distance of the truncation spectrum inside the intervals.
     """
+    import scipy.linalg
     E = find_e_kappa(asys, kappa)
     targets = [asys.delta1, asys.delta2]
 

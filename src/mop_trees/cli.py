@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 def load_system(path: str, precision_bits: int | None = None) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    bits = precision_bits or int(doc.get("precision_bits", 256))
+    bits = int(doc.get("precision_bits", 256)) if precision_bits is None else precision_bits
     kind = doc.get("type")
     if kind == "angelesco":
         asys = ang.angelesco_system(
@@ -260,8 +260,8 @@ def cmd_periodic_surface(args):
 
 
 def cmd_periodic_dos(args):
-    if not args.grid or args.grid < 1:
-        raise ValueError("empty grid: pass --grid with a positive count")
+    if args.grid < 2:  # the grid is split between the two cuts
+        raise ValueError("empty grid: pass --grid with at least one point per cut (2 or more)")
     surf = _surface_from_args(args)
     pts = []
     for a, b in surf.cuts:

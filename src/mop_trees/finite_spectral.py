@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
@@ -233,6 +232,7 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     if rank != nv:
         raise RankError(f"stacked canonical vectors have rank {rank} < {nv}")
 
+    import scipy.linalg
     if np.all(op.sigma == 0):
         dense_eigs = np.sort(scipy.linalg.eigvalsh(J))
     else:

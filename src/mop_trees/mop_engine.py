@@ -75,6 +75,8 @@ class MopSystem:
         self.mu1 = mu1
         self.mu2 = mu2
         self.precision_bits = int(precision_bits)
+        if self.precision_bits < 1:
+            raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
         self._records: dict[tuple, MopRecord] = {}
         self._floats: dict[tuple, tuple] = {}
 

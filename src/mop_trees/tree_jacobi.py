@@ -27,7 +27,6 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from mpmath import mpc, workprec
 
 from . import _poly as P
@@ -57,21 +56,22 @@ class TreeOperator:
     kappa: tuple | None
     sys: MopSystem | None
     meta: dict = field(default_factory=dict)
-    _sparse: sp.csr_matrix | None = field(default=None, repr=False)
+    _sparse: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.V)
 
-    def sparse(self) -> sp.csr_matrix:
+    def sparse(self) -> scipy.sparse.csr_matrix:
         if self._sparse is None:
+            import scipy.sparse
             n = self.n_vertices
             ids, v, p = np.arange(n), np.arange(1, n), self.tree.parent[1:]
             sq = np.sqrt(self.W[1:])
             rows = np.concatenate([ids, v, p])           # row v, parent column: sqrt(W_v)
             cols = np.concatenate([ids, p, v])
             vals = np.concatenate([self.V, sq, np.where(self.sigma[1:], -sq, sq)])
-            self._sparse = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+            self._sparse = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
         return self._sparse
 
     def dense(self) -> np.ndarray:
@@ -170,9 +170,9 @@ def signature_diagonal(op: TreeOperator) -> np.ndarray:
 
 def s_selfadjoint_check(op: TreeOperator) -> float:
     """Max-norm of S J - J^T S; zero in exact arithmetic."""
+    import scipy.sparse
     J = op.sparse()
-    s = signature_diagonal(op)
-    S = sp.diags(s)
+    S = scipy.sparse.diags(signature_diagonal(op))
     R = S @ J - J.T @ S
     return float(abs(R).max())
 

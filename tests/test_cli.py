@@ -193,10 +193,20 @@ class TestExitCodesAndDeterminism:
         )
         assert code == 1
 
-    def test_periodic_empty_grid_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
+    def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):
         monkeypatch.setattr(periodic_surface, "from_params", _must_not_run)
-        code = main(["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", "0"])
+        code = main(["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", grid])
         assert code == 1
+
+    @pytest.mark.parametrize("bits", [0, -8])
+    def test_nonpositive_precision_exits_one(self, bits, capsys, tmp_path):
+        # fails fast from the flag and from the file: no spin in the moment solve, no fallback to 256
+        doc = tmp_path / "bits.json"
+        doc.write_text(json.dumps({**ANG_DOC, "precision_bits": bits}))
+        for argv in (["--system", SYSTEM, "--precision-bits", str(bits)], ["--system", str(doc)]):
+            assert main(["mop", "coeffs", "--n", "1,1", *argv]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_dos_small_grid_csv(self, capsys, tmp_path):
         out_path = str(tmp_path / "dos2.csv")
@@ -230,13 +240,29 @@ GOLDEN_COMMANDS = {
 }
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # Every CLI command is a fresh process; scipy.integrate (which pulls in
-    # scipy.special and scipy.optimize) is imported only where a quad runs.
-    code = "import mop_trees.cli, sys; sys.exit('scipy.integrate' in sys.modules)"
+def _python(code, *args, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, timeout=120).returncode
+
+
+def test_import_leaves_scipy_unloaded():
+    # Every CLI command is a fresh process; scipy is imported only inside the
+    # calls that use it (eigensolves, sparse LU, quad).
+    code = "import mop_trees.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    assert _python(code) == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["mop-coeffs", "angelesco-dos-profile", "periodic-surface", "periodic-dos", "periodic-raylimit"]
+)
+def test_command_runs_without_scipy(name, tmp_path):
+    code = (
+        "import json, sys; from mop_trees.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+    )
+    assert _python(code, json.dumps(GOLDEN_COMMANDS[name]), cwd=tmp_path) == 0
 
 
 def test_golden_set_is_covered():

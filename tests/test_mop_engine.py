@@ -349,6 +349,13 @@ class TestSignLambda:
                 assert sign_lambda_check(ang_sys, (n1, n2))
 
 
+@pytest.mark.parametrize("bits", [0, -8])
+def test_nonpositive_precision_rejected(bits):
+    mu = uniform(-1, 1)
+    with pytest.raises(ValueError):
+        MopSystem(mu, mu, bits)
+
+
 class TestNormalityInvariant:
     def test_degrees_exact_small_grid(self, ang_sys):
         for n1 in range(0, 5):

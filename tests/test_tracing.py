@@ -9,6 +9,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import mop_trees.cli  # noqa: F401  (imports every layer the tracer patches)
+from mop_trees.angelesco import green
+from mop_trees.finite_spectral import full_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,7 +29,7 @@ def _namespaces():
     return mods + list(classes.values()) + [scipy.linalg, scipy.sparse.linalg]
 
 
-def test_install_then_uninstall_restores_every_wrapped_object():
+def test_install_then_uninstall_restores_every_wrapped_object(ang_u):
     tracing = _load_tracing()
     before = [(ns, dict(vars(ns))) for ns in _namespaces()]
     tracer = tracing.Tracer()
@@ -39,6 +41,11 @@ def test_install_then_uninstall_restores_every_wrapped_object():
         assert {"real_zeros", "record", "type1_record", "recurrence", "gauss_legendre_mp"} <= names
         for target, attr, orig in patched:
             assert vars(target)[attr] is not orig, f"{attr} was not wrapped"
+        # the library imports scipy inside these calls; the wrapped solvers must still be the ones run
+        full_basis(ang_u.sys, (0, 1), (2, 1))
+        green(ang_u, (1, 0), (1, 2), (1,), 5.0, depth=4)
+        assert {"finite_spectral.dense_eig", "angelesco.resolvent"} <= set(tracer.names)
+        assert tracer.counts["angelesco.resolvent_unknowns"] > 0
     finally:
         tracer.uninstall()
     for target, attr, orig in patched:
