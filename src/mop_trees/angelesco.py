@@ -313,6 +313,7 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     oracle solves the Dirichlet truncation of the subtree operator at the
     given depth with a sparse LU.
     """
+    kappa = _kappa(kappa)
     X, Y = tuple(X), tuple(Y)
     if Y[: len(X)] != X:
         raise DomainError("Y must lie in the subtree below X")

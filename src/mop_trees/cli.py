@@ -11,6 +11,8 @@ System files are JSON documents:
 where a measure literal is
 ``{"atoms": [[x, m], ...], "pieces": [{"a":, "b":, "density": {...}}], "quad_order": 200}``.
 
+Each subcommand returns its JSON document (or writes its CSV files and returns
+None); ``main`` loads the system, emits the document and sets the exit code.
 Exit codes: 0 success, 1 usage error, 2 assumption/validation failure.
 Outputs are deterministic: JSON with sorted keys and shortest-roundtrip
 floats, CSV through :func:`emit_plot_data`.
@@ -44,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 def load_system(path: str, precision_bits: int | None = None) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    if doc.get("schema", SCHEMA) != SCHEMA:
+        raise ValueError(f"unsupported system schema {doc['schema']!r} (expected {SCHEMA!r})")
     bits = int(doc.get("precision_bits", 256)) if precision_bits is None else precision_bits
     kind = doc.get("type")
     if kind == "angelesco":
@@ -92,6 +96,15 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _profile(args, pts, default: str, masses=None) -> dict | None:
+    """CSV files with ``--format csv`` or ``--out``, else a ``profile`` key."""
+    if args.format == "csv" or args.out:
+        emit_plot_data(pts, args.out or default, masses=masses)
+        sys.stdout.write(f"wrote {len(pts)} points\n")
+        return None
+    return {"profile": [[x, y] for x, y in pts]}
+
+
 def _parse_pair(text, cast=float) -> tuple:
     parts = [cast(t) for t in str(text).split(",")]
     if len(parts) != 2:
@@ -105,44 +118,45 @@ def _parse_word(text) -> tuple:
     return tuple(int(t) for t in str(text).split(","))
 
 
+def _grid(zero_ok: bool):
+    """argparse type for ``--grid``: the points are split between two intervals,
+    so a profile needs 2 or more; 0 means no profile where ``zero_ok``."""
+
+    def grid(text: str) -> int:
+        n = int(text)
+        if n < 2 and not (zero_ok and n == 0):
+            raise argparse.ArgumentTypeError(
+                f"{n} leaves an interval without points: pass 2 or more" + (" (0 for none)" if zero_ok else "")
+            )
+        return n
+
+    return grid
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, loaded system or None) -> JSON document, or None
 # ---------------------------------------------------------------------------
 
 
-def cmd_mop_coeffs(args):
-    sysm = load_system(args.system, args.precision_bits)["sys"]
-    n = _parse_pair(args.n, int)
-    _emit({"command": "mop coeffs", "record": sysm.record_json(n)}, args.out)
-    return 0
+def cmd_mop_coeffs(args, loaded):
+    return {"record": loaded["sys"].record_json(_parse_pair(args.n, int))}
 
 
-def cmd_tree_spectrum(args):
-    sysm = load_system(args.system, args.precision_bits)["sys"]
+def cmd_tree_spectrum(args, loaded):
     N = _parse_pair(args.N, int)
     kappa = _parse_pair(args.kappa)
-    dec = full_basis(sysm, kappa, N)
-    _emit(
-        {
-            "command": "tree spectrum",
-            "N": list(N),
-            "kappa": list(kappa),
-            "n_vertices": dec.op.n_vertices,
-            "eigenvalues": [
-                {"E": ev.E, "g": ev.g} for ev in dec.eigenvalues
-            ],
-            "dense_gap": dec.report["dense_gap"],
-        },
-        args.out,
-    )
-    return 0
+    dec = full_basis(loaded["sys"], kappa, N)
+    return {
+        "N": list(N),
+        "kappa": list(kappa),
+        "n_vertices": dec.op.n_vertices,
+        "eigenvalues": [{"E": ev.E, "g": ev.g} for ev in dec.eigenvalues],
+        "dense_gap": dec.report["dense_gap"],
+    }
 
 
-def cmd_tree_svec(args):
-    sysm = load_system(args.system, args.precision_bits)["sys"]
-    N = _parse_pair(args.N, int)
-    kappa = _parse_pair(args.kappa)
-    dec = full_basis(sysm, kappa, N)
+def cmd_tree_svec(args, loaded):
+    dec = full_basis(loaded["sys"], _parse_pair(args.kappa), _parse_pair(args.N, int))
     basis = s_orthogonalize(dec)
     doc = dec.to_json()
     doc["orthobasis"] = {
@@ -151,91 +165,60 @@ def cmd_tree_svec(args):
         "inertia": list(basis.inertia),
         "columns": [[float(v) for v in basis.matrix[:, j]] for j in range(basis.matrix.shape[1])],
     }
-    _emit({"command": "tree svec", **doc}, args.out)
-    return 0
+    return doc
 
 
-def cmd_angelesco_green(args):
-    asys = load_system(args.system, args.precision_bits)["asys"]
-    kappa = _parse_pair(args.kappa)
+def cmd_angelesco_green(args, loaded):
     X, Y = _parse_word(args.X), _parse_word(args.Y)
-    f, r = ang.green(asys, kappa, Y or X, X, complex(args.z), depth=args.depth)
-    _emit(
-        {
-            "command": "angelesco green",
-            "X": list(X),
-            "Y": list(Y or X),
-            "z": [complex(args.z).real, complex(args.z).imag],
-            "formula": [f.real, f.imag],
-            "resolvent": [r.real, r.imag],
-            "rel_error": abs(f - r) / max(abs(f), 1e-300),
-        },
-        args.out,
-    )
-    return 0
+    f, r = ang.green(loaded["asys"], _parse_pair(args.kappa), Y or X, X, args.z, depth=args.depth)
+    return {
+        "X": list(X),
+        "Y": list(Y or X),
+        "z": [args.z.real, args.z.imag],
+        "formula": [f.real, f.imag],
+        "resolvent": [r.real, r.imag],
+        "rel_error": abs(f - r) / max(abs(f), 1e-300),
+    }
 
 
-def cmd_angelesco_rho(args):
-    asys = load_system(args.system, args.precision_bits)["asys"]
+def cmd_angelesco_rho(args, loaded):
     kappa = _parse_pair(args.kappa)
-    rep = ang.rho_o(asys, kappa)
+    rep = ang.rho_o(loaded["asys"], kappa)
     doc = {
-        "command": "angelesco rho",
         "kappa": list(kappa),
         "point_masses": [[float(a), float(b)] for a, b in rep.point_masses],
         "total_mass": rep.total_mass(),
         "first_moment": rep.first_moment(),
     }
     if args.grid:
-        pts = rep.profile(args.grid)
-        doc["profile"] = [[x, y] for x, y in pts]
-    _emit(doc, args.out)
-    return 0
+        doc["profile"] = [[x, y] for x, y in rep.profile(args.grid)]
+    return doc
 
 
-def cmd_angelesco_dos_profile(args):
-    if not args.grid or args.grid < 1:
-        raise ValueError("empty grid: pass --grid with a positive count")
-    asys = load_system(args.system, args.precision_bits)["asys"]
-    kappa = _parse_pair(args.kappa)
-    rep = ang.rho_o(asys, kappa)
-    pts = rep.profile(args.grid)
-    if args.format == "csv" or args.out:
-        emit_plot_data(pts, args.out or "rho_profile.csv", masses=rep.point_masses)
-        sys.stdout.write(f"wrote {len(pts)} points\n")
-    else:
-        _emit({"command": "angelesco dos-profile", "profile": [[x, y] for x, y in pts]}, None)
-    return 0
+def cmd_angelesco_dos_profile(args, loaded):
+    rep = ang.rho_o(loaded["asys"], _parse_pair(args.kappa))
+    return _profile(args, rep.profile(args.grid), "rho_profile.csv", masses=rep.point_masses)
 
 
-def cmd_nikishin_signs(args):
-    nsys = load_system(args.system, args.precision_bits)["nsys"]
-    rep = nik.sign_pattern_check(nsys, args.nmax)
-    hrep = nik.h_sign_check(nsys, args.nmax)
-    _emit(
-        {
-            "command": "nikishin signs",
-            "nmax": args.nmax,
-            "sign_pattern": {"passed": rep["passed"], "violations": rep["violations"]},
-            "h_signs": {"passed": hrep["passed"], "violations": hrep["violations"]},
-            "verdict": "PASS" if rep["passed"] and hrep["passed"] else "FAIL",
-        },
-        args.out,
-    )
-    return 0 if rep["passed"] and hrep["passed"] else 2
+def cmd_nikishin_signs(args, loaded):
+    rep = nik.sign_pattern_check(loaded["nsys"], args.nmax)
+    hrep = nik.h_sign_check(loaded["nsys"], args.nmax)
+    return {
+        "nmax": args.nmax,
+        "sign_pattern": {"passed": rep["passed"], "violations": rep["violations"]},
+        "h_signs": {"passed": hrep["passed"], "violations": hrep["violations"]},
+        "verdict": "PASS" if rep["passed"] and hrep["passed"] else "FAIL",
+    }
 
 
-def cmd_nikishin_blowup(args):
-    nsys = load_system(args.system, args.precision_bits)["nsys"]
-    scan = nik.diagonal_blowup_scan(nsys, args.nmax)
-    if args.format == "csv":
-        rows = [(d["n"], d["a1"]) for d in scan["diagonal"]]
-        emit_plot_data(rows, args.out or "blowup_a1.csv")
-        rows = [(d["n"], d["a2"]) for d in scan["diagonal"]]
-        emit_plot_data(rows, (args.out or "blowup_a1.csv") + ".a2.csv")
-        return 0
-    _emit({"command": "nikishin blowup", **scan}, args.out)
-    return 0
+def cmd_nikishin_blowup(args, loaded):
+    scan = nik.diagonal_blowup_scan(loaded["nsys"], args.nmax)
+    if args.format != "csv":
+        return scan
+    path = args.out or "blowup_a1.csv"
+    emit_plot_data([(d["n"], d["a1"]) for d in scan["diagonal"]], path)
+    emit_plot_data([(d["n"], d["a2"]) for d in scan["diagonal"]], path + ".a2.csv")
+    return None
 
 
 def _surface_from_args(args):
@@ -244,57 +227,38 @@ def _surface_from_args(args):
     return psur.from_params(A1, A2, B1, B2)
 
 
-def cmd_periodic_surface(args):
+def cmd_periodic_surface(args, loaded):
     surf = _surface_from_args(args)
-    _emit(
-        {
-            "command": "periodic surface",
-            "params": {"A1": surf.A1, "A2": surf.A2, "B1": surf.B1, "B2": surf.B2},
-            "critical_points": list(surf.critical_points),
-            "branch_points": list(surf.branch_points),
-            "cuts": [list(c) for c in surf.cuts],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "params": {"A1": surf.A1, "A2": surf.A2, "B1": surf.B1, "B2": surf.B2},
+        "critical_points": list(surf.critical_points),
+        "branch_points": list(surf.branch_points),
+        "cuts": [list(c) for c in surf.cuts],
+    }
 
 
-def cmd_periodic_dos(args):
-    if args.grid < 2:  # the grid is split between the two cuts
-        raise ValueError("empty grid: pass --grid with at least one point per cut (2 or more)")
+def cmd_periodic_dos(args, loaded):
     surf = _surface_from_args(args)
     pts = []
     for a, b in surf.cuts:
         pad = (b - a) * 1e-6
         xs = np.linspace(a + pad, b - pad, args.grid // 2)
         pts.extend((float(x), psur.dos(surf, args.l, float(x))) for x in xs)
-    if args.format == "csv" or args.out:
-        emit_plot_data(pts, args.out or "dos.csv")
-        sys.stdout.write(f"wrote {len(pts)} points\n")
-    else:
-        _emit({"command": "periodic dos", "profile": [[x, y] for x, y in pts]}, None)
-    return 0
+    return _profile(args, pts, "dos.csv")
 
 
-def cmd_periodic_raylimit(args):
-    asys = load_system(args.system, args.precision_bits)["asys"]
-    rep = psur.ray_limit_estimate(asys, args.c, args.nmax)
-    _emit(
-        {
-            "command": "periodic raylimit",
-            "c": rep.c,
-            "A_hat": list(rep.A_hat),
-            "B_hat": list(rep.B_hat),
-            "diagonal_diffs": [list(d) for d in rep.diagonal_diffs],
-            "fitted_cuts": [list(c) for c in rep.fitted_cuts] if rep.fitted_cuts else None,
-        },
-        args.out,
-    )
-    return 0
+def cmd_periodic_raylimit(args, loaded):
+    rep = psur.ray_limit_estimate(loaded["asys"], args.c, args.nmax)
+    return {
+        "c": rep.c,
+        "A_hat": list(rep.A_hat),
+        "B_hat": list(rep.B_hat),
+        "diagonal_diffs": [list(d) for d in rep.diagonal_diffs],
+        "fitted_cuts": [list(c) for c in rep.fitted_cuts] if rep.fitted_cuts else None,
+    }
 
 
-def cmd_verify_all(args):
-    loaded = load_system(args.system, args.precision_bits)
+def cmd_verify_all(args, loaded):
     sysm = loaded["sys"]
     checks = []
 
@@ -318,12 +282,7 @@ def cmd_verify_all(args):
         record(f"h signs nmax={args.nmax}", hrep["passed"], f"{len(hrep['violations'])} violations")
         op = assemble_finite(sysm, (0.0, 1.0), (2, 2))
         record("signature self-adjointness", s_selfadjoint_check(op) < 1e-13)
-    passed = all(c["passed"] for c in checks)
-    _emit(
-        {"command": "verify all", "checks": checks, "verdict": "PASS" if passed else "FAIL"},
-        args.out,
-    )
-    return 0 if passed else 2
+    return {"checks": checks, "verdict": "PASS" if all(c["passed"] for c in checks) else "FAIL"}
 
 
 # ---------------------------------------------------------------------------
@@ -333,76 +292,58 @@ def cmd_verify_all(args):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="mop-trees", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="group", required=True)
+    groups = p.add_subparsers(dest="group", required=True)
+    cmds = {}
 
-    def common(sp, system=True):
+    def command(group, name, fn, system=True, fmt=False):
+        if group not in cmds:
+            cmds[group] = groups.add_parser(group).add_subparsers(dest="cmd", required=True)
+        sp = cmds[group].add_parser(name)
         if system:
             sp.add_argument("--system", required=True, help="system definition JSON")
-        sp.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
+            sp.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    g = sub.add_parser("mop").add_subparsers(dest="cmd", required=True)
-    sp = g.add_parser("coeffs")
-    common(sp)
-    sp.add_argument("--n", required=True, help="multi-index n1,n2")
-    sp.set_defaults(fn=cmd_mop_coeffs)
+    command("mop", "coeffs", cmd_mop_coeffs).add_argument("--n", required=True, help="multi-index n1,n2")
 
-    g = sub.add_parser("tree").add_subparsers(dest="cmd", required=True)
     for name, fn in (("spectrum", cmd_tree_spectrum), ("svec", cmd_tree_svec)):
-        sp = g.add_parser(name)
-        common(sp)
+        sp = command("tree", name, fn)
         sp.add_argument("--N", required=True)
         sp.add_argument("--kappa", required=True)
-        sp.set_defaults(fn=fn)
 
-    g = sub.add_parser("angelesco").add_subparsers(dest="cmd", required=True)
-    sp = g.add_parser("green")
-    common(sp)
+    sp = command("angelesco", "green", cmd_angelesco_green)
     sp.add_argument("--kappa", required=True)
     sp.add_argument("--z", required=True, type=complex)
     sp.add_argument("--X", default="")
     sp.add_argument("--Y", default="")
     sp.add_argument("--depth", type=int, default=12)
-    sp.set_defaults(fn=cmd_angelesco_green)
-    for name, fn in (("rho", cmd_angelesco_rho), ("dos-profile", cmd_angelesco_dos_profile)):
-        sp = g.add_parser(name)
-        common(sp)
-        sp.add_argument("--kappa", required=True)
-        sp.add_argument("--grid", type=int, default=0)
-        sp.set_defaults(fn=fn)
+    sp = command("angelesco", "rho", cmd_angelesco_rho)
+    sp.add_argument("--kappa", required=True)
+    sp.add_argument("--grid", type=_grid(zero_ok=True), default=0)
+    sp = command("angelesco", "dos-profile", cmd_angelesco_dos_profile, fmt=True)
+    sp.add_argument("--kappa", required=True)
+    sp.add_argument("--grid", type=_grid(zero_ok=False), required=True)
 
-    g = sub.add_parser("nikishin").add_subparsers(dest="cmd", required=True)
-    for name, fn in (("signs", cmd_nikishin_signs), ("blowup", cmd_nikishin_blowup)):
-        sp = g.add_parser(name)
-        common(sp)
-        sp.add_argument("--nmax", type=int, default=4)
-        sp.set_defaults(fn=fn)
+    command("nikishin", "signs", cmd_nikishin_signs).add_argument("--nmax", type=int, default=4)
+    command("nikishin", "blowup", cmd_nikishin_blowup, fmt=True).add_argument("--nmax", type=int, default=4)
 
-    g = sub.add_parser("periodic").add_subparsers(dest="cmd", required=True)
-    sp = g.add_parser("surface")
-    common(sp, system=False)
+    sp = command("periodic", "surface", cmd_periodic_surface, system=False)
     sp.add_argument("--A", required=True, help="A1,A2")
     sp.add_argument("--B", required=True, help="B1,B2")
-    sp.set_defaults(fn=cmd_periodic_surface)
-    sp = g.add_parser("dos")
-    common(sp, system=False)
+    sp = command("periodic", "dos", cmd_periodic_dos, system=False, fmt=True)
     sp.add_argument("--A", required=True)
     sp.add_argument("--B", required=True)
     sp.add_argument("--l", type=int, choices=(1, 2), default=1)
-    sp.add_argument("--grid", type=int, default=0)
-    sp.set_defaults(fn=cmd_periodic_dos)
-    sp = g.add_parser("raylimit")
-    common(sp)
+    sp.add_argument("--grid", type=_grid(zero_ok=False), required=True)
+    sp = command("periodic", "raylimit", cmd_periodic_raylimit)
     sp.add_argument("--c", type=float, default=0.5)
     sp.add_argument("--nmax", type=int, default=8)
-    sp.set_defaults(fn=cmd_periodic_raylimit)
 
-    g = sub.add_parser("verify").add_subparsers(dest="cmd", required=True)
-    sp = g.add_parser("all")
-    common(sp)
-    sp.add_argument("--nmax", type=int, default=4)
-    sp.set_defaults(fn=cmd_verify_all)
+    command("verify", "all", cmd_verify_all).add_argument("--nmax", type=int, default=4)
     return p
 
 
@@ -413,7 +354,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        loaded = load_system(args.system, args.precision_bits) if "system" in args else None
+        doc = args.fn(args, loaded)
+        if doc is not None:
+            _emit({"command": f"{args.group} {args.cmd}", **doc}, args.out)
     except MopTreesError as exc:
         # prefix the code with the module that raised it
         tb = exc.__traceback__
@@ -428,6 +372,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"mop-trees: {exc}\n")
         return 1
+    return 2 if doc and doc.get("verdict") == "FAIL" else 0
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ def assemble_Lc(surf: SurfaceParams, l: int, depth: int):
     W = np.array([surf.a_of(1), surf.a_of(2)], dtype=float)[t]
     W[0] = 1.0
     sigma = np.zeros(len(tree), dtype=int)
-    return TreeOperator(tree, V, W, sigma, None, None, {"surface": surf, "root_type": l})
+    return TreeOperator(tree, V, W, sigma, None, None)
 
 
 @dataclass

@@ -55,7 +55,6 @@ class TreeOperator:
     sigma: np.ndarray
     kappa: tuple | None
     sys: MopSystem | None
-    meta: dict = field(default_factory=dict)
     _sparse: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
@@ -103,7 +102,7 @@ class TreeOperator:
         }
 
 
-def _assemble(sys: MopSystem, tree: Tree, root_terms, kappa, meta) -> TreeOperator:
+def _assemble(sys: MopSystem, tree: Tree, root_terms, kappa) -> TreeOperator:
     """The operator on ``tree`` with coefficients read from one table of ``sys``.
 
     A vertex v below the root reads a_{iota_v} at its parent's projection
@@ -125,7 +124,7 @@ def _assemble(sys: MopSystem, tree: Tree, root_terms, kappa, meta) -> TreeOperat
     V = np.concatenate([[w1 * rows[-2, 2] + w2 * rows[-1, 3]], rows[n - 1 + edge, 2 + lab]])
     W = np.concatenate([[1.0], np.abs(a)])
     sigma = np.concatenate([[0], (a < 0).astype(int)])
-    return TreeOperator(tree, V, W, sigma, kappa, sys, meta)
+    return TreeOperator(tree, V, W, sigma, kappa, sys)
 
 
 def _kappa(kappa) -> tuple:
@@ -140,14 +139,14 @@ def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
     kappa = _kappa(kappa)
     tree = finite_tree(N)
     N = tree.root_proj
-    return _assemble(sys, tree, ((N, kappa[0]), (N, kappa[1])), kappa, {"N": N})
+    return _assemble(sys, tree, ((N, kappa[0]), (N, kappa[1])), kappa)
 
 
 def assemble_truncated(sys: MopSystem, kappa, depth: int) -> TreeOperator:
     """Dirichlet truncation of the operator on the rooted Cayley tree."""
     kappa = _kappa(kappa)
     root_terms = (((0, 1), kappa[0]), ((1, 0), kappa[1]))
-    return _assemble(sys, cayley_truncation(depth), root_terms, kappa, {"depth": depth})
+    return _assemble(sys, cayley_truncation(depth), root_terms, kappa)
 
 
 def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> TreeOperator:
@@ -160,7 +159,7 @@ def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> T
     tree = cayley_truncation(depth, root_proj=root_proj)
     low = sub(tree.root_proj, E1 if root_iota == 1 else E2)
     w = (1.0, 0.0) if root_iota == 1 else (0.0, 1.0)  # V_X = b_{root_iota}(low) exactly
-    return _assemble(sys, tree, ((low, w[0]), (low, w[1])), None, {"root_proj": tree.root_proj})
+    return _assemble(sys, tree, ((low, w[0]), (low, w[1])), None)
 
 
 def signature_diagonal(op: TreeOperator) -> np.ndarray:
@@ -205,7 +204,7 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
     if kind == "p":
         if tree.kind != "finite":
             raise ValueError("kind 'p' requires a finite-tree operator")
-        N = op.meta["N"]
+        N = tree.root_proj
         with workprec(sys.precision_bits):  # not at the ambient mp.prec
             zp = mpc(z)
             f = lattice_values(lambda n: complex(P.pval(sys.record(n).P, zp)), tree.points)

@@ -184,6 +184,10 @@ class TestGreen:
         f, _ = green(ang_u, (1, 0), (1,), (1,), z, depth=4)
         assert f.imag * z.imag > 0
 
+    def test_kappa_off_simplex_rejected_off_root(self, ang_u):
+        with pytest.raises(ValueError):
+            green(ang_u, (2, 3), (1, 2), (1,), 5.0)
+
     def test_y_outside_subtree_rejected(self, ang_u):
         with pytest.raises(DomainError):
             green(ang_u, (1, 0), (2,), (1,), 5.0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -130,6 +131,32 @@ class TestCommands:
         lines = open(out_path).read().splitlines()
         assert lines[0] == "x,value" and len(lines) == 201
 
+    def test_nikishin_blowup_csv(self, nik_file, capsys, tmp_path):
+        out_path = str(tmp_path / "a.csv")
+        code, out = run(
+            capsys, "nikishin", "blowup", "--system", nik_file, "--nmax", "3", "--format", "csv", "--out", out_path
+        )
+        assert code == 0 and out == ""
+        for path in (out_path, out_path + ".a2.csv"):
+            lines = open(path).read().splitlines()
+            assert lines[0] == "x,value" and len(lines) == 4
+
+    def test_dos_profile_csv_default_path(self, ang_file, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(
+            capsys, "angelesco", "dos-profile", "--system", ang_file, "--kappa", "1,0", "--grid", "10", "--format", "csv"
+        )
+        assert code == 0 and out == "wrote 10 points\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rho_profile.csv"]
+        assert len((tmp_path / "rho_profile.csv").read_text().splitlines()) == 11
+
+    def test_periodic_dos_json(self, capsys):
+        code, out = run(capsys, "periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", "20")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == "periodic dos"
+        assert len(doc["profile"]) == 20 and all(len(row) == 2 for row in doc["profile"])
+
     def test_periodic_raylimit(self, ang_file, capsys):
         code, out = run(
             capsys, "periodic", "raylimit", "--system", ang_file, "--c", "0.5", "--nmax", "4"
@@ -184,14 +211,27 @@ class TestExitCodesAndDeterminism:
         _, out2 = run(capsys, "mop", "coeffs", "--system", ang_file, "--n", "1,1")
         assert out1 == out2
 
-    def test_empty_grid_usage_error(self, ang_file, capsys, monkeypatch):
+    # the profile splits the grid between two intervals, so --grid 1 gives no point
+    @pytest.mark.parametrize("cmd, grid", [("dos-profile", "0"), ("dos-profile", "1"), ("rho", "1")])
+    def test_empty_grid_usage_error(self, cmd, grid, ang_file, capsys, monkeypatch):
         # the grid is checked before the system is loaded or rho_o runs
         monkeypatch.setattr(angelesco, "rho_o", _must_not_run)
         monkeypatch.setattr(cli, "load_system", _must_not_run)
-        code = main(
-            ["angelesco", "dos-profile", "--system", ang_file, "--kappa", "1,0", "--grid", "0"]
-        )
+        code = main(["angelesco", cmd, "--system", ang_file, "--kappa", "1,0", "--grid", grid])
         assert code == 1
+        assert capsys.readouterr().out == ""
+
+    def test_green_kappa_off_simplex_exits_one(self, capsys):
+        # off the root neither the formula nor the subtree truncation reads kappa
+        argv = ["angelesco", "green", "--system", SYSTEM, "--kappa", "2,3", "--z", "5", "--X", "1", "--Y", "1,2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_foreign_schema_exits_one(self, tmp_path, capsys):
+        doc = tmp_path / "future.json"
+        doc.write_text(json.dumps({**ANG_DOC, "schema": "mop-trees/9"}))
+        assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
     def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):
@@ -244,6 +284,37 @@ def _python(code, *args, cwd=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, timeout=120).returncode
+
+
+def test_command_options():
+    # each command takes only the flags it reads: --system and --precision-bits
+    # where a system is loaded, --format where a CSV can be written
+    loads = {"--system", "--precision-bits", "--out"}
+    expected = {
+        "mop coeffs": loads | {"--n"},
+        "tree spectrum": loads | {"--N", "--kappa"},
+        "tree svec": loads | {"--N", "--kappa"},
+        "angelesco green": loads | {"--kappa", "--z", "--X", "--Y", "--depth"},
+        "angelesco rho": loads | {"--kappa", "--grid"},
+        "angelesco dos-profile": loads | {"--kappa", "--grid", "--format"},
+        "nikishin signs": loads | {"--nmax"},
+        "nikishin blowup": loads | {"--nmax", "--format"},
+        "periodic surface": {"--out", "--A", "--B"},
+        "periodic dos": {"--out", "--format", "--A", "--B", "--l", "--grid"},
+        "periodic raylimit": loads | {"--c", "--nmax"},
+        "verify all": loads | {"--nmax"},
+    }
+
+    def commands(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    found = {
+        f"{group} {name}": {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for group, gp in commands(cli.build_parser()).items()
+        for name, sp in commands(gp).items()
+    }
+    assert found == expected
+    assert sum(len(opts & {"--precision-bits", "--out", "--format"}) for opts in found.values()) == 25
 
 
 def test_import_leaves_scipy_unloaded():
