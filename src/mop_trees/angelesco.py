@@ -182,12 +182,18 @@ class SpectralMeasureRep:
         return float(total)
 
     def profile(self, n_points: int) -> list:
-        pts = []
-        for a, b in self.intervals:
-            pad = max(_ENDPOINT_EXCLUSION * 2, (b - a) * 1e-5)
-            for x in np.linspace(a + pad, b - pad, n_points // 2):
-                pts.append((float(x), self(float(x))))
-        return pts
+        xs = grid_points(self.intervals, n_points, lambda a, b: max(_ENDPOINT_EXCLUSION * 2, (b - a) * 1e-5))
+        return [(x, self(x)) for x in xs]
+
+
+def grid_points(intervals, n_points: int, pad) -> list[float]:
+    """``n_points`` evenly spaced points over two intervals, ``pad(a, b)`` in
+    from the ends of each; the first interval takes the odd point."""
+    xs = []
+    for (a, b), n in zip(intervals, (n_points - n_points // 2, n_points // 2)):
+        p = pad(a, b)
+        xs.extend(float(x) for x in np.linspace(a + p, b - p, n))
+    return xs
 
 
 def s_o_value(asys: AngelescoSystem, x: float) -> float:

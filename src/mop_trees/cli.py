@@ -24,8 +24,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import angelesco as ang
 from . import nikishin as nik
 from . import periodic_surface as psur
@@ -46,6 +44,8 @@ class _Parser(argparse.ArgumentParser):
 def load_system(path: str, precision_bits: int | None = None) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a system file holds a JSON object, not a JSON {type(doc).__name__}")
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise ValueError(f"unsupported system schema {doc['schema']!r} (expected {SCHEMA!r})")
     bits = int(doc.get("precision_bits", 256)) if precision_bits is None else precision_bits
@@ -239,11 +239,8 @@ def cmd_periodic_surface(args, loaded):
 
 def cmd_periodic_dos(args, loaded):
     surf = _surface_from_args(args)
-    pts = []
-    for a, b in surf.cuts:
-        pad = (b - a) * 1e-6
-        xs = np.linspace(a + pad, b - pad, args.grid // 2)
-        pts.extend((float(x), psur.dos(surf, args.l, float(x))) for x in xs)
+    xs = ang.grid_points(surf.cuts, args.grid, lambda a, b: (b - a) * 1e-6)
+    pts = [(x, psur.dos(surf, args.l, x)) for x in xs]
     return _profile(args, pts, "dos.csv")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DomainError, InvalidSurfaceError
+from .errors import BranchError, ConvergenceError, DomainError, InvalidSurfaceError
 from .tree_topology import Tree, cayley_truncation
 
 _BRANCH_GUARD = 1e-8
@@ -104,28 +104,44 @@ def from_params(A1: float, A2: float, B1: float, B2: float) -> SurfaceParams:
 # ---------------------------------------------------------------------------
 
 
+def _fibers(surf: SurfaceParams, zs):
+    """The fiber of each z in ``zs``: all three chi with zmap(chi) = z.
+
+    One LAPACK call finds the eigenvalues of the cubics' companion matrices,
+    built as ``np.roots`` builds them; each fiber is Newton-polished only when
+    the caller asks for it, so a caller that stops early polishes no more.
+    """
+    A1, A2, B1, B2 = surf.A1, surf.A2, surf.B1, surf.B2
+    coeffs = []
+    for z in zs:
+        c2 = -(B1 + B2 + z)
+        c1 = B1 * B2 + z * (B1 + B2) + A1 + A2
+        c0 = -(z * B1 * B2 + A1 * B2 + A2 * B1)
+        coeffs.append((1.0, c2, c1, c0))
+    p = np.array(coeffs, dtype=complex)
+    companion = np.zeros((len(zs), 3, 3), dtype=complex)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    for (_, c2, c1, c0), roots in zip(coeffs, np.linalg.eigvals(companion)):
+        out = []
+        for r in roots:
+            c = complex(r)
+            for _ in range(40):
+                f = ((c + c2) * c + c1) * c + c0
+                df = (3 * c + 2 * c2) * c + c1
+                if df == 0:
+                    break
+                step = f / df
+                c -= step
+                if abs(step) < 1e-15 * max(1, abs(c)):
+                    break
+            out.append(c)
+        yield np.array(out)
+
+
 def _fiber(surf: SurfaceParams, z: complex) -> np.ndarray:
     """All three chi with zmap(chi) = z, Newton-polished roots of the cubic."""
-    A1, A2, B1, B2 = surf.A1, surf.A2, surf.B1, surf.B2
-    c3 = 1.0
-    c2 = -(B1 + B2 + z)
-    c1 = B1 * B2 + z * (B1 + B2) + A1 + A2
-    c0 = -(z * B1 * B2 + A1 * B2 + A2 * B1)
-    roots = np.roots([c3, c2, c1, c0])
-    out = []
-    for r in roots:
-        c = complex(r)
-        for _ in range(40):
-            f = ((c + c2) * c + c1) * c + c0
-            df = (3 * c + 2 * c2) * c + c1
-            if df == 0:
-                break
-            step = f / df
-            c -= step
-            if abs(step) < 1e-15 * max(1, abs(c)):
-                break
-        out.append(c)
-    return np.array(out)
+    return next(_fibers(surf, [z]))
 
 
 def _dist_to_branch(surf, z) -> float:
@@ -171,18 +187,20 @@ def chi_plus(surf: SurfaceParams, x: float) -> complex:
         return complex(chi0(surf, x))
     if _dist_to_branch(surf, x) < _BRANCH_GUARD:
         raise BranchError("x too close to a branch point")
-    h = 1e-9 * max(1.0, abs(x))
+    # h shrinks by 4 per level (exact) from 1e-9 |x|; the first chunk holds
+    # the level where the ladder stops in about 95% of x
+    h0 = 1e-9 * max(1.0, abs(x))
+    hs = [h0 * 0.25**k for k in range(30)]
     last = None
-    for _ in range(30):
-        roots = _fiber(surf, complex(x, h))
-        upper = roots[roots.imag > 0]
-        if len(upper) != 1:
-            raise BranchError("boundary branch ambiguous")
-        cur = complex(upper[0])
-        if last is not None and abs(cur - last) < 1e-13 * max(1, abs(cur)):
-            return cur
-        last = cur
-        h *= 0.25
+    for chunk in (hs[:9], hs[9:]):
+        for roots in _fibers(surf, [complex(x, h) for h in chunk]):
+            upper = roots[roots.imag > 0]
+            if len(upper) != 1:
+                raise BranchError("boundary branch ambiguous")
+            cur = complex(upper[0])
+            if last is not None and abs(cur - last) < 1e-13 * max(1, abs(cur)):
+                return cur
+            last = cur
     return last
 
 
@@ -193,6 +211,11 @@ def m_function(surf: SurfaceParams, l: int, z) -> complex:
 
 def m_plus(surf: SurfaceParams, l: int, x: float) -> complex:
     return 1.0 / (surf.b_of(l) - chi_plus(surf, x))
+
+
+def _m_abs2(surf: SurfaceParams, chi: complex) -> tuple[float, float]:
+    """|M^(1)|^2 and |M^(2)|^2 at one sheet-0 point chi, so a caller solves the fiber once."""
+    return abs(1.0 / (surf.B1 - chi)) ** 2, abs(1.0 / (surf.B2 - chi)) ** 2
 
 
 def green_o(surf: SurfaceParams, l: int, z) -> complex:
@@ -228,12 +251,11 @@ def green_path(surf: SurfaceParams, l: int, X, z) -> complex:
 
 def l2_norm_sq(surf: SurfaceParams, l: int, z) -> float:
     """Squared l2 norm of G(., O; z) over the whole tree (closed form)."""
-    m1 = abs(m_function(surf, 1, z)) ** 2
-    m2 = abs(m_function(surf, 2, z)) ** 2
+    m1, m2 = _m_abs2(surf, chi0(surf, z))
     q = surf.A1 * m1 + surf.A2 * m2
     if q >= 1:
         raise DomainError("Green column not square-summable here")
-    ml = abs(m_function(surf, l, z)) ** 2
+    ml = m1 if l == 1 else m2
     return ml / (1 - q)
 
 
@@ -243,9 +265,8 @@ def l2_norm_sq_direct(surf: SurfaceParams, l: int, z, depth: int) -> float:
     Sums path-product classes with binomial multiplicities; independent of
     the closed form (it never divides by 1 - q).
     """
-    m1 = abs(m_function(surf, 1, z)) ** 2
-    m2 = abs(m_function(surf, 2, z)) ** 2
-    ml = abs(m_function(surf, l, z)) ** 2
+    m1, m2 = _m_abs2(surf, chi0(surf, z))
+    ml = m1 if l == 1 else m2
     total = ml
     for n in range(1, depth + 1):
         gen = 0.0
@@ -285,14 +306,30 @@ def dos(surf: SurfaceParams, l: int, x: float) -> float:
 
 
 def dos_total_mass(surf: SurfaceParams, l: int) -> float:
-    from scipy.integrate import quad
+    """Total mass of ``dos`` over the cuts, by the trapezoid rule in theta.
+
+    On a cut [a, b], x = a + (b - a)(1 - cos theta)/2 turns the square-root
+    edges into a smooth, even, 2 pi-periodic integrand, on which the rule
+    converges geometrically.  Panels double from 8 until two sums agree to
+    1e-12; only interior nodes are evaluated, never a branch point.
+    """
     total = 0.0
     for a, b in surf.cuts:
-        val, _ = quad(
-            lambda x: dos(surf, l, x), a + _BRANCH_GUARD * 2, b - _BRANCH_GUARD * 2,
-            limit=400, epsabs=1e-12,
-        )
-        total += val
+
+        def f(theta):
+            x = a + (b - a) * (1.0 - math.cos(theta)) / 2
+            return (b - a) / 2 * math.sin(theta) * dos(surf, l, x)
+
+        m, s = 8, math.pi / 8 * sum(f(j * math.pi / 8) for j in range(1, 8))
+        while True:
+            new = s / 2 + math.pi / (2 * m) * sum(f(j * math.pi / (2 * m)) for j in range(1, 2 * m, 2))
+            m *= 2
+            if abs(new - s) < 1e-12:
+                break
+            if m >= 1024:
+                raise ConvergenceError(f"dos mass on [{a}, {b}] not settled at {m} panels")
+            s = new
+        total += new
     return total
 
 
@@ -300,15 +337,13 @@ def unit_identity_residual(surf: SurfaceParams, x: float) -> float:
     """|A1 |G1|^2 + A2 |G2|^2 - 1| with boundary values, on a cut."""
     if not on_cuts(surf, x):
         raise DomainError("the unit identity lives on the cuts")
-    g1 = abs(m_plus(surf, 1, x)) ** 2
-    g2 = abs(m_plus(surf, 2, x)) ** 2
+    g1, g2 = _m_abs2(surf, chi_plus(surf, x))
     return abs(surf.A1 * g1 + surf.A2 * g2 - 1.0)
 
 
 def off_cut_subunit(surf: SurfaceParams, z) -> float:
     """A1 |G1|^2 + A2 |G2|^2 off the cuts (strictly below 1)."""
-    g1 = abs(m_function(surf, 1, z)) ** 2
-    g2 = abs(m_function(surf, 2, z)) ** 2
+    g1, g2 = _m_abs2(surf, chi0(surf, z))
     return surf.A1 * g1 + surf.A2 * g2
 
 

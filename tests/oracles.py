@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mpf, workprec
 
-from mop_trees.errors import AssumptionError
+from mop_trees.errors import AssumptionError, BranchError, DomainError
+from mop_trees.periodic_surface import _BRANCH_GUARD, SurfaceParams, _dist_to_branch, on_cuts
 from mop_trees.quadrature import gauss_legendre
 
 
@@ -298,3 +299,85 @@ def gauss_legendre_mp(order: int, prec: int) -> tuple[list, list]:
             weights[order // 2] = 2 / (dp * dp)
     _GAUSS_MP_CACHE[key] = (nodes, weights)
     return nodes, weights
+
+
+# ---------------------------------------------------------------------------
+# periodic surface: the sheet-0 branch, one np.roots call per fiber
+# ---------------------------------------------------------------------------
+# ``_fiber``, ``chi0`` and ``chi_plus`` of ``periodic_surface`` before the
+# h ladder was solved in LAPACK batches, kept verbatim as the bit-for-bit
+# reference.
+
+
+def _fiber(surf: SurfaceParams, z: complex) -> np.ndarray:
+    """All three chi with zmap(chi) = z, Newton-polished roots of the cubic."""
+    A1, A2, B1, B2 = surf.A1, surf.A2, surf.B1, surf.B2
+    c3 = 1.0
+    c2 = -(B1 + B2 + z)
+    c1 = B1 * B2 + z * (B1 + B2) + A1 + A2
+    c0 = -(z * B1 * B2 + A1 * B2 + A2 * B1)
+    roots = np.roots([c3, c2, c1, c0])
+    out = []
+    for r in roots:
+        c = complex(r)
+        for _ in range(40):
+            f = ((c + c2) * c + c1) * c + c0
+            df = (3 * c + 2 * c2) * c + c1
+            if df == 0:
+                break
+            step = f / df
+            c -= step
+            if abs(step) < 1e-15 * max(1, abs(c)):
+                break
+        out.append(c)
+    return np.array(out)
+
+
+def chi0(surf: SurfaceParams, z) -> complex:
+    """The sheet-0 inverse branch: chi ~ z at infinity.
+
+    For Im z > 0 it is the unique fiber point in the upper half-plane; for
+    real z off the cuts it is the real root reached as the limit from above;
+    boundary values on the cuts are obtained with ``chi_plus``.
+    """
+    z = complex(z)
+    if _dist_to_branch(surf, z) < _BRANCH_GUARD:
+        raise BranchError("z too close to a branch point")
+    if z.imag > 0:
+        roots = _fiber(surf, z)
+        upper = roots[roots.imag > 0]
+        if len(upper) != 1:
+            raise BranchError("sheet-0 branch is ambiguous here")
+        return complex(upper[0])
+    if z.imag < 0:
+        return complex(np.conj(chi0(surf, np.conj(z))))
+    if on_cuts(surf, z.real):
+        raise DomainError("real z on a cut; use chi_plus for boundary values")
+    probe = chi0(surf, complex(z.real, 1e-7 * max(1.0, abs(z))))
+    roots = _fiber(surf, z)
+    reals = roots[np.abs(roots.imag) < 1e-7 * np.maximum(1.0, np.abs(roots))]
+    if len(reals) == 0:
+        raise BranchError("no real fiber point found off the cuts")
+    pick = reals[np.argmin(np.abs(reals - probe))]
+    return complex(pick.real)
+
+
+def chi_plus(surf: SurfaceParams, x: float) -> complex:
+    """Boundary value of the sheet-0 branch from the upper half-plane, on a cut."""
+    if not on_cuts(surf, x):
+        return complex(chi0(surf, x))
+    if _dist_to_branch(surf, x) < _BRANCH_GUARD:
+        raise BranchError("x too close to a branch point")
+    h = 1e-9 * max(1.0, abs(x))
+    last = None
+    for _ in range(30):
+        roots = _fiber(surf, complex(x, h))
+        upper = roots[roots.imag > 0]
+        if len(upper) != 1:
+            raise BranchError("boundary branch ambiguous")
+        cur = complex(upper[0])
+        if last is not None and abs(cur - last) < 1e-13 * max(1, abs(cur)):
+            return cur
+        last = cur
+        h *= 0.25
+    return last

@@ -157,6 +157,19 @@ class TestCommands:
         assert doc["command"] == "periodic dos"
         assert len(doc["profile"]) == 20 and all(len(row) == 2 for row in doc["profile"])
 
+    # an odd grid gives its extra point to the first interval
+    @pytest.mark.parametrize("group", ["periodic", "angelesco"])
+    def test_odd_grid_keeps_every_point(self, group, ang_file, capsys, tmp_path):
+        argv = {
+            "periodic": ["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1"],
+            "angelesco": ["angelesco", "dos-profile", "--system", ang_file, "--kappa", "1,0"],
+        }[group]
+        out_path = tmp_path / "odd.csv"
+        code, out = run(capsys, *argv, "--grid", "401", "--out", str(out_path))
+        assert code == 0 and out == "wrote 401 points\n"
+        xs = [float(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+        assert len(xs) == 401 and xs == sorted(xs)
+
     def test_periodic_raylimit(self, ang_file, capsys):
         code, out = run(
             capsys, "periodic", "raylimit", "--system", ang_file, "--c", "0.5", "--nmax", "4"
@@ -232,6 +245,16 @@ class TestExitCodesAndDeterminism:
         doc.write_text(json.dumps({**ANG_DOC, "schema": "mop-trees/9"}))
         assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+    def test_non_object_system_exits_one(self, text, tmp_path, capsys):
+        doc = tmp_path / "not_an_object.json"
+        doc.write_text(text)
+        assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("a system file holds a JSON object, not a JSON " + type(json.loads(text)).__name__ + "\n")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
     def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 
-from mop_trees.errors import BranchError, DomainError, InvalidSurfaceError
+from mop_trees import periodic_surface
+from mop_trees.errors import BranchError, ConvergenceError, DomainError, InvalidSurfaceError
 from mop_trees.periodic_surface import (
     assemble_Lc,
     chi0,
+    chi_plus,
     dos,
     dos_total_mass,
     from_params,
@@ -16,7 +23,9 @@ from mop_trees.periodic_surface import (
     l2_norm_sq,
     l2_norm_sq_direct,
     m_function,
+    m_plus,
     off_cut_subunit,
+    on_cuts,
     ray_limit_estimate,
     sheet_products,
     truncated_green_o,
@@ -26,6 +35,25 @@ from mop_trees.periodic_surface import (
 
 SYM = from_params(0.25, 0.25, -1.0, 1.0)
 ASYM = from_params(0.3, 0.1, 0.0, 2.0)
+# symmetric, asymmetric, a narrow left cut, and a wide left cut
+SURFACES = [SYM, ASYM, from_params(0.05, 0.4, -2.0, 1.5), from_params(1.0, 0.2, -3.0, 0.5)]
+
+
+def _bits(fn, surf, x):
+    """The exact bits of fn(surf, x), or the error it raises."""
+    try:
+        v = fn(surf, x)
+    except (BranchError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def _counted(monkeypatch, name) -> list:
+    """Replace periodic_surface.<name> by a wrapper that logs one entry per call."""
+    calls = []
+    inner = getattr(periodic_surface, name)
+    monkeypatch.setattr(periodic_surface, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
 
 
 class TestFromParams:
@@ -105,6 +133,62 @@ class TestBranchTracking:
         for _ in range(100):
             z = complex(rng.uniform(-3, 3), rng.uniform(1e-3, 2))
             assert chi0(SYM, z).imag > 0
+
+
+class TestBoundaryLadder:
+    @pytest.mark.parametrize("surf", SURFACES)
+    def test_chi_plus_matches_oracle_bits(self, surf):
+        # the batched ladder against the one-np.roots-per-level loop it replaced
+        rng = np.random.default_rng(17)
+        (a1, b1), (a2, b2) = surf.cuts
+        xs = [*rng.uniform(a1, b1, 100), *rng.uniform(a2, b2, 100), *rng.uniform(a1 - 1, b2 + 1, 40)]
+        for e in surf.branch_points:
+            xs += [*(e + rng.uniform(-1e-8, 1e-8, 5)), *(e + rng.uniform(-1e-6, 1e-6, 5))]
+        seen = set()
+        for x in map(float, xs):
+            got = _bits(chi_plus, surf, x)
+            assert got == _bits(oracles.chi_plus, surf, x), x
+            seen.add("BranchError" if got[0] == "BranchError" else "cut" if on_cuts(surf, x) else "off")
+        assert seen == {"BranchError", "cut", "off"}
+
+    def test_fiber_matches_oracle_bits(self):
+        for surf in SURFACES:
+            for z in (0.3 + 0.8j, 2.5 + 0j, -3.1 - 0.1j, 1e-12j):
+                got = periodic_surface._fiber(surf, z)
+                assert [c.hex() for r in got for c in (r.real, r.imag)] == [
+                    c.hex() for r in oracles._fiber(surf, z) for c in (r.real, r.imag)
+                ]
+
+
+class TestOneFiberSolvePerCall:
+    @pytest.mark.parametrize("z", [5.0, 0.5 + 2j])
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda s, z: l2_norm_sq(s, 1, z), lambda s, z: l2_norm_sq_direct(s, 2, z, 4), off_cut_subunit],
+        ids=["l2_norm_sq", "l2_norm_sq_direct", "off_cut_subunit"],
+    )
+    def test_m_pair_from_one_solve(self, fn, z, monkeypatch):
+        solves = _counted(monkeypatch, "_fiber")
+        chi0(SYM, z)
+        one = len(solves)
+        solves.clear()
+        fn(SYM, z)
+        assert len(solves) == one
+
+    def test_unit_identity_one_ladder(self, monkeypatch):
+        x = 0.5 * sum(SYM.cuts[1])
+        ladders = _counted(monkeypatch, "chi_plus")
+        unit_identity_residual(SYM, x)
+        assert len(ladders) == 1
+
+    def test_values_unchanged(self):
+        # the shared solve gives the bits of one m_function/m_plus call per l
+        z, x = 0.5 + 2j, 0.5 * sum(ASYM.cuts[1])
+        m1, m2 = (abs(m_function(ASYM, l, z)) ** 2 for l in (1, 2))
+        assert off_cut_subunit(ASYM, z) == ASYM.A1 * m1 + ASYM.A2 * m2
+        assert l2_norm_sq(ASYM, 2, z) == m2 / (1 - (ASYM.A1 * m1 + ASYM.A2 * m2))
+        g1, g2 = (abs(m_plus(ASYM, l, x)) ** 2 for l in (1, 2))
+        assert unit_identity_residual(ASYM, x) == abs(ASYM.A1 * g1 + ASYM.A2 * g2 - 1.0)
 
 
 class TestMFunctions:
@@ -190,6 +274,33 @@ class TestUnitIdentityAndDos:
         (a2, b2) = SYM.cuts[1]
         for x in np.linspace(a2 + 1e-3, b2 - 1e-3, 20):
             assert dos(SYM, 1, float(x)) >= 0
+
+    @pytest.mark.parametrize("surf", SURFACES)
+    def test_dos_total_mass_theta_rule(self, surf, monkeypatch):
+        calls = _counted(monkeypatch, "dos")
+        for l in (1, 2):
+            calls.clear()
+            assert abs(dos_total_mass(surf, l) - 1.0) < 1e-12
+            for a, b in surf.cuts:
+                on_cut = [x for _, _, x in calls if a <= x <= b]
+                assert 0 < len(on_cut) <= 70
+                assert a < min(on_cut) and max(on_cut) < b  # interior nodes only
+
+    def test_dos_total_mass_unsettled_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        monkeypatch.setattr(periodic_surface, "dos", lambda surf, l, x: rng.uniform())
+        with pytest.raises(ConvergenceError):
+            dos_total_mass(SYM, 1)
+
+    def test_dos_total_mass_loads_no_scipy(self):
+        code = (
+            "import sys; from mop_trees import periodic_surface as ps\n"
+            "assert abs(ps.dos_total_mass(ps.from_params(0.3, 0.1, 0.0, 2.0), 2) - 1) < 1e-12\n"
+            "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
     def test_dos_off_cuts_rejected(self):
         with pytest.raises(DomainError):
