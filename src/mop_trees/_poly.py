@@ -1,10 +1,10 @@
 """mp arithmetic helpers.
 
-Polynomials on ascending coefficient tuples of mpmath numbers, and two
-kernels (:func:`dot`, :func:`lu_solve`) that run on raw libmp tuples and
-round exactly as the mpmath calls they replace, without the per-element
-overhead of mpf objects and ``mpmath.matrix``.  The kernels take their
-precision as an argument and never read ``mp.prec``.
+Polynomials on ascending coefficient tuples of mpmath numbers, and kernels
+(:func:`dot`, :func:`lu_solve`, :func:`cauchy_sum`) that run on raw libmp
+tuples and round exactly as the mpmath calls they replace, without the
+per-element overhead of mpf objects and ``mpmath.matrix``.  The kernels
+take their precision as an argument and never read ``mp.prec``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 from mpmath import mp, mpf
 from mpmath.libmp import (
     fzero,
+    mpc_mpf_div,
+    mpc_sub_mpf,
     mpf_abs,
     mpf_div,
     mpf_gt,
@@ -78,6 +80,31 @@ def dot(xs, ys, prec: int):
     """``mp.fsum(x * y for x, y in zip(xs, ys))`` at ``prec`` bits: each product
     rounded, then one ``mpf_sum`` as fsum runs it (mpf in, mpf out)."""
     return mp.make_mpf(mpf_sum([mpf_mul(x._mpf_, y._mpf_, prec, RND) for x, y in zip(xs, ys)], prec, RND))
+
+
+def products(xs, ys, prec: int) -> list:
+    """Raw tuples of ``x * y`` rounded at ``prec`` bits, as the mpf product rounds; raw tuples in."""
+    return [mpf_mul(x, y, prec, RND) for x, y in zip(xs, ys)]
+
+
+def shifted(xs, c, prec: int) -> list:
+    """Raw tuples of ``x - c`` rounded at ``prec`` bits; raw tuples in."""
+    return [mpf_sub(x, c, prec, RND) for x in xs]
+
+
+def cauchy_sum(xs, vs, z, prec: int):
+    """``mp.fsum(v / (z - x) for x, v in zip(xs, vs))`` at ``prec`` bits, on raw
+    tuples xs and vs and an mpf or mpc z: per term the subtraction and the
+    division that the mpf operators run, each rounded, then one ``mpf_sum``
+    per part as fsum runs it (mpf out for real z or no terms, else mpc)."""
+    if not xs:
+        return mp.make_mpf(fzero)
+    if hasattr(z, "_mpc_"):
+        zt = z._mpc_
+        terms = [mpc_mpf_div(v, mpc_sub_mpf(zt, x, prec, RND), prec, RND) for x, v in zip(xs, vs)]
+        return mp.make_mpc((mpf_sum([t[0] for t in terms], prec, RND), mpf_sum([t[1] for t in terms], prec, RND)))
+    zt = z._mpf_
+    return mp.make_mpf(mpf_sum([mpf_div(v, mpf_sub(zt, x, prec, RND), prec, RND) for x, v in zip(xs, vs)], prec, RND))
 
 
 _SINGULAR = "matrix is numerically singular"

@@ -29,15 +29,17 @@ from mpmath import mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import DomainError, EndpointError, OverlapError
-from .measures import Measure, _piece_table, cauchy, concat
+from .measures import Measure, _piece_table, concat, kernel
 from .mop_engine import (
     E1,
     E2,
+    KappaForm,
     MopSystem,
     _deflate,
     add,
     kappa_weights,
     l_kappa,
+    linear_form,
     real_zeros,
     second_kind,
     second_kind_boundary,
@@ -107,8 +109,10 @@ def find_e_kappa(asys: AngelescoSystem, kappa):
     span = b2 - a1
     g = 1e-9 * span
 
+    form = KappaForm(asys.sys, kappa)
+
     def f(x):
-        return l_kappa(asys.sys, kappa, x).real
+        return form(x).real
 
     segments = []
     if b1 + g < a2 - g:
@@ -196,16 +200,6 @@ def grid_points(intervals, n_points: int, pad) -> list[float]:
     return xs
 
 
-def s_o_value(asys: AngelescoSystem, x: float) -> float:
-    """The positive weight (markov1 on the right interval, -markov2 on the left)
-    divided by (Xi * |mu1| * |mu2|)."""
-    k = asys.side_of(x)
-    scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
-    if k == 1:
-        return scale * (-asys.sys.mu2.markov(x).real)
-    return scale * asys.sys.mu1.markov(x).real
-
-
 def _require_atomless(asys: AngelescoSystem) -> None:
     # the point masses that atoms of mu1 or mu2 induce are not derived here
     if asys.sys.mu1.atoms or asys.sys.mu2.atoms:
@@ -216,14 +210,19 @@ def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
     """Spectral measure of the root vector for the kappa operator (atomless measures only)."""
     _require_atomless(asys)
     kappa = _kappa(kappa)
+    form = KappaForm(asys.sys, kappa)
+    scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
 
     def raw(x: float) -> float:
         x = float(x)
         dens = asys.mustar.density_at(x)
         if dens == 0.0:
             return 0.0
-        lk = l_kappa(asys.sys, kappa, x, "+")
-        return s_o_value(asys, x) * dens / abs(lk) ** 2
+        markov = form.markov(x, "+")
+        # S_O: the positive weight (-markov2 on the left interval, markov1 on the
+        # right) over (Xi |mu1| |mu2|); it reads the form's own value of the other measure
+        s_o = scale * (-markov[1].real) if asys.side_of(x) == 1 else scale * markov[0].real
+        return s_o * dens / abs(form.combine(markov)) ** 2
 
     masses = []
     E = find_e_kappa(asys, kappa)
@@ -415,16 +414,24 @@ def s_x(asys: AngelescoSystem, X, x: float) -> float:
     if not X:
         raise DomainError("the root has no parent subtree factor")
     _, projX, n, l = _path_data(asys, X)
-    return _s_x_by_quadrature(asys, n, l, x)
+    return _s_x_by_quadrature(asys, n, l)(x)
 
 
-def _s_x_by_quadrature(asys, n, l, x):
-    k = asys.side_of(x)
-    zs_other, weight = _bridge_weights(asys, n, l)[k]
-    mu_other = asys.sys.mu2 if k == 1 else asys.sys.mu1
-    integral = cauchy(mu_other, x, weight).real
-    tmx = np.prod([x - r for r in zs_other]) if zs_other else 1.0
-    return float((-1.0) ** k * integral / tmx)
+def _s_x_by_quadrature(asys, n, l):
+    """x -> S_X(x), each interval's bridge kernel prepared at its first x."""
+    parts = {}
+
+    def value(x):
+        k = asys.side_of(x)
+        if k not in parts:
+            zs_other, weight = _bridge_weights(asys, n, l)[k]
+            parts[k] = kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, weight), zs_other
+        kern, zs_other = parts[k]
+        integral = kern(x).real
+        tmx = math.prod([x - r for r in zs_other], start=1.0)  # left to right, as np.prod multiplies
+        return float((-1.0) ** k * integral / tmx)
+
+    return value
 
 
 def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
@@ -471,14 +478,19 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
     _require_atomless(asys)
     X = tuple(X)
     _, projX, n, l = _path_data(asys, X)
+    forms = None
 
     def raw(x: float) -> float:
+        nonlocal forms
         x = float(x)
         dens = asys.mustar.density_at(x)
         if dens == 0.0:
             return 0.0
-        L = second_kind_boundary(asys.sys, n, x, "+")
-        return _s_x_by_quadrature(asys, n, l, x) * dens / abs(L) ** 2
+        if forms is None:  # prepared at the first value: building the rep solves nothing
+            forms = linear_form(asys.sys, n), _s_x_by_quadrature(asys, n, l)
+        boundary, s_x_at = forms
+        L = boundary(x, "+")
+        return s_x_at(x) * dens / abs(L) ** 2
 
     return SpectralMeasureRep(raw, [], f"subtree-{X}", (asys.delta1, asys.delta2))
 
@@ -540,7 +552,7 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
             continue
         cf = np.asarray(P.pfloat(coeffs))
         for i in range(len(mu.pieces)):
-            xs, ws, dens = _piece_table(mu, i, (), None)
+            xs, ws, dens = _piece_table(mu, i, None)
             if k == kE:
                 # squared zero cancels the double pole: deflate analytically
                 rE = _deflate_twice(asys, n, xi, coeffs, xs, E)

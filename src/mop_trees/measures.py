@@ -12,7 +12,8 @@ the boundary values from above/below by the Plemelj split (principal value
 -/+ i*pi*g*density).
 
 Instances are immutable and safe to share: the only state is a cache of
-quadrature node tables keyed by everything the tables depend on.
+quadrature node tables and prepared kernels (:func:`kernel`), keyed by
+everything they depend on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
-from ._poly import dot, pval, pval_exact
+from ._poly import cauchy_sum, dot, products, pval, pval_exact, shifted
 from .errors import DomainError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -79,9 +80,7 @@ class DensitySpec:
                 val = val * (b - x) ** self.q
             return val
         base = self.base(x, a, b)
-        tau = self.weight_measure
-        w = np.array([tau.markov(float(t)).real for t in np.atleast_1d(x)])
-        return base * w.reshape(np.shape(x))
+        return base * cauchy(self.weight_measure, np.atleast_1d(x)).real.reshape(np.shape(x))
 
     def mp_value(self, x, a, b, prec: int):
         """Single-point evaluation in ``prec``-bit arithmetic."""
@@ -196,8 +195,7 @@ class Measure:
         zr, zi = z.real, z.imag
         d = math.inf
         for p in self.pieces:
-            dx = 0.0 if p.a <= zr <= p.b else min(abs(zr - p.a), abs(zr - p.b))
-            d = min(d, math.hypot(dx, zi))
+            d = min(d, _piece_distance(p.a, p.b, zr, zi))
         for x, _ in self.atoms:
             d = min(d, math.hypot(zr - x, zi))
         return d
@@ -215,7 +213,7 @@ class Measure:
         if key not in self._cache:
             total = sum(m * x**k for x, m in self.atoms)
             for i in range(len(self.pieces)):
-                xs, ws, dens = _piece_table(self, i, (), None)
+                xs, ws, dens = _piece_table(self, i, None)
                 total += float(np.sum(ws * dens * xs**k))
             self._cache[key] = total
         return self._cache[key]
@@ -228,7 +226,7 @@ class Measure:
             with workprec(prec):
                 node_tables = []
                 for i in range(len(self.pieces)):
-                    xs, ws, dens = _piece_table(self, i, (), prec)
+                    xs, ws, dens = _piece_table(self, i, prec)
                     node_tables.append((xs, [w * d for w, d in zip(ws, dens)]))
                 # x^k per node and atom, carried across k and across extensions,
                 # so the bits do not depend on how the table was grown
@@ -265,7 +263,7 @@ class Measure:
         """Density of the absolutely continuous part at x (0 off the pieces)."""
         for p in self.pieces:
             if p.a <= x <= p.b:
-                return float(p.density(x, p.a, p.b))
+                return _scalar_density(p, None)(x)
         return 0.0
 
     def markov_boundary(self, x: float, side: str = "+") -> complex:
@@ -316,25 +314,13 @@ def _times_weight(table, weight: tuple, prec):
     return xs, ws, [pval(weight, x) * d for x, d in zip(xs, dens)]
 
 
-def _piece_table(mu: Measure, i: int, weight: tuple, prec):
-    """(nodes, weights, g*density) of the full rule on piece i, cached on mu."""
-    # raw mpf tuples hash far faster than mpf values and identify them exactly
-    key = ("cauchy", i, mu.quad_order, tuple([getattr(c, "_mpf_", c) for c in weight]), prec)
+def _piece_table(mu: Measure, i: int, prec):
+    """(nodes, weights, density) of the full rule on piece i, cached on mu."""
+    key = ("table", i, prec)
     if key not in mu._cache:
         p = mu.pieces[i]
-        base = _piece_table(mu, i, (), prec) if weight else _rule_table(p, p.a, p.b, mu.quad_order, prec)
-        mu._cache[key] = _times_weight(base, weight, prec)
+        mu._cache[key] = _rule_table(p, p.a, p.b, mu.quad_order, prec)
     return mu._cache[key]
-
-
-def _node_sum(table, z, prec, fx=0):
-    """Sum of ``w * (g*density - fx) / (z - t)`` over a node table."""
-    xs, ws, gd = table
-    if fx:
-        gd = gd - fx if prec is None else [g - fx for g in gd]
-    if prec is None:
-        return complex((ws * gd / (z - xs)).sum())
-    return mp.fsum(w * g / (z - x) for x, w, g in zip(xs, ws, gd))
 
 
 def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
@@ -346,65 +332,177 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
     from above/below: the Plemelj split ``pv -/+ i*pi*g(x)*density(x)`` on that
     piece, its principal value by the singularity subtraction
     ``pv int f(t)/(x-t) dt = int (f(t)-f(x))/(x-t) dt + f(x) log((x-a)/(b-x))``;
-    the other pieces and the atoms enter as off the support, at distance 0.
-    A piece is integrated on graded panels toward z when the support is
-    closer to z than ``_NEAR_FACTOR`` times the piece's length.
+    the other pieces and the atoms enter as off the support.  A piece other
+    than the host is integrated on graded panels toward z when it lies closer
+    to z than ``_NEAR_FACTOR`` times its length.
 
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
-    support, an mpc otherwise.  Full-piece node tables are cached on ``mu``
-    under piece, rule order, weight and precision; panels are not cached.
+    support, an mpc otherwise.  In double precision z may also be a 1-D array
+    off the support; each element of the returned complex array equals the
+    scalar call bit for bit.  The call runs the measure's prepared kernel for
+    (weight, prec) (:func:`kernel`); panels are not cached.
     """
-    weight = tuple(weight)
-    zc = complex(z)
-    host, dist = None, 0.0
-    if side is None:
-        dist = mu.support_distance(zc)
-        if dist < _SUPPORT_TOL:
-            raise DomainError("Cauchy transform evaluated on the support")
-    elif side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    else:
-        host = next((p for p in mu.pieces if p.a < zc.real < p.b and zc.imag == 0), None)
+    return kernel(mu, weight, prec)(z, side)
+
+
+def kernel(mu: Measure, weight=(), prec=None) -> "_Kernel":
+    """The prepared :func:`cauchy` of ``mu`` for one weight and precision, cached on ``mu``."""
+    # raw mpf tuples hash far faster than mpf values and identify them exactly
+    key = ("kernel", tuple([getattr(c, "_mpf_", c) for c in weight]), prec)
+    kern = mu._cache.get(key)
+    if kern is None:
+        kern = mu._cache[key] = _Kernel(mu, tuple(weight), prec)
+    return kern
+
+
+class _Kernel:
+    """:func:`cauchy` for one measure, weight and precision, with everything
+    that does not depend on z resolved once: the full-piece node tables with
+    w*g*density formed in advance, the weight as floats (double) or mpf, the
+    atoms' m*g(x) values and the pieces' geometry and scalar densities.
+
+    The mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
+    bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
+    against the pre-formed w*g, each rounded at ``prec`` as the mpf operators
+    round, then one ``mpf_sum`` per part as fsum runs it (:func:`cauchy_sum`).
+    """
+
+    def __init__(self, mu: Measure, weight: tuple, prec):
+        self.prec, self.weight, self.pieces = prec, weight, mu.pieces
+        self.atom_x = [x for x, _ in mu.atoms]
+        self.spans = [(p.a, p.b, _NEAR_FACTOR * (p.b - p.a)) for p in mu.pieces]
+        with workprec(prec) if prec else contextlib.nullcontext():
+            if prec is None:
+                gf = [float(c) for c in weight]
+                self.g = (lambda t: pval(gf, t)) if weight else (lambda t: 1)
+                self.atoms = [(x, m * self.g(x)) for x, m in mu.atoms]
+            else:
+                self.g = (lambda t: pval(weight, t)) if weight else (lambda t: 1)
+                self.atoms = [(mpf(x), mpf(m) * self.g(mpf(x))) for x, m in mu.atoms]
+            self.density = [_scalar_density(p, prec) for p in mu.pieces]
+            self.tables = [
+                self._prepare(_times_weight(_piece_table(mu, i, prec), weight, prec)) for i in range(len(mu.pieces))
+            ]
+        # off the support z is complex: the nodes and w*g*density cast once (exact), not per call
+        self.off = [(xs, wg) if prec else (xs.astype(complex), wg.astype(complex)) for xs, _, _, wg in self.tables]
+
+    def _prepare(self, table):
+        """(nodes, weights, g*density, w*g*density); raw libmp tuples in mp."""
+        xs, ws, gd = table
+        if self.prec is None:
+            return xs, ws, gd, ws * gd
+        xs, ws, gd = ([v._mpf_ for v in col] for col in (xs, ws, gd))
+        return xs, ws, gd, products(ws, gd, self.prec)
+
+    def _locate(self, zc: complex, side):
+        """(index of the host piece or None, distance from z to each piece)."""
+        zr, zi = zc.real, zc.imag
+        dists = [_piece_distance(a, b, zr, zi) for a, b, _ in self.spans]
+        if side is None:
+            near_atom = any(math.hypot(zr - x, zi) < _SUPPORT_TOL for x in self.atom_x)
+            if near_atom or min(dists, default=math.inf) < _SUPPORT_TOL:
+                raise DomainError("Cauchy transform evaluated on the support")
+            return None, dists
+        if side not in ("+", "-"):
+            raise ValueError("side must be '+' or '-'")
+        host = next((i for i, (a, b, _) in enumerate(self.spans) if a < zr < b and zi == 0), None)
         if host is None:
             raise DomainError("boundary value requires x strictly inside an ac piece")
-        if any(abs(zc.real - xa) < _SUPPORT_TOL for xa, _ in mu.atoms):
+        if any(abs(zr - x) < _SUPPORT_TOL for x in self.atom_x):
             raise DomainError("boundary value at an atom")
+        return host, dists
 
-    def g(t):  # at the atoms and at x; node values come from the tables
-        if not weight:
-            return 1
-        return pval(weight, t) if prec else pval([float(c) for c in weight], t)
+    def _sum(self, xs, wg, z):
+        """Sum of ``wg / (z - t)`` over the nodes t."""
+        if self.prec is None:
+            return complex((wg / (z - xs)).sum())
+        return cauchy_sum(xs, wg, z, self.prec)
 
-    with workprec(prec) if prec else contextlib.nullcontext():
-        if prec is None:
-            zq = zc if host is None else zc.real
-            total = sum(m * g(xa) / (zq - xa) for xa, m in mu.atoms)
-            log, pi = math.log, math.pi
-        else:
+    def _panels(self, i: int, x0: float, dist: float, z):
+        """Sum over graded panels of piece i toward x0 (tables built per call)."""
+        p, prec = self.pieces[i], self.prec
+        tables = (
+            self._prepare(_times_weight(_rule_table(p, a, b, _PANEL_ORDER, prec), self.weight, prec))
+            for a, b in graded_panels(p.a, p.b, x0, max(dist, 1e-14))
+        )
+        return sum(self._sum(xs, wg, z) for xs, _, _, wg in tables)
+
+    def __call__(self, z, side=None):
+        if isinstance(z, np.ndarray):
+            return self._rows(z, side)
+        zc = complex(z)
+        host, dists = self._locate(zc, side)
+        if self.prec is None:
+            return self._value(zc if host is None else zc.real, zc, host, dists, side, math.log, math.pi)
+        with workprec(self.prec):
             zq = mpc(z) if host is None and isinstance(z, (complex, mpc)) else mpf(z)
-            total = mp.fsum(mpf(m) * g(mpf(xa)) / (zq - mpf(xa)) for xa, m in mu.atoms)
-            log, pi = mp.log, mp.pi
-        for i, p in enumerate(mu.pieces):
-            if p is host:
-                dens = float(p.density(zq, p.a, p.b)) if prec is None else p.density.mp_value(zq, p.a, p.b, prec)
-                fx = g(zq) * dens
-                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec, fx).real
-                total += fx * log((zq - p.a) / (p.b - zq))
-            elif dist >= _NEAR_FACTOR * (p.b - p.a):
-                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec)
+            return self._value(zq, zc, host, dists, side, mp.log, mp.pi)
+
+    def _value(self, zq, zc, host, dists, side, log, pi):
+        """The transform at zq (a float or complex, or an mpf or mpc at ``prec``)."""
+        prec = self.prec
+        if prec is not None:
+            total = mp.fsum([mg / (zq - x) for x, mg in self.atoms])
+        else:
+            total = sum([mg / (zq - x) for x, mg in self.atoms]) if self.atoms else 0
+        for i, dist in enumerate(dists):
+            if i == host:
+                xs, ws, gd, wg = self.tables[i]
+                a, b, _ = self.spans[i]
+                fx = self.g(zq) * self.density[i](zq)
+                if fx:  # the singularity subtraction
+                    wg = ws * (gd - fx) if prec is None else products(ws, shifted(gd, fx._mpf_, prec), prec)
+                total += self._sum(xs, wg, zq).real
+                total += fx * log((zq - a) / (b - zq))
+            elif dist < self.spans[i][2]:
+                total += self._panels(i, zc.real, dist, zq)
             else:
-                panels = graded_panels(p.a, p.b, zc.real, max(dist, 1e-14))
-                total += sum(
-                    _node_sum(_times_weight(_rule_table(p, a, b, _PANEL_ORDER, prec), weight, prec), zq, prec)
-                    for a, b in panels
-                )
+                total += self._sum(*self.off[i], zq)
         if host is not None:
             im = -pi * fx if side == "+" else pi * fx
             return complex(total.real, im) if prec is None else mpc(total.real, im)
         if prec is None:
             return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
         return total
+
+    def _rows(self, z: np.ndarray, side):
+        """The double-precision call at each element of a 1-D array of z off the
+        support: the z with no atoms or near pieces to treat share one (z, node)
+        array per piece, summed by rows; the others take the scalar call."""
+        if self.prec is not None or side is not None or z.ndim != 1:
+            raise ValueError("array z requires double precision, side=None and a 1-D array")
+        zs = [complex(v) for v in z]
+        out = np.empty(len(zs), dtype=complex)
+        far = []
+        for r, zc in enumerate(zs):
+            _, dists = self._locate(zc, None)
+            if self.atoms or any(d < near for d, (_, _, near) in zip(dists, self.spans)):
+                out[r] = self(zc)
+            else:
+                far.append(r)
+        if far:
+            Z = np.array([zs[r] for r in far])
+            total = np.zeros(len(far), dtype=complex)
+            for xs, wg in self.off:
+                total += (wg / (Z[:, None] - xs)).sum(axis=1)
+            total.imag[Z.imag == 0] = 0.0
+            out[far] = total
+        return out
+
+
+def _piece_distance(a: float, b: float, zr: float, zi: float) -> float:
+    """Distance from z = zr + i zi to the interval [a, b]."""
+    return math.hypot(0.0 if a <= zr <= b else min(abs(zr - a), abs(zr - b)), zi)
+
+
+def _scalar_density(p: Piece, prec):
+    """x -> density of piece p at one point: a float, or an mpf at ``prec`` bits."""
+    if prec is not None:
+        return lambda x: p.density.mp_value(x, p.a, p.b, prec)
+    if p.density.kind == "uniform":
+        return lambda x: 1.0  # float(p.density(x, a, b)) for every x
+    return lambda x: float(p.density(x, p.a, p.b))
 
 
 def measure_from_json(doc) -> Measure:

@@ -31,7 +31,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import _poly as P
 from .errors import ConvergenceError, DomainError, NormalityError, ZeroError
-from .measures import Measure, cauchy
+from .measures import Measure, kernel
 
 E1 = (1, 0)
 E2 = (0, 1)
@@ -369,35 +369,38 @@ def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):
     density of the linear form; this route avoids the A0 cancellation and is
     accurate in double precision for moderate |n|.
     """
-    return _linear_form_boundary(sys, n, x, side, None)
+    return linear_form(sys, n)(x, side)
 
 
 def second_kind_boundary_mp(sys: MopSystem, n, x, side: str = "+"):
     """Extended-precision boundary value of L_n (same Plemelj route)."""
-    return _linear_form_boundary(sys, n, x, side, sys.precision_bits)
+    return linear_form(sys, n, sys.precision_bits)(x, side)
 
 
 def _sides(sys: MopSystem, x, side) -> tuple:
     """Per measure, ``side`` if one of its ac pieces strictly holds x, else None."""
-    sides = tuple(side if any(p.a < x < p.b for p in mu.pieces) else None for mu in (sys.mu1, sys.mu2))
+    sides = tuple([side if any([p.a < x < p.b for p in mu.pieces]) else None for mu in (sys.mu1, sys.mu2)])
     if sides == (None, None):
         raise DomainError("boundary value requires x inside an ac piece")
     return sides
 
 
-def _linear_form_boundary(sys: MopSystem, n, x, side, prec):
-    """Transform of the linear form ``A1 dmu1 + A2 dmu2`` at x: the boundary
-    value on the measure holding x, the plain Cauchy transform on the other."""
+def linear_form(sys: MopSystem, n, prec=None):
+    """The transform of the linear form ``A1 dmu1 + A2 dmu2`` at n, prepared
+    once: a function of (x, side) that gives the boundary value on the
+    measure holding x plus the plain Cauchy transform on the other."""
     rec = sys.type1_record(n)
-    parts = [
-        cauchy(mu, x, coeffs, s, prec)
-        for mu, coeffs, s in zip((sys.mu1, sys.mu2), (rec.A1, rec.A2), _sides(sys, x, side))
-        if coeffs
-    ]
-    if prec is None:
-        return sum(parts)
-    with workprec(prec):
-        return mp.fsum(parts)
+    parts = [(j, kernel(mu, c, prec)) for j, (mu, c) in enumerate(((sys.mu1, rec.A1), (sys.mu2, rec.A2))) if c]
+
+    def value(x, side="+"):
+        sides = _sides(sys, x, side)
+        vals = [kern(x, sides[j]) for j, kern in parts]
+        if prec is None:
+            return sum(vals)
+        with workprec(prec):
+            return mp.fsum(vals)
+
+    return value
 
 
 def kappa_weights(sys: MopSystem, kappa, prec=None) -> tuple:
@@ -408,6 +411,32 @@ def kappa_weights(sys: MopSystem, kappa, prec=None) -> tuple:
         return mpf(kappa[1]) / sys.mass(1), mpf(kappa[0]) / sys.mass(2)
 
 
+class KappaForm:
+    """The kappa-form ``(kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2`` with
+    its weights and the two Markov kernels resolved once (see :func:`l_kappa`)."""
+
+    def __init__(self, sys: MopSystem, kappa, prec=None):
+        self.sys, self.prec = sys, prec
+        self.weights = kappa_weights(sys, kappa, prec)
+        self.kernels = (kernel(sys.mu1, (), prec), kernel(sys.mu2, (), prec))
+
+    def markov(self, z, side=None) -> tuple:
+        """(markov1, markov2) at z; with ``side``, the boundary value on the measure holding z."""
+        sides = (None, None) if side is None else _sides(self.sys, z, side)
+        return self.kernels[0](z, sides[0]), self.kernels[1](z, sides[1])
+
+    def combine(self, markov: tuple):
+        """The form from the pair that :meth:`markov` returns."""
+        (w1, w2), (m1, m2) = self.weights, markov
+        if self.prec is None:
+            return w1 * m1 + w2 * m2
+        with workprec(self.prec):
+            return w1 * m1 + w2 * m2
+
+    def __call__(self, z, side=None):
+        return self.combine(self.markov(z, side))
+
+
 def l_kappa(sys: MopSystem, kappa, z, side=None, prec=None):
     """The kappa-form ``kappa2 L_{e1}(z) + kappa1 L_{e2}(z) = (kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2``.
 
@@ -415,10 +444,7 @@ def l_kappa(sys: MopSystem, kappa, z, side=None, prec=None):
     ``side``, as in :func:`cauchy`, the measure whose ac piece strictly holds
     the real z gives its boundary value and the other its plain transform.
     """
-    w1, w2 = kappa_weights(sys, kappa, prec)
-    s1, s2 = (None, None) if side is None else _sides(sys, z, side)
-    with workprec(prec) if prec else contextlib.nullcontext():
-        return w1 * cauchy(sys.mu1, z, side=s1, prec=prec) + w2 * cauchy(sys.mu2, z, side=s2, prec=prec)
+    return KappaForm(sys, kappa, prec)(z, side)
 
 
 # ---------------------------------------------------------------------------

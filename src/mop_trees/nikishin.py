@@ -191,13 +191,9 @@ def second_kind_tau_integral(nsys: NikishinSystem, n, k: int) -> float:
     ``|tau| h_{n,1} - h_{n,2}``.
     """
     pn = nsys.sys.record(n).P
-
-    def r(x):
-        return cauchy(nsys.mu1, x, pn).real
-
-    total = sum(m * xa**k * r(xa) for xa, m in nsys.tau.atoms)
+    total = sum(m * xa**k * cauchy(nsys.mu1, xa, pn).real for xa, m in nsys.tau.atoms)
     for q in nsys.tau.pieces:
         xs, ws = map_rule(q.a, q.b, nsys.tau.quad_order)
-        for x, w in zip(xs, ws * q.density(xs, q.a, q.b)):
-            total += w * x**k * r(x)
+        for x, w, r in zip(xs, ws * q.density(xs, q.a, q.b), cauchy(nsys.mu1, xs, pn).real):
+            total += w * x**k * r
     return float(total)

@@ -241,11 +241,12 @@ def green_path(surf: SurfaceParams, l: int, X, z) -> complex:
     """G(X, O; z) for the vertex X addressed by its path word of edge types.
 
     Product formula: the root factor M^(l) times ``-sqrt(A_t) M^(t)`` per
-    path edge of type t.
+    path edge of type t, all from one sheet-0 point chi0(z).
     """
-    val = m_function(surf, l, z)
+    chi = chi0(surf, z)
+    val = 1.0 / (surf.b_of(l) - chi)
     for t in X:
-        val *= -math.sqrt(surf.a_of(t)) * m_function(surf, t, z)
+        val *= -math.sqrt(surf.a_of(t)) * (1.0 / (surf.b_of(t) - chi))
     return val
 
 

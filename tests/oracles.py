@@ -6,14 +6,19 @@ by Fraction Gaussian elimination, and integrals are refined with brute-force
 composite rules on ~10^6 nodes.
 """
 
+from __future__ import annotations
+
+import contextlib
+import math
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
+from mop_trees._poly import pval, pval_exact
 from mop_trees.errors import AssumptionError, BranchError, DomainError
 from mop_trees.periodic_surface import _BRANCH_GUARD, SurfaceParams, _dist_to_branch, on_cuts
-from mop_trees.quadrature import gauss_legendre
+from mop_trees.quadrature import gauss_legendre, graded_panels, map_rule, map_rule_mp
 
 
 def uniform_moment(a, b, k) -> Fraction:
@@ -381,3 +386,133 @@ def chi_plus(surf: SurfaceParams, x: float) -> complex:
         last = cur
         h *= 0.25
     return last
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy-transform kernel before it was prepared per measure and weight
+# ---------------------------------------------------------------------------
+# ``cauchy``, ``_node_sum``, ``_times_weight`` and ``_rule_table`` are the
+# per-call kernel as it stood before ``measures.kernel``: every call resolves
+# its tables, weights and pieces again, and the mp sums run on mpf objects
+# through ``mp.fsum``.  The prepared kernel must return the same bits.  One
+# difference is deliberate: with ``side`` set (or a near piece), every other
+# piece here is integrated on panels graded toward z, however far it is.
+
+_SUPPORT_TOL = 1e-12
+_NEAR_FACTOR = 0.1
+_PANEL_ORDER = 32
+_TABLES: dict = {}
+
+
+def _rule_table(p: Piece, a, b, order: int, prec):
+    """Nodes, weights and density values of the Gauss-Legendre rule on [a, b] inside p."""
+    if prec is None:
+        xs, ws = map_rule(a, b, order)
+        return xs, ws, p.density(xs, p.a, p.b)
+    xs, ws = map_rule_mp(a, b, order, prec)
+    return xs, ws, [p.density.mp_value(x, p.a, p.b, prec) for x in xs]
+
+
+def _times_weight(table, weight: tuple, prec):
+    """The table with g*density in place of the density.
+
+    In double precision g is evaluated exactly at each node and rounded once:
+    the monomial form of a weight can be far worse conditioned than g itself.
+    """
+    if not weight:
+        return table
+    xs, ws, dens = table
+    if prec is None:
+        return xs, ws, np.array([float(pval_exact(weight, x)) for x in xs]) * dens
+    return xs, ws, [pval(weight, x) * d for x, d in zip(xs, dens)]
+
+
+def _piece_table(mu, i: int, weight: tuple, prec):
+    """(nodes, weights, g*density) of the full rule on piece i: the parent's
+    table, kept in this module's own store instead of on mu."""
+    key = (id(mu), i, mu.quad_order, tuple([getattr(c, "_mpf_", c) for c in weight]), prec)
+    if key not in _TABLES:
+        p = mu.pieces[i]
+        base = _piece_table(mu, i, (), prec) if weight else _rule_table(p, p.a, p.b, mu.quad_order, prec)
+        _TABLES[key] = (mu, _times_weight(base, weight, prec))
+    return _TABLES[key][1]
+
+
+def _node_sum(table, z, prec, fx=0):
+    """Sum of ``w * (g*density - fx) / (z - t)`` over a node table."""
+    xs, ws, gd = table
+    if fx:
+        gd = gd - fx if prec is None else [g - fx for g in gd]
+    if prec is None:
+        return complex((ws * gd / (z - xs)).sum())
+    return mp.fsum(w * g / (z - x) for x, w, g in zip(xs, ws, gd))
+
+
+def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
+    """``int g(t) dmu(t) / (z - t)``, g the polynomial with ascending coefficients ``weight``.
+
+    An empty ``weight`` is g = 1, the Markov function.  With ``side=None``, z
+    is off the support and may be complex.  With ``side`` ``'+'``/``'-'``, z is
+    a real x strictly inside an ac piece and the result is the boundary value
+    from above/below: the Plemelj split ``pv -/+ i*pi*g(x)*density(x)`` on that
+    piece, its principal value by the singularity subtraction
+    ``pv int f(t)/(x-t) dt = int (f(t)-f(x))/(x-t) dt + f(x) log((x-a)/(b-x))``;
+    the other pieces and the atoms enter as off the support, at distance 0.
+    A piece is integrated on graded panels toward z when the support is
+    closer to z than ``_NEAR_FACTOR`` times the piece's length.
+
+    ``prec=None`` works in double precision and returns a complex; an int
+    works in mpmath at that many bits and returns an mpf for real z off the
+    support, an mpc otherwise.  Full-piece node tables are cached on ``mu``
+    under piece, rule order, weight and precision; panels are not cached.
+    """
+    weight = tuple(weight)
+    zc = complex(z)
+    host, dist = None, 0.0
+    if side is None:
+        dist = mu.support_distance(zc)
+        if dist < _SUPPORT_TOL:
+            raise DomainError("Cauchy transform evaluated on the support")
+    elif side not in ("+", "-"):
+        raise ValueError("side must be '+' or '-'")
+    else:
+        host = next((p for p in mu.pieces if p.a < zc.real < p.b and zc.imag == 0), None)
+        if host is None:
+            raise DomainError("boundary value requires x strictly inside an ac piece")
+        if any(abs(zc.real - xa) < _SUPPORT_TOL for xa, _ in mu.atoms):
+            raise DomainError("boundary value at an atom")
+
+    def g(t):  # at the atoms and at x; node values come from the tables
+        if not weight:
+            return 1
+        return pval(weight, t) if prec else pval([float(c) for c in weight], t)
+
+    with workprec(prec) if prec else contextlib.nullcontext():
+        if prec is None:
+            zq = zc if host is None else zc.real
+            total = sum(m * g(xa) / (zq - xa) for xa, m in mu.atoms)
+            log, pi = math.log, math.pi
+        else:
+            zq = mpc(z) if host is None and isinstance(z, (complex, mpc)) else mpf(z)
+            total = mp.fsum(mpf(m) * g(mpf(xa)) / (zq - mpf(xa)) for xa, m in mu.atoms)
+            log, pi = mp.log, mp.pi
+        for i, p in enumerate(mu.pieces):
+            if p is host:
+                dens = float(p.density(zq, p.a, p.b)) if prec is None else p.density.mp_value(zq, p.a, p.b, prec)
+                fx = g(zq) * dens
+                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec, fx).real
+                total += fx * log((zq - p.a) / (p.b - zq))
+            elif dist >= _NEAR_FACTOR * (p.b - p.a):
+                total += _node_sum(_piece_table(mu, i, weight, prec), zq, prec)
+            else:
+                panels = graded_panels(p.a, p.b, zc.real, max(dist, 1e-14))
+                total += sum(
+                    _node_sum(_times_weight(_rule_table(p, a, b, _PANEL_ORDER, prec), weight, prec), zq, prec)
+                    for a, b in panels
+                )
+        if host is not None:
+            im = -pi * fx if side == "+" else pi * fx
+            return complex(total.real, im) if prec is None else mpc(total.real, im)
+        if prec is None:
+            return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
+        return total

@@ -169,6 +169,35 @@ class TestDot:
         assert P.dot(xs, ones, prec) == expected
 
 
+class TestCauchySum:
+    @pytest.mark.parametrize("prec", [24, 53, 256, 512])
+    def test_equals_fsum_of_quotients(self, prec):
+        rng = random.Random(prec)
+        with workprec(300):
+            xs = [mpf((rng.getrandbits(290), -290)) for _ in range(40)]  # nodes in [0, 1)
+            vs = [mpf((rng.choice((-1, 1)) * rng.getrandbits(300), rng.randint(-320, -280))) for _ in range(40)]
+            zs = [mpf(-0.25), mpf(1) + mpf(2) ** -40, mp.mpc(0.5, 1e-3), mp.mpc(-3, -2)]
+        vs[5] = mpf(0)
+        for z in zs:
+            for k in (0, 1, 40):
+                with workprec(prec):
+                    zq = mp.mpc(z) if isinstance(z, mp.mpc) else mpf(z)
+                    expected = mp.fsum(v / (zq - x) for x, v in zip(xs[:k], vs[:k]))
+                    got = P.cauchy_sum([x._mpf_ for x in xs[:k]], [v._mpf_ for v in vs[:k]], zq, prec)
+                assert type(got) is type(expected)
+                assert getattr(got, "_mpc_", None) == getattr(expected, "_mpc_", None)
+                assert getattr(got, "_mpf_", None) == getattr(expected, "_mpf_", None)
+
+    def test_products_and_shifts_round_as_mpf(self):
+        with workprec(300):
+            xs = [mpf(1) / 3, mpf(2) ** 100 + 1, -mpf(7) / 11]
+            ys = [mpf(3) / 7, mpf(5), mpf(1) / 9]
+            c = mpf(1) / 13
+        with workprec(64):
+            assert P.products([x._mpf_ for x in xs], [y._mpf_ for y in ys], 64) == [(x * y)._mpf_ for x, y in zip(xs, ys)]
+            assert P.shifted([x._mpf_ for x in xs], c._mpf_, 64) == [(x - c)._mpf_ for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # bit pin of the engine
 # ---------------------------------------------------------------------------

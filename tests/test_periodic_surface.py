@@ -175,6 +175,15 @@ class TestOneFiberSolvePerCall:
         fn(SYM, z)
         assert len(solves) == one
 
+    @pytest.mark.parametrize("z", [5.0, 0.5 + 2j])
+    def test_green_path_one_solve(self, z, monkeypatch):
+        solves = _counted(monkeypatch, "_fiber")
+        chi0(SYM, z)
+        one = len(solves)
+        solves.clear()
+        green_path(SYM, 1, (1, 2, 1), z)
+        assert len(solves) == one  # 1 at 0.5+2j, 2 at real z (the probe above the axis)
+
     def test_unit_identity_one_ladder(self, monkeypatch):
         x = 0.5 * sum(SYM.cuts[1])
         ladders = _counted(monkeypatch, "chi_plus")
@@ -189,6 +198,11 @@ class TestOneFiberSolvePerCall:
         assert l2_norm_sq(ASYM, 2, z) == m2 / (1 - (ASYM.A1 * m1 + ASYM.A2 * m2))
         g1, g2 = (abs(m_plus(ASYM, l, x)) ** 2 for l in (1, 2))
         assert unit_identity_residual(ASYM, x) == abs(ASYM.A1 * g1 + ASYM.A2 * g2 - 1.0)
+        for zz in (z, 5.0):
+            path = m_function(ASYM, 2, zz)
+            for t in (1, 2, 1):
+                path *= -math.sqrt(ASYM.a_of(t)) * m_function(ASYM, t, zz)
+            assert green_path(ASYM, 2, (1, 2, 1), zz) == path
 
 
 class TestMFunctions:
