@@ -82,6 +82,11 @@ def dot(xs, ys, prec: int):
     return mp.make_mpf(mpf_sum([mpf_mul(x._mpf_, y._mpf_, prec, RND) for x, y in zip(xs, ys)], prec, RND))
 
 
+def raw_dot(xs, ys, prec: int):
+    """:func:`dot` on raw tuples xs and ys (mpf out)."""
+    return mp.make_mpf(mpf_sum(products(xs, ys, prec), prec, RND))
+
+
 def products(xs, ys, prec: int) -> list:
     """Raw tuples of ``x * y`` rounded at ``prec`` bits, as the mpf product rounds; raw tuples in."""
     return [mpf_mul(x, y, prec, RND) for x, y in zip(xs, ys)]

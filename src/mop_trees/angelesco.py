@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf, workprec
 
 from . import _poly as P
 from .errors import DomainError, EndpointError, OverlapError
@@ -35,6 +35,7 @@ from .mop_engine import (
     E2,
     KappaForm,
     MopSystem,
+    SecondKind,
     _deflate,
     add,
     kappa_weights,
@@ -102,8 +103,17 @@ def find_e_kappa(asys: AngelescoSystem, kappa):
     ``m2 (c1 m1/m2 + c2)`` changes sign at most once per component, for any
     kappa.  On a fixed grid per component (the gap linear, the outer rays
     geometric out to 50 spans) the cell holding the sign change is found by
-    bisection over grid indices, then bisected down to rounding level.
+    bisection over grid indices, then bisected down to rounding level.  The
+    zero is kept on the system per normalized kappa.
     """
+    kappa = _kappa(kappa)
+    key = ("e_kappa", kappa)
+    if key not in asys._cache:
+        asys._cache[key] = _search_e_kappa(asys, kappa)
+    return asys._cache[key]
+
+
+def _search_e_kappa(asys: AngelescoSystem, kappa):
     a1, b1 = asys.delta1
     a2, b2 = asys.delta2
     span = b2 - a1
@@ -263,11 +273,10 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
 
     E = find_e_kappa(asys, kappa)
     if E is not None and abs(x - E) < 1e-12:
+        family = SecondKind(sysm, x)
+        L1 = second_kind(sysm, (1, 1), family)
         with workprec(prec):
-            L1 = second_kind(sysm, (1, 1), mpf(x))
-            return lattice_values(
-                lambda n: float((second_kind(sysm, n, mpf(x)) / L1).real), points
-            ) / m
+            return lattice_values(lambda n: float((second_kind(sysm, n, family) / L1).real), points) / m
 
     k = asys.side_of(x)
     with workprec(prec):
@@ -329,13 +338,13 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     prec = asys.sys.precision_bits
     mX, projX, parentX, iotaX = _path_data(asys, X)
     mY, projY, _, _ = _path_data(asys, Y)
+    family = SecondKind(asys.sys, z)  # numerator and denominator read its one Markov pair
+    LY = second_kind(asys.sys, projY, family)
+    if X == ():
+        Lden = KappaForm(asys.sys, kappa, prec).combine(family.markov)
+    else:
+        Lden = second_kind(asys.sys, parentX, family)
     with workprec(prec):
-        zm = mpc(z)
-        LY = second_kind(asys.sys, projY, zm)
-        if X == ():
-            Lden = l_kappa(asys.sys, kappa, zm, prec=prec)
-        else:
-            Lden = second_kind(asys.sys, parentX, zm)
         formula = complex(-(mpf(mX) / mpf(mY)) * LY / Lden)
 
     if X == ():

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import fone
 
-from ._poly import cauchy_sum, dot, products, pval, pval_exact, shifted
+from ._poly import cauchy_sum, products, pval, pval_exact, raw_dot, shifted
 from .errors import DomainError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -223,31 +224,31 @@ class Measure:
         key = ("mom_mp", prec)
         table = self._cache.get(key, [])
         if len(table) <= upto:
+            # per piece the raw nodes and w*density, and x^k per node and atom,
+            # carried across k and across extensions, so the bits do not depend
+            # on how the table was grown
             with workprec(prec):
-                node_tables = []
-                for i in range(len(self.pieces)):
-                    xs, ws, dens = _piece_table(self, i, prec)
-                    node_tables.append((xs, [w * d for w, d in zip(ws, dens)]))
-                # x^k per node and atom, carried across k and across extensions,
-                # so the bits do not depend on how the table was grown
-                pow_tables, atom_pows = self._cache.get(("mom_pows", prec)) or (
-                    [[mpf(1)] * len(xs) for xs, _ in node_tables], [mpf(1)] * len(self.atoms)
-                )
+                cols, pow_rows, atom_pows = self._cache.get(("mom_pows", prec)) or self._moment_columns(prec)
                 for k in range(len(table), upto + 1):
                     total = mpf(0)
                     for (x, m), xp in zip(self.atoms, atom_pows):
                         total += mpf(m) * xp
-                    for (xs, wd), xp in zip(node_tables, pow_tables):
-                        total += dot(wd, xp, prec)
+                    for (_, wd), xp in zip(cols, pow_rows):
+                        total += raw_dot(wd, xp, prec)
                     table.append(total)
                     atom_pows = [xp * mpf(x) for (x, _), xp in zip(self.atoms, atom_pows)]
-                    pow_tables = [
-                        [t * x for t, x in zip(xp, xs)]
-                        for (xs, _), xp in zip(node_tables, pow_tables)
-                    ]
+                    pow_rows = [products(xp, xs, prec) for (xs, _), xp in zip(cols, pow_rows)]
             self._cache[key] = table
-            self._cache[("mom_pows", prec)] = (pow_tables, atom_pows)
+            self._cache[("mom_pows", prec)] = (cols, pow_rows, atom_pows)
         return table[: upto + 1]
+
+    def _moment_columns(self, prec: int) -> tuple:
+        """(per piece the raw nodes and w*density, x^0 per node, x^0 per atom) at ``prec`` bits."""
+        cols = []
+        for i in range(len(self.pieces)):
+            xs, ws, dens = _piece_table(self, i, prec)
+            cols.append(([x._mpf_ for x in xs], products([w._mpf_ for w in ws], [d._mpf_ for d in dens], prec)))
+        return cols, [[fone] * len(xs) for xs, _ in cols], [mpf(1)] * len(self.atoms)
 
     # -- Cauchy transforms ------------------------------------------------
 

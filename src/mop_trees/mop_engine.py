@@ -127,12 +127,14 @@ class MopSystem:
 
     def _check_orthogonality(self, coeffs, n, moms):
         # exact identities up to rounding; failure signals a non-normal index
-        tol = mpf(2) ** (-self.precision_bits // 3)
-        scale = max(abs(c) for c in coeffs)
+        bound = mpf(2) ** (-self.precision_bits // 3) * max(abs(c) for c in coeffs)
+        d = len(coeffs) - 1
         for nk, mom in zip(n, moms):
+            top = max([abs(x) for x in mom[:d]], default=_ZERO)  # max |moment| read so far, row by row
             for m in range(nk):
+                top = max(top, abs(mom[m + d]))
                 r = P.dot(coeffs, mom[m:], self.precision_bits)
-                if abs(r) > tol * scale * max(abs(x) for x in mom[: m + len(coeffs)]):
+                if abs(r) > bound * top:
                     raise NormalityError(f"orthogonality residual too large at n={n}")
 
     def _h_value(self, rec: MopRecord, j: int):
@@ -348,18 +350,39 @@ def type1_recursion_residual(sys: MopSystem, n, i: int, j: int):
 # ---------------------------------------------------------------------------
 
 
+class SecondKind:
+    """The second-kind family n -> L_n(z) at one z off the supports, prepared
+    once: z at ``precision_bits`` and the mp Markov pair
+    ``(markov1(z), markov2(z))``, which every L_n(z) and the root kappa-form
+    at z (:meth:`KappaForm.combine`) read."""
+
+    def __init__(self, sys: MopSystem, z):
+        self.sys = sys
+        prec = sys.precision_bits
+        with workprec(prec):
+            self.z = mpc(z)
+            self.markov = (sys.mu1.markov_mp(self.z, prec), sys.mu2.markov_mp(self.z, prec))
+
+    def __call__(self, n):
+        """L_n(z) through its partial-fraction form ``A1*markov1 + A2*markov2 - A0``."""
+        with workprec(self.sys.precision_bits):
+            a0, a1, a2 = self.sys.type1_values(n, self.z)
+            return a1 * self.markov[0] + a2 * self.markov[1] - a0
+
+
 def second_kind(sys: MopSystem, n, z):
     """L_n(z) off the supports, in extended precision.
 
     L_n is evaluated through its partial-fraction form
     ``A1*markov1 + A2*markov2 - A0`` (large cancellation, hence mp).  The
     functions R_{n,k} are the Cauchy transforms ``cauchy(mu_k, z, P_n)``.
+    ``z`` is a point, or the :class:`SecondKind` family of ``sys`` prepared
+    at one: values at one z then share its Markov pair.
     """
-    prec = sys.precision_bits
-    with workprec(prec):
-        zm = mpc(z)
-        a0, a1, a2 = sys.type1_values(n, zm)
-        return a1 * sys.mu1.markov_mp(zm, prec) + a2 * sys.mu2.markov_mp(zm, prec) - a0
+    family = z if isinstance(z, SecondKind) else SecondKind(sys, z)
+    if family.sys is not sys:
+        raise ValueError("the second-kind family belongs to another system")
+    return family(n)
 
 
 def second_kind_boundary(sys: MopSystem, n, x: float, side: str = "+"):
@@ -426,7 +449,7 @@ class KappaForm:
         return self.kernels[0](z, sides[0]), self.kernels[1](z, sides[1])
 
     def combine(self, markov: tuple):
-        """The form from the pair that :meth:`markov` returns."""
+        """The form from a Markov pair: the one :meth:`markov` returns, or a :class:`SecondKind`'s."""
         (w1, w2), (m1, m2) = self.weights, markov
         if self.prec is None:
             return w1 * m1 + w2 * m2

@@ -31,7 +31,7 @@ from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import E1, E2, MopSystem, add, l_kappa, second_kind, sub
+from .mop_engine import E1, E2, MopSystem, SecondKind, add, l_kappa, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
@@ -183,7 +183,8 @@ def s_selfadjoint_check(op: TreeOperator) -> float:
 
 def _second_kind_rows(op: TreeOperator, z) -> tuple:
     """((J - z) f for the second-kind family f, the root boundary term by the Markov route)."""
-    f = lattice_values(lambda n: complex(second_kind(op.sys, n, z)), op.tree.points) / op.m_weights()
+    family = SecondKind(op.sys, z)  # one mp Markov pair for every lattice point
+    f = lattice_values(lambda n: complex(second_kind(op.sys, n, family)), op.tree.points) / op.m_weights()
     return op.apply(f) - z * f, l_kappa(op.sys, op.kappa, z)
 
 

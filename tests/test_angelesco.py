@@ -94,6 +94,17 @@ class TestKappaForm:
         assert find_e_kappa(ang_u, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
         assert len(points) <= 70
 
+    def test_zero_search_runs_once_per_kappa(self, monkeypatch):
+        asys = angelesco_system(uniform(-2, -1), uniform(1, 2))
+        searches = []
+        search = angelesco._search_e_kappa
+        monkeypatch.setattr(angelesco, "_search_e_kappa", lambda a, k: searches.append(k) or search(a, k))
+        rho_o(asys, (0.3, 0.7))
+        psi_o(asys, (0.3, 0.7), 1.5, 3)
+        green(asys, (0.3, 0.7), (1,), (), 5.0, depth=3)  # real z: the distance to the zero
+        assert find_e_kappa(asys, [0.3, 0.7]) == find_e_kappa_sweep(asys, (0.3, 0.7))
+        assert searches == [(0.3, 0.7)]
+
     def test_boundary_form_takes_host_boundary_value(self, ang_u):
         # with side, the measure holding x gives its boundary value, the other its plain transform
         x = 1.3

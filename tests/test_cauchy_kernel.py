@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from mop_trees import angelesco, measures
-from mop_trees.angelesco import _bridge_weights, _path_data, angelesco_system, rho_o, rho_sub
+from mop_trees.angelesco import _bridge_weights, _path_data, angelesco_system, green, psi_o, rho_o, rho_sub
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, kernel, uniform
 from mop_trees.nikishin import nikishin_system
+from mop_trees.tree_jacobi import assemble_truncated, eigenfunction_residual
 
 
 def bits(v):
@@ -256,6 +257,11 @@ def fresh_pair():
     return angelesco_system(uniform(-2, -1), uniform(1, 2))
 
 
+def mp_points(applied):
+    """The points of the mp kernel applications (the double ones take float z)."""
+    return [z for z in applied if isinstance(z, (mpf, mpc))]
+
+
 class TestKernelCounts:
     def test_rho_o_value_applies_two_kernels(self, counts):
         rep = rho_o(fresh_pair(), (0.4, 0.6))
@@ -291,6 +297,26 @@ class TestKernelCounts:
         again = rho_sub(asys, (1, 2))
         again.density(-1.4)
         assert made == [] and len(applied) == 3
+
+    @pytest.mark.parametrize("X, Y", [((), (1, 2)), ((1,), (1, 2)), ((2, 1), (2, 1))])
+    def test_green_applies_the_mp_markov_kernels_twice(self, counts, X, Y):
+        asys = fresh_pair()
+        _, applied = counts
+        green(asys, (0.4, 0.6), Y, X, complex(0.3, 2.0), depth=3)
+        assert len(mp_points(applied)) == 2  # L_Y and the denominator read one Markov pair
+
+    def test_second_kind_rows_apply_the_mp_markov_kernels_twice(self, counts):
+        op = assemble_truncated(fresh_pair().sys, (1, 0), 5)
+        _, applied = counts
+        eigenfunction_residual(op, "l", 5.0)
+        assert len(mp_points(applied)) == 2  # not twice per lattice point
+
+    def test_psi_o_at_the_point_mass_applies_the_mp_markov_kernels_twice(self, counts):
+        asys = fresh_pair()
+        E = angelesco.find_e_kappa(asys, (0.5, 0.5))
+        _, applied = counts
+        psi_o(asys, (0.5, 0.5), E, 4)
+        assert len(mp_points(applied)) == 2
 
     def test_find_e_kappa_reuses_the_rep_kernels(self, counts):
         asys = fresh_pair()

@@ -13,6 +13,7 @@ from mop_trees.errors import NormalityError
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
     MopSystem,
+    SecondKind,
     consistency_residual,
     consistency_residual_from,
     interlacing_check,
@@ -197,6 +198,15 @@ class TestSecondKind:
         assert devs[0] < 10 / 1e4 and devs[1] < 10 / 1e6
         assert devs[1] < devs[0] / 50
 
+    def test_prepared_family_gives_the_same_bits(self, ang_sys):
+        z = complex(0.3, 1.7)
+        family = SecondKind(ang_sys, z)
+        for n in ((1, 0), (0, 1), (3, 2), (4, 4)):
+            assert second_kind(ang_sys, n, family)._mpc_ == second_kind(ang_sys, n, z)._mpc_
+        other = MopSystem(ang_sys.mu1, ang_sys.mu2)
+        with pytest.raises(ValueError):
+            second_kind(other, (1, 1), family)
+
     def test_boundary_routes_agree(self, ang_sys):
         x = -1.4
         a = second_kind_boundary(ang_sys, (2, 2), x, "+")
@@ -375,6 +385,34 @@ class TestNormalityInvariant:
                 for m in range(nk):
                     worst = max(worst, abs(sum(c * mom[m + i] for i, c in enumerate(p))))
         assert float(worst) < 1e-51  # 1e-(0.2 * 256)
+
+
+def _nudged(coeffs):
+    """The coefficients with the largest one moved by 2^-40 relative."""
+    i = max(range(len(coeffs)), key=lambda j: abs(coeffs[j]))
+    with workprec(256):
+        return coeffs[:i] + (coeffs[i] * (1 + mpf(2) ** -40),) + coeffs[i + 1 :]
+
+
+@pytest.mark.parametrize("n", [(1, 1), (3, 2), (5, 4)])
+class TestEngineChecksRaise:
+    def test_orthogonality_check(self, ang_sys, n):
+        d = n[0] + n[1]
+        p, moms = ang_sys.record(n).P, (ang_sys.moments(1, n[0] + d), ang_sys.moments(2, n[1] + d))
+        with workprec(256):
+            ang_sys._check_orthogonality(p, n, moms)
+            with pytest.raises(NormalityError, match="orthogonality residual too large"):
+                ang_sys._check_orthogonality(_nudged(p), n, moms)
+
+    def test_recurrence_check(self, n):
+        sys = MopSystem(uniform(-2, -1), uniform(1, 2))  # its record at n is nudged below
+        coef = sys.recurrence(n)
+        with workprec(256):
+            sys._check_recurrence(n, *coef)
+            rec = sys.record(n)
+            rec.P = _nudged(rec.P)
+            with pytest.raises(NormalityError, match="nearest-neighbor recurrence fails"):
+                sys._check_recurrence(n, *coef)
 
 
 class TestRecordExport:
