@@ -172,16 +172,10 @@ class Measure:
             if b1 > a2:
                 raise ValueError("ac pieces must be pairwise disjoint")
         for p in pieces:
-            if self.markov_weighted_overlaps(p):
-                raise OverlapError("markov_weighted weight measure overlaps host interval")
-
-    @staticmethod
-    def markov_weighted_overlaps(piece: Piece) -> bool:
-        d = piece.density
-        if d.kind != "markov_weighted":
-            return False
-        lo, hi = d.weight_measure.hull()
-        return not (hi < piece.a or lo > piece.b)
+            if p.density.kind == "markov_weighted":
+                lo, hi = p.density.weight_measure.hull()
+                if not (hi < p.a or lo > p.b):
+                    raise OverlapError("markov_weighted weight measure overlaps host interval")
 
     # -- geometry ----------------------------------------------------------
 
@@ -264,7 +258,7 @@ class Measure:
         """Density of the absolutely continuous part at x (0 off the pieces)."""
         for p in self.pieces:
             if p.a <= x <= p.b:
-                return _scalar_density(p, None)(x)
+                return _point_density(p, x, None)
         return 0.0
 
     def markov_boundary(self, x: float, side: str = "+") -> complex:
@@ -301,18 +295,21 @@ def _rule_table(p: Piece, a, b, order: int, prec):
     return xs, ws, [p.density.mp_value(x, p.a, p.b, prec) for x in xs]
 
 
-def _times_weight(table, weight: tuple, prec):
-    """The table with g*density in place of the density.
+def _weighted_table(table, weight: tuple, prec):
+    """(nodes, weights, g*density, w*g*density) of a rule table; raw libmp tuples in mp.
 
     In double precision g is evaluated exactly at each node and rounded once:
     the monomial form of a weight can be far worse conditioned than g itself.
     """
-    if not weight:
-        return table
-    xs, ws, dens = table
+    xs, ws, gd = table
     if prec is None:
-        return xs, ws, np.array([float(pval_exact(weight, x)) for x in xs]) * dens
-    return xs, ws, [pval(weight, x) * d for x, d in zip(xs, dens)]
+        if weight:
+            gd = np.array([float(pval_exact(weight, x)) for x in xs]) * gd
+        return xs, ws, gd, ws * gd
+    if weight:
+        gd = [pval(weight, x) * d for x, d in zip(xs, gd)]
+    xs, ws, gd = ([v._mpf_ for v in col] for col in (xs, ws, gd))
+    return xs, ws, gd, products(ws, gd, prec)
 
 
 def _piece_table(mu: Measure, i: int, prec):
@@ -340,9 +337,9 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
     support, an mpc otherwise.  In double precision z may also be a 1-D array
-    off the support; each element of the returned complex array equals the
-    scalar call bit for bit.  The call runs the measure's prepared kernel for
-    (weight, prec) (:func:`kernel`); panels are not cached.
+    off the support, answered by the scalar call at each element.  The call
+    runs the measure's prepared kernel for (weight, prec) (:func:`kernel`);
+    panels are not cached.
     """
     return kernel(mu, weight, prec)(z, side)
 
@@ -361,7 +358,8 @@ class _Kernel:
     """:func:`cauchy` for one measure, weight and precision, with everything
     that does not depend on z resolved once: the full-piece node tables with
     w*g*density formed in advance, the weight as floats (double) or mpf, the
-    atoms' m*g(x) values and the pieces' geometry and scalar densities.
+    atoms' m*g(x) values and the pieces' geometry.  An array of z is answered
+    element by element; no (z, node) array is formed.
 
     The mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
     bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
@@ -381,20 +379,9 @@ class _Kernel:
             else:
                 self.g = (lambda t: pval(weight, t)) if weight else (lambda t: 1)
                 self.atoms = [(mpf(x), mpf(m) * self.g(mpf(x))) for x, m in mu.atoms]
-            self.density = [_scalar_density(p, prec) for p in mu.pieces]
-            self.tables = [
-                self._prepare(_times_weight(_piece_table(mu, i, prec), weight, prec)) for i in range(len(mu.pieces))
-            ]
+            self.tables = [_weighted_table(_piece_table(mu, i, prec), weight, prec) for i in range(len(mu.pieces))]
         # off the support z is complex: the nodes and w*g*density cast once (exact), not per call
         self.off = [(xs, wg) if prec else (xs.astype(complex), wg.astype(complex)) for xs, _, _, wg in self.tables]
-
-    def _prepare(self, table):
-        """(nodes, weights, g*density, w*g*density); raw libmp tuples in mp."""
-        xs, ws, gd = table
-        if self.prec is None:
-            return xs, ws, gd, ws * gd
-        xs, ws, gd = ([v._mpf_ for v in col] for col in (xs, ws, gd))
-        return xs, ws, gd, products(ws, gd, self.prec)
 
     def _locate(self, zc: complex, side):
         """(index of the host piece or None, distance from z to each piece)."""
@@ -424,14 +411,16 @@ class _Kernel:
         """Sum over graded panels of piece i toward x0 (tables built per call)."""
         p, prec = self.pieces[i], self.prec
         tables = (
-            self._prepare(_times_weight(_rule_table(p, a, b, _PANEL_ORDER, prec), self.weight, prec))
+            _weighted_table(_rule_table(p, a, b, _PANEL_ORDER, prec), self.weight, prec)
             for a, b in graded_panels(p.a, p.b, x0, max(dist, 1e-14))
         )
         return sum(self._sum(xs, wg, z) for xs, _, _, wg in tables)
 
     def __call__(self, z, side=None):
         if isinstance(z, np.ndarray):
-            return self._rows(z, side)
+            if self.prec is not None or side is not None or z.ndim != 1:
+                raise ValueError("array z requires double precision, side=None and a 1-D array")
+            return np.array([self(complex(v)) for v in z], dtype=complex)
         zc = complex(z)
         host, dists = self._locate(zc, side)
         if self.prec is None:
@@ -451,7 +440,7 @@ class _Kernel:
             if i == host:
                 xs, ws, gd, wg = self.tables[i]
                 a, b, _ = self.spans[i]
-                fx = self.g(zq) * self.density[i](zq)
+                fx = self.g(zq) * _point_density(self.pieces[i], zq, prec)
                 if fx:  # the singularity subtraction
                     wg = ws * (gd - fx) if prec is None else products(ws, shifted(gd, fx._mpf_, prec), prec)
                 total += self._sum(xs, wg, zq).real
@@ -467,43 +456,19 @@ class _Kernel:
             return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
         return total
 
-    def _rows(self, z: np.ndarray, side):
-        """The double-precision call at each element of a 1-D array of z off the
-        support: the z with no atoms or near pieces to treat share one (z, node)
-        array per piece, summed by rows; the others take the scalar call."""
-        if self.prec is not None or side is not None or z.ndim != 1:
-            raise ValueError("array z requires double precision, side=None and a 1-D array")
-        zs = [complex(v) for v in z]
-        out = np.empty(len(zs), dtype=complex)
-        far = []
-        for r, zc in enumerate(zs):
-            _, dists = self._locate(zc, None)
-            if self.atoms or any(d < near for d, (_, _, near) in zip(dists, self.spans)):
-                out[r] = self(zc)
-            else:
-                far.append(r)
-        if far:
-            Z = np.array([zs[r] for r in far])
-            total = np.zeros(len(far), dtype=complex)
-            for xs, wg in self.off:
-                total += (wg / (Z[:, None] - xs)).sum(axis=1)
-            total.imag[Z.imag == 0] = 0.0
-            out[far] = total
-        return out
-
 
 def _piece_distance(a: float, b: float, zr: float, zi: float) -> float:
     """Distance from z = zr + i zi to the interval [a, b]."""
     return math.hypot(0.0 if a <= zr <= b else min(abs(zr - a), abs(zr - b)), zi)
 
 
-def _scalar_density(p: Piece, prec):
-    """x -> density of piece p at one point: a float, or an mpf at ``prec`` bits."""
+def _point_density(p: Piece, x, prec):
+    """Density of piece p at one point x: a float, or an mpf at ``prec`` bits."""
     if prec is not None:
-        return lambda x: p.density.mp_value(x, p.a, p.b, prec)
+        return p.density.mp_value(x, p.a, p.b, prec)
     if p.density.kind == "uniform":
-        return lambda x: 1.0  # float(p.density(x, a, b)) for every x
-    return lambda x: float(p.density(x, p.a, p.b))
+        return 1.0  # float(p.density(x, a, b)) for every x
+    return float(p.density(x, p.a, p.b))
 
 
 def measure_from_json(doc) -> Measure:

@@ -22,7 +22,6 @@ Conventions, for a multi-index n = (n1, n2):
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -194,8 +193,7 @@ class MopSystem:
         """(A0, A1, A2) at z, evaluated at ``precision_bits``; 0 for an empty polynomial."""
         rec = self.type1_record(n)
         bits = self.precision_bits
-        # second_kind, psi_o and psi_tilde already run under workprec(bits): skip the redundant switch
-        with contextlib.nullcontext() if mp.prec == bits else workprec(bits):
+        with workprec(bits):
             z = mp.mpmathify(z)
             return tuple([P.pval(c, z) if c else _ZERO for c in (rec.A0, rec.A1, rec.A2)])
 

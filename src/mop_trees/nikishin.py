@@ -18,9 +18,8 @@ from mpmath import mpf, workprec
 
 from ._poly import dot
 from .errors import OverlapError, SeriesError
-from .measures import DensitySpec, Measure, Piece, cauchy
+from .measures import DensitySpec, Measure, Piece, _piece_table, cauchy
 from .mop_engine import MopSystem
-from .quadrature import map_rule
 
 
 @dataclass
@@ -192,8 +191,8 @@ def second_kind_tau_integral(nsys: NikishinSystem, n, k: int) -> float:
     """
     pn = nsys.sys.record(n).P
     total = sum(m * xa**k * cauchy(nsys.mu1, xa, pn).real for xa, m in nsys.tau.atoms)
-    for q in nsys.tau.pieces:
-        xs, ws = map_rule(q.a, q.b, nsys.tau.quad_order)
-        for x, w, r in zip(xs, ws * q.density(xs, q.a, q.b), cauchy(nsys.mu1, xs, pn).real):
+    for i in range(len(nsys.tau.pieces)):
+        xs, ws, dens = _piece_table(nsys.tau, i, None)
+        for x, w, r in zip(xs, ws * dens, cauchy(nsys.mu1, xs, pn).real):
             total += w * x**k * r
     return float(total)

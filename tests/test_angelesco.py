@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from mpmath import workprec
 
-from mop_trees import angelesco
+from mop_trees import angelesco, mop_engine
 from mop_trees.angelesco import (
     angelesco_system,
     dual_pole_weight_residual,
@@ -83,16 +83,16 @@ class TestKappaForm:
         assert E is not None
         assert E == find_e_kappa_sweep(asys, kappa)
 
-    def test_search_evaluates_form_at_most_70_times(self, ang_u, monkeypatch):
+    def test_search_evaluates_form_at_most_70_times(self, monkeypatch):
+        # a fresh system: the session pair may already hold the zero for kappa
+        asys = angelesco_system(uniform(-2, -1), uniform(1, 2))
         points = []
-
-        def counting(sys, kappa, z, *args, **kwargs):
-            points.append(z)
-            return l_kappa(sys, kappa, z, *args, **kwargs)
-
-        monkeypatch.setattr(angelesco, "l_kappa", counting)
-        assert find_e_kappa(ang_u, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
-        assert len(points) <= 70
+        call = mop_engine.KappaForm.__call__
+        monkeypatch.setattr(mop_engine.KappaForm, "__call__", lambda self, z, *a: points.append(z) or call(self, z, *a))
+        for kappa in ((0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (2.0, -1.0), (-0.5, 1.5)):
+            points.clear()
+            find_e_kappa(asys, kappa)
+            assert 0 < len(points) <= 70, kappa
 
     def test_zero_search_runs_once_per_kappa(self, monkeypatch):
         asys = angelesco_system(uniform(-2, -1), uniform(1, 2))
@@ -305,6 +305,14 @@ class TestReferenceMeasure:
             a = reference_measure_via_dual(ang_u, (2, 2), x, 0.1)
             d = reference_measure(ang_u, (2, 2), x)
             assert a == pytest.approx(d, rel=1e-8)
+
+    def test_dual_route_evaluates_the_type_i_polynomials_once(self, ang_u, monkeypatch):
+        # D_{n,xi} and S_{n,xi} read the same (A0, A1, A2)
+        calls = []
+        values = ang_u.sys.type1_values
+        monkeypatch.setattr(ang_u.sys, "type1_values", lambda n, z: calls.append(z) or values(n, z))
+        reference_measure_via_dual(ang_u, (2, 2), 1.44, 0.1)
+        assert calls == [1.44]
 
     def test_xi_outside_gap_rejected(self, ang_u):
         with pytest.raises(DomainError):

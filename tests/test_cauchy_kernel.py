@@ -93,8 +93,8 @@ class TestMpBits:
 
 
 def test_markov_weighted_table_is_the_scalar_loop():
-    # the double density column of a Nikishin mu2 now takes the Markov values of
-    # tau at all nodes in one array call
+    # the double density column of a Nikishin mu2 takes the Markov values of
+    # tau through one array call, answered by the scalar call at each node
     p = NIK.mu2.pieces[0]
     xs, _ = measures.map_rule(p.a, p.b, 200)
     expected = np.array([oracles.cauchy(NIK.tau, float(t)).real for t in xs])
