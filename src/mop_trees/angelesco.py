@@ -39,7 +39,6 @@ from .mop_engine import (
     _deflate,
     add,
     kappa_weights,
-    l_kappa,
     linear_form,
     real_zeros,
     second_kind,
@@ -248,12 +247,11 @@ def point_mass_at(asys, kappa, E: float) -> float:
     extended precision.
     """
     prec = asys.sys.precision_bits
+    form = KappaForm(asys.sys, kappa, prec)
     with workprec(prec):
         h = mpf(10) ** -6
         Em = mpf(E)
-        lp = l_kappa(asys.sys, kappa, Em + h, prec=prec)
-        lm = l_kappa(asys.sys, kappa, Em - h, prec=prec)
-        dL = (lp - lm) / (2 * h)
+        dL = (form(Em + h) - form(Em - h)) / (2 * h)
         L1 = second_kind(asys.sys, (1, 1), Em)
         return float((L1 / dL).real)
 
@@ -278,13 +276,10 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
         with workprec(prec):
             return lattice_values(lambda n: float((second_kind(sysm, n, family) / L1).real), points) / m
 
-    k = asys.side_of(x)
+    k, xm, hat_other = _energy_point(asys, x)
     with workprec(prec):
-        xm = mpf(x)
         m1, m2 = sysm.mass(1), sysm.mass(2)
         vk1, vk2 = kappa_weights(sysm, kappa, prec)
-        mu_other = sysm.mu2 if k == 1 else sysm.mu1
-        hat_other = mu_other.markov_mp(xm, prec)
         xi = sysm.moments(2, 1)[1] / m2 - sysm.moments(1, 1)[1] / m1
         sgn = mpf(-1) ** k
         s_o = sgn * hat_other / (xi * m1 * m2)
@@ -295,6 +290,15 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
             return float((l0 * w_k - sgn * hat_other * (l2 * vk1 - l1 * vk2)) / s_o)
 
         return lattice_values(value, points) / m
+
+
+def _energy_point(asys, x: float) -> tuple:
+    """(k, x, markov of the other measure at x) for x in interval k, at the system's precision."""
+    k = asys.side_of(x)
+    prec = asys.sys.precision_bits
+    with workprec(prec):
+        xm = mpf(x)
+        return k, xm, (asys.sys.mu2 if k == 1 else asys.sys.mu1).markov_mp(xm, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +367,13 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
 
 
 def _real_z_forbidden(asys, kappa, x, X):
-    if any(a <= x <= b for a, b in (asys.delta1, asys.delta2)):
-        return True
-    dist = min(min(abs(x - a), abs(x - b)) for a, b in (asys.delta1, asys.delta2))
-    if X == ():
-        E = find_e_kappa(asys, kappa)
-        if E is not None:
-            dist = min(dist, abs(x - E))
-    return dist < 0.1
+    return _limit_distance(asys, x, find_e_kappa(asys, kappa) if X == () else None) < 0.1
+
+
+def _limit_distance(asys, x: float, E) -> float:
+    """Distance from a real x to the two intervals (0 inside one) and to E, unless E is None."""
+    d = min(0.0 if a <= x <= b else min(abs(x - a), abs(x - b)) for a, b in (asys.delta1, asys.delta2))
+    return d if E is None else min(d, abs(x - E))
 
 
 # ---------------------------------------------------------------------------
@@ -427,17 +430,14 @@ def s_x(asys: AngelescoSystem, X, x: float) -> float:
 
 
 def _s_x_by_quadrature(asys, n, l):
-    """x -> S_X(x), each interval's bridge kernel prepared at its first x."""
-    parts = {}
+    """x -> S_X(x), both intervals' bridge kernels prepared here."""
+    bridges = _bridge_weights(asys, n, l)
+    kernels = {k: kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, w) for k, (_, w) in bridges.items()}
 
     def value(x):
         k = asys.side_of(x)
-        if k not in parts:
-            zs_other, weight = _bridge_weights(asys, n, l)[k]
-            parts[k] = kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, weight), zs_other
-        kern, zs_other = parts[k]
-        integral = kern(x).real
-        tmx = math.prod([x - r for r in zs_other], start=1.0)  # left to right, as np.prod multiplies
+        integral = kernels[k](x).real
+        tmx = math.prod([x - r for r in bridges[k][0]], start=1.0)  # left to right, as np.prod multiplies
         return float((-1.0) ** k * integral / tmx)
 
     return value
@@ -454,15 +454,11 @@ def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
     if not X:
         raise DomainError("psi_tilde requires X != root")
     mX, projX, n, l = _path_data(asys, X)
-    k = asys.side_of(x)
+    k, xm, hat_other = _energy_point(asys, x)
     op = assemble_subtree(asys.sys, projX, l, depth)
     m_rel = op.m_weights()  # equals m_Y / m_X for Y in the subtree
-    prec = asys.sys.precision_bits
     sysm = asys.sys
-    with workprec(prec):
-        xm = mpf(x)
-        mu_other = sysm.mu2 if k == 1 else sysm.mu1
-        hat_other = mu_other.markov_mp(xm, prec)
+    with workprec(sysm.precision_bits):
         ap = sysm.type1_values(n, xm)
 
         def value(m):
@@ -562,12 +558,15 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
         if not coeffs:
             continue
         cf = np.asarray(P.pfloat(coeffs))
+        if k == kE:
+            # squared zero cancels the double pole: deflate D_{n,xi} A^{(k)} twice at E, exactly
+            with workprec(asys.sys.precision_bits):
+                num = P.pmul(_d_n_xi_poly(asys, n, xi), coeffs)
+                qf = np.asarray(P.pfloat(_deflate(_deflate(num, mpf(E)), mpf(E))))
         for i in range(len(mu.pieces)):
             xs, ws, dens = _piece_table(mu, i, None)
             if k == kE:
-                # squared zero cancels the double pole: deflate analytically
-                rE = _deflate_twice(asys, n, xi, coeffs, xs, E)
-                total += float(np.sum(ws * dens * rE))
+                total += float(np.sum(ws * dens * np.polynomial.polynomial.polyval(xs, qf)))
             else:
                 dvals = np.array([d_n_xi(asys, n, xi, x) for x in xs])
                 avals = np.polynomial.polynomial.polyval(xs, cf)
@@ -580,15 +579,6 @@ def _d_n_xi_poly(asys, n, xi) -> tuple:
     rec = asys.sys.type1_record(n)
     with workprec(asys.sys.precision_bits):
         return P.pscale(P.pmul(P.pmul(rec.A1, rec.A2), (-mpf(xi), mpf(1))), mpf(-1) ** n[1])
-
-
-def _deflate_twice(asys, n, xi, ak, xs, E):
-    """Values of D_{n,xi} A^{(k)} / (x-E)^2 with the singularity removed exactly; ak = A^{(k)}."""
-    with workprec(asys.sys.precision_bits):
-        num = P.pmul(_d_n_xi_poly(asys, n, xi), ak)  # double zero at E
-        q = _deflate(_deflate(num, mpf(E)), mpf(E))
-        qf = np.asarray(P.pfloat(q))
-    return np.polynomial.polynomial.polyval(xs, qf)
 
 
 def dual_pole_weight_residual(asys: AngelescoSystem, n, E: float, xi: float) -> float:
@@ -625,23 +615,13 @@ def spectrum_envelope_check(asys: AngelescoSystem, kappa, depth_list) -> dict:
     """
     import scipy.linalg
     E = find_e_kappa(asys, kappa)
-    targets = [asys.delta1, asys.delta2]
-
-    def dist_to_limit(x):
-        d = min(
-            0.0 if a <= x <= b else min(abs(x - a), abs(x - b)) for a, b in targets
-        )
-        if E is not None:
-            d = min(d, abs(x - E))
-        return d
-
     report = {"kappa_zero": E, "depths": []}
     for depth in depth_list:
         op = assemble_truncated(asys.sys, kappa, depth)
         w = np.sort(scipy.linalg.eigvalsh(op.dense()))
-        out_dist = float(max(dist_to_limit(x) for x in w))
+        out_dist = float(max(_limit_distance(asys, x, E) for x in w))
         fill = 0.0
-        for a, b in targets:
+        for a, b in (asys.delta1, asys.delta2):
             grid = np.linspace(a, b, 200)
             fill = max(fill, float(np.max(np.min(np.abs(grid[:, None] - w[None, :]), axis=1))))
         report["depths"].append(

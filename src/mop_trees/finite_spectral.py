@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from mpmath import workprec
 
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
@@ -28,6 +29,7 @@ from .tree_topology import ROOT_PARENT, Tree, finite_tree
 _CLASH_TOL = 1e-9        # zeros closer than this count as one eigenvalue (or a clash)
 _RESIDUAL_FACTOR = 1e-9  # eigenvector residual bound, relative to ||J||_2
 _NEUTRAL_TOL = 1e-10     # |[psi, psi]| below this times <psi, psi> is a neutral vector
+_EVAL_BITS = 53          # mpmath's default: the boundary polynomial and P_n(E) tables, whatever mp.prec is
 
 
 @dataclass
@@ -82,10 +84,12 @@ class SpectralDecomposition:
 
 def boundary_polynomial(sys: MopSystem, kappa, N) -> tuple:
     """kappa1 P_{N+e1} + kappa2 P_{N+e2}; monic of degree |N|+1 since kappa sums to 1."""
-    # Ambient mp.prec, as in _canonical_family: sys.precision_bits moves the tree-svec golden.
+    # At _EVAL_BITS, as the P_n(E) tables: the goldens were recorded there, and
+    # sys.precision_bits would move the tree-spectrum and tree-svec goldens.
     p1 = sys.record(add(tuple(N), E1)).P
     p2 = sys.record(add(tuple(N), E2)).P
-    return P.padd(P.pscale(p1, kappa[0]), P.pscale(p2, kappa[1]))
+    with workprec(_EVAL_BITS):
+        return P.padd(P.pscale(p1, kappa[0]), P.pscale(p2, kappa[1]))
 
 
 def eigenvalue_set(sys: MopSystem, kappa, N):
@@ -174,12 +178,15 @@ def canonical_vector(sys: MopSystem, kappa, N, E: float, X, op: TreeOperator | N
 def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
     """X -> b(E, X), all from one table of P_n(E) over the tree; m = op.m_weights()."""
     tree = op.tree
-    p = lattice_values(lambda n: float(P.pval(sys.record(n).P, E)), tree.points)
+    with workprec(_EVAL_BITS):
+        p = lattice_values(lambda n: float(P.pval(sys.record(n).P, E)), tree.points)
     pvals = p / m
 
     def vector(X):
         if X == ROOT_PARENT:
-            if abs(float(P.pval(bpoly, E))) > 1e-6:
+            with workprec(_EVAL_BITS):
+                off_boundary = abs(float(P.pval(bpoly, E))) > 1e-6
+            if off_boundary:
                 raise JointError("E is not a zero of the boundary polynomial")
             return pvals
         c1 = int(tree.first_child[X])

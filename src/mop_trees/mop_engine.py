@@ -103,25 +103,28 @@ class MopSystem:
             rec.h = (self._h_value(rec, 1), self._h_value(rec, 2))
         return rec
 
+    def _moment_system(self, n) -> tuple:
+        """The type II rows ``mom_k[m : m + |n|]`` (k = 1, 2; m < n_k) at n and the
+        moments (mom_1, mom_2) they read; the type I matrix is their transpose."""
+        d = order(n)
+        moms = (self.moments(1, n[0] + d), self.moments(2, n[1] + d))
+        return [mom[m : m + d] for nk, mom in zip(n, moms) for m in range(nk)], moms
+
+    def _lu(self, rows, rhs, n, kind: str) -> list:
+        try:
+            return P.lu_solve(rows, rhs, self.precision_bits)
+        except ZeroDivisionError as exc:
+            raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
+
     def _solve_type2(self, n) -> tuple:
         d = order(n)
-        prec = self.precision_bits
         if d == 0:
             return (mpf(1),)
-        m1 = self.moments(1, n[0] + d)
-        m2 = self.moments(2, n[1] + d)
-        with workprec(prec):
-            rows, rhs = [], []
-            for nk, mom in ((n[0], m1), (n[1], m2)):
-                for m in range(nk):
-                    rows.append(mom[m : m + d])
-                    rhs.append(-mom[m + d])
-            try:
-                c = P.lu_solve(rows, rhs, prec)
-            except ZeroDivisionError as exc:
-                raise NormalityError(f"type II moment matrix singular at n={n}") from exc
-            coeffs = tuple(c) + (mpf(1),)
-            self._check_orthogonality(coeffs, n, (m1, m2))
+        rows, moms = self._moment_system(n)
+        with workprec(self.precision_bits):
+            rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
+            coeffs = tuple(self._lu(rows, rhs, n, "II")) + (mpf(1),)
+            self._check_orthogonality(coeffs, n, moms)
             return coeffs
 
     def _check_orthogonality(self, coeffs, n, moms):
@@ -150,20 +153,13 @@ class MopSystem:
         rec = self.record(n)
         if rec.A1 is not None:
             return rec
-        prec = self.precision_bits
-        m1 = self.moments(1, 2 * d)
-        m2 = self.moments(2, 2 * d)
-        with workprec(prec):
-            if d == 1:
+        rows, (m1, m2) = self._moment_system(n)
+        with workprec(self.precision_bits):
+            if d == 1:  # 1/m[0] rounds at the system's precision, the LU at 10 bits more
                 a1 = (1 / m1[0],) if n[0] == 1 else ()
                 a2 = (1 / m2[0],) if n[1] == 1 else ()
             else:
-                rows = [m1[m : m + n[0]] + m2[m : m + n[1]] for m in range(d)]
-                rhs = [mpf(0)] * (d - 1) + [mpf(1)]
-                try:
-                    c = P.lu_solve(rows, rhs, prec)
-                except ZeroDivisionError as exc:
-                    raise NormalityError(f"type I moment matrix singular at n={n}") from exc
+                c = self._lu(list(zip(*rows)), [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
                 a1, a2 = tuple(c[: n[0]]), tuple(c[n[0] :])
             # polynomial part of the Cauchy transform of the linear form
             deg0 = max(n) - 2

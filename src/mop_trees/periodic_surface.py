@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, ConvergenceError, DomainError, InvalidSurfaceError
-from .tree_topology import Tree, cayley_truncation
+from .tree_topology import cayley_truncation
 
 _BRANCH_GUARD = 1e-8
 
@@ -34,7 +34,6 @@ class SurfaceParams:
     critical_points: tuple
     branch_points: tuple
     cuts: tuple                     # ((a1, b1), (a2, b2)), disjoint
-    valid: bool
 
     def a_of(self, l: int) -> float:
         return self.A1 if l == 1 else self.A2
@@ -50,11 +49,12 @@ def zmap(surf_or_params, chi):
 
 
 def from_params(A1: float, A2: float, B1: float, B2: float) -> SurfaceParams:
-    """Derive critical points, branch points, and cuts; reject invalid data.
+    """Derive critical points, branch points, and cuts of a valid surface.
 
     Critical points solve ``(chi-B1)^2 (chi-B2)^2 = A1 (chi-B2)^2 + A2 (chi-B1)^2``
-    (a real quartic); validity requires four real critical points whose
-    critical values form two disjoint intervals.
+    (a real quartic).  Unless there are four real critical points whose
+    critical values form two disjoint intervals, no surface is returned:
+    :class:`InvalidSurfaceError` is raised.
     """
     if A1 <= 0 or A2 <= 0:
         raise InvalidSurfaceError("A1, A2 must be positive")
@@ -83,20 +83,11 @@ def from_params(A1: float, A2: float, B1: float, B2: float) -> SurfaceParams:
                 break
         polished.append(c)
     real_crit = sorted(c.real for c in polished if abs(c.imag) < 1e-9 * max(1, abs(c)))
-    valid = len(real_crit) == 4
-    cuts = ((math.nan, math.nan), (math.nan, math.nan))
-    branch = ()
-    if valid:
-        vals = sorted(c + A1 / (c - B1) + A2 / (c - B2) for c in real_crit)
-        branch = tuple(vals)
-        if vals[1] < vals[2]:
-            cuts = ((vals[0], vals[1]), (vals[2], vals[3]))
-        else:
-            valid = False
-    surf = SurfaceParams(A1, A2, B1, B2, tuple(real_crit), branch, cuts, valid)
-    if not valid:
+    vals = sorted(c + A1 / (c - B1) + A2 / (c - B2) for c in real_crit)
+    if len(vals) != 4 or not vals[1] < vals[2]:
         raise InvalidSurfaceError("critical data does not form two disjoint real cuts")
-    return surf
+    cuts = ((vals[0], vals[1]), (vals[2], vals[3]))
+    return SurfaceParams(A1, A2, B1, B2, tuple(real_crit), tuple(vals), cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,21 @@ class TestGreen:
         with pytest.raises(DomainError):
             rho_sub(ang_u, word)
 
+    def test_real_z_guard(self, ang_u):
+        # real z must keep 0.1 from both intervals and, at the root only, from E_kappa
+        kappa = (0.3, 0.7)
+        E = find_e_kappa(ang_u, kappa)
+        assert E == pytest.approx(0.5460060839898404, abs=1e-12)
+        for z in (-1.5, 2.05, E + 0.05):
+            with pytest.raises(DomainError):
+                green(ang_u, kappa, (), (), z, depth=3)
+        for z in (2.11, E + 0.2):
+            green(ang_u, kappa, (), (), z, depth=3)
+        for z in (E + 0.05, 0.85):
+            green(ang_u, kappa, (1,), (1,), z, depth=3)
+        with pytest.raises(DomainError):
+            green(ang_u, kappa, (1,), (1,), 0.95, depth=3)
+
     def test_boundary_ratio_trend(self, ang_u):
         # Im G(Y,X)/Im G(X,X) at x + i*eps approaches the eigenfunction value
         X, Y = (1,), (1, 1)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import workprec
 
 from mop_trees import angelesco, cli, periodic_surface
 from mop_trees.cli import main
@@ -363,8 +364,7 @@ def test_golden_set_is_covered():
     assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(GOLDEN_COMMANDS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_golden_output(name, capsys, tmp_path, monkeypatch):
+def _check_golden(name, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(list(GOLDEN_COMMANDS[name]))
     outputs = {"stdout": capsys.readouterr().out.encode()}
@@ -372,3 +372,17 @@ def test_golden_output(name, capsys, tmp_path, monkeypatch):
     expected = {p.name: p.read_bytes() for p in (GOLDENS / name).iterdir()}
     assert code == 0
     assert outputs == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, capsys, tmp_path, monkeypatch):
+    _check_golden(name, capsys, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("ambient", [24, 1024])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output_ignores_ambient_precision(name, ambient, capsys, tmp_path, monkeypatch):
+    # a library caller's mp.prec must not reach the printed results: in-process,
+    # main runs under whatever precision the caller has set
+    with workprec(ambient):
+        _check_golden(name, capsys, tmp_path, monkeypatch)

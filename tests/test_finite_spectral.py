@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mpmath import workprec
 from oracles import waves_and_fronts_sweep
 
 from mop_trees import finite_spectral
@@ -131,6 +132,17 @@ class TestFullBasis:
                 if abs(vec[v]) > 1e-8 * scale and abs(vec[p]) < 1e-10 * scale:
                     val = float(P.pval(ang_sys.record(tree.proj[p]).P, E))
                     assert abs(val) < 1e-8
+
+    @pytest.mark.parametrize("ambient", [24, 1024])
+    def test_bits_ignore_ambient_precision(self, ang_sys, ambient):
+        # at 24 bits the caller's precision used to break the residual check
+        def digest():
+            dec = full_basis(ang_sys, (1, 0), (1, 1))
+            return dec.to_json(), dec.boundary_poly, s_orthogonalize(dec).matrix.tobytes()
+
+        expected = digest()
+        with workprec(ambient):
+            assert digest() == expected
 
     def test_nikishin_basis(self, nik_sys):
         dec = full_basis(nik_sys, (0, 1), (2, 2))
