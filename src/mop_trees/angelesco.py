@@ -38,7 +38,6 @@ from .mop_engine import (
     SecondKind,
     _deflate,
     add,
-    kappa_weights,
     linear_form,
     real_zeros,
     second_kind,
@@ -169,7 +168,6 @@ class SpectralMeasureRep:
 
     density: object                    # callable x -> float; calling the rep adds the endpoint guard
     point_masses: list
-    provenance: str
     intervals: tuple
 
     def __call__(self, x: float) -> float:
@@ -209,15 +207,17 @@ def grid_points(intervals, n_points: int, pad) -> list[float]:
     return xs
 
 
-def _require_atomless(asys: AngelescoSystem) -> None:
-    # the point masses that atoms of mu1 or mu2 induce are not derived here
-    if asys.sys.mu1.atoms or asys.sys.mu2.atoms:
-        raise DomainError("spectral measures require measures without atoms")
+def _require_one_piece(asys: AngelescoSystem) -> None:
+    # an atom or a gap between pieces opens a hole in the support, and the point
+    # mass that a zero of the denominator in that hole carries is not derived here
+    for k, mu in ((1, asys.sys.mu1), (2, asys.sys.mu2)):
+        if mu.atoms or len(mu.pieces) != 1:
+            raise DomainError(f"spectral measures require mu{k} to be one ac piece without atoms")
 
 
 def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
-    """Spectral measure of the root vector for the kappa operator (atomless measures only)."""
-    _require_atomless(asys)
+    """Spectral measure of the root vector for the kappa operator (one-piece measures only)."""
+    _require_one_piece(asys)
     kappa = _kappa(kappa)
     form = KappaForm(asys.sys, kappa)
     scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
@@ -237,7 +237,7 @@ def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
     E = find_e_kappa(asys, kappa)
     if E is not None:
         masses.append((E, point_mass_at(asys, kappa, E)))
-    return SpectralMeasureRep(raw, masses, "root-kappa-form", (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(raw, masses, (asys.delta1, asys.delta2))
 
 
 def point_mass_at(asys, kappa, E: float) -> float:
@@ -279,15 +279,14 @@ def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
     k, xm, hat_other = _energy_point(asys, x)
     with workprec(prec):
         m1, m2 = sysm.mass(1), sysm.mass(2)
-        vk1, vk2 = kappa_weights(sysm, kappa, prec)
+        vk = KappaForm(sysm, kappa, prec).weights
         xi = sysm.moments(2, 1)[1] / m2 - sysm.moments(1, 1)[1] / m1
         sgn = mpf(-1) ** k
         s_o = sgn * hat_other / (xi * m1 * m2)
-        w_k = (vk1, vk2)[k - 1]
 
         def value(n):
             l0, l1, l2 = sysm.type1_values(n, xm)
-            return float((l0 * w_k - sgn * hat_other * (l2 * vk1 - l1 * vk2)) / s_o)
+            return float((l0 * vk[k - 1] - sgn * hat_other * (l2 * vk[0] - l1 * vk[1])) / s_o)
 
         return lattice_values(value, points) / m
 
@@ -336,7 +335,7 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     if Y[: len(X)] != X:
         raise DomainError("Y must lie in the subtree below X")
     zc = complex(z)
-    if zc.imag == 0 and _real_z_forbidden(asys, kappa, zc.real, X):
+    if zc.imag == 0 and _limit_distance(asys, zc.real, find_e_kappa(asys, kappa) if X == () else None) < 0.1:
         raise DomainError("real z too close to the intervals or the kappa-form zero")
 
     prec = asys.sys.precision_bits
@@ -364,10 +363,6 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     rhs[0] = 1.0
     sol = scipy.sparse.linalg.spsolve(A.tocsc(), rhs)
     return formula, complex(sol[y_id])
-
-
-def _real_z_forbidden(asys, kappa, x, X):
-    return _limit_distance(asys, x, find_e_kappa(asys, kappa) if X == () else None) < 0.1
 
 
 def _limit_distance(asys, x: float, E) -> float:
@@ -479,8 +474,8 @@ def psi_x(asys: AngelescoSystem, X, x: float, depth: int) -> np.ndarray:
 
 
 def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
-    """Spectral measure of the subtree root vector at X (unit mass; atomless measures only)."""
-    _require_atomless(asys)
+    """Spectral measure of the subtree root vector at X (unit mass; one-piece measures only)."""
+    _require_one_piece(asys)
     X = tuple(X)
     _, projX, n, l = _path_data(asys, X)
     forms = None
@@ -497,7 +492,7 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
         L = boundary(x, "+")
         return s_x_at(x) * dens / abs(L) ** 2
 
-    return SpectralMeasureRep(raw, [], f"subtree-{X}", (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(raw, [], (asys.delta1, asys.delta2))
 
 
 # ---------------------------------------------------------------------------

@@ -50,20 +50,16 @@ def load_system(path: str, precision_bits: int | None = None) -> dict:
         raise ValueError(f"unsupported system schema {doc['schema']!r} (expected {SCHEMA!r})")
     bits = int(doc.get("precision_bits", 256)) if precision_bits is None else precision_bits
     kind = doc.get("type")
+    if kind not in ("angelesco", "nikishin", "pair"):
+        raise ValueError(f"unknown system type {kind!r}")
+    mu1, mu2 = (measure_from_json(doc[k], k) for k in ("mu1", "tau" if kind == "nikishin" else "mu2"))
     if kind == "angelesco":
-        asys = ang.angelesco_system(
-            measure_from_json(doc["mu1"]), measure_from_json(doc["mu2"]), bits
-        )
+        asys = ang.angelesco_system(mu1, mu2, bits)
         return {"type": kind, "asys": asys, "sys": asys.sys}
     if kind == "nikishin":
-        nsys = nik.nikishin_system(
-            measure_from_json(doc["mu1"]), measure_from_json(doc["tau"]), bits
-        )
+        nsys = nik.nikishin_system(mu1, mu2, bits)
         return {"type": kind, "nsys": nsys, "sys": nsys.sys}
-    if kind == "pair":
-        sysm = MopSystem(measure_from_json(doc["mu1"]), measure_from_json(doc["mu2"]), bits)
-        return {"type": kind, "sys": sysm}
-    raise ValueError(f"unknown system type {kind!r}")
+    return {"type": kind, "sys": MopSystem(mu1, mu2, bits)}
 
 
 def emit_plot_data(profile, path: str, masses=None) -> None:

@@ -212,7 +212,7 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     multiset agreement of the eigenvalue set with a dense eigensolve.
     """
     N = (int(N[0]), int(N[1]))
-    kappa = (float(kappa[0]), float(kappa[1]))
+    kappa = _kappa(kappa)
     op = assemble_finite(sys, kappa, N)
     eigenvalues, zero_table, bpoly = _eigenvalue_set_on(sys, kappa, N, op.tree)
 

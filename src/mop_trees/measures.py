@@ -110,19 +110,32 @@ class DensitySpec:
         }
 
 
-def density_from_json(doc: dict) -> DensitySpec:
-    kind = doc["kind"]
+_SHAPES = {"object": dict, "array": (list, tuple), "pair": (list, tuple), "number": (int, float), "integer": int}
+
+
+def _shaped(value, field: str, shape: str = "object"):
+    """``value`` if it has the JSON ``shape``; otherwise a ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, _SHAPES[shape]) or shape == "pair" and len(value) != 2:
+        raise ValueError(f"{field} must be a JSON {shape}, not {value!r}")
+    return value
+
+
+def density_from_json(doc: dict, field: str = "density") -> DensitySpec:
+    kind = _shaped(doc, field).get("kind")
     if kind == "uniform":
         return DensitySpec("uniform")
     if kind == "jacobi_weight":
-        return DensitySpec("jacobi_weight", p=doc["p"], q=doc["q"], poly=tuple(doc.get("poly", [1.0])))
+        p, q = (_shaped(doc.get(k), f"{field}.{k}", "number") for k in ("p", "q"))
+        poly = _shaped(doc.get("poly", [1.0]), f"{field}.poly", "array")
+        poly = tuple(_shaped(c, f"{field}.poly", "number") for c in poly)
+        return DensitySpec("jacobi_weight", p=p, q=q, poly=poly)
     if kind == "markov_weighted":
         return DensitySpec(
             "markov_weighted",
-            base=density_from_json(doc["base"]),
-            weight_measure=measure_from_json(doc["weight_measure"]),
+            base=density_from_json(doc.get("base"), f"{field}.base"),
+            weight_measure=measure_from_json(doc.get("weight_measure"), f"{field}.weight_measure"),
         )
-    raise ValueError(f"unknown density kind {kind!r}")
+    raise ValueError(f"{field}: unknown density kind {kind!r}")
 
 
 UNIFORM = DensitySpec("uniform")
@@ -165,6 +178,8 @@ class Measure:
         object.__setattr__(self, "pieces", pieces)
         if not atoms and not pieces:
             raise ValueError("measure must have at least one atom or piece")
+        if self.quad_order < 1:
+            raise ValueError(f"quad_order must be a positive integer, not {self.quad_order!r}")
         if any(m <= 0 for _, m in atoms):
             raise ValueError("atom masses must be positive")
         ivs = sorted((p.a, p.b) for p in pieces)
@@ -471,19 +486,21 @@ def _point_density(p: Piece, x, prec):
     return float(p.density(x, p.a, p.b))
 
 
-def measure_from_json(doc) -> Measure:
-    """Parse a measure literal: {"atoms":[[x,m],..],"pieces":[{"a","b","density"}],"quad_order"}."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    pieces = tuple(
-        Piece(p["a"], p["b"], density_from_json(p.get("density", {"kind": "uniform"})))
-        for p in doc.get("pieces", [])
-    )
-    return Measure(
-        atoms=tuple((x, m) for x, m in doc.get("atoms", [])),
-        pieces=pieces,
-        quad_order=int(doc.get("quad_order", 200)),
-    )
+def measure_from_json(doc, field: str = "measure") -> Measure:
+    """Parse a measure literal: {"atoms":[[x,m],..],"pieces":[{"a","b","density"}],"quad_order"};
+    a malformed literal raises ValueError naming the part, under the name ``field``."""
+    doc = _shaped(json.loads(doc) if isinstance(doc, str) else doc, field)
+    pieces = []
+    for i, p in enumerate(_shaped(doc.get("pieces", []), f"{field}.pieces", "array")):
+        at = f"{field}.pieces[{i}]"
+        a, b = (_shaped(_shaped(p, at).get(k), f"{at}.{k}", "number") for k in ("a", "b"))
+        pieces.append(Piece(a, b, density_from_json(p.get("density", {"kind": "uniform"}), f"{at}.density")))
+    atoms = [
+        tuple(_shaped(v, f"{field}.atoms[{i}]", "number") for v in _shaped(atom, f"{field}.atoms[{i}]", "pair"))
+        for i, atom in enumerate(_shaped(doc.get("atoms", []), f"{field}.atoms", "array"))
+    ]
+    quad_order = _shaped(doc.get("quad_order", 200), f"{field}.quad_order", "integer")
+    return Measure(atoms=tuple(atoms), pieces=tuple(pieces), quad_order=quad_order)
 
 
 def uniform(a: float, b: float, quad_order: int = 200) -> Measure:

@@ -420,21 +420,23 @@ def linear_form(sys: MopSystem, n, prec=None):
     return value
 
 
-def kappa_weights(sys: MopSystem, kappa, prec=None) -> tuple:
-    """(kappa2/|mu1|, kappa1/|mu2|), the weights of markov1 and markov2 in the kappa-form; mpf with ``prec``."""
-    if prec is None:
-        return kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))
-    with workprec(prec):
-        return mpf(kappa[1]) / sys.mass(1), mpf(kappa[0]) / sys.mass(2)
-
-
 class KappaForm:
-    """The kappa-form ``(kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2`` with
-    its weights and the two Markov kernels resolved once (see :func:`l_kappa`)."""
+    """The kappa-form ``kappa2 L_{e1}(z) + kappa1 L_{e2}(z) = (kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2``,
+    the boundary form of the formal root parent (the components swap).
+
+    Its weights ``(kappa2/|mu1|, kappa1/|mu2|)`` (mpf with ``prec``) and the
+    two Markov kernels are resolved once.  With ``side``, as in :func:`cauchy`,
+    the measure whose ac piece strictly holds the real z gives its boundary
+    value and the other its plain transform.
+    """
 
     def __init__(self, sys: MopSystem, kappa, prec=None):
         self.sys, self.prec = sys, prec
-        self.weights = kappa_weights(sys, kappa, prec)
+        if prec is None:
+            self.weights = kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))
+        else:
+            with workprec(prec):
+                self.weights = mpf(kappa[1]) / sys.mass(1), mpf(kappa[0]) / sys.mass(2)
         self.kernels = (kernel(sys.mu1, (), prec), kernel(sys.mu2, (), prec))
 
     def markov(self, z, side=None) -> tuple:
@@ -452,16 +454,6 @@ class KappaForm:
 
     def __call__(self, z, side=None):
         return self.combine(self.markov(z, side))
-
-
-def l_kappa(sys: MopSystem, kappa, z, side=None, prec=None):
-    """The kappa-form ``kappa2 L_{e1}(z) + kappa1 L_{e2}(z) = (kappa2/|mu1|) markov1 + (kappa1/|mu2|) markov2``.
-
-    The boundary form of the formal root parent (the components swap).  With
-    ``side``, as in :func:`cauchy`, the measure whose ac piece strictly holds
-    the real z gives its boundary value and the other its plain transform.
-    """
-    return KappaForm(sys, kappa, prec)(z, side)
 
 
 # ---------------------------------------------------------------------------

@@ -345,21 +345,18 @@ def off_cut_subunit(surf: SurfaceParams, z) -> float:
 
 
 def assemble_Lc(surf: SurfaceParams, l: int, depth: int):
-    """Dirichlet truncation of the periodic operator with root type l.
+    """Dirichlet truncation of the periodic operator with root type l: the
+    Cayley-tree operator of the constant recurrence row (A1, A2, B1, B2).
 
     Vertex types equal the label of the edge to the parent; the two child
     edges of every vertex carry types 1 and 2.  Diagonal ``B_type``
     (``B_l`` at the root), off-diagonal ``sqrt(A_type)``.
     """
-    from .tree_jacobi import TreeOperator
+    from .tree_jacobi import _assemble
 
-    tree = cayley_truncation(depth)
-    t = np.concatenate([[l], tree.iota[1:]]) - 1  # vertex type minus one
-    V = np.array([surf.b_of(1), surf.b_of(2)], dtype=float)[t]
-    W = np.array([surf.a_of(1), surf.a_of(2)], dtype=float)[t]
-    W[0] = 1.0
-    sigma = np.zeros(len(tree), dtype=int)
-    return TreeOperator(tree, V, W, sigma, None, None)
+    row = (float(surf.A1), float(surf.A2), float(surf.B1), float(surf.B2))
+    w = (1.0, 0.0) if l == 1 else (0.0, 1.0)  # V = B_l exactly, as a subtree root reads its b
+    return _assemble(lambda n: row, cayley_truncation(depth), (((0, 0), w[0]), ((0, 0), w[1])), None)
 
 
 @dataclass

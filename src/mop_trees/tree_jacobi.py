@@ -31,7 +31,7 @@ from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import E1, E2, MopSystem, SecondKind, add, l_kappa, second_kind, sub
+from .mop_engine import E1, E2, KappaForm, MopSystem, SecondKind, add, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
@@ -102,20 +102,20 @@ class TreeOperator:
         }
 
 
-def _assemble(sys: MopSystem, tree: Tree, root_terms, kappa) -> TreeOperator:
-    """The operator on ``tree`` with coefficients read from one table of ``sys``.
+def _assemble(coef, tree: Tree, root_terms, kappa, sys: MopSystem | None = None) -> TreeOperator:
+    """The operator on ``tree`` with coefficients read from ``coef(n) -> (a1, a2, b1, b2)``.
 
     A vertex v below the root reads a_{iota_v} at its parent's projection
     (W_v = |a|, sigma_v = 1 when a < 0) and b_{iota_v} at the lower end of the
     edge to its parent (V_v).  The root reads ``V = w1 b_1(n1) + w2 b_2(n2)``
-    for ``root_terms = ((n1, w1), (n2, w2))``.
+    for ``root_terms = ((n1, w1), (n2, w2))``.  ``sys`` is kept on the operator.
     """
     n = len(tree)
     lab = tree.iota[1:] - 1
     upper = tree.points[tree.parent[1:]]
     lower = np.minimum(upper, tree.points[1:])
     (n1, w1), (n2, w2) = root_terms
-    rows = lattice_values(sys.recurrence_float, np.vstack([upper, lower, [n1, n2]]))
+    rows = lattice_values(coef, np.vstack([upper, lower, [n1, n2]]))
     edge = np.arange(n - 1)
     a = rows[edge, lab]
     if np.any(a == 0):
@@ -139,14 +139,14 @@ def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
     kappa = _kappa(kappa)
     tree = finite_tree(N)
     N = tree.root_proj
-    return _assemble(sys, tree, ((N, kappa[0]), (N, kappa[1])), kappa)
+    return _assemble(sys.recurrence_float, tree, ((N, kappa[0]), (N, kappa[1])), kappa, sys)
 
 
 def assemble_truncated(sys: MopSystem, kappa, depth: int) -> TreeOperator:
     """Dirichlet truncation of the operator on the rooted Cayley tree."""
     kappa = _kappa(kappa)
     root_terms = (((0, 1), kappa[0]), ((1, 0), kappa[1]))
-    return _assemble(sys, cayley_truncation(depth), root_terms, kappa)
+    return _assemble(sys.recurrence_float, cayley_truncation(depth), root_terms, kappa, sys)
 
 
 def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> TreeOperator:
@@ -159,7 +159,7 @@ def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> T
     tree = cayley_truncation(depth, root_proj=root_proj)
     low = sub(tree.root_proj, E1 if root_iota == 1 else E2)
     w = (1.0, 0.0) if root_iota == 1 else (0.0, 1.0)  # V_X = b_{root_iota}(low) exactly
-    return _assemble(sys, tree, ((low, w[0]), (low, w[1])), None)
+    return _assemble(sys.recurrence_float, tree, ((low, w[0]), (low, w[1])), None, sys)
 
 
 def signature_diagonal(op: TreeOperator) -> np.ndarray:
@@ -185,7 +185,7 @@ def _second_kind_rows(op: TreeOperator, z) -> tuple:
     """((J - z) f for the second-kind family f, the root boundary term by the Markov route)."""
     family = SecondKind(op.sys, z)  # one mp Markov pair for every lattice point
     f = lattice_values(lambda n: complex(second_kind(op.sys, n, family)), op.tree.points) / op.m_weights()
-    return op.apply(f) - z * f, l_kappa(op.sys, op.kappa, z)
+    return op.apply(f) - z * f, KappaForm(op.sys, op.kappa)(z)
 
 
 def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) -> float:

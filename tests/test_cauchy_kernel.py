@@ -167,7 +167,7 @@ def _sides(sys, x):
 
 
 def rho_o_density(asys, kappa, x):
-    """The root density as it was computed: l_kappa and s_o_value, each on the per-call kernel."""
+    """The root density as it was computed: the kappa-form and s_o_value, each on the per-call kernel."""
     dens = _density_at(asys.mustar, x)
     if dens == 0.0:
         return 0.0

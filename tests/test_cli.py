@@ -257,6 +257,27 @@ class TestExitCodesAndDeterminism:
         assert captured.err.endswith("a system file holds a JSON object, not a JSON " + type(json.loads(text)).__name__ + "\n")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "mu2, field",
+        [
+            ([1, 2], "mu2 must be a JSON object"),
+            ({"pieces": [[1, 2]]}, "mu2.pieces[0] must be a JSON object"),
+            ({"atoms": [1]}, "mu2.atoms[0] must be a JSON pair"),
+            ({"atoms": [[3.0]], "pieces": [{"a": 1, "b": 2}]}, "mu2.atoms[0] must be a JSON pair"),
+            ({"pieces": [{"a": 1, "b": 2, "density": "uniform"}]}, "mu2.pieces[0].density must be a JSON object"),
+            ({"pieces": [{"a": 1, "b": "2"}]}, "mu2.pieces[0].b must be a JSON number"),
+            ({"pieces": [{"a": 1, "b": 2}], "quad_order": 0}, "quad_order must be a positive integer"),
+        ],
+    )
+    def test_malformed_measure_exits_one(self, mu2, field, tmp_path, capsys):
+        doc = tmp_path / "malformed.json"
+        doc.write_text(json.dumps({**ANG_DOC, "mu2": mu2}))
+        assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mop-trees: ") and field in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
     def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):
         monkeypatch.setattr(periodic_surface, "from_params", _must_not_run)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mop_trees.errors import OverlapError
-from mop_trees.measures import Measure, uniform
+from mop_trees.errors import OverlapError, SeriesError
+from mop_trees.measures import DensitySpec, Measure, Piece, uniform
 from mop_trees.nikishin import (
     diagonal_blowup_scan,
     dual_hankel_min_eig,
@@ -32,6 +32,11 @@ class TestConstruction:
 
 
 class TestDualMoments:
+    def test_negative_mass_rejected(self):
+        tau = Measure(pieces=(Piece(0.0, 1.0, DensitySpec("jacobi_weight", poly=(-1.0,))),))
+        with pytest.raises(SeriesError, match="tau must have positive mass"):
+            dual_moments(tau, 3)
+
     def test_atom_gives_zero_measure(self):
         moms = dual_moments(Measure(atoms=((0.0, 1.0),)), 5)
         assert moms == pytest.approx([0.0] * 5, abs=1e-40)

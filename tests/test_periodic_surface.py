@@ -355,6 +355,13 @@ class TestAssembleLc:
         sol = scipy.sparse.linalg.spsolve(A.tocsc(), rhs)
         assert abs(sol[0] - green_o(SYM, 1, z)) < 1e-8
 
+    def test_constant_coefficient_operator(self):
+        # the root of type l reads B_l; no system and no kappa behind the periodic operator
+        for l in (1, 2):
+            op = assemble_Lc(SYM, l, 4)
+            assert op.V[0] == SYM.b_of(l) and op.W[0] == 1.0
+            assert not op.sigma.any() and op.sys is None and op.kappa is None
+
     def test_type_labels_alternate(self):
         op = assemble_Lc(SYM, 2, 3)
         t = op.tree

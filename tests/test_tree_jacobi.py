@@ -4,8 +4,10 @@ from mpmath import workprec
 
 from mop_trees import tree_jacobi
 from mop_trees.angelesco import angelesco_system
+from mop_trees.errors import ZeroWeightError
 from mop_trees.measures import uniform
 from mop_trees.tree_jacobi import (
+    _assemble,
     assemble_finite,
     assemble_subtree,
     assemble_truncated,
@@ -14,6 +16,7 @@ from mop_trees.tree_jacobi import (
     s_selfadjoint_check,
     signature_diagonal,
 )
+from mop_trees.tree_topology import cayley_truncation
 
 
 class TestAssembleFinite:
@@ -73,6 +76,15 @@ class TestAssembleTruncated:
         op = assemble_subtree(ang_sys, (2, 1), 1, 3)
         assert op.V[0] == pytest.approx(float(ang_sys.recurrence((1, 1))[2]))
         assert op.tree.root_proj == (2, 1)
+
+
+class TestConstantRow:
+    """The assembly reads any coefficient row function, a constant one included."""
+
+    def test_zero_weight_raises(self):
+        # vertex 1 is the first child, label 1, so it reads a1 = 0
+        with pytest.raises(ZeroWeightError, match="edge to vertex 1"):
+            _assemble(lambda n: (0.0, 1.0, 0.0, 0.0), cayley_truncation(2), (((0, 0), 1.0), ((0, 0), 0.0)), None)
 
 
 class TestSignature:
