@@ -22,13 +22,14 @@ precision; profile/density sweeps use stable double-precision routes
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mpf, workprec
 
 from . import _poly as P
-from .errors import DomainError, EndpointError, OverlapError
+from .errors import DomainError, EndpointError, IntegrationWarning, OverlapError
 from .measures import Measure, _piece_table, concat, kernel
 from .mop_engine import (
     E1,
@@ -44,6 +45,7 @@ from .mop_engine import (
     second_kind_boundary,
     second_kind_boundary_mp,
 )
+from .quadrature import qags
 from .tree_jacobi import _kappa, assemble_subtree, assemble_truncated, lattice_values
 
 _ENDPOINT_EXCLUSION = 1e-6
@@ -166,17 +168,21 @@ def _search_e_kappa(asys: AngelescoSystem, kappa):
 class SpectralMeasureRep:
     """Absolutely continuous density on the two intervals plus point masses."""
 
-    density: object                    # callable x -> float; calling the rep adds the endpoint guard
+    density: object                    # 1-D array of points inside one interval -> their values
     point_masses: list
     intervals: tuple
 
     def __call__(self, x: float) -> float:
         for a, b in self.intervals:
             if a <= x <= b:
-                if min(x - a, b - x) < _ENDPOINT_EXCLUSION:
-                    raise EndpointError("x too close to an interval endpoint")
-                return float(self.density(x))
+                return float(self._guarded(np.array([float(x)]), a, b)[0])
         raise DomainError("density evaluation off the intervals")
+
+    def _guarded(self, xs: np.ndarray, a: float, b: float) -> np.ndarray:
+        """The density at points xs of the interval [a, b], none of them near an endpoint."""
+        if (np.minimum(xs - a, b - xs) < _ENDPOINT_EXCLUSION).any():
+            raise EndpointError("x too close to an interval endpoint")
+        return self.density(xs)
 
     def total_mass(self) -> float:
         return self._moment(0)
@@ -185,26 +191,34 @@ class SpectralMeasureRep:
         return self._moment(1)
 
     def _moment(self, k: int) -> float:
-        from scipy.integrate import quad
         total = sum(E**k * m for E, m in self.point_masses)
         for a, b in self.intervals:
-            val, _ = quad(lambda x: x**k * self.density(x), a, b, limit=400, epsabs=1e-12)
-            total += val
+            res = qags(lambda xs: np.array([x**k for x in xs.tolist()]) * self.density(xs), a, b, 1e-12, 1.49e-8, 400)
+            if res.ier:
+                warnings.warn(
+                    f"moment {k} on [{a}, {b}]: qags stopped with ier={res.ier}, abserr {res.abserr:.3g}",
+                    IntegrationWarning,
+                    stacklevel=3,
+                )
+            total += res.value
         return float(total)
 
     def profile(self, n_points: int) -> list:
-        xs = grid_points(self.intervals, n_points, lambda a, b: max(_ENDPOINT_EXCLUSION * 2, (b - a) * 1e-5))
-        return [(x, self(x)) for x in xs]
+        grids = interval_grids(self.intervals, n_points, lambda a, b: max(_ENDPOINT_EXCLUSION * 2, (b - a) * 1e-5))
+        pts = []
+        for (a, b), xs in zip(self.intervals, grids):
+            pts += zip(xs.tolist(), self._guarded(xs, a, b).tolist())
+        return pts
 
 
-def grid_points(intervals, n_points: int, pad) -> list[float]:
-    """``n_points`` evenly spaced points over two intervals, ``pad(a, b)`` in
-    from the ends of each; the first interval takes the odd point."""
-    xs = []
+def interval_grids(intervals, n_points: int, pad) -> list[np.ndarray]:
+    """Per interval, evenly spaced points ``pad(a, b)`` in from its ends;
+    ``n_points`` in all, the first interval takes the odd point."""
+    grids = []
     for (a, b), n in zip(intervals, (n_points - n_points // 2, n_points // 2)):
         p = pad(a, b)
-        xs.extend(float(x) for x in np.linspace(a + p, b - p, n))
-    return xs
+        grids.append(np.linspace(a + p, b - p, n))
+    return grids
 
 
 def _require_one_piece(asys: AngelescoSystem) -> None:
@@ -222,22 +236,40 @@ def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
     form = KappaForm(asys.sys, kappa)
     scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
 
-    def raw(x: float) -> float:
-        x = float(x)
-        dens = asys.mustar.density_at(x)
-        if dens == 0.0:
-            return 0.0
+    def live(x, dens):
         markov = form.markov(x, "+")
         # S_O: the positive weight (-markov2 on the left interval, markov1 on the
         # right) over (Xi |mu1| |mu2|); it reads the form's own value of the other measure
-        s_o = scale * (-markov[1].real) if asys.side_of(x) == 1 else scale * markov[0].real
-        return s_o * dens / abs(form.combine(markov)) ** 2
+        s_o = scale * (-markov[1].real) if asys.side_of(x[0]) == 1 else scale * markov[0].real
+        return s_o * dens / _abs_squared(form.combine(markov))
 
     masses = []
     E = find_e_kappa(asys, kappa)
     if E is not None:
         masses.append((E, point_mass_at(asys, kappa, E)))
-    return SpectralMeasureRep(raw, masses, (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(_density_on_support(asys, live), masses, (asys.delta1, asys.delta2))
+
+
+def _density_on_support(asys: AngelescoSystem, live):
+    """The density at points x (a float or a 1-D array inside one interval):
+    0 where mustar has no density, ``live(x, mustar density)`` elsewhere."""
+
+    def density(x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        dens = asys.mustar.density_at(x)
+        out = np.zeros(len(x))
+        on = dens != 0.0
+        if on.any():
+            out[on] = live(x[on], dens[on])
+        return out
+
+    return density
+
+
+def _abs_squared(values: np.ndarray) -> np.ndarray:
+    """``abs(v) ** 2`` per element in Python floats (numpy's complex abs and
+    array power round differently in the last bit)."""
+    return np.array([abs(v) ** 2 for v in values.tolist()])
 
 
 def point_mass_at(asys, kappa, E: float) -> float:
@@ -430,10 +462,13 @@ def _s_x_by_quadrature(asys, n, l):
     kernels = {k: kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, w) for k, (_, w) in bridges.items()}
 
     def value(x):
-        k = asys.side_of(x)
+        """S_X at a float x, or at each point of a 1-D array x inside one interval."""
+        k = asys.side_of(x[0] if isinstance(x, np.ndarray) else x)
         integral = kernels[k](x).real
-        tmx = math.prod([x - r for r in bridges[k][0]], start=1.0)  # left to right, as np.prod multiplies
-        return float((-1.0) ** k * integral / tmx)
+        tmx = 1.0
+        for r in bridges[k][0]:  # left to right, as np.prod multiplies
+            tmx = tmx * (x - r)
+        return (-1.0) ** k * integral / tmx
 
     return value
 
@@ -480,19 +515,14 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
     _, projX, n, l = _path_data(asys, X)
     forms = None
 
-    def raw(x: float) -> float:
+    def live(x, dens):
         nonlocal forms
-        x = float(x)
-        dens = asys.mustar.density_at(x)
-        if dens == 0.0:
-            return 0.0
         if forms is None:  # prepared at the first value: building the rep solves nothing
             forms = linear_form(asys.sys, n), _s_x_by_quadrature(asys, n, l)
         boundary, s_x_at = forms
-        L = boundary(x, "+")
-        return s_x_at(x) * dens / abs(L) ** 2
+        return s_x_at(x) * dens / _abs_squared(boundary(x, "+"))
 
-    return SpectralMeasureRep(raw, [], (asys.delta1, asys.delta2))
+    return SpectralMeasureRep(_density_on_support(asys, live), [], (asys.delta1, asys.delta2))
 
 
 # ---------------------------------------------------------------------------

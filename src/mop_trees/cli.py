@@ -29,7 +29,7 @@ from . import nikishin as nik
 from . import periodic_surface as psur
 from .errors import MopTreesError
 from .finite_spectral import full_basis, s_orthogonalize
-from .measures import measure_from_json
+from .measures import _shaped, measure_from_json
 from .mop_engine import MopSystem, consistency_residual, interlacing_check
 from .tree_jacobi import assemble_finite, s_selfadjoint_check
 
@@ -48,7 +48,9 @@ def load_system(path: str, precision_bits: int | None = None) -> dict:
         raise ValueError(f"{path}: a system file holds a JSON object, not a JSON {type(doc).__name__}")
     if doc.get("schema", SCHEMA) != SCHEMA:
         raise ValueError(f"unsupported system schema {doc['schema']!r} (expected {SCHEMA!r})")
-    bits = int(doc.get("precision_bits", 256)) if precision_bits is None else precision_bits
+    bits = precision_bits
+    if bits is None:  # MopSystem rejects an integer below 1
+        bits = _shaped(doc.get("precision_bits", 256), "precision_bits", "integer")
     kind = doc.get("type")
     if kind not in ("angelesco", "nikishin", "pair"):
         raise ValueError(f"unknown system type {kind!r}")
@@ -235,8 +237,8 @@ def cmd_periodic_surface(args, loaded):
 
 def cmd_periodic_dos(args, loaded):
     surf = _surface_from_args(args)
-    xs = ang.grid_points(surf.cuts, args.grid, lambda a, b: (b - a) * 1e-6)
-    pts = [(x, psur.dos(surf, args.l, x)) for x in xs]
+    grids = ang.interval_grids(surf.cuts, args.grid, lambda a, b: (b - a) * 1e-6)
+    pts = [(x, psur.dos(surf, args.l, x)) for xs in grids for x in xs.tolist()]
     return _profile(args, pts, "dos.csv")
 
 

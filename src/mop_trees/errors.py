@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one warning category."""
 
 
 class MopTreesError(Exception):
@@ -59,3 +59,7 @@ class BranchError(MopTreesError):
 
 class InvalidSurfaceError(MopTreesError):
     """Surface parameters do not produce two disjoint real cuts."""
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive integral stopped short of its tolerance (QUADPACK ier > 0); the value is still returned."""

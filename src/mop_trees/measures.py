@@ -34,6 +34,7 @@ from .quadrature import graded_panels, map_rule, map_rule_mp
 _SUPPORT_TOL = 1e-12
 _NEAR_FACTOR = 0.1  # switch to graded panels when the pole is this close (relative)
 _PANEL_ORDER = 32
+_BATCH_ROWS = 1024  # points per (points, nodes) array of a batched kernel call
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,25 @@ class DensitySpec:
             return val
         base = self.base(x, a, b)
         return base * cauchy(self.weight_measure, np.atleast_1d(x)).real.reshape(np.shape(x))
+
+    def at(self, x: float, a: float, b: float) -> float:
+        """Single-point double-precision evaluation in Python floats.
+
+        numpy's array ``**`` rounds differently from ``pow`` in the last bit,
+        so point values are not read off :meth:`__call__`.
+        """
+        if self.kind == "uniform":
+            return 1.0
+        if self.kind == "jacobi_weight":
+            val = float(self.poly[-1]) + x * 0  # Horner, as numpy's polyval runs it
+            for c in self.poly[-2::-1]:
+                val = float(c) + val * x
+            if self.p != 0:
+                val = val * (x - a) ** self.p
+            if self.q != 0:
+                val = val * (b - x) ** self.q
+            return val
+        return self.base.at(x, a, b) * cauchy(self.weight_measure, x).real
 
     def mp_value(self, x, a, b, prec: int):
         """Single-point evaluation in ``prec``-bit arithmetic."""
@@ -269,8 +289,17 @@ class Measure:
         """Markov function at ``prec`` bits (single point)."""
         return cauchy(self, z, prec=prec)
 
-    def density_at(self, x: float) -> float:
-        """Density of the absolutely continuous part at x (0 off the pieces)."""
+    def density_at(self, x):
+        """Density of the absolutely continuous part at x (0 off the pieces); at
+        each point of a 1-D float array x, the value at that point."""
+        if isinstance(x, np.ndarray):
+            out, free = np.zeros(len(x)), np.ones(len(x), dtype=bool)
+            for p in self.pieces:
+                on = free & (p.a <= x) & (x <= p.b)
+                if on.any():
+                    out[on] = _point_densities(p, x[on])
+                    free &= ~on
+            return out
         for p in self.pieces:
             if p.a <= x <= p.b:
                 return _point_density(p, x, None)
@@ -351,8 +380,10 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
 
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
-    support, an mpc otherwise.  In double precision z may also be a 1-D array
-    off the support, answered by the scalar call at each element.  The call
+    support, an mpc otherwise.  In double precision z may also be a 1-D array:
+    a real one, with or without ``side``, is answered with the bits of the
+    scalar call at each point by one batched evaluation; a complex one, off
+    the support, by the scalar call at each element.  The call
     runs the measure's prepared kernel for (weight, prec) (:func:`kernel`);
     panels are not cached.
     """
@@ -373,8 +404,8 @@ class _Kernel:
     """:func:`cauchy` for one measure, weight and precision, with everything
     that does not depend on z resolved once: the full-piece node tables with
     w*g*density formed in advance, the weight as floats (double) or mpf, the
-    atoms' m*g(x) values and the pieces' geometry.  An array of z is answered
-    element by element; no (z, node) array is formed.
+    atoms' m*g(x) values and the pieces' geometry.  A real array of z is
+    answered by :meth:`_batch`, a complex one element by element.
 
     The mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
     bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
@@ -433,9 +464,17 @@ class _Kernel:
 
     def __call__(self, z, side=None):
         if isinstance(z, np.ndarray):
-            if self.prec is not None or side is not None or z.ndim != 1:
-                raise ValueError("array z requires double precision, side=None and a 1-D array")
-            return np.array([self(complex(v)) for v in z], dtype=complex)
+            if self.prec is not None or z.ndim != 1:
+                raise ValueError("array z requires double precision and a 1-D array")
+            if np.iscomplexobj(z):
+                if side is not None:
+                    raise ValueError("a complex array z requires side=None")
+                return np.array([self(complex(v)) for v in z], dtype=complex)
+            x = z.astype(float)
+            return np.concatenate(
+                [self._batch(x[i : i + _BATCH_ROWS], side) for i in range(0, len(x), _BATCH_ROWS)]
+                or [np.zeros(0, dtype=complex)]
+            )
         zc = complex(z)
         host, dists = self._locate(zc, side)
         if self.prec is None:
@@ -443,6 +482,61 @@ class _Kernel:
         with workprec(self.prec):
             zq = mpc(z) if host is None and isinstance(z, (complex, mpc)) else mpf(z)
             return self._value(zq, zc, host, dists, side, mp.log, mp.pi)
+
+    def _batch(self, x: np.ndarray, side) -> np.ndarray:
+        """The double-precision transform at each point of a real 1-D array x.
+
+        The scalar route's arithmetic, point for point and piece by piece in
+        the same order, with the node sums of all points of a piece formed as
+        one (points, nodes) array and summed per row.  What numpy would round
+        differently stays per point in Python floats: the atoms, the log of the
+        singularity subtraction and the graded panels of a near piece.
+        """
+        dists = [np.where((a <= x) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))) for a, b, _ in self.spans]
+        near_atom = any([bool((np.abs(x - ax) < _SUPPORT_TOL).any()) for ax in self.atom_x])
+        host = np.full(len(x), -1)
+        if side is None:
+            if near_atom or any([bool((d < _SUPPORT_TOL).any()) for d in dists]):
+                raise DomainError("Cauchy transform evaluated on the support")
+        else:
+            if side not in ("+", "-"):
+                raise ValueError("side must be '+' or '-'")
+            for i in reversed(range(len(self.spans))):  # the first piece holding x hosts it
+                a, b, _ = self.spans[i]
+                host[(a < x) & (x < b)] = i
+            if (host < 0).any():
+                raise DomainError("boundary value requires x strictly inside an ac piece")
+            if near_atom:
+                raise DomainError("boundary value at an atom")
+        xl = x.tolist()
+        zq = [complex(v) for v in xl] if side is None else xl  # the scalar route's z per point
+        if self.atoms:
+            total = np.array([sum([mg / (z - t) for t, mg in self.atoms]).real for z in zq])
+        else:
+            total = np.zeros(len(x))
+        im = np.zeros(len(x))
+        for i, (a, b, near) in enumerate(self.spans):
+            xs, ws, gd, wg = self.tables[i]
+            at = host == i
+            if at.any():
+                xh = x[at]
+                fx = _point_densities(self.pieces[i], xh)
+                if self.weight:
+                    fx = self.g(xh) * fx
+                # the singularity subtraction, on the rows where f(x) != 0
+                rows = np.where((fx != 0)[:, None], ws * (gd - fx[:, None]), wg)
+                total[at] += (rows / (xh[:, None] - xs)).sum(axis=1)
+                total[at] += fx * np.array([math.log(q) for q in ((xh - a) / (b - xh)).tolist()])
+                im[at] = -math.pi * fx if side == "+" else math.pi * fx
+            far = ~at & (dists[i] >= near)
+            if far.any():
+                oxs, owg = self.off[i]
+                total[far] += (owg / (x[far].astype(complex)[:, None] - oxs)).sum(axis=1).real
+            for r in np.flatnonzero(~at & (dists[i] < near)).tolist():
+                total[r] += self._panels(i, xl[r], float(dists[i][r]), zq[r]).real
+        out = np.empty(len(x), dtype=complex)
+        out.real, out.imag = total, im
+        return out
 
     def _value(self, zq, zc, host, dists, side, log, pi):
         """The transform at zq (a float or complex, or an mpf or mpc at ``prec``)."""
@@ -481,9 +575,14 @@ def _point_density(p: Piece, x, prec):
     """Density of piece p at one point x: a float, or an mpf at ``prec`` bits."""
     if prec is not None:
         return p.density.mp_value(x, p.a, p.b, prec)
+    return p.density.at(x, p.a, p.b)
+
+
+def _point_densities(p: Piece, xs: np.ndarray) -> np.ndarray:
+    """:func:`_point_density` at each point of a 1-D float array."""
     if p.density.kind == "uniform":
-        return 1.0  # float(p.density(x, a, b)) for every x
-    return float(p.density(x, p.a, p.b))
+        return np.ones(len(xs))
+    return np.array([p.density.at(x, p.a, p.b) for x in xs.tolist()])
 
 
 def measure_from_json(doc, field: str = "measure") -> Measure:

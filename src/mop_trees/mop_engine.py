@@ -395,8 +395,13 @@ def second_kind_boundary_mp(sys: MopSystem, n, x, side: str = "+"):
 
 
 def _sides(sys: MopSystem, x, side) -> tuple:
-    """Per measure, ``side`` if one of its ac pieces strictly holds x, else None."""
-    sides = tuple([side if any([p.a < x < p.b for p in mu.pieces]) else None for mu in (sys.mu1, sys.mu2)])
+    """Per measure, ``side`` if one of its ac pieces strictly holds x (each
+    point of a 1-D array x), else None."""
+    if isinstance(x, np.ndarray):
+        held = [np.any([(p.a < x) & (x < p.b) for p in mu.pieces], axis=0).all() for mu in (sys.mu1, sys.mu2)]
+    else:
+        held = [any([p.a < x < p.b for p in mu.pieces]) for mu in (sys.mu1, sys.mu2)]
+    sides = tuple([side if h else None for h in held])
     if sides == (None, None):
         raise DomainError("boundary value requires x inside an ac piece")
     return sides

@@ -16,9 +16,13 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
 from mop_trees._poly import pval, pval_exact
+from mop_trees.angelesco import _bridge_weights, _path_data
 from mop_trees.errors import AssumptionError, BranchError, DomainError
+from mop_trees.measures import kernel
+from mop_trees.mop_engine import KappaForm, linear_form
 from mop_trees.periodic_surface import _BRANCH_GUARD, SurfaceParams, _dist_to_branch, on_cuts
 from mop_trees.quadrature import gauss_legendre, graded_panels, map_rule, map_rule_mp
+from mop_trees.tree_jacobi import _kappa
 
 
 def uniform_moment(a, b, k) -> Fraction:
@@ -516,3 +520,62 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
         if prec is None:
             return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
         return total
+
+
+# ---------------------------------------------------------------------------
+# spectral densities one point at a time, and their moments by scipy's quad
+# ---------------------------------------------------------------------------
+
+
+def _mustar_density(asys, x: float) -> float:
+    """mustar's density at x through numpy on a 0-d x, as the library read it."""
+    return next((float(p.density(x, p.a, p.b)) for p in asys.mustar.pieces if p.a <= x <= p.b), 0.0)
+
+
+def rho_o_point(asys, kappa):
+    """x -> the root spectral density at one float x, as ``rho_o`` computed it
+    before its density took arrays: one scalar call per Markov kernel."""
+    form = KappaForm(asys.sys, _kappa(kappa))
+    scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
+
+    def value(x):
+        dens = _mustar_density(asys, x)
+        if dens == 0.0:
+            return 0.0
+        markov = form.markov(x, "+")
+        s_o = scale * (-markov[1].real) if asys.side_of(x) == 1 else scale * markov[0].real
+        return s_o * dens / abs(form.combine(markov)) ** 2
+
+    return value
+
+
+def rho_sub_point(asys, X):
+    """x -> the subtree spectral density at one float x, as ``rho_sub`` computed
+    it before its density took arrays: scalar kernel calls throughout."""
+    _, _, n, l = _path_data(asys, tuple(X))
+    boundary = linear_form(asys.sys, n)
+    bridges = _bridge_weights(asys, n, l)
+    kernels = {k: kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, w) for k, (_, w) in bridges.items()}
+
+    def value(x):
+        dens = _mustar_density(asys, x)
+        if dens == 0.0:
+            return 0.0
+        k = asys.side_of(x)
+        integral = kernels[k](x).real
+        s_x = float((-1.0) ** k * integral / math.prod([x - r for r in bridges[k][0]], start=1.0))
+        return s_x * dens / abs(boundary(x, "+")) ** 2
+
+    return value
+
+
+def quad_moment(point_density, rep, k: int) -> float:
+    """The k-th moment of a spectral measure as ``SpectralMeasureRep._moment``
+    computed it with ``scipy.integrate.quad``, one density value per call."""
+    from scipy.integrate import quad
+
+    total = sum(E**k * m for E, m in rep.point_masses)
+    for a, b in rep.intervals:
+        val, _ = quad(lambda x: x**k * point_density(x), a, b, limit=400, epsabs=1e-12)
+        total += val
+    return float(total)

@@ -17,6 +17,7 @@ from mpmath import mpc, mpf
 
 from mop_trees import angelesco, measures
 from mop_trees.angelesco import _bridge_weights, _path_data, angelesco_system, green, psi_o, rho_o, rho_sub
+from mop_trees.errors import DomainError
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, kernel, uniform
 from mop_trees.nikishin import nikishin_system
 from mop_trees.tree_jacobi import assemble_truncated, eigenfunction_residual
@@ -123,11 +124,29 @@ class TestArrayZ:
         assert rows.dtype == complex and not rows.imag.any()
         assert [bits(r) for r in rows] == [bits(oracles.cauchy(MEASURES["uniform"], float(v))) for v in z]
 
-    def test_array_needs_double_and_no_side(self):
+    def test_array_needs_double_and_real_points_for_side(self):
         with pytest.raises(ValueError):
             cauchy(uniform(0, 1), np.array([2.0]), prec=64)
         with pytest.raises(ValueError):
-            cauchy(uniform(0, 1), np.array([0.5]), side="+")
+            cauchy(uniform(0, 1), np.array([0.5 + 0j]), side="+")
+        with pytest.raises(ValueError):
+            cauchy(uniform(0, 1), np.array([[2.0]]))
+
+    def test_real_array_boundary_rows(self):
+        z = np.linspace(-0.99, 0.49, 57)
+        for side in "+-":
+            rows = cauchy(MEASURES["jacobi"], z, WEIGHTS["float"], side=side)
+            scalar = [cauchy(MEASURES["jacobi"], float(v), WEIGHTS["float"], side=side) for v in z]
+            assert [bits(r) for r in rows] == [bits(v) for v in scalar]
+
+    def test_real_array_errors_match_scalar_calls(self):
+        mu = MEASURES["atoms"]
+        with pytest.raises(DomainError, match="on the support"):
+            cauchy(mu, np.array([-5.0, mu.pieces[0].a]))
+        with pytest.raises(DomainError, match="strictly inside"):
+            cauchy(mu, np.array([mu.pieces[0].a]), side="+")
+        with pytest.raises(ValueError, match="side must be"):
+            cauchy(mu, np.array([0.5]), side="up")
 
 
 class TestFarPieces:
@@ -198,9 +217,15 @@ def rho_sub_density(asys, X, x):
 
 
 def _quad_nodes(rep, moment):
-    """The x at which ``quad`` evaluates the density while computing a moment."""
+    """The (x, density) pairs the integrator reads while computing a moment."""
     seen, inner = [], rep.density
-    rep.density = lambda x: seen.append(x) or inner(x)
+
+    def recorded(x):
+        values = inner(x)
+        seen.extend(zip(x.tolist(), values.tolist()))
+        return values
+
+    rep.density = recorded
     moment()
     rep.density = inner
     return seen
@@ -217,17 +242,17 @@ class TestDensityBits:
     def test_rho_o_at_quad_nodes(self, ang_u, kappa):
         for asys in (ang_u, JW_PAIR):
             rep = rho_o(asys, kappa)
-            xs = _quad_nodes(rep, rep.first_moment)
-            assert len(xs) > 400
-            assert [rep.density(x).hex() for x in xs] == [rho_o_density(asys, kappa, x).hex() for x in xs]
+            seen = _quad_nodes(rep, rep.first_moment)
+            assert len(seen) > 400
+            assert [v.hex() for _, v in seen] == [rho_o_density(asys, kappa, x).hex() for x, _ in seen]
 
     @pytest.mark.parametrize("X", [(1,), (2, 1)])
     def test_rho_sub_at_quad_nodes(self, ang_u, X):
         for asys in (ang_u, JW_PAIR):
             rep = rho_sub(asys, X)
-            xs = _quad_nodes(rep, rep.total_mass)
-            assert len(xs) > 400
-            assert [rep.density(x).hex() for x in xs] == [rho_sub_density(asys, X, x).hex() for x in xs]
+            seen = _quad_nodes(rep, rep.total_mass)
+            assert len(seen) > 400
+            assert [v.hex() for _, v in seen] == [rho_sub_density(asys, X, x).hex() for x, _ in seen]
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,16 @@ class TestExitCodesAndDeterminism:
         assert captured.err.startswith("mop-trees: ") and field in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("bits", [None, [256], 256.5, 256.0, "256", True, 0], ids=repr)
+    def test_malformed_precision_bits_exits_one(self, bits, tmp_path, capsys):
+        doc = tmp_path / "bits.json"
+        doc.write_text(json.dumps({**ANG_DOC, "precision_bits": bits}))
+        assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mop-trees: ") and "precision_bits" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
     def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):
         monkeypatch.setattr(periodic_surface, "from_params", _must_not_run)
@@ -364,13 +374,14 @@ def test_command_options():
 
 def test_import_leaves_scipy_unloaded():
     # Every CLI command is a fresh process; scipy is imported only inside the
-    # calls that use it (eigensolves, sparse LU, quad).
+    # calls that use it (eigensolves, sparse LU).
     code = "import mop_trees.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _python(code) == 0
 
 
 @pytest.mark.parametrize(
-    "name", ["mop-coeffs", "angelesco-dos-profile", "periodic-surface", "periodic-dos", "periodic-raylimit"]
+    "name",
+    ["mop-coeffs", "angelesco-rho", "angelesco-dos-profile", "periodic-surface", "periodic-dos", "periodic-raylimit"],
 )
 def test_command_runs_without_scipy(name, tmp_path):
     code = (
@@ -379,6 +390,20 @@ def test_command_runs_without_scipy(name, tmp_path):
         "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
     )
     assert _python(code, json.dumps(GOLDEN_COMMANDS[name]), cwd=tmp_path) == 0
+
+
+def test_spectral_moments_leave_scipy_integrate_unloaded():
+    # the masses and moments run on quadrature.qags: importing scipy.integrate
+    # alone cost about 0.5 s in each process that asked for a mass
+    code = (
+        "import sys, mop_trees.cli\n"
+        "from mop_trees.angelesco import rho_o, rho_sub\n"
+        "asys = mop_trees.cli.load_system(sys.argv[1])['asys']\n"
+        "for rep in (rho_o(asys, (0.5, 0.5)), rho_sub(asys, (1, 2))):\n"
+        "    rep.total_mass(), rep.first_moment(), rep.profile(20)\n"
+        "sys.exit('scipy.integrate' in sys.modules)"
+    )
+    assert _python(code, SYSTEM) == 0
 
 
 def test_golden_set_is_covered():
