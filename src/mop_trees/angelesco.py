@@ -512,6 +512,8 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
     """Spectral measure of the subtree root vector at X (unit mass; one-piece measures only)."""
     _require_one_piece(asys)
     X = tuple(X)
+    if not X:
+        raise DomainError("rho_sub requires X != root (the root's measure is rho_o)")
     _, projX, n, l = _path_data(asys, X)
     forms = None
 

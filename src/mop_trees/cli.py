@@ -21,6 +21,7 @@ floats, CSV through :func:`emit_plot_data`.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -129,6 +130,17 @@ def _grid(zero_ok: bool):
         return n
 
     return grid
+
+
+def _finite_complex(text: str) -> complex:
+    """argparse type for ``--z``: a finite complex number."""
+    try:
+        z = complex(text)
+    except ValueError:
+        z = complex("nan")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite complex number, not {text!r}")
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +324,7 @@ def build_parser() -> _Parser:
 
     sp = command("angelesco", "green", cmd_angelesco_green)
     sp.add_argument("--kappa", required=True)
-    sp.add_argument("--z", required=True, type=complex)
+    sp.add_argument("--z", required=True, type=_finite_complex)
     sp.add_argument("--X", default="")
     sp.add_argument("--Y", default="")
     sp.add_argument("--depth", type=int, default=12)

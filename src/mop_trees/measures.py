@@ -222,13 +222,8 @@ class Measure:
     def support_distance(self, z) -> float:
         """Distance from z to the support (intervals and atoms)."""
         z = complex(z)
-        zr, zi = z.real, z.imag
-        d = math.inf
-        for p in self.pieces:
-            d = min(d, _piece_distance(p.a, p.b, zr, zi))
-        for x, _ in self.atoms:
-            d = min(d, math.hypot(zr - x, zi))
-        return d
+        legs = [max(0.0, p.a - z.real, z.real - p.b) for p in self.pieces] + [abs(z.real - x) for x, _ in self.atoms]
+        return min([math.hypot(d, z.imag) for d in legs])
 
     # -- moments -----------------------------------------------------------
 
@@ -292,18 +287,14 @@ class Measure:
     def density_at(self, x):
         """Density of the absolutely continuous part at x (0 off the pieces); at
         each point of a 1-D float array x, the value at that point."""
-        if isinstance(x, np.ndarray):
-            out, free = np.zeros(len(x)), np.ones(len(x), dtype=bool)
-            for p in self.pieces:
-                on = free & (p.a <= x) & (x <= p.b)
-                if on.any():
-                    out[on] = _point_densities(p, x[on])
-                    free &= ~on
-            return out
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out, free = np.zeros(len(xs)), np.ones(len(xs), dtype=bool)
         for p in self.pieces:
-            if p.a <= x <= p.b:
-                return _point_density(p, x, None)
-        return 0.0
+            on = free & (p.a <= xs) & (xs <= p.b)
+            if on.any():
+                out[on] = _point_densities(p, xs[on])
+                free &= ~on
+        return out if isinstance(x, np.ndarray) else float(out[0])
 
     def markov_boundary(self, x: float, side: str = "+") -> complex:
         """Boundary value of the Markov function on an ac piece (Plemelj split, see :func:`cauchy`)."""
@@ -380,10 +371,10 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
 
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
-    support, an mpc otherwise.  In double precision z may also be a 1-D array:
-    a real one, with or without ``side``, is answered with the bits of the
-    scalar call at each point by one batched evaluation; a complex one, off
-    the support, by the scalar call at each element.  The call
+    support, an mpc otherwise.  In double precision z may also be a 1-D array,
+    real (with or without ``side``) or complex (off the support); a point and
+    an array run the same batched evaluation, so each row has the bits of
+    the point call.  A NaN or infinite z raises ``DomainError``.  The call
     runs the measure's prepared kernel for (weight, prec) (:func:`kernel`);
     panels are not cached.
     """
@@ -404,8 +395,9 @@ class _Kernel:
     """:func:`cauchy` for one measure, weight and precision, with everything
     that does not depend on z resolved once: the full-piece node tables with
     w*g*density formed in advance, the weight as floats (double) or mpf, the
-    atoms' m*g(x) values and the pieces' geometry.  A real array of z is
-    answered by :meth:`_batch`, a complex one element by element.
+    atoms' m*g(x) values and the pieces' geometry.  Every double z, a point
+    or an array, is answered by :meth:`_batch`, an mp z by :meth:`_value`;
+    both find the host piece and the distances by :meth:`_locate`.
 
     The mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
     bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
@@ -429,21 +421,26 @@ class _Kernel:
         # off the support z is complex: the nodes and w*g*density cast once (exact), not per call
         self.off = [(xs, wg) if prec else (xs.astype(complex), wg.astype(complex)) for xs, _, _, wg in self.tables]
 
-    def _locate(self, zc: complex, side):
-        """(index of the host piece or None, distance from z to each piece)."""
-        zr, zi = zc.real, zc.imag
-        dists = [_piece_distance(a, b, zr, zi) for a, b, _ in self.spans]
+    def _locate(self, z: np.ndarray, side):
+        """(host piece per point, -1 for none; per piece, the distance from each point to it)."""
+        if not np.isfinite(z).all():
+            raise DomainError("Cauchy transform requires a finite z")
+        zr, zi = z.real, z.imag
+        dists = [_hypot(np.maximum(0.0, np.maximum(a - zr, zr - b)), zi) for a, b, _ in self.spans]
+        near_atom = any([bool((_hypot(np.abs(zr - x), zi) < _SUPPORT_TOL).any()) for x in self.atom_x])
+        host = np.full(len(z), -1)
         if side is None:
-            near_atom = any(math.hypot(zr - x, zi) < _SUPPORT_TOL for x in self.atom_x)
-            if near_atom or min(dists, default=math.inf) < _SUPPORT_TOL:
+            if near_atom or any([bool((d < _SUPPORT_TOL).any()) for d in dists]):
                 raise DomainError("Cauchy transform evaluated on the support")
-            return None, dists
+            return host, dists
         if side not in ("+", "-"):
             raise ValueError("side must be '+' or '-'")
-        host = next((i for i, (a, b, _) in enumerate(self.spans) if a < zr < b and zi == 0), None)
-        if host is None:
+        for i in reversed(range(len(self.spans))):  # the first piece holding x hosts it
+            a, b, _ = self.spans[i]
+            host[(a < zr) & (zr < b) & (zi == 0)] = i
+        if (host < 0).any():
             raise DomainError("boundary value requires x strictly inside an ac piece")
-        if any(abs(zr - x) < _SUPPORT_TOL for x in self.atom_x):
+        if near_atom:
             raise DomainError("boundary value at an atom")
         return host, dists
 
@@ -466,60 +463,45 @@ class _Kernel:
         if isinstance(z, np.ndarray):
             if self.prec is not None or z.ndim != 1:
                 raise ValueError("array z requires double precision and a 1-D array")
-            if np.iscomplexobj(z):
-                if side is not None:
-                    raise ValueError("a complex array z requires side=None")
-                return np.array([self(complex(v)) for v in z], dtype=complex)
-            x = z.astype(float)
+            if np.iscomplexobj(z) and side is not None:
+                raise ValueError("a complex array z requires side=None")
+            z = z if np.iscomplexobj(z) else z.astype(float)
             return np.concatenate(
-                [self._batch(x[i : i + _BATCH_ROWS], side) for i in range(0, len(x), _BATCH_ROWS)]
+                [self._batch(z[i : i + _BATCH_ROWS], side) for i in range(0, len(z), _BATCH_ROWS)]
                 or [np.zeros(0, dtype=complex)]
             )
         zc = complex(z)
-        host, dists = self._locate(zc, side)
         if self.prec is None:
-            return self._value(zc if host is None else zc.real, zc, host, dists, side, math.log, math.pi)
+            return complex(self._batch(np.array([zc.real]) if zc.imag == 0 else np.array([zc]), side)[0])
+        host, dists = self._locate(np.array([zc]), side)
+        host = int(host[0])
         with workprec(self.prec):
-            zq = mpc(z) if host is None and isinstance(z, (complex, mpc)) else mpf(z)
-            return self._value(zq, zc, host, dists, side, mp.log, mp.pi)
+            zq = mpc(z) if host < 0 and isinstance(z, (complex, mpc)) else mpf(z)
+            return self._value(zq, zc.real, host, [float(d[0]) for d in dists], side)
 
-    def _batch(self, x: np.ndarray, side) -> np.ndarray:
-        """The double-precision transform at each point of a real 1-D array x.
+    def _batch(self, z: np.ndarray, side) -> np.ndarray:
+        """The double-precision transform at each point of a 1-D array z, real
+        or (off the support) complex.
 
-        The scalar route's arithmetic, point for point and piece by piece in
-        the same order, with the node sums of all points of a piece formed as
-        one (points, nodes) array and summed per row.  What numpy would round
-        differently stays per point in Python floats: the atoms, the log of the
-        singularity subtraction and the graded panels of a near piece.
+        Point for point and piece by piece the arithmetic of one evaluation,
+        with the node sums of all points of a piece formed as one (points,
+        nodes) array and summed per row.  What numpy would round differently
+        stays per point in Python floats: the atoms, the log of the singularity
+        subtraction, the distances off the real line and the graded panels of
+        a near piece.  A real point gets imaginary part 0.0 off the support.
         """
-        dists = [np.where((a <= x) & (x <= b), 0.0, np.minimum(np.abs(x - a), np.abs(x - b))) for a, b, _ in self.spans]
-        near_atom = any([bool((np.abs(x - ax) < _SUPPORT_TOL).any()) for ax in self.atom_x])
-        host = np.full(len(x), -1)
-        if side is None:
-            if near_atom or any([bool((d < _SUPPORT_TOL).any()) for d in dists]):
-                raise DomainError("Cauchy transform evaluated on the support")
-        else:
-            if side not in ("+", "-"):
-                raise ValueError("side must be '+' or '-'")
-            for i in reversed(range(len(self.spans))):  # the first piece holding x hosts it
-                a, b, _ = self.spans[i]
-                host[(a < x) & (x < b)] = i
-            if (host < 0).any():
-                raise DomainError("boundary value requires x strictly inside an ac piece")
-            if near_atom:
-                raise DomainError("boundary value at an atom")
-        xl = x.tolist()
-        zq = [complex(v) for v in xl] if side is None else xl  # the scalar route's z per point
+        host, dists = self._locate(z, side)
+        zr = z.real.tolist()
+        zq = [complex(v) for v in z.tolist()] if side is None else zr  # z per point as the sums take it
+        total = np.zeros(len(z), dtype=complex)
         if self.atoms:
-            total = np.array([sum([mg / (z - t) for t, mg in self.atoms]).real for z in zq])
-        else:
-            total = np.zeros(len(x))
-        im = np.zeros(len(x))
+            total[:] = [sum([mg / (q - t) for t, mg in self.atoms]) for q in zq]
+        im = np.zeros(len(z))
         for i, (a, b, near) in enumerate(self.spans):
             xs, ws, gd, wg = self.tables[i]
             at = host == i
             if at.any():
-                xh = x[at]
+                xh = z[at]
                 fx = _point_densities(self.pieces[i], xh)
                 if self.weight:
                     fx = self.g(xh) * fx
@@ -531,55 +513,48 @@ class _Kernel:
             far = ~at & (dists[i] >= near)
             if far.any():
                 oxs, owg = self.off[i]
-                total[far] += (owg / (x[far].astype(complex)[:, None] - oxs)).sum(axis=1).real
+                total[far] += (owg / (z[far].astype(complex)[:, None] - oxs)).sum(axis=1)
             for r in np.flatnonzero(~at & (dists[i] < near)).tolist():
-                total[r] += self._panels(i, xl[r], float(dists[i][r]), zq[r]).real
-        out = np.empty(len(x), dtype=complex)
-        out.real, out.imag = total, im
+                total[r] += self._panels(i, zr[r], float(dists[i][r]), zq[r])
+        out = np.empty(len(z), dtype=complex)
+        out.real, out.imag = total.real, np.where(z.imag == 0, im, total.imag)
         return out
 
-    def _value(self, zq, zc, host, dists, side, log, pi):
-        """The transform at zq (a float or complex, or an mpf or mpc at ``prec``)."""
+    def _value(self, zq, zr: float, host: int, dists, side):
+        """The mp transform at zq, an mpf or mpc at ``prec``, with zr its real
+        part as a float (host -1 off the support)."""
         prec = self.prec
-        if prec is not None:
-            total = mp.fsum([mg / (zq - x) for x, mg in self.atoms])
-        else:
-            total = sum([mg / (zq - x) for x, mg in self.atoms]) if self.atoms else 0
+        total = mp.fsum([mg / (zq - x) for x, mg in self.atoms])
         for i, dist in enumerate(dists):
             if i == host:
                 xs, ws, gd, wg = self.tables[i]
-                a, b, _ = self.spans[i]
-                fx = self.g(zq) * _point_density(self.pieces[i], zq, prec)
+                p = self.pieces[i]
+                fx = self.g(zq) * p.density.mp_value(zq, p.a, p.b, prec)
                 if fx:  # the singularity subtraction
-                    wg = ws * (gd - fx) if prec is None else products(ws, shifted(gd, fx._mpf_, prec), prec)
+                    wg = products(ws, shifted(gd, fx._mpf_, prec), prec)
                 total += self._sum(xs, wg, zq).real
-                total += fx * log((zq - a) / (b - zq))
+                total += fx * mp.log((zq - p.a) / (p.b - zq))
             elif dist < self.spans[i][2]:
-                total += self._panels(i, zc.real, dist, zq)
+                total += self._panels(i, zr, dist, zq)
             else:
                 total += self._sum(*self.off[i], zq)
-        if host is not None:
-            im = -pi * fx if side == "+" else pi * fx
-            return complex(total.real, im) if prec is None else mpc(total.real, im)
-        if prec is None:
-            return complex(total.real, 0.0) if zc.imag == 0 else complex(total)
-        return total
+        if host < 0:
+            return total
+        return mpc(total.real, -mp.pi * fx if side == "+" else mp.pi * fx)
 
 
-def _piece_distance(a: float, b: float, zr: float, zi: float) -> float:
-    """Distance from z = zr + i zi to the interval [a, b]."""
-    return math.hypot(0.0 if a <= zr <= b else min(abs(zr - a), abs(zr - b)), zi)
-
-
-def _point_density(p: Piece, x, prec):
-    """Density of piece p at one point x: a float, or an mpf at ``prec`` bits."""
-    if prec is not None:
-        return p.density.mp_value(x, p.a, p.b, prec)
-    return p.density.at(x, p.a, p.b)
+def _hypot(dx: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """hypot(dx, zi) per point: dx itself where zi == 0, else ``math.hypot``,
+    as :meth:`Measure.support_distance` takes it; numpy's hypot rounds
+    differently, and the distance sets the cuts of the graded panels."""
+    out = dx.copy()
+    for r in np.flatnonzero(zi).tolist():
+        out[r] = math.hypot(dx[r], zi[r])
+    return out
 
 
 def _point_densities(p: Piece, xs: np.ndarray) -> np.ndarray:
-    """:func:`_point_density` at each point of a 1-D float array."""
+    """Density of piece p at each point of a 1-D float array, by :meth:`DensitySpec.at`."""
     if p.density.kind == "uniform":
         return np.ones(len(xs))
     return np.array([p.density.at(x, p.a, p.b) for x in xs.tolist()])

@@ -129,8 +129,8 @@ def _assemble(coef, tree: Tree, root_terms, kappa, sys: MopSystem | None = None)
 
 def _kappa(kappa) -> tuple:
     kappa = (float(kappa[0]), float(kappa[1]))
-    if abs(kappa[0] + kappa[1] - 1) > 1e-12:
-        raise ValueError("kappa must sum to 1")
+    if not abs(kappa[0] + kappa[1] - 1) <= 1e-12:  # a NaN or inf weight fails this too
+        raise ValueError(f"kappa must be finite and sum to 1, not {kappa}")
     return kappa
 
 

@@ -213,6 +213,11 @@ class TestGreen:
         with pytest.raises(DomainError):
             rho_sub(ang_u, word)
 
+    def test_rho_sub_rejects_the_root(self, ang_u):
+        # the root has no subtree factor: rho_sub(()) used to fail at its first value with a TypeError
+        with pytest.raises(DomainError, match="root"):
+            rho_sub(ang_u, ())
+
     def test_real_z_guard(self, ang_u):
         # real z must keep 0.1 from both intervals and, at the root only, from E_kappa
         kappa = (0.3, 0.7)

@@ -42,6 +42,14 @@ ATOMS = Measure(atoms=((3.0, 0.25),), pieces=(Piece(-1.0, 1.0),))
 MEASURES = {"uniform": uniform(-2, -1), "jacobi": JACOBI, "markov_weighted": NIK.mu2, "atoms": ATOMS}
 # an mp weight (a type II polynomial) and a float one
 WEIGHTS = {"none": (), "mp": NIK.sys.record((2, 3)).P, "float": (0.5, -1.25, 2.0)}
+# near uniform(-2, -1) with both legs of the distance nonzero: numpy's hypot of
+# them differs from math.hypot, and the distance sets the panel cuts
+TWO_LEG = complex(-0.9980429111914063, 0.0018460682099364551)
+
+
+def two_leg(p):
+    """TWO_LEG shifted from the right end of uniform(-2, -1) to the right end of piece p."""
+    return complex(p.b + (TWO_LEG.real + 1.0), TWO_LEG.imag)
 
 
 @pytest.mark.parametrize("weight", list(WEIGHTS), ids=list(WEIGHTS))
@@ -65,7 +73,7 @@ class TestDoubleBits:
 
     def test_near_panels(self, name, weight):
         p = MEASURES[name].pieces[0]
-        for z in (p.b + 1e-9, p.a - 3e-4, complex(0.5 * (p.a + p.b), 1e-5)):
+        for z in (p.b + 1e-9, p.a - 3e-4, complex(0.5 * (p.a + p.b), 1e-5), two_leg(p)):
             same(MEASURES[name], z, weight=WEIGHTS[weight])
 
 
@@ -82,7 +90,8 @@ class TestMpBits:
 
     def test_complex(self, name, prec):
         lo, hi = MEASURES[name].hull()
-        for z in (complex(0.5 * (lo + hi), 0.8), mpc(lo - 1, -0.3)):
+        near = (two_leg(MEASURES[name].pieces[0]),) if name != "markov_weighted" else ()
+        for z in (complex(0.5 * (lo + hi), 0.8), mpc(lo - 1, -0.3)) + near:
             same(MEASURES[name], z, prec=prec)
             same(MEASURES[name], z, weight=WEIGHTS["mp"], prec=prec)
 
@@ -95,11 +104,21 @@ class TestMpBits:
 
 def test_markov_weighted_table_is_the_scalar_loop():
     # the double density column of a Nikishin mu2 takes the Markov values of
-    # tau through one array call, answered by the scalar call at each node
+    # tau through one array call, with the per-call oracle's bits at each node
     p = NIK.mu2.pieces[0]
     xs, _ = measures.map_rule(p.a, p.b, 200)
     expected = np.array([oracles.cauchy(NIK.tau, float(t)).real for t in xs])
     assert [v.hex() for v in p.density(xs, p.a, p.b)] == [v.hex() for v in expected]
+
+
+def parts_oracle(mu, z, weight):
+    """``oracles.cauchy`` summed over the atoms and then each piece of mu, each
+    as a measure of its own: the kernel panels a piece by its own distance to
+    z, the oracle by the distance to the whole support (near an atom of
+    ``MEASURES["atoms"]`` it would panel the far piece)."""
+    parts = [Measure(atoms=mu.atoms)] if mu.atoms else []
+    parts += [Measure(pieces=(p,), quad_order=mu.quad_order) for p in mu.pieces]
+    return sum([oracles.cauchy(part, z, weight) for part in parts])
 
 
 class TestArrayZ:
@@ -116,7 +135,7 @@ class TestArrayZ:
         if not len(z):
             return
         rows = cauchy(mu, z, WEIGHTS["float"])
-        assert [bits(r) for r in rows] == [bits(cauchy(mu, complex(v), WEIGHTS["float"])) for v in z]
+        assert [bits(r) for r in rows] == [bits(parts_oracle(mu, complex(v), WEIGHTS["float"])) for v in z]
 
     def test_real_array_rows(self):
         z = np.linspace(-6, -2.2, 57)
@@ -136,7 +155,7 @@ class TestArrayZ:
         z = np.linspace(-0.99, 0.49, 57)
         for side in "+-":
             rows = cauchy(MEASURES["jacobi"], z, WEIGHTS["float"], side=side)
-            scalar = [cauchy(MEASURES["jacobi"], float(v), WEIGHTS["float"], side=side) for v in z]
+            scalar = [oracles.cauchy(MEASURES["jacobi"], float(v), WEIGHTS["float"], side=side) for v in z]
             assert [bits(r) for r in rows] == [bits(v) for v in scalar]
 
     def test_real_array_errors_match_scalar_calls(self):
@@ -147,6 +166,32 @@ class TestArrayZ:
             cauchy(mu, np.array([mu.pieces[0].a]), side="+")
         with pytest.raises(ValueError, match="side must be"):
             cauchy(mu, np.array([0.5]), side="up")
+
+
+class TestNonFiniteZ:
+    """A NaN or infinite z is a DomainError in both precisions, at a point or in an array."""
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(2.0, math.inf)])
+    def test_point(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), z)
+
+    def test_array_row(self):
+        # the NaN row used to come back as 0.0
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), np.array([2.0, math.nan]))
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), np.array([2.0 + 1j, complex(math.inf, 0.0)]))
+
+    def test_boundary(self):
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), math.nan, side="+")
+
+    def test_mp(self):
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), math.nan, prec=64)
+        with pytest.raises(DomainError, match="finite"):
+            cauchy(uniform(0, 1), mpf("inf"), prec=64)
 
 
 class TestFarPieces:

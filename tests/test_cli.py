@@ -241,6 +241,24 @@ class TestExitCodesAndDeterminism:
         assert main(argv) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["angelesco", "rho", "--kappa", "nan,0"],
+            ["angelesco", "green", "--kappa", "nan,0", "--z", "0.5+1j"],
+            ["angelesco", "green", "--kappa", "inf,-inf", "--z", "5"],
+            *(["angelesco", "green", "--kappa", "1,0", "--z", z] for z in ("nan", "inf", "nanj", "1+nanj")),
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_kappa_or_z_exits_one(self, argv, capsys):
+        # NaN weights passed the sum check and a NaN z reached the formula; both exited 0
+        assert main([*argv, "--system", SYSTEM]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mop-trees") and ("kappa" in captured.err or "--z" in captured.err)
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_foreign_schema_exits_one(self, tmp_path, capsys):
         doc = tmp_path / "future.json"
         doc.write_text(json.dumps({**ANG_DOC, "schema": "mop-trees/9"}))
