@@ -193,7 +193,7 @@ class SpectralMeasureRep:
     def _moment(self, k: int) -> float:
         total = sum(E**k * m for E, m in self.point_masses)
         for a, b in self.intervals:
-            res = qags(lambda xs: np.array([x**k for x in xs.tolist()]) * self.density(xs), a, b, 1e-12, 1.49e-8, 400)
+            res = qags(lambda xs: xs**k * self.density(xs), a, b, 1e-12, 1.49e-8, 400)
             if res.ier:
                 warnings.warn(
                     f"moment {k} on [{a}, {b}]: qags stopped with ier={res.ier}, abserr {res.abserr:.3g}",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from . import angelesco as ang
@@ -232,9 +233,13 @@ def cmd_nikishin_blowup(args, loaded):
 
 
 def _surface_from_args(args):
-    A1, A2 = _parse_pair(args.A)
-    B1, B2 = _parse_pair(args.B)
-    return psur.from_params(A1, A2, B1, B2)
+    params = []
+    for flag, text in (("--A", args.A), ("--B", args.B)):
+        pair = _parse_pair(text)
+        if not all(map(math.isfinite, pair)):
+            raise ValueError(f"{flag} must be two finite numbers, not {text!r}")
+        params += pair
+    return psur.from_params(*params)
 
 
 def cmd_periodic_surface(args, loaded):

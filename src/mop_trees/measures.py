@@ -21,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,44 +65,28 @@ class DensitySpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "jacobi_weight", "markov_weighted"):
             raise ValueError(f"unknown density kind {self.kind!r}")
-        if self.kind == "jacobi_weight" and (self.p <= -1 or self.q <= -1):
-            raise ValueError("jacobi_weight requires p, q > -1")
+        if self.kind == "jacobi_weight" and not (_finite(self.p, self.q, *self.poly) and self.p > -1 and self.q > -1):
+            raise ValueError("jacobi_weight requires finite p, q > -1 and a finite poly")
         if self.kind == "markov_weighted" and (self.base is None or self.weight_measure is None):
             raise ValueError("markov_weighted requires base and weight_measure")
 
     def __call__(self, x, a: float, b: float):
-        """Vectorized double-precision evaluation on the host interval [a, b]."""
+        """Double-precision evaluation on the host interval [a, b] at a float or
+        at each point of an array x, in the shape of x.
+
+        numpy's array ``**`` rounds differently from ``pow`` in the last bit on
+        some CPUs, so the powers run per point in Python floats.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "uniform":
             return np.ones_like(x)
         if self.kind == "jacobi_weight":
             val = np.polynomial.polynomial.polyval(x, np.asarray(self.poly, float))
-            if self.p != 0:
-                val = val * (x - a) ** self.p
-            if self.q != 0:
-                val = val * (b - x) ** self.q
+            for d, e in ((x - a, self.p), (b - x, self.q)):
+                if e != 0:
+                    val = val * np.array([v**e for v in d.ravel().tolist()]).reshape(x.shape)
             return val
-        base = self.base(x, a, b)
-        return base * cauchy(self.weight_measure, np.atleast_1d(x)).real.reshape(np.shape(x))
-
-    def at(self, x: float, a: float, b: float) -> float:
-        """Single-point double-precision evaluation in Python floats.
-
-        numpy's array ``**`` rounds differently from ``pow`` in the last bit,
-        so point values are not read off :meth:`__call__`.
-        """
-        if self.kind == "uniform":
-            return 1.0
-        if self.kind == "jacobi_weight":
-            val = float(self.poly[-1]) + x * 0  # Horner, as numpy's polyval runs it
-            for c in self.poly[-2::-1]:
-                val = float(c) + val * x
-            if self.p != 0:
-                val = val * (x - a) ** self.p
-            if self.q != 0:
-                val = val * (b - x) ** self.q
-            return val
-        return self.base.at(x, a, b) * cauchy(self.weight_measure, x).real
+        return self.base(x, a, b) * cauchy(self.weight_measure, x.ravel()).real.reshape(x.shape)
 
     def mp_value(self, x, a, b, prec: int):
         """Single-point evaluation in ``prec``-bit arithmetic."""
@@ -134,10 +119,19 @@ _SHAPES = {"object": dict, "array": (list, tuple), "pair": (list, tuple), "numbe
 
 
 def _shaped(value, field: str, shape: str = "object"):
-    """``value`` if it has the JSON ``shape``; otherwise a ValueError naming ``field``."""
+    """``value`` if it has the JSON ``shape``, a number also finite (Python's
+    json reads ``NaN`` and ``Infinity``); otherwise a ValueError naming ``field``."""
     if isinstance(value, bool) or not isinstance(value, _SHAPES[shape]) or shape == "pair" and len(value) != 2:
         raise ValueError(f"{field} must be a JSON {shape}, not {value!r}")
+    if shape == "number" and not _finite(value):
+        raise ValueError(f"{field} must be a finite JSON number, not {value!r}")
     return value
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a finite double: an int too large for a float fails
+    here instead of raising OverflowError where it is first converted."""
+    return all(abs(v) <= sys.float_info.max for v in values)
 
 
 def density_from_json(doc: dict, field: str = "density") -> DensitySpec:
@@ -168,8 +162,8 @@ class Piece:
     density: DensitySpec = UNIFORM
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError("piece requires a < b")
+        if not (_finite(self.a, self.b) and self.a < self.b):
+            raise ValueError("piece requires finite a < b")
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +194,8 @@ class Measure:
             raise ValueError("measure must have at least one atom or piece")
         if self.quad_order < 1:
             raise ValueError(f"quad_order must be a positive integer, not {self.quad_order!r}")
+        if not all(_finite(x, m) for x, m in atoms):
+            raise ValueError("atoms must be finite")
         if any(m <= 0 for _, m in atoms):
             raise ValueError("atom masses must be positive")
         ivs = sorted((p.a, p.b) for p in pieces)
@@ -292,7 +288,7 @@ class Measure:
         for p in self.pieces:
             on = free & (p.a <= xs) & (xs <= p.b)
             if on.any():
-                out[on] = _point_densities(p, xs[on])
+                out[on] = p.density(xs[on], p.a, p.b)
                 free &= ~on
         return out if isinstance(x, np.ndarray) else float(out[0])
 
@@ -502,7 +498,7 @@ class _Kernel:
             at = host == i
             if at.any():
                 xh = z[at]
-                fx = _point_densities(self.pieces[i], xh)
+                fx = self.pieces[i].density(xh, a, b)
                 if self.weight:
                     fx = self.g(xh) * fx
                 # the singularity subtraction, on the rows where f(x) != 0
@@ -551,13 +547,6 @@ def _hypot(dx: np.ndarray, zi: np.ndarray) -> np.ndarray:
     for r in np.flatnonzero(zi).tolist():
         out[r] = math.hypot(dx[r], zi[r])
     return out
-
-
-def _point_densities(p: Piece, xs: np.ndarray) -> np.ndarray:
-    """Density of piece p at each point of a 1-D float array, by :meth:`DensitySpec.at`."""
-    if p.density.kind == "uniform":
-        return np.ones(len(xs))
-    return np.array([p.density.at(x, p.a, p.b) for x in xs.tolist()])
 
 
 def measure_from_json(doc, field: str = "measure") -> Measure:

@@ -56,6 +56,8 @@ def from_params(A1: float, A2: float, B1: float, B2: float) -> SurfaceParams:
     critical values form two disjoint intervals, no surface is returned:
     :class:`InvalidSurfaceError` is raised.
     """
+    if not all(map(math.isfinite, (A1, A2, B1, B2))):
+        raise InvalidSurfaceError("A1, A2, B1, B2 must be finite")
     if A1 <= 0 or A2 <= 0:
         raise InvalidSurfaceError("A1, A2 must be positive")
     if B1 == B2:

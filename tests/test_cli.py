@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -305,6 +306,47 @@ class TestExitCodesAndDeterminism:
         assert captured.out == ""
         assert captured.err.startswith("mop-trees: ") and "precision_bits" in captured.err
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "mu1, message",
+        [
+            (
+                {"pieces": [{"a": -2.0, "b": -1.0, "density": {"kind": "jacobi_weight", "p": math.nan, "q": 0.0}}]},
+                "mu1.pieces[0].density.p must be a finite JSON number, not nan",
+            ),
+            ({"atoms": [[math.nan, 0.5]], "pieces": [{"a": -2.0, "b": -1.0}]}, "mu1.atoms[0] must be a finite JSON number, not nan"),
+            ({"atoms": [[-3.0, math.inf]], "pieces": [{"a": -2.0, "b": -1.0}]}, "mu1.atoms[0] must be a finite JSON number, not inf"),
+            ({"pieces": [{"a": -2.0, "b": 10**400}]}, f"mu1.pieces[0].b must be a finite JSON number, not {10**400}"),
+        ],
+        ids=["p-nan", "atom-x-nan", "atom-mass-inf", "b-too-large-for-a-float"],
+    )
+    def test_non_finite_measure_literal_exits_one(self, mu1, message, tmp_path, capsys):
+        # json reads NaN and Infinity; they reached the engine and exited 2 with an error naming a solve,
+        # and an int too large for a float ended in an OverflowError traceback
+        doc = tmp_path / "non_finite.json"
+        doc.write_text(json.dumps({**ANG_DOC, "mu1": mu1}))
+        assert main(["mop", "coeffs", "--system", str(doc), "--n", "1,1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mop-trees: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["periodic", "surface", "--A", "0.25,inf", "--B=-1,1"], "--A"),
+            (["periodic", "surface", "--A", "0.25,0.25", "--B=-1,nan"], "--B"),
+            (["periodic", "dos", "--A", "0.25,0.25", "--B=-1,nan", "--grid", "4"], "--B"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_non_finite_surface_parameter_exits_one(self, argv, flag, capsys, monkeypatch):
+        # the error came from deep in numpy and named neither flag
+        monkeypatch.setattr(periodic_surface, "from_params", _must_not_run)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"mop-trees: {flag} must be two finite numbers")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["0", "1"])  # --grid 1 leaves no point on either cut
     def test_periodic_empty_grid_usage_error(self, grid, capsys, monkeypatch):

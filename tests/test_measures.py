@@ -11,6 +11,7 @@ from mop_trees.measures import (
     DensitySpec,
     Measure,
     Piece,
+    _piece_table,
     concat,
     measure_from_json,
     uniform,
@@ -130,6 +131,32 @@ class TestBoundary:
         assert float(m.markov_boundary_mp(x, "+", 256).real) == pytest.approx(closed, abs=1e-10)
 
 
+class TestDensityBits:
+    @pytest.mark.parametrize("p, q", [(-0.499, -0.122), (0.35, -0.369)])
+    def test_jacobi_node_table_is_per_point_pow(self, p, q):
+        # numpy's array ** rounded 17 and 15 of these 200 nodes differently from pow
+        m = Measure(pieces=(Piece(1.0, 2.0, DensitySpec("jacobi_weight", p=p, q=q)),))
+        xs, _, dens = _piece_table(m, 0, None)
+        assert [d.hex() for d in dens.tolist()] == [(1.0 * (x - 1.0) ** p * (2.0 - x) ** q).hex() for x in xs.tolist()]
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            DensitySpec("uniform"),
+            DensitySpec("jacobi_weight", p=-0.499, q=0.35, poly=(0.7, -0.3, 1.1)),
+            DensitySpec("markov_weighted", base=DensitySpec("jacobi_weight", p=0.35, q=-0.369), weight_measure=uniform(0, 0.5)),
+        ],
+        ids=lambda d: d.kind,
+    )
+    def test_density_at_rows_equal_point_calls(self, density):
+        m = Measure(pieces=(Piece(1.0, 2.0, density), Piece(2.5, 3.0)))
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([[0.5, 2.2, 3.5], rng.uniform(1.0, 2.0, 60), rng.uniform(2.5, 3.0, 10)])
+        rows = m.density_at(xs)
+        assert [v.hex() for v in rows.tolist()] == [m.density_at(float(x)).hex() for x in xs]
+        assert (rows[:3] == 0).all() and (rows[3:] > 0).all()
+
+
 class TestConcat:
     def test_two_pieces(self):
         c = concat(uniform(-2, -1), uniform(1, 2))
@@ -185,6 +212,25 @@ class TestConstructionAndJson:
         m = measure_from_json(doc)
         # density at x is log(x/(x-1)) for the uniform weight on [0, 1]
         assert m.density_at(2.5) == pytest.approx(math.log(2.5 / 1.5), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Piece(0.0, math.inf),
+            lambda: Piece(-math.inf, 0.0),
+            lambda: Measure(atoms=((math.nan, 1.0),)),
+            lambda: Measure(atoms=((0.0, math.inf),)),
+            lambda: Measure(atoms=((0.0, math.nan),)),
+            lambda: DensitySpec("jacobi_weight", p=math.nan),
+            lambda: DensitySpec("jacobi_weight", q=math.inf),
+            lambda: DensitySpec("jacobi_weight", poly=(1.0, math.nan)),
+        ],
+        ids=["piece-b-inf", "piece-a-inf", "atom-x-nan", "atom-mass-inf", "atom-mass-nan", "p-nan", "q-inf", "poly-nan"],
+    )
+    def test_non_finite_rejected(self, build):
+        # each of these was accepted and failed later in the engine, or not at all
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
     def test_markov_weighted_overlap_rejected(self):
         with pytest.raises(OverlapError):

@@ -86,6 +86,12 @@ class TestFromParams:
         with pytest.raises(InvalidSurfaceError):
             from_params(5.0, 5.0, -0.1, 0.1)  # cuts would overlap
 
+    @pytest.mark.parametrize("params", [(0.25, math.inf, -1, 1), (0.25, 0.25, -1, math.nan), (math.nan, 0.25, -1, 1)])
+    def test_non_finite_rejected(self, params):
+        # these reached numpy's root finder, which raised a ValueError naming no parameter
+        with pytest.raises(InvalidSurfaceError, match="finite"):
+            from_params(*params)
+
 
 class TestBranchTracking:
     def test_zmap_arithmetic(self):
