@@ -640,12 +640,11 @@ def spectrum_envelope_check(asys: AngelescoSystem, kappa, depth_list) -> dict:
     to the union of the two intervals and the kappa-form zero, plus the
     fill distance of the truncation spectrum inside the intervals.
     """
-    import scipy.linalg
     E = find_e_kappa(asys, kappa)
     report = {"kappa_zero": E, "depths": []}
     for depth in depth_list:
         op = assemble_truncated(asys.sys, kappa, depth)
-        w = np.sort(scipy.linalg.eigvalsh(op.dense()))
+        w = np.sort(np.linalg.eigvalsh(op.dense()))
         out_dist = float(max(_limit_distance(asys, x, E) for x in w))
         fill = 0.0
         for a, b in (asys.delta1, asys.delta2):

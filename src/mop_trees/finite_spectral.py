@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from mpmath import workprec
+from mpmath import mpf, workprec
 
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
@@ -179,13 +179,14 @@ def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
     """X -> b(E, X), all from one table of P_n(E) over the tree; m = op.m_weights()."""
     tree = op.tree
     with workprec(_EVAL_BITS):
-        p = lattice_values(lambda n: float(P.pval(sys.record(n).P, E)), tree.points)
+        Em = mpf(E)  # once, not at every Horner step
+        p = lattice_values(lambda n: float(P.pval(sys.record(n).P, Em)), tree.points)
     pvals = p / m
 
     def vector(X):
         if X == ROOT_PARENT:
             with workprec(_EVAL_BITS):
-                off_boundary = abs(float(P.pval(bpoly, E))) > 1e-6
+                off_boundary = abs(float(P.pval(bpoly, Em))) > 1e-6
             if off_boundary:
                 raise JointError("E is not a zero of the boundary polynomial")
             return pvals
@@ -239,11 +240,10 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     if rank != nv:
         raise RankError(f"stacked canonical vectors have rank {rank} < {nv}")
 
-    import scipy.linalg
     if np.all(op.sigma == 0):
-        dense_eigs = np.sort(scipy.linalg.eigvalsh(J))
+        dense_eigs = np.sort(np.linalg.eigvalsh(J))
     else:
-        dense_eigs = np.sort(scipy.linalg.eigvals(J).real)
+        dense_eigs = np.sort(np.linalg.eigvals(J).real)
     ours = np.sort(np.concatenate([[ev.E] * ev.g for ev in eigenvalues]))
     gap = float(np.max(np.abs(dense_eigs - ours)))
     if gap > 1e-8:

@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import fone
 
 from ._poly import cauchy_sum, products, pval, pval_exact, raw_dot, shifted
-from .errors import DomainError, OverlapError
+from .errors import DomainError, EndpointError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
 _SUPPORT_TOL = 1e-12
@@ -82,7 +82,9 @@ class DensitySpec:
             return np.ones_like(x)
         if self.kind == "jacobi_weight":
             val = np.polynomial.polynomial.polyval(x, np.asarray(self.poly, float))
-            for d, e in ((x - a, self.p), (b - x, self.q)):
+            for d, e, end in ((x - a, self.p, a), (b - x, self.q, b)):
+                if e < 0 and np.any(d == 0):
+                    raise EndpointError(f"jacobi_weight density on [{a!r}, {b!r}] has exponent {e!r} at its endpoint {end!r}")
                 if e != 0:
                     val = val * np.array([v**e for v in d.ravel().tolist()]).reshape(x.shape)
             return val

@@ -61,22 +61,30 @@ class TreeOperator:
     def n_vertices(self) -> int:
         return len(self.V)
 
+    def _entries(self) -> tuple:
+        """(rows, cols, values) of the nonzero entries; no coordinate repeats."""
+        n = self.n_vertices
+        ids, v, p = np.arange(n), np.arange(1, n), self.tree.parent[1:]
+        sq = np.sqrt(self.W[1:])
+        rows = np.concatenate([ids, v, p])           # row v, parent column: sqrt(W_v)
+        cols = np.concatenate([ids, p, v])
+        return rows, cols, np.concatenate([self.V, sq, np.where(self.sigma[1:], -sq, sq)])
+
     def sparse(self) -> scipy.sparse.csr_matrix:
         if self._sparse is None:
             import scipy.sparse
-            n = self.n_vertices
-            ids, v, p = np.arange(n), np.arange(1, n), self.tree.parent[1:]
-            sq = np.sqrt(self.W[1:])
-            rows = np.concatenate([ids, v, p])           # row v, parent column: sqrt(W_v)
-            cols = np.concatenate([ids, p, v])
-            vals = np.concatenate([self.V, sq, np.where(self.sigma[1:], -sq, sq)])
-            self._sparse = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+            rows, cols, vals = self._entries()
+            self._sparse = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_vertices,) * 2)
         return self._sparse
 
     def dense(self) -> np.ndarray:
+        """The matrix as a numpy array, equal to ``sparse().toarray()`` without loading scipy."""
         if self.n_vertices > _DENSE_LIMIT:
             raise ValueError("dense matrix requested for a large truncation; use sparse()")
-        return self.sparse().toarray()
+        rows, cols, vals = self._entries()
+        J = np.zeros((self.n_vertices,) * 2)
+        J[rows, cols] = vals
+        return J
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self.sparse() @ f

@@ -434,14 +434,17 @@ def test_command_options():
 
 def test_import_leaves_scipy_unloaded():
     # Every CLI command is a fresh process; scipy is imported only inside the
-    # calls that use it (eigensolves, sparse LU).
+    # calls that use it (sparse LU, sparse products, Matrix Market export).
     code = "import mop_trees.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _python(code) == 0
 
 
 @pytest.mark.parametrize(
     "name",
-    ["mop-coeffs", "angelesco-rho", "angelesco-dos-profile", "periodic-surface", "periodic-dos", "periodic-raylimit"],
+    [
+        "mop-coeffs", "tree-spectrum", "tree-svec", "angelesco-rho", "angelesco-dos-profile",
+        "periodic-surface", "periodic-dos", "periodic-raylimit",
+    ],
 )
 def test_command_runs_without_scipy(name, tmp_path):
     code = (

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mop_trees.errors import DomainError, OverlapError
+from mop_trees.errors import DomainError, EndpointError, OverlapError
 from mop_trees.measures import (
     DensitySpec,
     Measure,
@@ -155,6 +155,17 @@ class TestDensityBits:
         rows = m.density_at(xs)
         assert [v.hex() for v in rows.tolist()] == [m.density_at(float(x)).hex() for x in xs]
         assert (rows[:3] == 0).all() and (rows[3:] > 0).all()
+
+    @pytest.mark.parametrize("x", [1.0, np.array([1.0, 1.5])], ids=["point", "array"])
+    def test_negative_exponent_at_endpoint(self, x):
+        # density_at accepts the closed piece, so x = a reaches the (x - a)^p factor
+        m = Measure(pieces=(Piece(1.0, 2.0, DensitySpec("jacobi_weight", p=-0.5)),))
+        with pytest.raises(EndpointError, match=r"\[1\.0, 2\.0\] has exponent -0\.5 at its endpoint 1\.0"):
+            m.density_at(x)
+        flipped = Measure(pieces=(Piece(1.0, 2.0, DensitySpec("jacobi_weight", p=0.5, q=-0.5)),))
+        assert flipped.density_at(1.0) == 0.0
+        with pytest.raises(EndpointError, match="endpoint 2.0"):
+            flipped.density_at(np.array([1.5, 2.0]))
 
 
 class TestConcat:

@@ -115,10 +115,14 @@ class TestSignature:
 class TestLoopReference:
     """The vectorized path products and matrix equal the per-vertex loops bit for bit."""
 
-    @pytest.mark.parametrize("build", [lambda s: assemble_finite(s, (0.3, 0.7), (3, 2)),
-                                       lambda s: assemble_truncated(s, (0.5, 0.5), 4)])
-    def test_against_loops(self, nik_sys, build):
-        op = build(nik_sys)
+    @pytest.mark.parametrize("build", [lambda ang, nik: assemble_finite(nik, (0.3, 0.7), (3, 2)),
+                                       lambda ang, nik: assemble_truncated(nik, (0.5, 0.5), 4),
+                                       lambda ang, nik: assemble_finite(ang, (0.5, 0.5), (5, 4)),
+                                       lambda ang, nik: assemble_finite(nik, (0.5, 0.5), (4, 3)),
+                                       lambda ang, nik: assemble_truncated(ang, (0.3, 0.7), 6),
+                                       lambda ang, nik: assemble_subtree(ang, (1, 2), 2, 4)])
+    def test_against_loops(self, ang_sys, nik_sys, build):
+        op = build(ang_sys, nik_sys)
         parent, n = op.tree.parent, op.n_vertices
         m, s, J = np.empty(n), np.ones(n), np.diag(op.V)
         for v in range(n):
@@ -131,7 +135,8 @@ class TestLoopReference:
         assert np.array_equal(op.m_weights(), m)
         assert np.array_equal(signature_diagonal(op), s)
         assert np.array_equal(op.dense(), J)
-        assert int(op.sigma.sum()) > 0
+        assert np.array_equal(op.sparse().toarray(), J)
+        assert (int(op.sigma.sum()) > 0) == (op.sys is nik_sys)
 
 
 class TestEigenfunctionIdentities:
