@@ -11,8 +11,10 @@ second-kind functions L_n:
 * subtree spectral measures have densities ``S_X`` times the reference
   density ``|L_n|^{-2} mustar'``, where S_X has an explicit sign-definite
   quadrature representation;
-* generalized eigenfunctions Psi are built from the type I value families
-  and satisfy the operator identity exactly (verified numerically).
+* generalized eigenfunctions Psi are vertex commutators of the type I value
+  family against the parent of the subtree root; the root's formal parent
+  has type I values ``(0, kappa2/|mu1|, kappa1/|mu2|)``, the kappa-form
+  weights.  They satisfy the operator identity exactly (verified numerically).
 
 Evaluations with large type I coefficient cancellation run in extended
 precision; profile/density sweeps use stable double-precision routes
@@ -289,47 +291,47 @@ def point_mass_at(asys, kappa, E: float) -> float:
 
 
 def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:
-    """Generalized eigenfunction of the root cyclic subspace at energy x.
+    """Generalized eigenfunction of the root cyclic subspace at energy x,
+    normalized to 1 at the root.
 
-    For x inside an interval this is the type I combination normalized by the
-    root weight; at the point mass E it is the second-kind family normalized
-    by L at (1,1).  Extended precision throughout (the type I values carry
-    large cancellations).
+    For x inside an interval this is the vertex commutator of :func:`psi_tilde`
+    taken against the formal parent of the root, whose type I values are
+    ``(0, kappa2/|mu1|, kappa1/|mu2|)``, the kappa-form weights.  At the point
+    mass E it is the second-kind family normalized by L at (1,1).
     """
     op = assemble_truncated(asys.sys, kappa, depth)
-    points, m = op.tree.points, op.m_weights()
-    prec = asys.sys.precision_bits
-    sysm = asys.sys
-
+    sysm, prec = asys.sys, asys.sys.precision_bits
     E = find_e_kappa(asys, kappa)
     if E is not None and abs(x - E) < 1e-12:
         family = SecondKind(sysm, x)
         L1 = second_kind(sysm, (1, 1), family)
         with workprec(prec):
-            return lattice_values(lambda n: float((second_kind(sysm, n, family) / L1).real), points) / m
+            vals = lattice_values(lambda n: float((second_kind(sysm, n, family) / L1).real), op.tree.points)
+        return vals / op.m_weights()
 
-    k, xm, hat_other = _energy_point(asys, x)
-    with workprec(prec):
-        m1, m2 = sysm.mass(1), sysm.mass(2)
-        vk = KappaForm(sysm, kappa, prec).weights
-        xi = sysm.moments(2, 1)[1] / m2 - sysm.moments(1, 1)[1] / m1
-        sgn = mpf(-1) ** k
-        s_o = sgn * hat_other / (xi * m1 * m2)
-
-        def value(n):
-            l0, l1, l2 = sysm.type1_values(n, xm)
-            return float((l0 * vk[k - 1] - sgn * hat_other * (l2 * vk[0] - l1 * vk[1])) / s_o)
-
-        return lattice_values(value, points) / m
+    vals = _vertex_commutator(asys, (0, *KappaForm(sysm, kappa, prec).weights), x, op)
+    return vals / vals[0]
 
 
-def _energy_point(asys, x: float) -> tuple:
-    """(k, x, markov of the other measure at x) for x in interval k, at the system's precision."""
+def _vertex_commutator(asys, parent, x: float, op) -> np.ndarray:
+    """The vertex commutator of the type I family at x against a parent with
+    type I values ``parent = (A0, A1, A2)`` at x, on the vertices of ``op``
+    divided by its m-weights.  Extended precision (the type I coefficients
+    cancel massively)."""
     k = asys.side_of(x)
-    prec = asys.sys.precision_bits
-    with workprec(prec):
+    sysm = asys.sys
+    with workprec(sysm.precision_bits):
         xm = mpf(x)
-        return k, xm, (asys.sys.mu2 if k == 1 else asys.sys.mu1).markov_mp(xm, prec)
+        hat_other = (sysm.mu2 if k == 1 else sysm.mu1).markov_mp(xm, sysm.precision_bits)
+
+        def value(m):
+            av = sysm.type1_values(m, xm)
+            core = (parent[k] * av[0] - av[k] * parent[0]) + (
+                parent[3 - k] * av[k] - av[3 - k] * parent[k]
+            ) * hat_other
+            return float(core)
+
+        return lattice_values(value, op.tree.points) / op.m_weights()
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +479,15 @@ def psi_tilde(asys: AngelescoSystem, X, x: float, depth: int):
     """Unnormalized generalized eigenfunction of the subtree operator at X.
 
     Values are vertex-commutators of type I families against the parent
-    vertex; extended precision (the type I coefficients cancel massively).
+    vertex, divided by the subtree operator's m-weights m_Y / m_X.
     Returns (vector on the depth-truncated subtree, operator, value at X).
     """
     X = tuple(X)
     if not X:
         raise DomainError("psi_tilde requires X != root")
-    mX, projX, n, l = _path_data(asys, X)
-    k, xm, hat_other = _energy_point(asys, x)
+    _, projX, n, l = _path_data(asys, X)
     op = assemble_subtree(asys.sys, projX, l, depth)
-    m_rel = op.m_weights()  # equals m_Y / m_X for Y in the subtree
-    sysm = asys.sys
-    with workprec(sysm.precision_bits):
-        ap = sysm.type1_values(n, xm)
-
-        def value(m):
-            av = sysm.type1_values(m, xm)
-            core = (ap[k] * av[0] - av[k] * ap[0]) + (
-                ap[3 - k] * av[k] - av[3 - k] * ap[k]
-            ) * hat_other
-            return float(core)
-
-        vals = lattice_values(value, op.tree.points) / m_rel
+    vals = _vertex_commutator(asys, asys.sys.type1_values(n, x), x, op)
     return vals, op, float(vals[0])
 
 

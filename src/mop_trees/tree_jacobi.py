@@ -176,12 +176,16 @@ def signature_diagonal(op: TreeOperator) -> np.ndarray:
 
 
 def s_selfadjoint_check(op: TreeOperator) -> float:
-    """Max-norm of S J - J^T S; zero in exact arithmetic."""
-    import scipy.sparse
-    J = op.sparse()
-    S = scipy.sparse.diags(signature_diagonal(op))
-    R = S @ J - J.T @ S
-    return float(abs(R).max())
+    """Max-norm of S J - J^T S; zero in exact arithmetic.
+
+    The diagonal cancels; at (v, parent) the entry is
+    ``S_v sqrt(W_v) - S_parent (-1)^{sigma_v} sqrt(W_v)`` and at (parent, v) its
+    negative.  Every product is by +-1, hence exact.
+    """
+    S = signature_diagonal(op)
+    sq = np.sqrt(op.W[1:])
+    R = S[1:] * sq - S[op.tree.parent[1:]] * np.where(op.sigma[1:], -sq, sq)
+    return float(np.max(np.abs(R), initial=0.0))
 
 
 # ---------------------------------------------------------------------------

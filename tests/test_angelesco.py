@@ -22,8 +22,8 @@ from mop_trees.angelesco import (
 )
 from mop_trees.errors import DomainError, EndpointError, OverlapError
 from mop_trees.measures import DensitySpec, Measure, Piece, uniform
-from mop_trees.mop_engine import KappaForm, second_kind_boundary
-from mop_trees.tree_jacobi import assemble_subtree, assemble_truncated
+from mop_trees.mop_engine import KappaForm, second_kind_boundary, second_kind_boundary_mp
+from mop_trees.tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
 
 from oracles import find_e_kappa_sweep
 
@@ -173,7 +173,38 @@ class TestRhoO:
         resid = op.sparse() @ vec - E * vec
         interior = [v for v in range(op.n_vertices) if op.tree.children[v]]
         assert np.max(np.abs(resid[interior])) < 1e-8
-        assert abs(vec[0]) == pytest.approx(1.0, rel=1e-10)  # normalized at the root
+        assert vec[0] == 1.0  # normalized at the root, as on the intervals
+
+
+class TestRootEigenfunction:
+    @pytest.mark.parametrize("x", [-1.3, 1.6])
+    @pytest.mark.parametrize("kappa", [(0.3, 0.7), (0.5, 0.5), (1.0, 0.0), (0.0, 1.0)])
+    def test_expands_the_root_column_of_the_resolvent(self, ang_u, kappa, x):
+        # psi_o(Y, x) = Im G(Y, o; x+i0) / Im G(o, o; x+i0) with
+        # G(Y, o; z) = -(1/m_Y) L_Y(z) / L_kappa(z); the boundary values are taken
+        # directly, so no offset from the axis enters.  The row identities alone
+        # fix only the sum over the root's children, not this vector.
+        sysm, prec = ang_u.sys, ang_u.sys.precision_bits
+        op = assemble_truncated(sysm, kappa, 3)
+        L_kappa = KappaForm(sysm, kappa, prec)(x, "+")
+        with workprec(prec):
+            ratio = lattice_values(
+                lambda n: complex(second_kind_boundary_mp(sysm, n, x, "+") / L_kappa).imag, op.tree.points
+            )
+        expected = ratio / ratio[0] / op.m_weights()
+        vec = psi_o(ang_u, kappa, x, 3)
+        assert vec[0] == 1.0
+        assert np.max(np.abs(vec - expected) / np.abs(expected)) < 1e-10
+
+    def test_eigenfunctions_ignore_ambient_precision(self, ang_u):
+        E = find_e_kappa(ang_u, (0.5, 0.5))
+        seen = set()
+        for ambient in (24, 53, 1024):
+            with workprec(ambient):
+                vecs = [psi_o(ang_u, (0.5, 0.5), x, 3) for x in (-1.45, 1.3, E)]
+                vecs += [psi_x(ang_u, X, x, 3) for X in ((1,), (2, 1)) for x in (-1.45, 1.3)]
+            seen.add(b"".join(v.tobytes() for v in vecs))
+        assert len(seen) == 1
 
 
 class TestGreen:

@@ -455,6 +455,17 @@ def test_command_runs_without_scipy(name, tmp_path):
     assert _python(code, json.dumps(GOLDEN_COMMANDS[name]), cwd=tmp_path) == 0
 
 
+@pytest.mark.parametrize("system", ["ang_u", "nik_u"])
+def test_verify_all_runs_without_scipy(system):
+    # the signature self-adjointness check reads W, sigma and S, not sparse products
+    code = (
+        "import sys; from mop_trees.cli import main\n"
+        "assert main(['verify', 'all', '--system', sys.argv[1]]) == 0\n"
+        "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+    )
+    assert _python(code, str(ROOT / "demos" / "systems" / f"{system}.json")) == 0
+
+
 def test_spectral_moments_leave_scipy_integrate_unloaded():
     # the masses and moments run on quadrature.qags: importing scipy.integrate
     # alone cost about 0.5 s in each process that asked for a mass
