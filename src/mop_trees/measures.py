@@ -2,7 +2,11 @@
 
 A :class:`Measure` is a finite list of point masses plus absolutely continuous
 pieces carried by disjoint intervals.  Monomial moments come from
-``moment(k)`` (double) and ``moments_mp`` (extended precision).  Every
+``moment(k)`` (double, by Gauss-Legendre) and ``moments_mp`` (extended
+precision).  ``moments_mp`` rounds the exact rational moments once when every
+piece is uniform, and sums the mp Gauss-Legendre rule of each piece for any
+other density; the mp rule of a uniform measure is therefore built only at
+its first mp transform.  Every
 transform of the form ``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes
 through one kernel, :func:`cauchy`: the Markov function and its boundary
 values (the ``Measure.markov*`` methods), the second-kind functions of the
@@ -12,8 +16,8 @@ the boundary values from above/below by the Plemelj split (principal value
 -/+ i*pi*g*density).
 
 Instances are immutable and safe to share: the only state is a cache of
-quadrature node tables and prepared kernels (:func:`kernel`), keyed by
-everything they depend on.
+moment tables, quadrature node tables and prepared kernels (:func:`kernel`),
+keyed by everything they depend on.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fone
+from mpmath.libmp import fone, from_rational, round_nearest
 
 from ._poly import cauchy_sum, products, pval, pval_exact, raw_dot, shifted
 from .errors import DomainError, EndpointError, OverlapError
@@ -179,7 +183,9 @@ class Measure:
 
     ``quad_order`` is the Gauss-Legendre order used per piece; it integrates
     polynomial integrands of degree < 2*quad_order exactly and smooth ones to
-    spectral accuracy.  Purely singular-continuous parts are not supported.
+    spectral accuracy.  It does not enter ``moments_mp`` of a measure whose
+    pieces are all uniform, which are exact.  Purely singular-continuous parts
+    are not supported.
     """
 
     atoms: tuple = ()
@@ -242,10 +248,19 @@ class Measure:
         return self._cache[key]
 
     def moments_mp(self, upto: int, prec: int) -> list:
-        """Moments 0..upto at ``prec`` bits (cached, extended incrementally)."""
+        """Moments 0..upto at ``prec`` bits (cached, extended incrementally).
+
+        With only uniform pieces (and atoms) each moment is the exact rational,
+        rounded once (:func:`_exact_moments`); any other density sums the
+        Gauss-Legendre rule of its piece.
+        """
         key = ("mom_mp", prec)
         table = self._cache.get(key, [])
-        if len(table) <= upto:
+        if len(table) > upto:
+            return table[: upto + 1]
+        if all(p.density.kind == "uniform" for p in self.pieces):
+            table = table + _exact_moments(self, range(len(table), upto + 1), prec)
+        else:
             # per piece the raw nodes and w*density, and x^k per node and atom,
             # carried across k and across extensions, so the bits do not depend
             # on how the table was grown
@@ -260,8 +275,8 @@ class Measure:
                     table.append(total)
                     atom_pows = [xp * mpf(x) for (x, _), xp in zip(self.atoms, atom_pows)]
                     pow_rows = [products(xp, xs, prec) for (xs, _), xp in zip(cols, pow_rows)]
-            self._cache[key] = table
             self._cache[("mom_pows", prec)] = (cols, pow_rows, atom_pows)
+        self._cache[key] = table
         return table[: upto + 1]
 
     def _moment_columns(self, prec: int) -> tuple:
@@ -312,6 +327,30 @@ class Measure:
             ],
             "quad_order": self.quad_order,
         }
+
+
+def _exact_moments(mu: Measure, ks, prec: int) -> list:
+    """Moment k of ``mu`` for each k in ``ks``, every piece uniform:
+    ``sum (b^(k+1) - a^(k+1))/(k+1) + sum m x^k`` over the pieces and atoms,
+    rounded once to nearest at ``prec`` bits.
+
+    Every double is an integer over a power of two.  Over 2^s, the largest
+    of these denominators, moment k is an integer N_k over (k+1) 2^(s(k+1)).
+    """
+    values = [v for p in mu.pieces for v in (p.a, p.b)] + [v for atom in mu.atoms for v in atom]
+    s = max([float(v).as_integer_ratio()[1] for v in values]).bit_length() - 1
+
+    def scaled(v) -> int:
+        num, den = float(v).as_integer_ratio()
+        return num * ((1 << s) // den)
+
+    ends = [(scaled(p.a), scaled(p.b)) for p in mu.pieces]
+    atoms = [(scaled(x), scaled(m)) for x, m in mu.atoms]
+    out = []
+    for k in ks:
+        num = sum([b ** (k + 1) - a ** (k + 1) for a, b in ends]) + (k + 1) * sum([m * x**k for x, m in atoms])
+        out.append(mp.make_mpf(from_rational(num, (k + 1) << s * (k + 1), prec, round_nearest)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ gathers it to the vertices by integer-array indexing.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,11 +93,12 @@ class TreeOperator:
         return self.tree.path_products(1.0 / np.sqrt(self.W))
 
     def to_matrix_market(self) -> str:
-        buf = io.BytesIO()
-        from scipy.io import mmwrite
-
-        mmwrite(buf, self.sparse().tocoo())
-        return buf.getvalue().decode()
+        """The matrix as Matrix Market coordinate text: the header, the size
+        line and one 1-based ``i j v`` line per entry, v in shortest ``repr``."""
+        rows, cols, vals = self._entries()
+        lines = ["%%MatrixMarket matrix coordinate real general", f"{self.n_vertices} {self.n_vertices} {len(vals)}"]
+        lines += [f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+        return "\n".join(lines) + "\n"
 
     def metadata_json(self) -> dict:
         return {

@@ -434,7 +434,7 @@ def test_command_options():
 
 def test_import_leaves_scipy_unloaded():
     # Every CLI command is a fresh process; scipy is imported only inside the
-    # calls that use it (sparse LU, sparse products, Matrix Market export).
+    # calls that use it (sparse LU, sparse products).
     code = "import mop_trees.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     assert _python(code) == 0
 
@@ -478,6 +478,24 @@ def test_spectral_moments_leave_scipy_integrate_unloaded():
         "sys.exit('scipy.integrate' in sys.modules)"
     )
     assert _python(code, SYSTEM) == 0
+
+
+@pytest.mark.parametrize(
+    "name, rules",
+    [
+        ("mop-coeffs", 0), ("tree-spectrum", 0), ("tree-svec", 0), ("angelesco-dos-profile", 0),
+        ("periodic-raylimit", 0), ("angelesco-green", 1), ("angelesco-rho", 1),
+    ],
+)
+def test_mp_rule_is_built_only_for_a_transform(name, rules, tmp_path):
+    # the uniform moments are exact rationals, so only a command that takes an
+    # mp Cauchy transform builds the mp Gauss-Legendre rule, and only one
+    code = (
+        "import json, sys; from mop_trees import quadrature; from mop_trees.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "sys.exit(len(quadrature._GAUSS_MP_CACHE))"
+    )
+    assert _python(code, json.dumps(GOLDEN_COMMANDS[name]), cwd=tmp_path) == rules
 
 
 def test_golden_set_is_covered():

@@ -2,14 +2,17 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import lu_solve as mp_lu_solve, matrix, mp, mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
+from oracles import uniform_moment
 
 from mop_trees import _poly as P
 from mop_trees.angelesco import angelesco_system
 from mop_trees.errors import NormalityError
-from mop_trees.measures import Measure, uniform
+from mop_trees.measures import DensitySpec, Measure, Piece, uniform
 from mop_trees.mop_engine import MopRecord, MopSystem
 from mop_trees.nikishin import nikishin_system
 
@@ -202,9 +205,10 @@ class TestCauchySum:
 # bit pin of the engine
 # ---------------------------------------------------------------------------
 
-# sha256 of the fields below as computed by the mpmath.lu_solve / mp.fsum engine;
-# any change to the bits of a moment, record or recurrence row breaks it
-ENGINE_DIGEST = "ca8fdb837e79f9facf6c6fd038cfbffdb05e39015dbb4d61f3ac6466cb0b9e50"
+# sha256 of the fields below as computed by the mpmath.lu_solve / mp.fsum engine
+# on the exactly rounded uniform moments; any change to the bits of a moment,
+# record or recurrence row breaks it
+ENGINE_DIGEST = "8450fefd3b5293e86b285315512976c6514ed98b657ed08eb9ff217baa36f155"
 
 
 def engine_fields(sys, nmax, moments_upto=40):
@@ -226,6 +230,11 @@ def engine_fields(sys, nmax, moments_upto=40):
 def engine_digest():
     fields = engine_fields(angelesco_system(uniform(-2, -1), uniform(1, 2)).sys, 10)
     fields += engine_fields(nikishin_system(uniform(2, 3), uniform(0, 1)).sys, 6)
+    return digest(fields)
+
+
+def digest(fields):
+    """sha256 of (*label, raw mpf values) fields."""
     h = hashlib.sha256()
     for *label, values in fields:
         h.update(repr(tuple(label)).encode())
@@ -256,3 +265,61 @@ def test_moment_bits_ignore_call_history():
     for mu_w, mu_c in ((warm.mu1, cold.mu1), (warm.mu2, cold.mu2)):
         assert bits(mu_w.moments_mp(30, prec)) == bits(mu_c.moments_mp(30, prec))
     assert bits(warm.record((10, 10)).P) == bits(cold.record((10, 10)).P)
+
+
+# ---------------------------------------------------------------------------
+# moments
+# ---------------------------------------------------------------------------
+
+# (pieces, atoms) of measures whose pieces are all uniform
+UNIFORM_CASES = {
+    "left": ([(-2, -1)], []),
+    "right": ([(1, 2)], []),
+    "pieces_and_atoms": ([(-2.5, -0.75), (0.3, 1.7)], [(0.1, 0.3), (2.25, 1.5)]),
+}
+
+
+def uniform_case(name):
+    pieces, atoms = UNIFORM_CASES[name]
+    return Measure(atoms=tuple(atoms), pieces=tuple(Piece(a, b) for a, b in pieces))
+
+
+def exact_moment_bits(name, upto, prec):
+    """The exact rational moments of the case, each rounded once to nearest at ``prec`` bits."""
+    pieces, atoms = UNIFORM_CASES[name]
+    out = []
+    for k in range(upto + 1):
+        q = sum(uniform_moment(a, b, k) for a, b in pieces) + sum(Fraction(m) * Fraction(x) ** k for x, m in atoms)
+        out.append(from_rational(q.numerator, q.denominator, prec, round_nearest))
+    return out
+
+
+@pytest.mark.parametrize("prec", [53, 256, 1024])
+@pytest.mark.parametrize("name", sorted(UNIFORM_CASES))
+def test_uniform_moments_are_exact_rationals_rounded_once(name, prec):
+    expected = exact_moment_bits(name, 40, prec)
+    assert bits(uniform_case(name).moments_mp(40, prec)) == expected
+    grown = uniform_case(name)
+    grown.moments_mp(6, prec)
+    assert bits(grown.moments_mp(40, prec)) == expected
+    for ambient in (24, 1024):
+        with workprec(ambient):
+            assert bits(uniform_case(name).moments_mp(40, prec)) == expected
+
+
+def rule_route_measures():
+    return {
+        "jacobi_weight": Measure(pieces=(Piece(-1.0, 1.0, DensitySpec("jacobi_weight", p=0.5, q=-0.5, poly=(1.0, 0.25))),)),
+        "markov_weighted": nikishin_system(uniform(2, 3), uniform(0, 1)).mu2,
+        "mixed": Measure(atoms=((0.0, 0.5),), pieces=(Piece(-2.0, -1.0), Piece(1.0, 2.0, DensitySpec("jacobi_weight", p=1.5)))),
+    }
+
+
+# sha256 of moments 0..40 of the measures above at 53 and 256 bits, as the
+# Gauss-Legendre rule summed them before uniform moments took the closed form
+RULE_MOMENT_DIGEST = "919164065bb5826f7dfaf20ad308bf2983cca1990b974543de62f45a572ac41a"
+
+
+def test_moments_of_other_densities_keep_the_rule_bits():
+    fields = [(name, prec, bits(mu.moments_mp(40, prec))) for prec in (53, 256) for name, mu in rule_route_measures().items()]
+    assert digest(fields) == RULE_MOMENT_DIGEST

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from mpmath import workprec
@@ -177,11 +179,18 @@ class TestEigenfunctionIdentities:
 
 
 class TestExports:
-    def test_matrix_market(self, ang_sys):
-        op = assemble_finite(ang_sys, (0, 1), (1, 1))
+    def test_matrix_market(self, nik_sys):
+        from scipy.io import mmread
+
+        op = assemble_finite(nik_sys, (0, 1), (2, 2))
+        assert op.sigma.any()  # signed: the matrix is not symmetric
         text = op.to_matrix_market()
-        assert text.startswith("%%MatrixMarket")
-        assert f"{op.n_vertices} {op.n_vertices}" in text
+        header, size, *entries = text.splitlines()
+        assert header == "%%MatrixMarket matrix coordinate real general"
+        assert size == f"{op.n_vertices} {op.n_vertices} {len(entries)}"
+        got, expected = mmread(io.BytesIO(text.encode())).tocsr(), op.sparse()
+        assert got.shape == expected.shape and got.nnz == expected.nnz
+        assert (got != expected).nnz == 0  # entry by entry, to the bit
 
     def test_metadata(self, nik_sys):
         op = assemble_finite(nik_sys, (0, 1), (2, 2))
