@@ -32,7 +32,7 @@ from mpmath import mpf, workprec
 
 from . import _poly as P
 from .errors import DomainError, EndpointError, IntegrationWarning, OverlapError
-from .measures import Measure, _piece_table, concat, kernel
+from .measures import Measure, concat, kernel
 from .mop_engine import (
     E1,
     E2,
@@ -83,7 +83,9 @@ def angelesco_system(mu1: Measure, mu2: Measure, precision_bits: int = 256) -> A
         else:
             raise OverlapError("Angelesco system requires disjoint hulls")
     sys = MopSystem(mu1, mu2, precision_bits)
-    xi = mu2.moment(1) / mu2.mass() - mu1.moment(1) / mu1.mass()
+    with workprec(sys.precision_bits):  # the engine's mp moments, rounded to double once
+        (a0, a1), (b0, b1) = sys.moments(1, 1), sys.moments(2, 1)
+        xi = float(b1 / b0 - a1 / a0)
     return AngelescoSystem(sys, h1, h2, concat(mu1, mu2), xi)
 
 
@@ -562,31 +564,24 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
     """Total mass of the auxiliary measure attached to a type I zero E.
 
     The measure has density ``D_{n,xi}(x) A_n^{(k)}(x) / (x - E)^2`` against
-    mu_k on each interval; at the zero's own interval the double pole cancels
-    against the squared type I factor.
+    mu_k on each interval, its numerator one mp polynomial: deflated twice at
+    E, exactly, on the zero's own interval (the double pole cancels against
+    the squared type I factor), evaluated in mp per node on the other.
     """
     rec = asys.sys.type1_record(n)
     kE = asys.side_of(E)
+    d = _d_n_xi_poly(asys, n, xi)
     total = 0.0
-    for k in (1, 2):
-        mu = asys.sys.mu1 if k == 1 else asys.sys.mu2
-        coeffs = rec.A1 if k == 1 else rec.A2
+    for k, mu, coeffs in ((1, asys.sys.mu1, rec.A1), (2, asys.sys.mu2, rec.A2)):
         if not coeffs:
             continue
-        cf = np.asarray(P.pfloat(coeffs))
-        if k == kE:
-            # squared zero cancels the double pole: deflate D_{n,xi} A^{(k)} twice at E, exactly
-            with workprec(asys.sys.precision_bits):
-                num = P.pmul(_d_n_xi_poly(asys, n, xi), coeffs)
-                qf = np.asarray(P.pfloat(_deflate(_deflate(num, mpf(E)), mpf(E))))
-        for i in range(len(mu.pieces)):
-            xs, ws, dens = _piece_table(mu, i, None)
+        with workprec(asys.sys.precision_bits):
+            num = P.pmul(d, coeffs)
             if k == kE:
-                total += float(np.sum(ws * dens * np.polynomial.polynomial.polyval(xs, qf)))
+                qf = np.asarray(P.pfloat(_deflate(_deflate(num, mpf(E)), mpf(E))))
+                total += mu.integrate(lambda xs: np.polynomial.polynomial.polyval(xs, qf))
             else:
-                dvals = np.array([d_n_xi(asys, n, xi, x) for x in xs])
-                avals = np.polynomial.polynomial.polyval(xs, cf)
-                total += float(np.sum(ws * dens * dvals * avals / (xs - E) ** 2))
+                total += mu.integrate(lambda xs: np.array([float(P.pval(num, mpf(x))) for x in xs]) / (xs - E) ** 2)
     return total
 
 

@@ -1,12 +1,12 @@
 """Compactly supported real measures, their moments and their Cauchy transforms.
 
 A :class:`Measure` is a finite list of point masses plus absolutely continuous
-pieces carried by disjoint intervals.  Monomial moments come from
-``moment(k)`` (double, by Gauss-Legendre) and ``moments_mp`` (extended
-precision).  ``moments_mp`` rounds the exact rational moments once when every
-piece is uniform, and sums the mp Gauss-Legendre rule of each piece for any
-other density; the mp rule of a uniform measure is therefore built only at
-its first mp transform.  Every
+pieces carried by disjoint intervals.  Its monomial moments have one source,
+``moments_mp`` (extended precision): it rounds the exact rational moments once
+when every piece is uniform, and sums the mp Gauss-Legendre rule of each piece
+for any other density; the mp rule of a uniform measure is therefore built
+only at its first mp transform.  The one double-precision integral is
+``integrate(f)``, on the Gauss-Legendre table of each piece.  Every
 transform of the form ``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes
 through one kernel, :func:`cauchy`: the Markov function and its boundary
 values (the ``Measure.markov*`` methods), the second-kind functions of the
@@ -184,8 +184,9 @@ class Measure:
     ``quad_order`` is the Gauss-Legendre order used per piece; it integrates
     polynomial integrands of degree < 2*quad_order exactly and smooth ones to
     spectral accuracy.  It does not enter ``moments_mp`` of a measure whose
-    pieces are all uniform, which are exact.  Purely singular-continuous parts
-    are not supported.
+    pieces are all uniform, which are exact.  The moments are mp only;
+    ``integrate`` is the one double-precision integral.  Purely
+    singular-continuous parts are not supported.
     """
 
     atoms: tuple = ()
@@ -229,23 +230,19 @@ class Measure:
         legs = [max(0.0, p.a - z.real, z.real - p.b) for p in self.pieces] + [abs(z.real - x) for x, _ in self.atoms]
         return min([math.hypot(d, z.imag) for d in legs])
 
-    # -- moments -----------------------------------------------------------
+    # -- moments and integrals ---------------------------------------------
 
-    def mass(self) -> float:
-        return self.moment(0)
-
-    def moment(self, k: int) -> float:
-        """k-th monomial moment, double precision."""
-        if k < 0:
-            raise ValueError("moment order must be nonnegative")
-        key = ("mom", k)
-        if key not in self._cache:
-            total = sum(m * x**k for x, m in self.atoms)
-            for i in range(len(self.pieces)):
-                xs, ws, dens = _piece_table(self, i, None)
-                total += float(np.sum(ws * dens * xs**k))
-            self._cache[key] = total
-        return self._cache[key]
+    def integrate(self, f) -> float:
+        """``int f dmu`` in double: the atoms as m*f(x), each piece by its
+        Gauss-Legendre table.  f takes a 1-D float array and returns its values."""
+        total = 0.0
+        if self.atoms:
+            xs, ms = np.array(self.atoms).T
+            total += float(np.sum(ms * f(xs)))
+        for i in range(len(self.pieces)):
+            xs, ws, dens = _piece_table(self, i, None)
+            total += float(np.sum(ws * dens * f(xs)))
+        return total
 
     def moments_mp(self, upto: int, prec: int) -> list:
         """Moments 0..upto at ``prec`` bits (cached, extended incrementally).

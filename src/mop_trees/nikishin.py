@@ -18,7 +18,7 @@ from mpmath import mpf, workprec
 
 from ._poly import dot
 from .errors import OverlapError, SeriesError
-from .measures import DensitySpec, Measure, Piece, _piece_table, cauchy
+from .measures import DensitySpec, Measure, Piece, cauchy
 from .mop_engine import MopSystem
 
 
@@ -190,9 +190,4 @@ def second_kind_tau_integral(nsys: NikishinSystem, n, k: int) -> float:
     ``|tau| h_{n,1} - h_{n,2}``.
     """
     pn = nsys.sys.record(n).P
-    total = sum(m * xa**k * cauchy(nsys.mu1, xa, pn).real for xa, m in nsys.tau.atoms)
-    for i in range(len(nsys.tau.pieces)):
-        xs, ws, dens = _piece_table(nsys.tau, i, None)
-        for x, w, r in zip(xs, ws * dens, cauchy(nsys.mu1, xs, pn).real):
-            total += w * x**k * r
-    return float(total)
+    return nsys.tau.integrate(lambda xs: xs**k * cauchy(nsys.mu1, xs, pn).real)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from mpmath import workprec
@@ -31,6 +33,23 @@ from oracles import find_e_kappa_sweep
 class TestConstruction:
     def test_xi_is_gap_between_means(self, ang_u):
         assert ang_u.xi_mass == pytest.approx(3.0, abs=1e-12)
+
+    @staticmethod
+    def _xi_exact(d1, d2) -> float:
+        # the gap between the means of two uniform pieces, correctly rounded
+        return float(Fraction(d2[0]) / 2 + Fraction(d2[1]) / 2 - Fraction(d1[0]) / 2 - Fraction(d1[1]) / 2)
+
+    def test_xi_is_correctly_rounded(self):
+        # the double moment quotients gave 1.0275 here
+        d1, d2 = (-2.791, -2.54), (-2.301, -0.975)
+        assert angelesco_system(uniform(*d1), uniform(*d2)).xi_mass == self._xi_exact(d1, d2) == 1.0274999999999999
+
+    def test_xi_is_correctly_rounded_on_random_pairs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            a1, b1, a2, b2 = np.sort(np.round(rng.uniform(-3, 3, 4), 3)).tolist()
+            asys = angelesco_system(uniform(a1, b1), uniform(a2, b2))
+            assert asys.xi_mass == self._xi_exact((a1, b1), (a2, b2)), (a1, b1, a2, b2)
 
     def test_overlap_rejected(self):
         with pytest.raises(OverlapError):
@@ -66,7 +85,7 @@ class TestKappaForm:
     def test_kappa_form_swaps_components(self, ang_u):
         # kappa = e1 attaches the order-one form of the second measure
         z = 5.0
-        direct = ang_u.sys.mu2.markov(z) / ang_u.sys.mu2.mass()
+        direct = ang_u.sys.mu2.markov(z) / ang_u.sys.mu2.integrate(np.ones_like)
         assert KappaForm(ang_u.sys, (1, 0))(z) == pytest.approx(direct)
 
     @pytest.mark.parametrize("kappa", [(0.5, 0.5), (0.3, 0.7), (1, 0), (2, -1), (-0.5, 1.5)])
@@ -108,7 +127,7 @@ class TestKappaForm:
     def test_boundary_form_takes_host_boundary_value(self, ang_u):
         # with side, the measure holding x gives its boundary value, the other its plain transform
         x = 1.3
-        w1, w2 = 0.7 / ang_u.sys.mu1.mass(), 0.3 / ang_u.sys.mu2.mass()
+        w1, w2 = 0.7 / ang_u.sys.mu1.integrate(np.ones_like), 0.3 / ang_u.sys.mu2.integrate(np.ones_like)
         expected = w1 * ang_u.sys.mu1.markov(x) + w2 * ang_u.sys.mu2.markov_boundary(x, "-")
         assert KappaForm(ang_u.sys, (0.3, 0.7))(x, "-") == pytest.approx(expected, rel=1e-14)
         with pytest.raises(DomainError):
@@ -364,6 +383,76 @@ class TestSubtreeSpectralData:
         resid = op.sparse() @ vec - x0 * vec
         interior = [v for v in range(op.n_vertices) if op.tree.children[v]]
         assert np.max(np.abs(resid[interior])) < 1e-8
+
+
+_CLOSURE_ZS = np.array([0.4 + 1.3j, -1.5 + 0.2j, 3 + 1j])
+
+# point_mass_at takes L_kappa'(E) by a central difference with h = 1e-6; on the
+# skew pair E lies 0.023 and 1.9e-4 from mu2's left end, and the masses come out
+# 4.9e-10 and 9.3e-6 (relative) from the residue of G at E
+_POINT_MASS_H = pytest.mark.xfail(raises=AssertionError, strict=True, reason="O(h^2) error of point_mass_at near an endpoint")
+
+
+@pytest.fixture(scope="module")
+def ang_skew():
+    """An asymmetric single-piece uniform pair (the pinned pair of the Xi tests)."""
+    return angelesco_system(uniform(-2.791, -2.54), uniform(-2.301, -0.975))
+
+
+def _stieltjes(rep, zs):
+    """``int drho(t)/(t - z) + sum m/(E - z)`` at each z; the density by scipy's tanh-sinh rule.
+
+    The rule takes one batched density call per level.  It stops 1e-13 of the
+    length short of each endpoint, where the boundary values are not defined;
+    the dropped tail is below 1e-13 of the mass.
+    """
+    from scipy.integrate import tanhsinh
+
+    zz = np.concatenate([zs, zs])
+    real = np.arange(len(zz)) < len(zs)
+
+    def f(x, z, real):
+        v = rep.density(x.ravel()).reshape(x.shape) / (x - z)
+        return np.where(real, v.real, v.imag)
+
+    total = np.array([sum(m / (E - z) for E, m in rep.point_masses) for z in zs], dtype=complex)
+    for a, b in rep.intervals:
+        cut = 1e-13 * (b - a)
+        res = tanhsinh(f, a + cut, b - cut, args=(zz, real), rtol=1e-13, atol=0)
+        assert res.success.all()
+        total += res.integral[: len(zs)] + 1j * res.integral[len(zs) :]
+    return total
+
+
+class TestClosure:
+    """The Stieltjes transforms of rho_o and rho_sub are the closed-form G(o,o; z)
+    and G(X,X; z) of ``green`` (its convention: ``int drho(t)/(t - z)``).  At the
+    root this checks Xi's place in the scale of rho_o, which the unit-mass tests
+    see only as z -> infinity."""
+
+    @pytest.mark.parametrize(
+        "pair, kappa",
+        [
+            ("ang_u", (0.5, 0.5)),
+            ("ang_u", (0.3, 0.7)),
+            ("ang_u", (1, 0)),
+            pytest.param("ang_skew", (0.5, 0.5), marks=_POINT_MASS_H),
+            pytest.param("ang_skew", (0.3, 0.7), marks=_POINT_MASS_H),
+            ("ang_skew", (1, 0)),
+        ],
+    )
+    def test_root(self, request, pair, kappa):
+        asys = request.getfixturevalue(pair)
+        expected = [green(asys, kappa, (), (), z, depth=1)[0] for z in _CLOSURE_ZS]
+        assert _stieltjes(rho_o(asys, kappa), _CLOSURE_ZS) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("pair", ["ang_u", "ang_skew"])
+    @pytest.mark.parametrize("X", [(1,), (2,), (1, 2)])
+    def test_subtree(self, request, pair, X):
+        asys = request.getfixturevalue(pair)
+        # below the root kappa does not enter G(X,X; z)
+        expected = [green(asys, (0.5, 0.5), X, X, z, depth=1)[0] for z in _CLOSURE_ZS]
+        assert _stieltjes(rho_sub(asys, X), _CLOSURE_ZS) == pytest.approx(expected, rel=1e-10)
 
 
 class TestReferenceMeasure:

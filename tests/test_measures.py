@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,28 +23,54 @@ from oracles import refine_cauchy, refine_markov_log
 
 class TestMoments:
     def test_uniform_cube(self):
-        assert uniform(0, 1).moment(3) == pytest.approx(0.25, abs=1e-13)
+        assert uniform(0, 1).integrate(lambda x: x**3) == pytest.approx(0.25, abs=1e-13)
 
     def test_atom_square(self):
         m = Measure(atoms=((2.0, 1.0),))
-        assert m.moment(2) == pytest.approx(4.0, abs=1e-14)
+        assert m.integrate(lambda x: x**2) == 4.0
 
     def test_center_of_mass(self):
-        assert uniform(-2, -1).moment(1) == pytest.approx(-1.5, abs=1e-13)
+        assert uniform(-2, -1).integrate(lambda x: x) == pytest.approx(-1.5, abs=1e-13)
 
     def test_moment_deterministic(self):
         m = uniform(0, 1)
-        assert m.moment(7) == m.moment(7)
+        assert m.integrate(lambda x: x**7) == m.integrate(lambda x: x**7)
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            uniform(0, 1).moment(-1)
+    def test_integrand_sees_float_arrays(self):
+        # one call for the atoms, one per piece, each on a 1-D float array of its points
+        m = Measure(atoms=((0.0, 1.0), (5.0, 2.0)), pieces=(Piece(1.0, 2.0), Piece(3.0, 4.0)), quad_order=7)
+        seen = []
+        m.integrate(lambda x: seen.append(x) or np.ones_like(x))
+        assert [(type(x), x.dtype, x.shape) for x in seen] == [(np.ndarray, np.float64, (2,)), *[(np.ndarray, np.float64, (7,))] * 2]
+        assert seen[0].tolist() == [0.0, 5.0]
 
     def test_mp_moments_match_double(self):
         m = uniform(-2, -1)
         table = m.moments_mp(6, 256)
         for k in range(7):
-            assert float(table[k]) == pytest.approx(m.moment(k), rel=1e-12)
+            assert float(table[k]) == pytest.approx(m.integrate(lambda x: x**k), rel=1e-12)
+
+
+class TestIntegrate:
+    def test_atoms_and_uniform_pieces(self):
+        m = Measure(atoms=((0.5, 0.25), (3.0, 2.0)), pieces=(Piece(-2.0, -1.0), Piece(1.0, 2.0)))
+        for k in range(6):
+            exact = 0.25 * 0.5**k + 2.0 * 3.0**k + (2.0 ** (k + 1) - 1) * (1 + (-1) ** k) / (k + 1)
+            assert m.integrate(lambda x: x**k) == pytest.approx(exact, rel=1e-14)
+
+    def test_integer_jacobi_weight_is_exact(self):
+        # (x - 1)^2 (3 - x) (1 + x) = 3 - 4x - 2x^2 + 4x^3 - x^4; against x^k, degree <= 14,
+        # which the 200-node rule integrates exactly
+        m = Measure(pieces=(Piece(1.0, 3.0, DensitySpec("jacobi_weight", p=2, q=1, poly=(1.0, 1.0))),))
+        for k in range(11):
+            exact = sum(c * Fraction(3 ** (j + k + 1) - 1, j + k + 1) for j, c in enumerate((3, -4, -2, 4, -1)))
+            assert m.integrate(lambda x: x**k) == pytest.approx(float(exact), rel=1e-14)
+
+    def test_markov_weighted_matches_moments_mp(self):
+        m = Measure(pieces=(Piece(2.0, 3.0, DensitySpec("markov_weighted", base=DensitySpec("uniform"), weight_measure=uniform(0, 1))),))
+        table = m.moments_mp(8, 256)
+        for k in range(9):
+            assert m.integrate(lambda x: x**k) == pytest.approx(float(table[k]), rel=1e-14)
 
 
 class TestMarkov:
@@ -80,7 +107,7 @@ class TestMarkov:
             pieces=(Piece(1.0, 2.0, DensitySpec("uniform")),),
         )
         z = 1e6
-        lead = m.mass() / z + m.moment(1) / z**2
+        lead = m.integrate(np.ones_like) / z + m.integrate(lambda x: x) / z**2
         assert abs(m.markov(z) - lead) < 1e-9 * abs(lead)
 
 
@@ -172,7 +199,7 @@ class TestConcat:
     def test_two_pieces(self):
         c = concat(uniform(-2, -1), uniform(1, 2))
         assert len(c.pieces) == 2
-        assert c.mass() == pytest.approx(2.0, abs=1e-12)
+        assert c.integrate(np.ones_like) == pytest.approx(2.0, abs=1e-12)
 
     def test_atoms_union(self):
         c = concat(Measure(atoms=((0.0, 1.0),)), Measure(atoms=((2.0, 3.0),)))
@@ -204,7 +231,7 @@ class TestConstructionAndJson:
         )
         m2 = measure_from_json(json.dumps(m.to_json()))
         assert m2.to_json() == m.to_json()
-        assert m2.moment(2) == pytest.approx(m.moment(2))
+        assert m2.integrate(lambda x: x**2) == pytest.approx(m.integrate(lambda x: x**2))
 
     def test_markov_weighted_literal(self):
         doc = {
@@ -272,15 +299,15 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     def test_zeroth_moment_is_mass(self, a, width, k):
         m = uniform(a, a + width)
-        assert m.moment(0) == pytest.approx(width, rel=1e-11)
+        assert m.integrate(np.ones_like) == pytest.approx(width, rel=1e-11)
         # and the k-th moment matches the closed form
         closed = ((a + width) ** (k + 1) - a ** (k + 1)) / (k + 1)
-        assert m.moment(k) == pytest.approx(closed, rel=1e-10, abs=1e-12)
+        assert m.integrate(lambda x: x**k) == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
     @given(a=bounded, width=st.floats(min_value=0.1, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_markov_asymptote(self, a, width):
         m = uniform(a, a + width)
         z = 1e6
-        lead = m.mass() / z
-        assert abs(m.markov(z) - lead - m.moment(1) / z**2) <= 1e-9 * abs(lead)
+        lead = m.integrate(np.ones_like) / z
+        assert abs(m.markov(z) - lead - m.integrate(lambda x: x) / z**2) <= 1e-9 * abs(lead)

@@ -55,7 +55,8 @@ class TestDualMoments:
         tau = uniform(0, 1)
         moms = dual_moments(tau, 25)
         z = 6.0
-        lhs = 1 / tau.markov(z).real - z / tau.mass() + tau.moment(1) / tau.mass() ** 2
+        m0, m1 = (tau.integrate(lambda x: x**k) for k in range(2))
+        lhs = 1 / tau.markov(z).real - z / m0 + m1 / m0**2
         rhs = -sum(m * z ** (-l - 1) for l, m in enumerate(moms))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -63,7 +64,7 @@ class TestDualMoments:
         # dual mass is the variance of the normalized measure over the mass
         tau = uniform(3, 5)
         moms = dual_moments(tau, 3)
-        m0, m1, m2 = (tau.moment(k) for k in range(3))
+        m0, m1, m2 = (tau.integrate(lambda x: x**k) for k in range(3))
         assert moms[0] == pytest.approx((m2 / m0 - (m1 / m0) ** 2) / m0, rel=1e-12)
 
 
@@ -128,6 +129,6 @@ class TestSecondKindOrthogonality:
         # |tau| h1 - h2 equals the first non-vanishing integral when n2 = n1 + 1
         for n in [(1, 2), (2, 3)]:
             h1, h2 = (float(v) for v in nik_u.sys.h_values(n))
-            lhs = nik_u.tau.mass() * h1 - h2
+            lhs = nik_u.tau.integrate(np.ones_like) * h1 - h2
             rhs = second_kind_tau_integral(nik_u, n, n[1])
             assert lhs == pytest.approx(rhs, abs=1e-8)
