@@ -251,6 +251,8 @@ class Measure:
         rounded once (:func:`_exact_moments`); any other density sums the
         Gauss-Legendre rule of its piece.
         """
+        if upto < 0:
+            raise ValueError(f"moment order must be nonnegative, not {upto!r}")
         key = ("mom_mp", prec)
         table = self._cache.get(key, [])
         if len(table) > upto:

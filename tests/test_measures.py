@@ -36,6 +36,10 @@ class TestMoments:
         m = uniform(0, 1)
         assert m.integrate(lambda x: x**7) == m.integrate(lambda x: x**7)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            uniform(0, 1).moments_mp(-1, 64)
+
     def test_integrand_sees_float_arrays(self):
         # one call for the atoms, one per piece, each on a 1-D float array of its points
         m = Measure(atoms=((0.0, 1.0), (5.0, 2.0)), pieces=(Piece(1.0, 2.0), Piece(3.0, 4.0)), quad_order=7)
