@@ -523,16 +523,12 @@ def rho_sub(asys: AngelescoSystem, X) -> SpectralMeasureRep:
 # ---------------------------------------------------------------------------
 
 
-def d_n_xi(asys, n, xi: float, x):
+def d_n_xi(asys, n, xi: float, x) -> float:
     """(-1)^{n2} (x - xi) A_n^{(1)}(x) A_n^{(2)}(x), the positive multiplier of the
-    linear form for gap values xi."""
-    return _d_n_xi_of(n, xi, x, asys.sys.type1_values(n, x))
-
-
-def _d_n_xi_of(n, xi, x, values):
-    """D_{n,xi}(x) from the values (A0, A1, A2) at x."""
-    _, a1, a2 = values
-    return (-1.0) ** n[1] * (x - xi) * float(a1) * float(a2)
+    linear form for gap values xi: :func:`_d_n_xi_poly` evaluated at the real x
+    at ``precision_bits`` and rounded to double once."""
+    with workprec(asys.sys.precision_bits):
+        return float(P.pval(_d_n_xi_poly(asys, n, xi), mpf(x)))
 
 
 def reference_measure(asys: AngelescoSystem, n, x: float) -> float:
@@ -553,10 +549,9 @@ def reference_measure_via_dual(asys: AngelescoSystem, n, x: float, xi: float) ->
     if not (asys.delta1[1] < xi < asys.delta2[0]):
         raise DomainError("xi must lie in the gap between the intervals")
     L = second_kind_boundary(asys.sys, n, x, "+")
-    values = asys.sys.type1_values(n, x)  # (A0, A1, A2): D_{n,xi} and S_{n,xi} read the same values
-    D = _d_n_xi_of(n, xi, x, values)
-    val = (1.0 / (D * L)).imag
-    s_n_xi = abs(float(values[3 - asys.side_of(x)])) ** -1 / abs(x - xi)  # A_n^{(3-k)} for x in interval k
+    val = (1.0 / (d_n_xi(asys, n, xi, x) * L)).imag
+    a_other = asys.sys.type1_values(n, x)[3 - asys.side_of(x)]  # A_n^{(3-k)} for x in interval k
+    s_n_xi = abs(float(a_other)) ** -1 / abs(x - xi)
     return val / (math.pi * s_n_xi)
 
 

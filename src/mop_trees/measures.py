@@ -6,7 +6,9 @@ pieces carried by disjoint intervals.  Its monomial moments have one source,
 when every piece is uniform, and sums the mp Gauss-Legendre rule of each piece
 for any other density; the mp rule of a uniform measure is therefore built
 only at its first mp transform.  The one double-precision integral is
-``integrate(f)``, on the Gauss-Legendre table of each piece.  Every
+``integrate(f)``.  One node table per precision, each piece's Gauss-Legendre
+nodes and w*density, is built in the prepared Markov kernel (:func:`kernel`,
+g = 1), and the moments and ``integrate`` read it there.  Every
 transform of the form ``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes
 through one kernel, :func:`cauchy`: the Markov function and its boundary
 values (the ``Measure.markov*`` methods), the second-kind functions of the
@@ -233,15 +235,14 @@ class Measure:
     # -- moments and integrals ---------------------------------------------
 
     def integrate(self, f) -> float:
-        """``int f dmu`` in double: the atoms as m*f(x), each piece by its
-        Gauss-Legendre table.  f takes a 1-D float array and returns its values."""
+        """``int f dmu`` in double: the atoms as m*f(x), each piece by the Markov
+        kernel's w*density column.  f takes a 1-D float array and returns its values."""
         total = 0.0
         if self.atoms:
             xs, ms = np.array(self.atoms).T
             total += float(np.sum(ms * f(xs)))
-        for i in range(len(self.pieces)):
-            xs, ws, dens = _piece_table(self, i, None)
-            total += float(np.sum(ws * dens * f(xs)))
+        for xs, _, _, wd in kernel(self).tables:
+            total += float(np.sum(wd * f(xs)))
         return total
 
     def moments_mp(self, upto: int, prec: int) -> list:
@@ -249,7 +250,7 @@ class Measure:
 
         With only uniform pieces (and atoms) each moment is the exact rational,
         rounded once (:func:`_exact_moments`); any other density sums the
-        Gauss-Legendre rule of its piece.
+        node table of the Markov kernel at ``prec``.
         """
         if upto < 0:
             raise ValueError(f"moment order must be nonnegative, not {upto!r}")
@@ -260,11 +261,13 @@ class Measure:
         if all(p.density.kind == "uniform" for p in self.pieces):
             table = table + _exact_moments(self, range(len(table), upto + 1), prec)
         else:
-            # per piece the raw nodes and w*density, and x^k per node and atom,
-            # carried across k and across extensions, so the bits do not depend
-            # on how the table was grown
+            # per piece the kernel's raw nodes and w*density, and x^k per node and
+            # atom, carried across k and across extensions, so the bits do not
+            # depend on how the table was grown
             with workprec(prec):
-                cols, pow_rows, atom_pows = self._cache.get(("mom_pows", prec)) or self._moment_columns(prec)
+                cols = [(xs, wd) for xs, _, _, wd in kernel(self, (), prec).tables]
+                pow_rows, atom_pows = self._cache.get(("mom_pows", prec)) or (
+                    [[fone] * len(xs) for xs, _ in cols], [mpf(1)] * len(self.atoms))
                 for k in range(len(table), upto + 1):
                     total = mpf(0)
                     for (x, m), xp in zip(self.atoms, atom_pows):
@@ -274,17 +277,9 @@ class Measure:
                     table.append(total)
                     atom_pows = [xp * mpf(x) for (x, _), xp in zip(self.atoms, atom_pows)]
                     pow_rows = [products(xp, xs, prec) for (xs, _), xp in zip(cols, pow_rows)]
-            self._cache[("mom_pows", prec)] = (cols, pow_rows, atom_pows)
+            self._cache[("mom_pows", prec)] = (pow_rows, atom_pows)
         self._cache[key] = table
         return table[: upto + 1]
-
-    def _moment_columns(self, prec: int) -> tuple:
-        """(per piece the raw nodes and w*density, x^0 per node, x^0 per atom) at ``prec`` bits."""
-        cols = []
-        for i in range(len(self.pieces)):
-            xs, ws, dens = _piece_table(self, i, prec)
-            cols.append(([x._mpf_ for x in xs], products([w._mpf_ for w in ws], [d._mpf_ for d in dens], prec)))
-        return cols, [[fone] * len(xs) for xs, _ in cols], [mpf(1)] * len(self.atoms)
 
     # -- Cauchy transforms ------------------------------------------------
 

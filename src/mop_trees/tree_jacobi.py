@@ -23,7 +23,7 @@ gathers it to the vertices by integer-array indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mpc, workprec
@@ -54,7 +54,6 @@ class TreeOperator:
     sigma: np.ndarray
     kappa: tuple | None
     sys: MopSystem | None
-    _sparse: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -70,11 +69,10 @@ class TreeOperator:
         return rows, cols, np.concatenate([self.V, sq, np.where(self.sigma[1:], -sq, sq)])
 
     def sparse(self) -> scipy.sparse.csr_matrix:
-        if self._sparse is None:
-            import scipy.sparse
-            rows, cols, vals = self._entries()
-            self._sparse = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_vertices,) * 2)
-        return self._sparse
+        """A fresh CSR copy of the matrix, for the sparse LU oracles."""
+        import scipy.sparse
+        rows, cols, vals = self._entries()
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_vertices,) * 2)
 
     def dense(self) -> np.ndarray:
         """The matrix as a numpy array, equal to ``sparse().toarray()`` without loading scipy."""
@@ -86,7 +84,15 @@ class TreeOperator:
         return J
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.sparse() @ f
+        """J f, each row's terms summed in entry order, real and imaginary parts apart: bit for
+        bit ``sparse() @ f``, whose rows swap only their first two terms (parent, diagonal)."""
+        rows, cols, vals = self._entries()
+        terms, n = vals * f[cols], self.n_vertices
+        if not np.iscomplexobj(terms):
+            return np.bincount(rows, terms, n)
+        out = np.bincount(rows, terms.real, n).astype(complex)
+        out.imag = np.bincount(rows, terms.imag, n)
+        return out
 
     def m_weights(self) -> np.ndarray:
         """m_Y = prod of W^{-1/2} along the path to the root (both ends included)."""

@@ -7,6 +7,7 @@ from mpmath import workprec
 from mop_trees import angelesco, mop_engine
 from mop_trees.angelesco import (
     angelesco_system,
+    d_n_xi,
     dual_pole_weight_residual,
     find_e_kappa,
     green,
@@ -27,7 +28,7 @@ from mop_trees.measures import DensitySpec, Measure, Piece, uniform
 from mop_trees.mop_engine import KappaForm, second_kind_boundary, second_kind_boundary_mp
 from mop_trees.tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
 
-from oracles import find_e_kappa_sweep
+from oracles import UniformPairOracle, find_e_kappa_sweep
 
 
 class TestConstruction:
@@ -473,12 +474,28 @@ class TestReferenceMeasure:
             assert a == pytest.approx(d, rel=1e-8)
 
     def test_dual_route_evaluates_the_type_i_polynomials_once(self, ang_u, monkeypatch):
-        # D_{n,xi} and S_{n,xi} read the same (A0, A1, A2)
+        # S_{n,xi} reads (A0, A1, A2) once; D_{n,xi} is its own mp polynomial
         calls = []
         values = ang_u.sys.type1_values
         monkeypatch.setattr(ang_u.sys, "type1_values", lambda n, z: calls.append(z) or values(n, z))
         reference_measure_via_dual(ang_u, (2, 2), 1.44, 0.1)
         assert calls == [1.44]
+
+    @pytest.mark.parametrize("pair, xis", [("ang_u", (-0.3, 0.4)), ("ang_skew", (-2.5, -2.4))])
+    def test_d_n_xi_is_correctly_rounded(self, pair, xis, request):
+        # one mp polynomial rounded once; the product of the rounded A_n^{(1)}(x),
+        # A_n^{(2)}(x) and x - xi missed the last bits of about half of these values
+        asys = request.getfixturevalue(pair)
+        oracle = UniformPairOracle(asys.delta1, asys.delta2)
+        xs = [float(x) for a, b in (asys.delta1, asys.delta2) for x in np.linspace(a, b, 11)[1:-1]]
+        for n in [(2, 2), (3, 2), (4, 4), (6, 5)]:
+            A1, A2 = oracle.type1(n)
+            for xi in xis:
+                exact = []
+                for x in map(Fraction, xs):
+                    a1, a2 = (sum(c * x**k for k, c in enumerate(A)) for A in (A1, A2))
+                    exact.append(float((-1) ** n[1] * (x - Fraction(xi)) * a1 * a2))
+                assert [d_n_xi(asys, n, xi, x) for x in xs] == exact, (n, xi)
 
     def test_xi_outside_gap_rejected(self, ang_u):
         with pytest.raises(DomainError):

@@ -466,6 +466,23 @@ def test_verify_all_runs_without_scipy(system):
     assert _python(code, str(ROOT / "demos" / "systems" / f"{system}.json")) == 0
 
 
+def test_eigenfunction_residuals_run_without_scipy():
+    # apply sums the operator's own entries; only the LU oracles build a CSR matrix
+    code = (
+        "import sys, mop_trees.cli\n"
+        "from mop_trees import tree_jacobi as tj\n"
+        "ang = mop_trees.cli.load_system(sys.argv[1])['sys']\n"
+        "finite, cayley = tj.assemble_finite(ang, (0.3, 0.7), (2, 1)), tj.assemble_truncated(ang, (0.3, 0.7), 4)\n"
+        "assert tj.eigenfunction_residual(finite, 'p', 0.4 + 0.2j) < 1e-12\n"
+        "assert tj.eigenfunction_residual(cayley, 'l', 5.0) < 1e-12\n"
+        "assert tj.eigenfunction_residual(cayley, 'lambda_commutator', 5.0, X=1, kl=(2, 1)) < 1e-12\n"
+        "raw, markov_route = tj.root_boundary_gap(cayley, 5.0)\n"
+        "assert abs(raw - markov_route) < 1e-10\n"
+        "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)"
+    )
+    assert _python(code, SYSTEM) == 0
+
+
 def test_spectral_moments_leave_scipy_integrate_unloaded():
     # the masses and moments run on quadrature.qags: importing scipy.integrate
     # alone cost about 0.5 s in each process that asked for a mass

@@ -139,6 +139,9 @@ class TestLoopReference:
         assert np.array_equal(op.dense(), J)
         assert np.array_equal(op.sparse().toarray(), J)
         assert (int(op.sigma.sum()) > 0) == (op.sys is nik_sys)
+        f = np.linspace(-1.0, 2.0, n) ** 3
+        for vec in (f, f + 1j * np.cos(np.arange(n))):
+            assert np.array_equal(op.apply(vec), op.sparse() @ vec)
 
 
 class TestEigenfunctionIdentities:
