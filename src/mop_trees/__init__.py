@@ -25,6 +25,7 @@ from .errors import (
     NeutralVectorError,
     NormalityError,
     OverlapError,
+    PrecisionError,
     RankError,
     SeriesError,
     ZeroError,
@@ -46,6 +47,7 @@ __all__ = [
     "EndpointError",
     "OverlapError",
     "NormalityError",
+    "PrecisionError",
     "ConvergenceError",
     "ZeroError",
     "ZeroWeightError",

@@ -34,8 +34,6 @@ from . import _poly as P
 from .errors import DomainError, EndpointError, IntegrationWarning, OverlapError
 from .measures import Measure, concat, kernel
 from .mop_engine import (
-    E1,
-    E2,
     KappaForm,
     MopSystem,
     SecondKind,
@@ -82,7 +80,7 @@ def angelesco_system(mu1: Measure, mu2: Measure, precision_bits: int = 256) -> A
             mu1, mu2, h1, h2 = mu2, mu1, h2, h1
         else:
             raise OverlapError("Angelesco system requires disjoint hulls")
-    sys = MopSystem(mu1, mu2, precision_bits)
+    sys = MopSystem((mu1, mu2), precision_bits)
     with workprec(sys.precision_bits):  # the engine's mp moments, rounded to double once
         (a0, a1), (b0, b1) = sys.moments(1, 1), sys.moments(2, 1)
         xi = float(b1 / b0 - a1 / a0)
@@ -228,7 +226,7 @@ def interval_grids(intervals, n_points: int, pad) -> list[np.ndarray]:
 def _require_one_piece(asys: AngelescoSystem) -> None:
     # an atom or a gap between pieces opens a hole in the support, and the point
     # mass that a zero of the denominator in that hole carries is not derived here
-    for k, mu in ((1, asys.sys.mu1), (2, asys.sys.mu2)):
+    for k, mu in enumerate(asys.sys.measures, 1):
         if mu.atoms or len(mu.pieces) != 1:
             raise DomainError(f"spectral measures require mu{k} to be one ac piece without atoms")
 
@@ -324,7 +322,7 @@ def _vertex_commutator(asys, parent, x: float, op) -> np.ndarray:
     sysm = asys.sys
     with workprec(sysm.precision_bits):
         xm = mpf(x)
-        hat_other = (sysm.mu2 if k == 1 else sysm.mu1).markov_mp(xm, sysm.precision_bits)
+        hat_other = sysm.measures[2 - k].markov_mp(xm, sysm.precision_bits)
 
         def value(m):
             av = sysm.type1_values(m, xm)
@@ -351,7 +349,7 @@ def _path_data(asys, word):
         if step not in (1, 2):
             raise DomainError(f"child labels are 1 and 2, not {step!r}")
         parent_proj = proj
-        proj = add(proj, E1 if step == 1 else E2)
+        proj = add(proj, asys.sys.units[step - 1])
         a = asys.sys.recurrence_float(parent_proj)[step - 1]
         mX *= abs(a) ** -0.5
         iota = step
@@ -420,14 +418,10 @@ def _bridge_weights(asys, n, l) -> dict:
     key = ("bridge", n, l)
     if key in asys._cache:
         return asys._cache[key]
-    e = E1 if l == 1 else E2
-    rn = asys.sys.type1_record(n)
-    ru = asys.sys.type1_record(add(n, e))
+    an1, an2 = (c or (mpf(0),) for c in asys.sys.type1_record(n).A)
+    au1, au2 = (c or (mpf(0),) for c in asys.sys.type1_record(add(n, asys.sys.units[l - 1])).A)
     with workprec(asys.sys.precision_bits):
-        t = P.padd(
-            P.pmul(ru.A2 or (mpf(0),), rn.A1 or (mpf(0),)),
-            P.pscale(P.pmul(ru.A1 or (mpf(0),), rn.A2 or (mpf(0),)), -1),
-        )
+        t = P.padd(P.pmul(au2, an1), P.pscale(P.pmul(au1, an2), -1))
         while len(t) > 1 and t[-1] == 0:
             t = t[:-1]
         zs = real_zeros(t, asys.sys.precision_bits) if len(t) > 1 else []
@@ -463,7 +457,7 @@ def s_x(asys: AngelescoSystem, X, x: float) -> float:
 def _s_x_by_quadrature(asys, n, l):
     """x -> S_X(x), both intervals' bridge kernels prepared here."""
     bridges = _bridge_weights(asys, n, l)
-    kernels = {k: kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, w) for k, (_, w) in bridges.items()}
+    kernels = {k: kernel(asys.sys.measures[2 - k], w) for k, (_, w) in bridges.items()}
 
     def value(x):
         """S_X at a float x, or at each point of a 1-D array x inside one interval."""
@@ -567,7 +561,7 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
     kE = asys.side_of(E)
     d = _d_n_xi_poly(asys, n, xi)
     total = 0.0
-    for k, mu, coeffs in ((1, asys.sys.mu1, rec.A1), (2, asys.sys.mu2, rec.A2)):
+    for k, (mu, coeffs) in enumerate(zip(asys.sys.measures, rec.A), 1):
         if not coeffs:
             continue
         with workprec(asys.sys.precision_bits):
@@ -581,10 +575,14 @@ def nu_ne_mass(asys: AngelescoSystem, n, E: float, xi: float) -> float:
 
 
 def _d_n_xi_poly(asys, n, xi) -> tuple:
-    """Extended-precision coefficients of D_{n,xi} = (-1)^{n2} (x - xi) A_n^{(1)} A_n^{(2)}."""
+    """Extended-precision coefficients of D_{n,xi} = (-1)^{n2} (x - xi) A_n^{(1)} A_n^{(2)},
+    cached on the system per (n, xi) and precision."""
     rec = asys.sys.type1_record(n)
-    with workprec(asys.sys.precision_bits):
-        return P.pscale(P.pmul(P.pmul(rec.A1, rec.A2), (-mpf(xi), mpf(1))), mpf(-1) ** n[1])
+    key = ("d_n_xi", rec.n, xi, asys.sys.precision_bits)
+    if key not in asys._cache:
+        with workprec(asys.sys.precision_bits):
+            asys._cache[key] = P.pscale(P.pmul(P.pmul(*rec.A), (-mpf(xi), mpf(1))), mpf(-1) ** n[1])
+    return asys._cache[key]
 
 
 def dual_pole_weight_residual(asys: AngelescoSystem, n, E: float, xi: float) -> float:

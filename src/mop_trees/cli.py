@@ -63,7 +63,7 @@ def load_system(path: str, precision_bits: int | None = None) -> dict:
     if kind == "nikishin":
         nsys = nik.nikishin_system(mu1, mu2, bits)
         return {"type": kind, "nsys": nsys, "sys": nsys.sys}
-    return {"type": kind, "sys": MopSystem(mu1, mu2, bits)}
+    return {"type": kind, "sys": MopSystem((mu1, mu2), bits)}
 
 
 def emit_plot_data(profile, path: str, masses=None) -> None:
@@ -278,8 +278,9 @@ def cmd_verify_all(args, loaded):
         checks.append({"check": name, "passed": bool(passed), "detail": detail})
 
     for n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
-        r = consistency_residual(sysm, n)
-        record(f"consistency {n}", max(float(x) for x in r) < 1e-25, f"max={max(float(x) for x in r):.3e}")
+        worst = max(float(x) for x in consistency_residual(sysm, n))
+        bound = float(sysm.tolerance) * max(1.0, *map(abs, sysm.recurrence_float(n)))
+        record(f"consistency {n}", worst < bound, f"max={worst:.3e}")
     if loaded["type"] == "angelesco":
         for n in [(1, 1), (2, 2), (3, 2)]:
             record(f"interlacing {n}", interlacing_check(sysm, n, 1) and interlacing_check(sysm, n, 2))

@@ -18,7 +18,11 @@ class OverlapError(MopTreesError):
 
 
 class NormalityError(MopTreesError):
-    """A moment system is singular: the multi-index is not normal."""
+    """A moment system is singular or an h-value vanishes: the multi-index is not normal."""
+
+
+class PrecisionError(MopTreesError):
+    """An identity that holds exactly fails beyond the bound of the working precision."""
 
 
 class ConvergenceError(MopTreesError):

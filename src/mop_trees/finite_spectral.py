@@ -16,13 +16,14 @@ zero sets disjoint) are verified on entry, not assumed; a clash within
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 from mpmath import mpf, workprec
 
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
-from .mop_engine import E1, E2, MopSystem, add, order, real_zeros
+from .mop_engine import MopSystem, add, order, real_zeros, require_pair
 from .tree_jacobi import TreeOperator, _kappa, assemble_finite, lattice_values, signature_diagonal
 from .tree_topology import ROOT_PARENT, Tree, finite_tree
 
@@ -86,8 +87,8 @@ def boundary_polynomial(sys: MopSystem, kappa, N) -> tuple:
     """kappa1 P_{N+e1} + kappa2 P_{N+e2}; monic of degree |N|+1 since kappa sums to 1."""
     # At _EVAL_BITS, as the P_n(E) tables: the goldens were recorded there, and
     # sys.precision_bits would move the tree-spectrum and tree-svec goldens.
-    p1 = sys.record(add(tuple(N), E1)).P
-    p2 = sys.record(add(tuple(N), E2)).P
+    require_pair(sys)
+    p1, p2 = (sys.record(add(N, e)).P for e in sys.units)
     with workprec(_EVAL_BITS):
         return P.padd(P.pscale(p1, kappa[0]), P.pscale(p2, kappa[1]))
 
@@ -98,7 +99,7 @@ def eigenvalue_set(sys: MopSystem, kappa, N):
     Returns (eigenvalues, zero_table, boundary_poly) where zero_table maps
     each relevant multi-index key to its sorted zero list.
     """
-    N = (int(N[0]), int(N[1]))
+    N = sys._index(N)
     return _eigenvalue_set_on(sys, _kappa(kappa), N, finite_tree(N))
 
 
@@ -106,11 +107,7 @@ def _eigenvalue_set_on(sys, kappa, N, tree):
     prec = sys.precision_bits
     bpoly = boundary_polynomial(sys, kappa, N)
     zero_table: dict = {"boundary": [float(z) for z in real_zeros(bpoly, prec)]}
-    inner = [
-        (n1, n2)
-        for n1 in range(N[0] + 1)
-        for n2 in range(N[1] + 1)
-    ]
+    inner = list(product(*(range(k + 1) for k in N)))
     for n in inner:
         zero_table[n] = [float(z) for z in sys.zeros(n)]
 
@@ -125,7 +122,7 @@ def _eigenvalue_set_on(sys, kappa, N, tree):
             raise AssumptionError(f"P_{n} has nearly multiple zeros")
 
     # parent/child zero sets disjoint
-    pairs = [(n, add(n, e)) for n in inner for e in (E1, E2) if add(n, e) in zero_table]
+    pairs = [(n, add(n, e)) for n in inner for e in sys.units if add(n, e) in zero_table]
     for n, m in pairs:
         _assert_disjoint(zero_table[n], zero_table[m], f"{n} vs {m}")
     _assert_disjoint(zero_table[N], zero_table["boundary"], f"{N} vs boundary")
@@ -133,7 +130,7 @@ def _eigenvalue_set_on(sys, kappa, N, tree):
     # cluster across polynomials
     events = [(z, "boundary") for z in zero_table["boundary"]]
     for n in inner:
-        if n[0] >= 1 and n[1] >= 1:
+        if min(n) >= 1:
             events.extend((z, n) for z in zero_table[n])
     events.sort(key=lambda t: t[0])
     joint_vertices: dict = {}
@@ -212,7 +209,7 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     ``#V = sum_E #Joint*(E)``, full rank of the stacked vectors, and the
     multiset agreement of the eigenvalue set with a dense eigensolve.
     """
-    N = (int(N[0]), int(N[1]))
+    N = sys._index(N)
     kappa = _kappa(kappa)
     op = assemble_finite(sys, kappa, N)
     eigenvalues, zero_table, bpoly = _eigenvalue_set_on(sys, kappa, N, op.tree)

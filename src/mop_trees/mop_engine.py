@@ -1,52 +1,77 @@
-"""Multiple orthogonal polynomials of types I and II for a two-measure system.
+"""Multiple orthogonal polynomials of types I and II for a system of d measures.
 
 All solves run in extended precision (default 256-bit) on raw monomial
 moments; the moment matrices are Hankel-structured and severely
 ill-conditioned in double precision, but 256 bits comfortably covers
 multi-indices up to |n| ~ 40 for the systems treated here.
 
-Conventions, for a multi-index n = (n1, n2):
+Conventions, for a multi-index n = (n_1, ..., n_d) in N^d, a tuple whose
+length d is the system's number of measures, and e_i its i-th unit vector:
 
 * type II: monic P_n, deg P_n = |n|, with ``int P_n x^m dmu_k = 0`` for
-  m < n_k, k in {1, 2};
-* type I: (A1, A2) with deg A_k = n_k - 1 (A_k = 0 when n_k = 0), the linear
-  form Q_n = A1 dmu1 + A2 dmu2 orthogonal to degrees <= |n| - 2 and
+  m < n_k, k = 1..d;
+* type I: (A_1, ..., A_d) with deg A_k = n_k - 1 (A_k = 0 when n_k = 0), the
+  linear form Q_n = sum_k A_k dmu_k orthogonal to degrees <= |n| - 2 and
   normalized by ``int x^{|n|-1} Q_n = 1``; A0 is the polynomial part of the
-  Cauchy transform of Q_n, so that L_n = A1*markov1 + A2*markov2 - A0;
+  Cauchy transform of Q_n, so that L_n = sum_k A_k markov_k - A0;
 * nearest-neighbor recurrence
-  ``x P_n = P_{n+e_i} + b_{n,i} P_n + a_{n,1} P_{n-e_1} + a_{n,2} P_{n-e_2}``
-  with a_{n,i} = h_{n,i} / h_{n-e_i,i} and h_{n,j} = int P_n x^{n_j} dmu_j
+  ``x P_n = P_{n+e_i} + b_{n,i} P_n + sum_j a_{n,j} P_{n-e_j}``
+  with a_{n,j} = h_{n,j} / h_{n-e_j,j} and h_{n,j} = int P_n x^{n_j} dmu_j
   (the quantity whose ratio gives a and whose leading order drives the
   second-kind functions; it is signed in general).
+
+The kappa-forms and the type I pattern checks are the paper's d = 2 theory.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate, permutations
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 
 from . import _poly as P
-from .errors import ConvergenceError, DomainError, NormalityError, ZeroError
-from .measures import Measure, kernel
+from .errors import ConvergenceError, DomainError, NormalityError, PrecisionError, ZeroError
+from .measures import kernel
 
-E1 = (1, 0)
-E2 = (0, 1)
 _ZERO = mpf(0)
 
 
+def multi_index(n, d: int | None = None) -> tuple:
+    """n as a tuple of nonnegative Python ints, of length d when d is given."""
+    try:
+        n = tuple(map(operator.index, n))
+    except TypeError:
+        raise ValueError(f"a multi-index has integer components, not {n!r}") from None
+    if not n or len(n) != (d or len(n)) or min(n) < 0:
+        raise ValueError(f"{n} is not a multi-index of {d or 'one or more'} nonnegative components")
+    return n
+
+
+def unit(d: int, i: int) -> tuple:
+    """The unit vector e_i (i = 1..d) of N^d."""
+    return tuple(int(j == i) for j in range(1, d + 1))
+
+
 def add(n, e):
-    return (n[0] + e[0], n[1] + e[1])
+    return tuple(a + b for a, b in zip(n, e))
 
 
 def sub(n, e):
-    return (n[0] - e[0], n[1] - e[1])
+    return tuple(a - b for a, b in zip(n, e))
 
 
 def order(n):
-    return n[0] + n[1]
+    return sum(n)
+
+
+def require_pair(sys) -> None:
+    """The kappa-forms and the spectral theory built on them are the paper's d = 2."""
+    if len(sys.measures) != 2:
+        raise DomainError(f"kappa-forms need a system of two measures, not {len(sys.measures)}")
 
 
 @dataclass
@@ -55,35 +80,45 @@ class MopRecord:
 
     n: tuple
     P: tuple = ()            # monic type II, ascending mp coefficients
-    h: tuple = ()            # (h1, h2)
-    A1: tuple | None = None  # type I, ascending mp coefficients
-    A2: tuple | None = None
+    h: tuple = ()            # (h_1, ..., h_d)
+    A: tuple | None = None   # type I (A_1, ..., A_d), each ascending mp coefficients
     A0: tuple | None = None
-    rec: tuple | None = None  # (a1, a2, b1, b2)
+    rec: tuple | None = None  # (a_1, ..., a_d, b_1, ..., b_d)
     zeros: dict = field(default_factory=dict)  # k -> zeros of P (k = 0) or of A_k
+
+    # the two-measure names, which perfbench's lattice oracle and tracer read
+    A1 = property(lambda self: None if self.A is None else self.A[0])
+    A2 = property(lambda self: None if self.A is None else self.A[1])
 
 
 class MopSystem:
-    """Two measures plus a write-once cache of MOP data per multi-index.
+    """A tuple of measures plus a write-once cache of MOP data per multi-index.
 
     Not thread-safe: every solve runs under ``workprec``, which sets the
     process-global mpmath precision.
     """
 
-    def __init__(self, mu1: Measure, mu2: Measure, precision_bits: int = 256):
-        self.mu1 = mu1
-        self.mu2 = mu2
+    def __init__(self, measures, precision_bits: int = 256):
+        self.measures = tuple(measures)
+        self.units = tuple(unit(len(self.measures), i) for i in range(1, len(self.measures) + 1))
         self.precision_bits = int(precision_bits)
-        if self.precision_bits < 1:
-            raise ValueError(f"precision_bits must be at least 1, got {precision_bits}")
+        if not self.measures or self.precision_bits < 1:
+            raise ValueError(f"need one or more measures and precision_bits >= 1, got {precision_bits}")
         self._records: dict[tuple, MopRecord] = {}
         self._floats: dict[tuple, tuple] = {}
+
+    def _index(self, n) -> tuple:
+        return multi_index(n, len(self.measures))
+
+    @property
+    def tolerance(self):
+        """2^(-prec/3): the relative bound of the checks on identities that hold exactly."""
+        return mpf(2) ** (-self.precision_bits // 3)
 
     # -- moments -----------------------------------------------------------
 
     def moments(self, j: int, upto: int) -> list:
-        mu = self.mu1 if j == 1 else self.mu2
-        return mu.moments_mp(upto, self.precision_bits)
+        return self.measures[j - 1].moments_mp(upto, self.precision_bits)
 
     def mass(self, j: int):
         return self.moments(j, 0)[0]
@@ -92,22 +127,20 @@ class MopSystem:
 
     def record(self, n) -> MopRecord:
         """Type II polynomial and the h-values at n (computing if needed)."""
-        n = (int(n[0]), int(n[1]))
-        if n[0] < 0 or n[1] < 0:
-            raise ValueError("multi-index must be componentwise nonnegative")
+        n = self._index(n)
         rec = self._records.get(n)
         if rec is None:
             rec = self._records[n] = MopRecord(n=n)
         if not rec.P:
             rec.P = self._solve_type2(n)
-            rec.h = (self._h_value(rec, 1), self._h_value(rec, 2))
+            rec.h = tuple(self._h_value(rec, j) for j in range(1, len(n) + 1))
         return rec
 
     def _moment_system(self, n) -> tuple:
-        """The type II rows ``mom_k[m : m + |n|]`` (k = 1, 2; m < n_k) at n and the
-        moments (mom_1, mom_2) they read; the type I matrix is their transpose."""
+        """The type II rows ``mom_k[m : m + |n|]`` (k = 1..d; m < n_k) at n and the
+        moments (mom_1, ..., mom_d) they read; the type I matrix is their transpose."""
         d = order(n)
-        moms = (self.moments(1, n[0] + d), self.moments(2, n[1] + d))
+        moms = tuple(self.moments(k, nk + d) for k, nk in enumerate(n, 1))
         return [mom[m : m + d] for nk, mom in zip(n, moms) for m in range(nk)], moms
 
     def _lu(self, rows, rhs, n, kind: str) -> list:
@@ -129,7 +162,7 @@ class MopSystem:
 
     def _check_orthogonality(self, coeffs, n, moms):
         # exact identities up to rounding; failure signals a non-normal index
-        bound = mpf(2) ** (-self.precision_bits // 3) * max(abs(c) for c in coeffs)
+        bound = self.tolerance * max(abs(c) for c in coeffs)
         d = len(coeffs) - 1
         for nk, mom in zip(n, moms):
             top = max([abs(x) for x in mom[:d]], default=_ZERO)  # max |moment| read so far, row by row
@@ -145,32 +178,31 @@ class MopSystem:
         return P.dot(rec.P, mom[n[j - 1] :], self.precision_bits)
 
     def type1_record(self, n) -> MopRecord:
-        """Type I polynomials (A1, A2, A0) at n (computing if needed)."""
-        n = (int(n[0]), int(n[1]))
+        """Type I polynomials (A_1..A_d, A0) at n (computing if needed)."""
+        n = self._index(n)
         d = order(n)
         if d < 1:
             raise ValueError("type I requires |n| >= 1")
         rec = self.record(n)
-        if rec.A1 is not None:
+        if rec.A is not None:
             return rec
-        rows, (m1, m2) = self._moment_system(n)
+        rows, moms = self._moment_system(n)
         with workprec(self.precision_bits):
             if d == 1:  # 1/m[0] rounds at the system's precision, the LU at 10 bits more
-                a1 = (1 / m1[0],) if n[0] == 1 else ()
-                a2 = (1 / m2[0],) if n[1] == 1 else ()
+                A = tuple((1 / mom[0],) if nk == 1 else () for nk, mom in zip(n, moms))
             else:
                 c = self._lu(list(zip(*rows)), [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
-                a1, a2 = tuple(c[: n[0]]), tuple(c[n[0] :])
+                A = tuple(tuple(c[lo : lo + nk]) for lo, nk in zip(accumulate(n, initial=0), n))
             # polynomial part of the Cauchy transform of the linear form
             deg0 = max(n) - 2
             a0 = []
             for i in range(max(deg0 + 1, 0)):
                 s = mpf(0)
-                for coeffs, mom in ((a1, m1), (a2, m2)):
+                for coeffs, mom in zip(A, moms):
                     for jj in range(i + 1, len(coeffs)):
                         s += coeffs[jj] * mom[jj - 1 - i]
                 a0.append(s)
-            rec.A1, rec.A2, rec.A0 = a1, a2, tuple(a0)
+            rec.A, rec.A0 = A, tuple(a0)
         return rec
 
     # -- public facade -------------------------------------------------------
@@ -180,94 +212,80 @@ class MopSystem:
 
     def type1(self, n) -> tuple:
         rec = self.type1_record(n)
-        return rec.A1, rec.A2, rec.A0
+        return (*rec.A, rec.A0)
 
     def h_values(self, n) -> tuple:
         return self.record(n).h
 
     def type1_values(self, n, z) -> tuple:
-        """(A0, A1, A2) at z, evaluated at ``precision_bits``; 0 for an empty polynomial."""
+        """(A0, A_1, ..., A_d) at z, evaluated at ``precision_bits``; 0 for an empty polynomial."""
         rec = self.type1_record(n)
-        bits = self.precision_bits
-        with workprec(bits):
+        with workprec(self.precision_bits):
             z = mp.mpmathify(z)
-            return tuple([P.pval(c, z) if c else _ZERO for c in (rec.A0, rec.A1, rec.A2)])
+            return tuple([P.pval(c, z) if c else _ZERO for c in (rec.A0, *rec.A)])
 
     def zeros(self, n, k: int = 0) -> tuple:
-        """Real zeros of P_n (k = 0) or of A_n^{(k)} (k = 1, 2), ascending mpf, found
+        """Real zeros of P_n (k = 0) or of A_n^{(k)} (k = 1..d), ascending mpf, found
         once per record by :func:`real_zeros`; a constant or empty polynomial has none."""
         rec = self.record(n) if k == 0 else self.type1_record(n)
         if k not in rec.zeros:
-            c = (rec.P, rec.A1, rec.A2)[k]
+            c = rec.P if k == 0 else rec.A[k - 1]
             rec.zeros[k] = tuple(real_zeros(c, self.precision_bits)) if len(c) > 1 else ()
         return rec.zeros[k]
 
     def recurrence(self, n) -> tuple:
-        """(a1, a2, b1, b2) at n, with a_{n,i} = 0 when n_i = 0."""
-        n = (int(n[0]), int(n[1]))
+        """(a_1, ..., a_d, b_1, ..., b_d) at n, with a_{n,i} = 0 when n_i = 0."""
         rec = self.record(n)
         if rec.rec is not None:
             return rec.rec
-        d = order(n)
+        n, d = rec.n, order(rec.n)
         with workprec(self.precision_bits):
-            pn = rec.P
-            bs = []
-            for e in (E1, E2):
-                pup = self.record(add(n, e)).P
-                lead_low = pn[d - 1] if d >= 1 else mpf(0)
-                bs.append(lead_low - pup[d])
-            avals = []
-            for j, e in ((1, E1), (2, E2)):
-                if n[j - 1] == 0:
-                    avals.append(mpf(0))
-                    continue
-                hnum = rec.h[j - 1]
-                hden = self.record(sub(n, e)).h[j - 1]
+            lead_low = rec.P[d - 1] if d >= 1 else mpf(0)
+            b = [lead_low - self.record(add(n, e)).P[d] for e in self.units]
+            a = []
+            for j, e in enumerate(self.units):
+                hden = self.record(sub(n, e)).h[j] if n[j] else None
                 if hden == 0:
-                    raise NormalityError(f"vanishing h at n={sub(n, e)}, j={j}")
-                avals.append(hnum / hden)
-            a1, a2 = avals
-            b1, b2 = bs
-            self._check_recurrence(n, a1, a2, b1, b2)
-            rec.rec = (a1, a2, b1, b2)
+                    raise NormalityError(f"vanishing h at n={sub(n, e)}, j={j + 1}")
+                a.append(rec.h[j] / hden if n[j] else mpf(0))
+            self._check_recurrence(n, a, b)
+            rec.rec = (*a, *b)
         return rec.rec
 
     def recurrence_float(self, n) -> tuple:
         """:meth:`recurrence` in double precision, converted once per point and system."""
-        n = (int(n[0]), int(n[1]))
+        n = self._index(n)
         row = self._floats.get(n)
         if row is None:
             row = self._floats[n] = tuple(float(c) for c in self.recurrence(n))
         return row
 
-    def _check_recurrence(self, n, a1, a2, b1, b2):
-        # x P_n - P_{n+e_i} - b_i P_n - a1 P_{n-e1} - a2 P_{n-e2} must vanish
+    def _check_recurrence(self, n, a, b):
+        # x P_n - P_{n+e_i} - b_i P_n - sum_j a_j P_{n-e_j} must vanish for every i
         pn = self.record(n).P
-        for bi, e in ((b1, E1), (b2, E2)):
+        for bi, e in zip(b, self.units):
             r = P.pxshift(pn)
             r = P.padd(r, P.pscale(self.record(add(n, e)).P, -1))
             r = P.padd(r, P.pscale(pn, -bi))
-            for aj, ej in ((a1, E1), (a2, E2)):
-                m = sub(n, ej)
-                if m[0] >= 0 and m[1] >= 0 and aj != 0:
-                    r = P.padd(r, P.pscale(self.record(m).P, -aj))
-            scale = max(abs(c) for c in pn) + abs(b1) + abs(a1) + abs(a2)
-            if max(abs(c) for c in r) > mpf(1e-18) * max(scale, 1):
-                raise NormalityError(f"nearest-neighbor recurrence fails at n={n}")
+            for aj, ej in zip(a, self.units):
+                if aj != 0:  # a_j = 0 where n_j = 0
+                    r = P.padd(r, P.pscale(self.record(sub(n, ej)).P, -aj))
+            scale = max(abs(c) for c in pn) + abs(bi) + sum(abs(aj) for aj in a)
+            if max(abs(c) for c in r) > self.tolerance * max(scale, 1):
+                raise PrecisionError(f"nearest-neighbor recurrence fails at n={n} at {self.precision_bits} bits")
 
     def record_json(self, n) -> dict:
         """Export one record: coefficients ascending, double precision."""
-        n = (int(n[0]), int(n[1]))
+        n = self._index(n)
         rec = self.record(n) if order(n) == 0 else self.type1_record(n)
-        a1, a2, b1, b2 = self.recurrence(n)
+        row, d = self.recurrence(n), len(n)
         return {
             "n": list(n),
             "P": P.pfloat(rec.P),
-            "A1": P.pfloat(rec.A1 or ()),
-            "A2": P.pfloat(rec.A2 or ()),
-            "a": [float(a1), float(a2)],
-            "b": [float(b1), float(b2)],
-            "h": [float(rec.h[0]), float(rec.h[1])],
+            **{f"A{k}": P.pfloat(c) for k, c in enumerate(rec.A or ((),) * d, 1)},
+            "a": [float(c) for c in row[:d]],
+            "b": [float(c) for c in row[d:]],
+            "h": [float(c) for c in rec.h],
         }
 
 
@@ -279,34 +297,26 @@ class MopSystem:
 def consistency_residual_from(coef, n) -> tuple:
     """Residuals of the three lattice compatibility identities at n.
 
-    ``coef(m) -> (a1, a2, b1, b2)`` supplies coefficients; n must have both
-    components >= 1.  Returns max absolute residuals (r1, r2, r3) over
+    ``coef(m) -> (a_1..a_d, b_1..b_d)`` supplies coefficients; n must have
+    every component >= 1.  Returns max absolute residuals (r1, r2, r3) over
     i != j.
     """
-    def a(m, i):
-        return coef(m)[i - 1]
-
-    def b(m, i):
-        return coef(m)[i + 1]
-
+    d = len(n)
     r1 = r2 = r3 = 0
-    for i, j in ((1, 2), (2, 1)):
-        ei = E1 if i == 1 else E2
-        ej = E1 if j == 1 else E2
-        r1 = max(r1, abs((b(add(n, ei), j) - b(n, j)) - (b(add(n, ej), i) - b(n, i))))
-        lhs = sum(a(add(n, ej), k) for k in (1, 2)) - sum(a(add(n, ei), k) for k in (1, 2))
-        rhs = b(add(n, ej), i) * b(n, j) - b(add(n, ei), j) * b(n, i)
-        r2 = max(r2, abs(lhs - rhs))
-        lhs = a(n, i) * (b(n, j) - b(n, i))
-        rhs = a(add(n, ej), i) * (b(sub(n, ei), j) - b(sub(n, ei), i))
-        r3 = max(r3, abs(lhs - rhs))
+    for i, j in permutations(range(d), 2):  # a_i is row[i], b_i is row[d + i] (0-based i)
+        ei, ej = unit(d, i + 1), unit(d, j + 1)
+        c, ci, cj, cl = coef(n), coef(add(n, ei)), coef(add(n, ej)), coef(sub(n, ei))
+        bi, bj = d + i, d + j
+        r1 = max(r1, abs((ci[bj] - c[bj]) - (cj[bi] - c[bi])))
+        r2 = max(r2, abs((sum(cj[:d]) - sum(ci[:d])) - (cj[bi] * c[bj] - ci[bj] * c[bi])))
+        r3 = max(r3, abs(c[i] * (c[bj] - c[bi]) - cj[i] * (cl[bj] - cl[bi])))
     return r1, r2, r3
 
 
 def consistency_residual(sys: MopSystem, n) -> tuple:
     """Consistency residuals at n computed from the system's own coefficients."""
-    if n[0] < 1 or n[1] < 1:
-        raise ValueError("consistency conditions require n in N^2")
+    if min(sys._index(n)) < 1:
+        raise ValueError("consistency conditions require every component of n >= 1")
     with workprec(sys.precision_bits):
         return consistency_residual_from(sys.recurrence, n)
 
@@ -315,25 +325,21 @@ def type1_recursion_residual(sys: MopSystem, n, i: int, j: int):
     """Coefficientwise residual of the type I nearest-neighbor recursion at n.
 
     ``x A_n^{(j)} = A_{n-e_i}^{(j)} + b_{n-e_i,i} A_n^{(j)}
-    + a_{n,1} A_{n+e_1}^{(j)} + a_{n,2} A_{n+e_2}^{(j)}`` for n in N^2.
+    + sum_k a_{n,k} A_{n+e_k}^{(j)}`` for n with every component >= 1.
     """
-    if n[0] < 1 or n[1] < 1:
-        raise ValueError("type I recursion requires n in N^2")
-    ei = E1 if i == 1 else E2
+    if min(sys._index(n)) < 1:
+        raise ValueError("type I recursion requires every component of n >= 1")
+    d, ei = len(n), sys.units[i - 1]
     with workprec(sys.precision_bits):
         def aj(m):
-            rec = sys.type1_record(m)
-            return rec.A1 if j == 1 else rec.A2
+            return sys.type1_record(m).A[j - 1]
 
-        a1, a2, _, _ = sys.recurrence(n)
-        b_i = sys.recurrence(sub(n, ei))[i + 1]
+        a = sys.recurrence(n)[:d]
+        b_i = sys.recurrence(sub(n, ei))[d + i - 1]
         r = P.pxshift(aj(n)) if aj(n) else ()
-        for coeffs, s in (
-            (aj(sub(n, ei)), mpf(-1)),
-            (aj(n), -b_i),
-            (aj(add(n, E1)), -a1),
-            (aj(add(n, E2)), -a2),
-        ):
+        terms = [(aj(sub(n, ei)), mpf(-1)), (aj(n), -b_i)]
+        terms += [(aj(add(n, e)), -ak) for e, ak in zip(sys.units, a)]
+        for coeffs, s in terms:
             if coeffs:
                 r = P.padd(r, P.pscale(coeffs, s))
         return max(abs(c) for c in r) if r else mpf(0)
@@ -346,29 +352,29 @@ def type1_recursion_residual(sys: MopSystem, n, i: int, j: int):
 
 class SecondKind:
     """The second-kind family n -> L_n(z) at one z off the supports, prepared
-    once: z at ``precision_bits`` and the mp Markov pair
-    ``(markov1(z), markov2(z))``, which every L_n(z) and the root kappa-form
-    at z (:meth:`KappaForm.combine`) read."""
+    once: z at ``precision_bits`` and the mp Markov values
+    ``(markov_1(z), ..., markov_d(z))``, which every L_n(z) and the root
+    kappa-form at z (:meth:`KappaForm.combine`) read."""
 
     def __init__(self, sys: MopSystem, z):
         self.sys = sys
         prec = sys.precision_bits
         with workprec(prec):
             self.z = mpc(z)
-            self.markov = (sys.mu1.markov_mp(self.z, prec), sys.mu2.markov_mp(self.z, prec))
+            self.markov = tuple(mu.markov_mp(self.z, prec) for mu in sys.measures)
 
     def __call__(self, n):
-        """L_n(z) through its partial-fraction form ``A1*markov1 + A2*markov2 - A0``."""
+        """L_n(z) through its partial-fraction form ``sum_k A_k*markov_k - A0``."""
         with workprec(self.sys.precision_bits):
-            a0, a1, a2 = self.sys.type1_values(n, self.z)
-            return a1 * self.markov[0] + a2 * self.markov[1] - a0
+            a0, *a = self.sys.type1_values(n, self.z)
+            return sum(ak * mk for ak, mk in zip(a, self.markov)) - a0
 
 
 def second_kind(sys: MopSystem, n, z):
     """L_n(z) off the supports, in extended precision.
 
     L_n is evaluated through its partial-fraction form
-    ``A1*markov1 + A2*markov2 - A0`` (large cancellation, hence mp).  The
+    ``sum_k A_k*markov_k - A0`` (large cancellation, hence mp).  The
     functions R_{n,k} are the Cauchy transforms ``cauchy(mu_k, z, P_n)``.
     ``z`` is a point, or the :class:`SecondKind` family of ``sys`` prepared
     at one: values at one z then share its Markov pair.
@@ -398,19 +404,18 @@ def _sides(sys: MopSystem, x, side) -> tuple:
     """Per measure, ``side`` if one of its ac pieces strictly holds x (each
     point of a 1-D array x), else None."""
     x = np.atleast_1d(x)
-    held = [np.any([(p.a < x) & (x < p.b) for p in mu.pieces], axis=0).all() for mu in (sys.mu1, sys.mu2)]
-    sides = tuple([side if h else None for h in held])
-    if sides == (None, None):
+    held = [np.any([(p.a < x) & (x < p.b) for p in mu.pieces], axis=0).all() for mu in sys.measures]
+    if not any(held):
         raise DomainError("boundary value requires x inside an ac piece")
-    return sides
+    return tuple([side if h else None for h in held])
 
 
 def linear_form(sys: MopSystem, n, prec=None):
-    """The transform of the linear form ``A1 dmu1 + A2 dmu2`` at n, prepared
+    """The transform of the linear form ``sum_k A_k dmu_k`` at n, prepared
     once: a function of (x, side) that gives the boundary value on the
-    measure holding x plus the plain Cauchy transform on the other."""
+    measure holding x plus the plain Cauchy transform on the others."""
     rec = sys.type1_record(n)
-    parts = [(j, kernel(mu, c, prec)) for j, (mu, c) in enumerate(((sys.mu1, rec.A1), (sys.mu2, rec.A2))) if c]
+    parts = [(j, kernel(mu, c, prec)) for j, (mu, c) in enumerate(zip(sys.measures, rec.A)) if c]
 
     def value(x, side="+"):
         sides = _sides(sys, x, side)
@@ -434,13 +439,14 @@ class KappaForm:
     """
 
     def __init__(self, sys: MopSystem, kappa, prec=None):
+        require_pair(sys)
         self.sys, self.prec = sys, prec
         if prec is None:
             self.weights = kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))
         else:
             with workprec(prec):
                 self.weights = mpf(kappa[1]) / sys.mass(1), mpf(kappa[0]) / sys.mass(2)
-        self.kernels = (kernel(sys.mu1, (), prec), kernel(sys.mu2, (), prec))
+        self.kernels = tuple(kernel(mu, (), prec) for mu in sys.measures)
 
     def markov(self, z, side=None) -> tuple:
         """(markov1, markov2) at z; with ``side``, the boundary value on the measure holding z."""
@@ -567,17 +573,14 @@ def _strict_interlace(inner, outer) -> bool:
     """outer has len(inner)+1 points and they strictly alternate."""
     if len(outer) != len(inner) + 1:
         return False
-    seq = []
-    for i, v in enumerate(inner):
-        seq.extend([outer[i], v])
-    seq.append(outer[-1])
+    seq = [v for pair in zip(outer, inner) for v in pair] + [outer[-1]]
     return all(a < b for a, b in zip(seq[:-1], seq[1:]))
 
 
 def interlacing_check(sys: MopSystem, n, i: int) -> bool:
     """Strict interlacing of the zeros of P_n and P_{n+e_i}."""
     zn = sys.zeros(n)
-    zu = sys.zeros(add(n, E1 if i == 1 else E2))
+    zu = sys.zeros(add(n, sys.units[i - 1]))
     if len(zn) != order(n) or len(zu) != order(n) + 1:
         raise ZeroError(f"zero count mismatch at n={n} (multiple root?)")
     return _strict_interlace(zn, zu)
@@ -592,7 +595,7 @@ def type1_interlacing_check(sys: MopSystem, n, k: int, l: int) -> bool:
     second-family zeros right, adding e_2 pulls the first-family zeros left);
     for k = l the larger family brackets the smaller one.
     """
-    lo, hi = (sys.mu1 if k == 1 else sys.mu2).hull()
+    lo, hi = sys.measures[k - 1].hull()
 
     def zeros_of(m):
         z = sys.zeros(m, k)
@@ -603,7 +606,7 @@ def type1_interlacing_check(sys: MopSystem, n, k: int, l: int) -> bool:
         return z
 
     zn = zeros_of(n)
-    zu = zeros_of(add(n, E1 if l == 1 else E2))
+    zu = zeros_of(add(n, sys.units[l - 1]))
     if k == l:
         return _strict_interlace(zn, zu) if zn or zu else True
     # equal counts: strict alternation with the stated dominance direction
@@ -617,10 +620,5 @@ def type1_interlacing_check(sys: MopSystem, n, k: int, l: int) -> bool:
 
 def sign_lambda_check(sys: MopSystem, n) -> bool:
     """Signs of the leading type I coefficients for a system with ordered disjoint hulls."""
-    rec = sys.type1_record(n)
-    ok = True
-    if rec.A1:
-        ok &= (1 if rec.A1[-1] > 0 else -1) == (-1) ** n[1]
-    if rec.A2:
-        ok &= rec.A2[-1] > 0
-    return bool(ok)
+    a1, a2 = sys.type1_record(n).A  # A_1 leads with the sign (-1)^{n2}, A_2 positively
+    return bool((not a1 or (a1[-1] > 0) == (n[1] % 2 == 0)) and (not a2 or a2[-1] > 0))

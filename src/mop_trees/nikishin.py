@@ -43,7 +43,7 @@ def nikishin_system(mu1: Measure, tau: Measure, precision_bits: int = 256) -> Ni
         for p in mu1.pieces
     )
     mu2 = Measure(pieces=pieces, quad_order=mu1.quad_order)
-    return NikishinSystem(mu1, tau, mu2, MopSystem(mu1, mu2, precision_bits))
+    return NikishinSystem(mu1, tau, mu2, MopSystem((mu1, mu2), precision_bits))
 
 
 # ---------------------------------------------------------------------------

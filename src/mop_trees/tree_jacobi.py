@@ -30,19 +30,19 @@ from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import E1, E2, KappaForm, MopSystem, SecondKind, add, second_kind, sub
+from .mop_engine import KappaForm, MopSystem, SecondKind, add, require_pair, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
 
 
 def lattice_values(fn, points) -> np.ndarray:
-    """``fn(n)`` once per distinct lattice point n in N^2 among the rows of
-    ``points``, gathered back to the rows."""
-    n1, n2 = np.reshape(points, (-1, 2)).T
-    width = int(n2.max(initial=0)) + 1
-    keys, inverse = np.unique(n1 * width + n2, return_inverse=True)
-    table = np.array([fn((k // width, k % width)) for k in keys.tolist()])
+    """``fn(n)`` once per distinct lattice point n in N^d among the rows of
+    ``points`` (n a tuple of ints, in lexicographic order), gathered back to the rows."""
+    cols = np.asarray(points).T
+    dims = tuple(int(c.max(initial=0)) + 1 for c in cols)  # mixed radix: integer keys sort as the points do
+    keys, inverse = np.unique(np.ravel_multi_index(cols, dims), return_inverse=True)
+    table = np.array([fn(n) for n in zip(*(c.tolist() for c in np.unravel_index(keys, dims)))])
     return table[inverse]
 
 
@@ -117,25 +117,25 @@ class TreeOperator:
 
 
 def _assemble(coef, tree: Tree, root_terms, kappa, sys: MopSystem | None = None) -> TreeOperator:
-    """The operator on ``tree`` with coefficients read from ``coef(n) -> (a1, a2, b1, b2)``.
+    """The operator on ``tree`` with coefficients read from ``coef(n) -> (a_1..a_d, b_1..b_d)``.
 
     A vertex v below the root reads a_{iota_v} at its parent's projection
     (W_v = |a|, sigma_v = 1 when a < 0) and b_{iota_v} at the lower end of the
-    edge to its parent (V_v).  The root reads ``V = w1 b_1(n1) + w2 b_2(n2)``
-    for ``root_terms = ((n1, w1), (n2, w2))``.  ``sys`` is kept on the operator.
+    edge to its parent (V_v).  The root reads ``V = sum_j w_j b_j(n_j)`` for
+    one root term ``(n_j, w_j)`` per measure.  ``sys`` is kept on the operator.
     """
-    n = len(tree)
+    n, d = len(tree), len(root_terms)
     lab = tree.iota[1:] - 1
     upper = tree.points[tree.parent[1:]]
     lower = np.minimum(upper, tree.points[1:])
-    (n1, w1), (n2, w2) = root_terms
-    rows = lattice_values(coef, np.vstack([upper, lower, [n1, n2]]))
+    rows = lattice_values(coef, np.vstack([upper, lower, [nj for nj, _ in root_terms]]))
     edge = np.arange(n - 1)
     a = rows[edge, lab]
     if np.any(a == 0):
         v = int(np.flatnonzero(a == 0)[0]) + 1
         raise ZeroWeightError(f"vanishing recurrence coefficient on edge to vertex {v}")
-    V = np.concatenate([[w1 * rows[-2, 2] + w2 * rows[-1, 3]], rows[n - 1 + edge, 2 + lab]])
+    root = sum(w * b for (_, w), b in zip(root_terms, np.diagonal(rows[-d:, d:])))
+    V = np.concatenate([[root], rows[n - 1 + edge, d + lab]])
     W = np.concatenate([[1.0], np.abs(a)])
     sigma = np.concatenate([[0], (a < 0).astype(int)])
     return TreeOperator(tree, V, W, sigma, kappa, sys)
@@ -150,14 +150,15 @@ def _kappa(kappa) -> tuple:
 
 def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
     """Operator on the finite tree for root mixing weights kappa (kappa1 + kappa2 = 1)."""
+    require_pair(sys)
     kappa = _kappa(kappa)
     tree = finite_tree(N)
-    N = tree.root_proj
-    return _assemble(sys.recurrence_float, tree, ((N, kappa[0]), (N, kappa[1])), kappa, sys)
+    return _assemble(sys.recurrence_float, tree, tuple((tree.root_proj, k) for k in kappa), kappa, sys)
 
 
 def assemble_truncated(sys: MopSystem, kappa, depth: int) -> TreeOperator:
     """Dirichlet truncation of the operator on the rooted Cayley tree."""
+    require_pair(sys)
     kappa = _kappa(kappa)
     root_terms = (((0, 1), kappa[0]), ((1, 0), kappa[1]))
     return _assemble(sys.recurrence_float, cayley_truncation(depth), root_terms, kappa, sys)
@@ -171,9 +172,9 @@ def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> T
     coupling to its parent.
     """
     tree = cayley_truncation(depth, root_proj=root_proj)
-    low = sub(tree.root_proj, E1 if root_iota == 1 else E2)
-    w = (1.0, 0.0) if root_iota == 1 else (0.0, 1.0)  # V_X = b_{root_iota}(low) exactly
-    return _assemble(sys.recurrence_float, tree, ((low, w[0]), (low, w[1])), None, sys)
+    e = sys.units[root_iota - 1]
+    low = sub(tree.root_proj, e)  # V_X = b_{root_iota}(low) exactly: the weights are e
+    return _assemble(sys.recurrence_float, tree, tuple((low, float(w)) for w in e), None, sys)
 
 
 def signature_diagonal(op: TreeOperator) -> np.ndarray:
@@ -227,9 +228,7 @@ def eigenfunction_residual(op: TreeOperator, kind: str, z, X=None, kl=(1, 0)) ->
         with workprec(sys.precision_bits):  # not at the ambient mp.prec
             zp = mpc(z)
             f = lattice_values(lambda n: complex(P.pval(sys.record(n).P, zp)), tree.points)
-            bnd = op.kappa[0] * complex(P.pval(sys.record(add(N, E1)).P, zp)) + op.kappa[1] * complex(
-                P.pval(sys.record(add(N, E2)).P, zp)
-            )
+            bnd = sum(k * complex(P.pval(sys.record(add(N, e)).P, zp)) for k, e in zip(op.kappa, sys.units))
         f /= op.m_weights()
         res = op.apply(f) - z * f
         res[0] += bnd

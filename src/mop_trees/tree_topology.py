@@ -1,20 +1,19 @@
 """Finite trees and truncations of the rooted Cayley tree.
 
-Two variants share one vertex store (BFS order, integer ids):
+Two variants share one vertex store (BFS order, integer ids); a projection
+is a multi-index in N^d, and a child step moves it by one unit vector e_i:
 
-* ``finite_tree(N)`` unwinds the lattice paths from N down to (0, 0); a child
-  step subtracts a unit vector from the projection, and ``iota`` records which
-  coordinate was decremented;
-* ``cayley_truncation(depth)`` truncates the infinite 2-homogeneous rooted
-  tree, whose projection starts at (1, 1) and grows by a unit vector per
-  generation (``iota`` records which one).
+* ``finite_tree(N)`` unwinds the lattice paths from N down to the origin; a
+  child step subtracts e_i, and ``iota`` records which i was decremented;
+* ``cayley_truncation(depth)`` truncates the infinite d-homogeneous rooted
+  tree, whose projection starts at (1, 1) and grows by e_i per generation
+  (``iota`` records which i).
 
 The Cayley variant also carries the deterministic edge/vertex type labeling
 used by the periodic operators: a vertex's type equals the label of the edge
-to its parent, and the two child edges of every vertex are labeled 1 then 2
-in child order.
+to its parent, and each vertex's child edges are labeled 1..d in child order.
 
-Ids are assigned a generation at a time with children labelled 1 then 2, so
+Ids are assigned a generation at a time with children labelled 1..d, so
 the children of v are the id range ``first_child[v]:first_child[v + 1]`` and
 the descendants of v form one contiguous id range per generation.
 """
@@ -22,11 +21,15 @@ the descendants of v form one contiguous id range per generation.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from itertools import accumulate, product
+from math import comb, prod
 
 import numpy as np
+
+from .mop_engine import multi_index
 
 ROOT_PARENT = -1  # sentinel id for the formal parent of the root
 
@@ -36,7 +39,7 @@ class Tree:
     kind: str                    # "finite" or "cayley"
     root_proj: tuple
     parent: np.ndarray           # ROOT_PARENT at the root
-    points: np.ndarray           # (n, 2) int array; row v is the projection of v
+    points: np.ndarray           # (n, d) int array; row v is the projection of v
     iota: np.ndarray             # step label of the edge to the parent (0 at root)
     depth: np.ndarray
     first_child: np.ndarray      # (n + 1,) children of v: first_child[v]:first_child[v + 1]
@@ -62,7 +65,7 @@ class Tree:
         return np.flatnonzero(~self.interior()).tolist()
 
     def canopy(self) -> list:
-        """Vertices projecting to (0, 0) (finite trees only)."""
+        """Vertices projecting to the origin (finite trees only)."""
         return np.flatnonzero(~self.points.any(axis=1)).tolist()
 
     def _ranges(self, lo: int, hi: int):
@@ -98,10 +101,7 @@ class Tree:
         return v
 
     def proj_counts(self) -> dict:
-        out: dict = {}
-        for p in self.proj:
-            out[p] = out.get(p, 0) + 1
-        return out
+        return Counter(self.proj)
 
     # -- export ------------------------------------------------------------
 
@@ -132,19 +132,20 @@ def _grow(kind: str, root_proj, step: int, depth: int | None = None) -> Tree:
 
     The child of label i has projection ``proj + step * e_i``.  With step -1
     (finite trees) it exists while that coordinate is positive; with step +1
-    (Cayley truncations) both children exist for the first ``depth`` generations.
+    (Cayley truncations) all children exist for the first ``depth`` generations.
     """
+    d = len(root_proj)
     gens, parents, labels = [np.array([root_proj])], [np.array([ROOT_PARENT])], [np.array([0])]
     n_kids, start = [], 0
     while True:
         p = gens[-1]
         has = p > 0 if step < 0 else np.full(p.shape, len(gens) <= depth)
         n_kids.append(has.sum(axis=1))
-        kid = np.flatnonzero(has)  # row-major: vertex order, label 1 before 2
+        kid = np.flatnonzero(has)  # row-major: vertex order, labels ascending
         if not kid.size:
             break
-        par, lab = kid // 2, kid % 2
-        gens.append(p[par] + step * np.eye(2, dtype=int)[lab])
+        par, lab = kid // d, kid % d
+        gens.append(p[par] + step * np.eye(d, dtype=int)[lab])
         parents.append(start + par)
         labels.append(lab + 1)
         start += len(p)
@@ -157,24 +158,21 @@ def _grow(kind: str, root_proj, step: int, depth: int | None = None) -> Tree:
 
 
 def finite_tree(N) -> Tree:
-    """The finite tree whose root projects to N and whose canopy projects to (0, 0)."""
-    N = (int(N[0]), int(N[1]))
-    if N[0] < 1 or N[1] < 1:
-        raise ValueError("finite tree requires N in N^2")
+    """The finite tree whose root projects to N and whose canopy projects to the origin."""
+    N = multi_index(N)
+    if min(N) < 1:
+        raise ValueError("finite tree requires every component of N >= 1")
     return _grow("finite", N, -1)
 
 
 def finite_tree_vertex_count(N) -> int:
-    """Closed-form count: sum over the rectangle of lattice-path multiplicities."""
-    total = 0
-    for n1 in range(N[0] + 1):
-        for n2 in range(N[1] + 1):
-            total += comb((N[0] - n1) + (N[1] - n2), N[0] - n1)
-    return total
+    """Closed-form count: over the box below N, the multinomial number of lattice
+    paths from N to each point (q = N - point, a product of binomials)."""
+    return sum(prod(map(comb, accumulate(q), q)) for q in product(*(range(k + 1) for k in N)))
 
 
 def cayley_truncation(depth: int, root_proj=(1, 1)) -> Tree:
     """Truncation of the rooted Cayley tree to ``depth`` generations below the root."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _grow("cayley", (int(root_proj[0]), int(root_proj[1])), 1, depth)
+    return _grow("cayley", multi_index(root_proj), 1, depth)

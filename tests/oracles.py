@@ -230,7 +230,7 @@ def find_e_kappa_sweep(asys, kappa, grid: int = 4000):
 
     def f(x):
         m1, m2 = float(asys.sys.mass(1)), float(asys.sys.mass(2))
-        form = (kappa[1] / m1) * asys.sys.mu1.markov(x) + (kappa[0] / m2) * asys.sys.mu2.markov(x)
+        form = (kappa[1] / m1) * asys.sys.measures[0].markov(x) + (kappa[0] / m2) * asys.sys.measures[1].markov(x)
         return form.real
 
     segments = []
@@ -555,7 +555,7 @@ def rho_sub_point(asys, X):
     _, _, n, l = _path_data(asys, tuple(X))
     boundary = linear_form(asys.sys, n)
     bridges = _bridge_weights(asys, n, l)
-    kernels = {k: kernel(asys.sys.mu2 if k == 1 else asys.sys.mu1, w) for k, (_, w) in bridges.items()}
+    kernels = {k: kernel(asys.sys.measures[2 - k], w) for k, (_, w) in bridges.items()}
 
     def value(x):
         dens = _mustar_density(asys, x)

@@ -86,7 +86,7 @@ class TestKappaForm:
     def test_kappa_form_swaps_components(self, ang_u):
         # kappa = e1 attaches the order-one form of the second measure
         z = 5.0
-        direct = ang_u.sys.mu2.markov(z) / ang_u.sys.mu2.integrate(np.ones_like)
+        direct = ang_u.sys.measures[1].markov(z) / ang_u.sys.measures[1].integrate(np.ones_like)
         assert KappaForm(ang_u.sys, (1, 0))(z) == pytest.approx(direct)
 
     @pytest.mark.parametrize("kappa", [(0.5, 0.5), (0.3, 0.7), (1, 0), (2, -1), (-0.5, 1.5)])
@@ -128,8 +128,8 @@ class TestKappaForm:
     def test_boundary_form_takes_host_boundary_value(self, ang_u):
         # with side, the measure holding x gives its boundary value, the other its plain transform
         x = 1.3
-        w1, w2 = 0.7 / ang_u.sys.mu1.integrate(np.ones_like), 0.3 / ang_u.sys.mu2.integrate(np.ones_like)
-        expected = w1 * ang_u.sys.mu1.markov(x) + w2 * ang_u.sys.mu2.markov_boundary(x, "-")
+        w1, w2 = 0.7 / ang_u.sys.measures[0].integrate(np.ones_like), 0.3 / ang_u.sys.measures[1].integrate(np.ones_like)
+        expected = w1 * ang_u.sys.measures[0].markov(x) + w2 * ang_u.sys.measures[1].markov_boundary(x, "-")
         assert KappaForm(ang_u.sys, (0.3, 0.7))(x, "-") == pytest.approx(expected, rel=1e-14)
         with pytest.raises(DomainError):
             KappaForm(ang_u.sys, (0.3, 0.7))(0.0, "+")
@@ -170,7 +170,7 @@ class TestRhoO:
         rep = rho_o(ang_u, (1, 0))
         assert rep(-1.5) > 0
         # the weight -(markov of mu2)/(Xi m1 m2) is positive left of the gap
-        s_o = -(ang_u.sys.mu2.markov(-1.5).real) / 3.0
+        s_o = -(ang_u.sys.measures[1].markov(-1.5).real) / 3.0
         assert s_o > 0
         with pytest.raises(DomainError):
             rep(0.0)
@@ -480,6 +480,15 @@ class TestReferenceMeasure:
         monkeypatch.setattr(ang_u.sys, "type1_values", lambda n, z: calls.append(z) or values(n, z))
         reference_measure_via_dual(ang_u, (2, 2), 1.44, 0.1)
         assert calls == [1.44]
+
+    def test_d_n_xi_polynomial_is_formed_once(self, monkeypatch):
+        asys = angelesco_system(uniform(-2, -1), uniform(1, 2))
+        asys.sys.type1_record((3, 2))
+        products = []
+        pmul = angelesco.P.pmul
+        monkeypatch.setattr(angelesco.P, "pmul", lambda a, b: products.append(1) or pmul(a, b))
+        values = {d_n_xi(asys, (3, 2), 0.2, x) for x in [-1.5] * 20}
+        assert len(values) == 1 and len(products) == 2  # A1 A2, then (x - xi)
 
     @pytest.mark.parametrize("pair, xis", [("ang_u", (-0.3, 0.4)), ("ang_skew", (-2.5, -2.4))])
     def test_d_n_xi_is_correctly_rounded(self, pair, xis, request):

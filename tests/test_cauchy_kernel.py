@@ -227,7 +227,7 @@ def _density_at(mu, x):
 
 
 def _sides(sys, x):
-    return tuple("+" if any(p.a < x < p.b for p in mu.pieces) else None for mu in (sys.mu1, sys.mu2))
+    return tuple("+" if any(p.a < x < p.b for p in mu.pieces) else None for mu in sys.measures)
 
 
 def rho_o_density(asys, kappa, x):
@@ -238,10 +238,10 @@ def rho_o_density(asys, kappa, x):
     sys = asys.sys
     w1, w2 = kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))
     s1, s2 = _sides(sys, x)
-    lk = w1 * oracles.cauchy(sys.mu1, x, side=s1) + w2 * oracles.cauchy(sys.mu2, x, side=s2)
+    lk = w1 * oracles.cauchy(sys.measures[0], x, side=s1) + w2 * oracles.cauchy(sys.measures[1], x, side=s2)
     scale = 1.0 / (asys.xi_mass * float(sys.mass(1)) * float(sys.mass(2)))
     k = asys.side_of(x)
-    s_o = scale * (-oracles.cauchy(sys.mu2, x).real) if k == 1 else scale * oracles.cauchy(sys.mu1, x).real
+    s_o = scale * (-oracles.cauchy(sys.measures[1], x).real) if k == 1 else scale * oracles.cauchy(sys.measures[0], x).real
     return s_o * dens / abs(lk) ** 2
 
 
@@ -252,11 +252,11 @@ def rho_sub_density(asys, X, x):
         return 0.0
     _, _, n, l = _path_data(asys, X)
     sys, rec = asys.sys, asys.sys.type1_record(n)
-    parts = zip((sys.mu1, sys.mu2), (rec.A1, rec.A2), _sides(sys, x))
+    parts = zip(sys.measures, rec.A, _sides(sys, x))
     L = sum([oracles.cauchy(mu, x, c, s) for mu, c, s in parts if c])
     k = asys.side_of(x)
     zs_other, weight = _bridge_weights(asys, n, l)[k]
-    integral = oracles.cauchy(sys.mu2 if k == 1 else sys.mu1, x, weight).real
+    integral = oracles.cauchy(sys.measures[2 - k], x, weight).real
     tmx = np.prod([x - r for r in zs_other]) if zs_other else 1.0
     return float((-1.0) ** k * integral / tmx) * dens / abs(L) ** 2
 
@@ -347,7 +347,7 @@ class TestKernelCounts:
         rep = rho_o(asys, (0.4, 0.6))
         rep.total_mass()
         rep.first_moment()
-        mu1, mu2 = id(asys.sys.mu1), id(asys.sys.mu2)
+        mu1, mu2 = map(id, asys.sys.measures)
         assert len(made) == len(set(made))
         assert {(mu1, (), None), (mu2, (), None)} <= set(made)  # plus mp ones for a point mass
         made.clear()

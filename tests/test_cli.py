@@ -185,6 +185,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["verdict"] == "PASS"
 
+    def test_checks_scale_with_precision(self, ang_file, nik_file, capsys):
+        # at 53 bits the recurrence check used to fail from (1,1) on, and the
+        # consistency bound of verify held 128-bit residuals to 1e-25
+        code, out = run(capsys, "mop", "coeffs", "--system", ang_file, "--n", "3,3", "--precision-bits", "53")
+        assert code == 0 and json.loads(out)["record"]["n"] == [3, 3]
+        for path, bits in ((ang_file, "256"), (nik_file, "128")):
+            code, out = run(capsys, "verify", "all", "--system", path, "--precision-bits", bits)
+            assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
 
 class TestExitCodesAndDeterminism:
     def test_usage_error_exits_one(self, capsys):

@@ -9,7 +9,7 @@ from mpmath import mpf, workprec
 
 from mop_trees import _poly as P
 from mop_trees import mop_engine
-from mop_trees.errors import NormalityError
+from mop_trees.errors import NormalityError, PrecisionError
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
     MopSystem,
@@ -53,7 +53,7 @@ class TestType2:
         assert as_floats(ang_sys.type2((3, 2))) == pytest.approx(expected, rel=1e-25)
 
     def test_normality_error_on_degenerate_pair(self):
-        twin = MopSystem(uniform(0, 1), uniform(0, 1), 128)
+        twin = MopSystem((uniform(0, 1), uniform(0, 1)), 128)
         with pytest.raises(NormalityError):
             twin.type2((1, 1))
 
@@ -81,8 +81,8 @@ class TestType1:
         n = (2, 2)
         A1, A2, _ = ang_sys.type1(n)
         with workprec(256):
-            m1 = ang_sys.mu1.moments_mp(6, 256)
-            m2 = ang_sys.mu2.moments_mp(6, 256)
+            m1 = ang_sys.measures[0].moments_mp(6, 256)
+            m2 = ang_sys.measures[1].moments_mp(6, 256)
             val = sum(c * m1[3 + i] for i, c in enumerate(A1))
             val += sum(c * m2[3 + i] for i, c in enumerate(A2))
         assert float(val) == pytest.approx(1.0, abs=1e-40)
@@ -114,17 +114,17 @@ class TestRecurrence:
     def test_a_routes_agree(self, ang_sys):
         # route 1: h-ratios; route 2: solve the polynomial identity
         # x P_n - P_{n+e_i} - b_i P_n = a1 P_{n-e1} + a2 P_{n-e2} coefficientwise
-        from mop_trees.mop_engine import E1, E2, add, sub
+        from mop_trees.mop_engine import add, sub
 
         n = (2, 2)
         with workprec(256):
             a1, a2, b1, b2 = ang_sys.recurrence(n)
             pn = ang_sys.record(n).P
             lhs = P.pxshift(pn)
-            lhs = P.padd(lhs, P.pscale(ang_sys.record(add(n, E1)).P, -1))
+            lhs = P.padd(lhs, P.pscale(ang_sys.record(add(n, ang_sys.units[0])).P, -1))
             lhs = P.padd(lhs, P.pscale(pn, -b1))
-            p1 = ang_sys.record(sub(n, E1)).P
-            p2 = ang_sys.record(sub(n, E2)).P
+            p1 = ang_sys.record(sub(n, ang_sys.units[0])).P
+            p2 = ang_sys.record(sub(n, ang_sys.units[1])).P
             # both P_{n-e} are monic of one lower degree; split by evaluation
             # at a zero of the second one
             z2 = real_zeros(p2)[0]
@@ -193,7 +193,7 @@ class TestSecondKind:
         h1, _ = ang_sys.h_values(n)
         devs = []
         for z in (1e4, 1e6):
-            R1 = cauchy(ang_sys.mu1, z, ang_sys.record(n).P, prec=ang_sys.precision_bits)
+            R1 = cauchy(ang_sys.measures[0], z, ang_sys.record(n).P, prec=ang_sys.precision_bits)
             devs.append(abs(complex(R1) * z ** (n[0] + 1) / float(h1) - 1))
         assert devs[0] < 10 / 1e4 and devs[1] < 10 / 1e6
         assert devs[1] < devs[0] / 50
@@ -203,7 +203,7 @@ class TestSecondKind:
         family = SecondKind(ang_sys, z)
         for n in ((1, 0), (0, 1), (3, 2), (4, 4)):
             assert second_kind(ang_sys, n, family)._mpc_ == second_kind(ang_sys, n, z)._mpc_
-        other = MopSystem(ang_sys.mu1, ang_sys.mu2)
+        other = MopSystem(ang_sys.measures)
         with pytest.raises(ValueError):
             second_kind(other, (1, 1), family)
 
@@ -295,13 +295,13 @@ class TestZerosOnRecords:
         return seen
 
     def test_interlacing_reads_record_zeros(self, calls):
-        sys = MopSystem(uniform(-2, -1), uniform(1, 2))
+        sys = MopSystem((uniform(-2, -1), uniform(1, 2)))
         assert interlacing_check(sys, (3, 2), 1)
         assert interlacing_check(sys, (3, 2), 2)
         assert len(calls) == 3  # P_(3,2), P_(4,2), P_(3,3): P_(3,2) only once
 
     def test_type1_check_repeats_without_new_searches(self, calls):
-        sys = MopSystem(uniform(-2, -1), uniform(1, 2))
+        sys = MopSystem((uniform(-2, -1), uniform(1, 2)))
         assert type1_interlacing_check(sys, (2, 2), 2, 1)
         first = len(calls)
         assert type1_interlacing_check(sys, (2, 2), 2, 1)
@@ -310,14 +310,14 @@ class TestZerosOnRecords:
     def test_record_zeros_match_direct_search(self, ang_sys):
         for n, k in [((3, 2), 0), ((3, 2), 1), ((3, 2), 2), ((0, 3), 1), ((1, 1), 2)]:
             rec = ang_sys.record(n) if k == 0 else ang_sys.type1_record(n)
-            c = (rec.P, rec.A1, rec.A2)[k]
+            c = (rec.P, *rec.A)[k]
             assert ang_sys.zeros(n, k) == (tuple(real_zeros(c)) if len(c) > 1 else ())
 
     def test_type1_values_match_horner(self, ang_sys):
         z = mpf("1.25")
         rec = ang_sys.type1_record((3, 2))
         with workprec(256):
-            expected = tuple(P.pval(c, z) for c in (rec.A0, rec.A1, rec.A2))
+            expected = tuple(P.pval(c, z) for c in (rec.A0, *rec.A))
         assert ang_sys.type1_values((3, 2), z) == expected
         assert ang_sys.type1_values((0, 1), z)[1] == 0  # A1 = 0 when n1 = 0
 
@@ -363,7 +363,7 @@ class TestSignLambda:
 def test_nonpositive_precision_rejected(bits):
     mu = uniform(-1, 1)
     with pytest.raises(ValueError):
-        MopSystem(mu, mu, bits)
+        MopSystem((mu, mu), bits)
 
 
 class TestNormalityInvariant:
@@ -378,8 +378,8 @@ class TestNormalityInvariant:
         n = (3, 2)
         p = ang_sys.record(n).P
         with workprec(256):
-            m1 = ang_sys.mu1.moments_mp(10, 256)
-            m2 = ang_sys.mu2.moments_mp(10, 256)
+            m1 = ang_sys.measures[0].moments_mp(10, 256)
+            m2 = ang_sys.measures[1].moments_mp(10, 256)
             worst = mpf(0)
             for mom, nk in ((m1, 3), (m2, 2)):
                 for m in range(nk):
@@ -405,14 +405,59 @@ class TestEngineChecksRaise:
                 ang_sys._check_orthogonality(_nudged(p), n, moms)
 
     def test_recurrence_check(self, n):
-        sys = MopSystem(uniform(-2, -1), uniform(1, 2))  # its record at n is nudged below
+        sys = MopSystem((uniform(-2, -1), uniform(1, 2)))  # its record at n is nudged below
         coef = sys.recurrence(n)
         with workprec(256):
-            sys._check_recurrence(n, *coef)
+            sys._check_recurrence(n, coef[:2], coef[2:])
             rec = sys.record(n)
             rec.P = _nudged(rec.P)
-            with pytest.raises(NormalityError, match="nearest-neighbor recurrence fails"):
-                sys._check_recurrence(n, *coef)
+            with pytest.raises(PrecisionError, match="nearest-neighbor recurrence fails"):
+                sys._check_recurrence(n, coef[:2], coef[2:])
+
+
+class TestPrecisionScaledRecurrenceCheck:
+    """The recurrence check's bound is 2^(-prec/3), as the orthogonality check's."""
+
+    @pytest.mark.parametrize("bits", [53, 64])
+    def test_low_precision_solves_three_three(self, bits):
+        low = MopSystem((uniform(-2, -1), uniform(1, 2)), bits).recurrence((3, 3))
+        ref = MopSystem((uniform(-2, -1), uniform(1, 2)), 512).recurrence((3, 3))
+        assert max(abs(float(g) - float(r)) for g, r in zip(low, ref)) < 1e-10
+
+    def test_precision_error_names_the_bits(self):
+        with pytest.raises(PrecisionError, match="at 53 bits"):
+            MopSystem((uniform(-2, -1), uniform(1, 2)), 53).recurrence((0, 7))
+
+
+class TestMultiIndex:
+    """A multi-index has one nonnegative integer component per measure."""
+
+    @pytest.mark.parametrize(
+        "method, n",
+        [("recurrence", (1, 2, 3)), ("recurrence_float", (1, 2, 7)), ("recurrence", (1.7, 2)), ("record", (1,))],
+    )
+    def test_malformed_index_raises(self, ang_sys, method, n):
+        with pytest.raises(ValueError):
+            getattr(ang_sys, method)(n)
+
+    def test_numpy_components_key_the_same_record(self, ang_sys):
+        assert ang_sys.record(np.array([2, 1])) is ang_sys.record((2, 1))
+
+    def test_three_measure_identities(self):
+        sys = MopSystem((uniform(-3, -2), uniform(-0.5, 0.5), uniform(2, 3)))
+        for n in [(1, 1, 1), (2, 1, 1), (1, 2, 3)]:
+            assert max(float(r) for r in consistency_residual(sys, n)) < 1e-60
+            for i in (1, 2, 3):
+                for j in (1, 2, 3):
+                    assert float(type1_recursion_residual(sys, n, i, j)) < 1e-60
+
+    def test_one_measure_gives_the_legendre_recurrence(self):
+        sys = MopSystem((uniform(-1, 1),))
+        with workprec(256):
+            for n in range(21):
+                a, b = sys.recurrence((n,))
+                assert abs(b) < mpf(10) ** -60
+                assert abs(a - mpf(n * n) / (4 * n * n - 1)) < mpf(10) ** -60
 
 
 class TestRecordExport:
@@ -437,7 +482,7 @@ class TestJacobiWeightPairs:
             return Measure(pieces=(Piece(a, b, DensitySpec("jacobi_weight", p=p, q=q)),))
 
         b1, a2 = a1 + w1, a1 + w1 + gap
-        return MopSystem(measure(a1, b1, p1, q1), measure(a2, a2 + w2, p2, q2))
+        return MopSystem((measure(a1, b1, p1, q1), measure(a2, a2 + w2, p2, q2)))
 
     @given(
         a1=st.floats(min_value=-3, max_value=0), w1=width, gap=st.floats(min_value=0.1, max_value=2), w2=width,

@@ -122,7 +122,7 @@ class TestSingularMomentMatrices:
     """Two atoms at 0 and 1 have exact moments 1, 1/2, 1/2, ...: rank 2."""
 
     def system(self):
-        return MopSystem(Measure(atoms=((0, 0.5), (1, 0.5))), uniform(2, 3), 128)
+        return MopSystem((Measure(atoms=((0, 0.5), (1, 0.5))), uniform(2, 3)), 128)
 
     def test_type2_raises_normality_error(self):
         sys = self.system()
@@ -213,7 +213,7 @@ ENGINE_DIGEST = "8450fefd3b5293e86b285315512976c6514ed98b657ed08eb9ff217baa36f15
 
 def engine_fields(sys, nmax, moments_upto=40):
     """Moments 0..40 of both measures, then P, h, A1, A2, A0 and the recurrence row for |n| <= nmax."""
-    out = [("mom", bits(mu.moments_mp(moments_upto, sys.precision_bits))) for mu in (sys.mu1, sys.mu2)]
+    out = [("mom", bits(mu.moments_mp(moments_upto, sys.precision_bits))) for mu in sys.measures]
     for d in range(nmax + 1):
         for n1 in range(d, -1, -1):
             n = (n1, d - n1)
@@ -222,7 +222,7 @@ def engine_fields(sys, nmax, moments_upto=40):
             out.append((n, "h", bits(rec.h)))
             if d >= 1:
                 rec = sys.type1_record(n)
-                out.extend((n, name, bits(getattr(rec, name))) for name in ("A1", "A2", "A0"))
+                out.extend((n, name, bits(c)) for name, c in zip(("A1", "A2", "A0"), (*rec.A, rec.A0)))
             out.append((n, "rec", bits(sys.recurrence(n))))
     return out
 
@@ -262,7 +262,7 @@ def test_moment_bits_ignore_call_history():
     for sys in (warm, cold):
         sys.record((10, 10))
     prec = cold.precision_bits
-    for mu_w, mu_c in ((warm.mu1, cold.mu1), (warm.mu2, cold.mu2)):
+    for mu_w, mu_c in zip(warm.measures, cold.measures):
         assert bits(mu_w.moments_mp(30, prec)) == bits(mu_c.moments_mp(30, prec))
     assert bits(warm.record((10, 10)).P) == bits(cold.record((10, 10)).P)
 

@@ -6,14 +6,17 @@ from mpmath import workprec
 
 from mop_trees import tree_jacobi
 from mop_trees.angelesco import angelesco_system
-from mop_trees.errors import ZeroWeightError
+from mop_trees.errors import DomainError, ZeroWeightError
+from mop_trees.finite_spectral import eigenvalue_set
 from mop_trees.measures import uniform
+from mop_trees.mop_engine import KappaForm, MopSystem
 from mop_trees.tree_jacobi import (
     _assemble,
     assemble_finite,
     assemble_subtree,
     assemble_truncated,
     eigenfunction_residual,
+    lattice_values,
     root_boundary_gap,
     s_selfadjoint_check,
     signature_diagonal,
@@ -251,3 +254,39 @@ class TestOneReadPerPoint:
         op = assemble_truncated(ang_sys, (1, 0), 6)
         eigenfunction_residual(op, "l", 5.0)
         assert sorted(calls) == sorted(self.corner((1, 1), 7))  # 28 points for 127 vertices
+
+
+class TestGenericIndex:
+    def test_lattice_values_on_three_columns_equal_per_row_calls(self):
+        points = np.random.default_rng(3).integers(0, 4, size=(60, 3))
+        calls = []
+
+        def fn(n):
+            calls.append(n)
+            return [float(n[0] - 2 * n[1] + 5 * n[2]), float(n[1])]
+
+        got = lattice_values(fn, points)
+        assert got.tolist() == [fn(tuple(row)) for row in points.tolist()]
+        distinct = sorted(set(map(tuple, points.tolist())))
+        assert calls[: len(distinct)] == distinct  # once per point, in lexicographic order
+        assert all(type(k) is int for n in calls for k in n)
+
+    def test_subtree_of_three_measures(self):
+        sys = MopSystem((uniform(-3, -2), uniform(-0.5, 0.5), uniform(2, 3)))
+        op = assemble_subtree(sys, (1, 1, 1), 2, 2)
+        assert op.n_vertices == 13
+        assert op.V[0] == sys.recurrence_float((1, 0, 1))[3 + 1]  # b_2 below the root, exactly
+        J = op.dense()
+        assert np.array_equal(J, J.T)
+
+    def test_kappa_entry_points_need_two_measures(self):
+        sys = MopSystem((uniform(-1, 1),))
+        calls = [
+            lambda: assemble_truncated(sys, (0.5, 0.5), 2),
+            lambda: assemble_finite(sys, (0.5, 0.5), (2,)),
+            lambda: eigenvalue_set(sys, (0.5, 0.5), (2,)),
+            lambda: KappaForm(sys, (0.5, 0.5)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="two measures"):
+                call()

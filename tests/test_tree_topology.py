@@ -52,6 +52,30 @@ class TestFiniteTree:
         assert len(finite_tree((n1, n2))) == finite_tree_vertex_count((n1, n2))
 
 
+class TestGenericIndex:
+    """One child per measure: the trees of one and three measures."""
+
+    @pytest.mark.parametrize("N", [(3,), (3, 2), (2, 1, 1), (1, 1, 1)])
+    def test_vertex_count_formula(self, N):
+        t = finite_tree(N)
+        assert len(t) == finite_tree_vertex_count(N)
+        assert np.array_equal(t.points[1:] + np.eye(len(N), dtype=int)[t.iota[1:] - 1], t.points[t.parent[1:]])
+
+    def test_three_measure_count(self):
+        assert len(finite_tree((2, 1, 1))) == 35
+
+    def test_cayley_three_children(self):
+        t = cayley_truncation(3, (1, 1, 1))
+        assert len(t) == 40
+        assert t.iota[1:].tolist() == [1, 2, 3] * 13
+        assert np.array_equal(t.points[1:] - np.eye(3, dtype=int)[t.iota[1:] - 1], t.points[t.parent[1:]])
+
+    @pytest.mark.parametrize("N", [(2, 0), (2, 1.5), (-1, 2), ()])
+    def test_malformed_root_raises(self, N):
+        with pytest.raises(ValueError):
+            finite_tree(N)
+
+
 class TestCayley:
     def test_depth_zero(self):
         t = cayley_truncation(0)
