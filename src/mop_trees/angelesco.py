@@ -39,6 +39,7 @@ from .mop_engine import (
     SecondKind,
     _deflate,
     add,
+    kappa_pair,
     linear_form,
     real_zeros,
     second_kind,
@@ -46,7 +47,7 @@ from .mop_engine import (
     second_kind_boundary_mp,
 )
 from .quadrature import qags
-from .tree_jacobi import _kappa, assemble_subtree, assemble_truncated, lattice_values
+from .tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
 
 _ENDPOINT_EXCLUSION = 1e-6
 
@@ -108,7 +109,7 @@ def find_e_kappa(asys: AngelescoSystem, kappa):
     bisection over grid indices, then bisected down to rounding level.  The
     zero is kept on the system per normalized kappa.
     """
-    kappa = _kappa(kappa)
+    kappa = kappa_pair(kappa)
     key = ("e_kappa", kappa)
     if key not in asys._cache:
         asys._cache[key] = _search_e_kappa(asys, kappa)
@@ -234,7 +235,6 @@ def _require_one_piece(asys: AngelescoSystem) -> None:
 def rho_o(asys: AngelescoSystem, kappa) -> SpectralMeasureRep:
     """Spectral measure of the root vector for the kappa operator (one-piece measures only)."""
     _require_one_piece(asys)
-    kappa = _kappa(kappa)
     form = KappaForm(asys.sys, kappa)
     scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
 
@@ -364,7 +364,7 @@ def green(asys: AngelescoSystem, kappa, Y, X, z, depth: int = 12) -> tuple:
     oracle solves the Dirichlet truncation of the subtree operator at the
     given depth with a sparse LU.
     """
-    kappa = _kappa(kappa)
+    kappa = kappa_pair(kappa)
     X, Y = tuple(X), tuple(Y)
     if Y[: len(X)] != X:
         raise DomainError("Y must lie in the subtree below X")

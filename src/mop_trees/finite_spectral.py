@@ -23,8 +23,8 @@ from mpmath import mpf, workprec
 
 from . import _poly as P
 from .errors import AssumptionError, JointError, NeutralVectorError, RankError
-from .mop_engine import MopSystem, add, order, real_zeros, require_pair
-from .tree_jacobi import TreeOperator, _kappa, assemble_finite, lattice_values, signature_diagonal
+from .mop_engine import MopSystem, add, kappa_pair, order, real_zeros, require_pair
+from .tree_jacobi import TreeOperator, assemble_finite, lattice_values, signature_diagonal
 from .tree_topology import ROOT_PARENT, Tree, finite_tree
 
 _CLASH_TOL = 1e-9        # zeros closer than this count as one eigenvalue (or a clash)
@@ -84,10 +84,11 @@ class SpectralDecomposition:
 
 
 def boundary_polynomial(sys: MopSystem, kappa, N) -> tuple:
-    """kappa1 P_{N+e1} + kappa2 P_{N+e2}; monic of degree |N|+1 since kappa sums to 1."""
+    """kappa1 P_{N+e1} + kappa2 P_{N+e2}, monic of degree |N| + 1 (:func:`kappa_pair` checks kappa)."""
     # At _EVAL_BITS, as the P_n(E) tables: the goldens were recorded there, and
     # sys.precision_bits would move the tree-spectrum and tree-svec goldens.
     require_pair(sys)
+    kappa = kappa_pair(kappa)
     p1, p2 = (sys.record(add(N, e)).P for e in sys.units)
     with workprec(_EVAL_BITS):
         return P.padd(P.pscale(p1, kappa[0]), P.pscale(p2, kappa[1]))
@@ -100,7 +101,7 @@ def eigenvalue_set(sys: MopSystem, kappa, N):
     each relevant multi-index key to its sorted zero list.
     """
     N = sys._index(N)
-    return _eigenvalue_set_on(sys, _kappa(kappa), N, finite_tree(N))
+    return _eigenvalue_set_on(sys, kappa, N, finite_tree(N))  # boundary_polynomial checks kappa
 
 
 def _eigenvalue_set_on(sys, kappa, N, tree):
@@ -210,7 +211,7 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     multiset agreement of the eigenvalue set with a dense eigensolve.
     """
     N = sys._index(N)
-    kappa = _kappa(kappa)
+    kappa = kappa_pair(kappa)
     op = assemble_finite(sys, kappa, N)
     eigenvalues, zero_table, bpoly = _eigenvalue_set_on(sys, kappa, N, op.tree)
 

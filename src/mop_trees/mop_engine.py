@@ -74,6 +74,14 @@ def require_pair(sys) -> None:
         raise DomainError(f"kappa-forms need a system of two measures, not {len(sys.measures)}")
 
 
+def kappa_pair(kappa) -> tuple:
+    """kappa as two floats with kappa1 + kappa2 = 1 (to 1e-12); ValueError otherwise."""
+    kappa = tuple(map(float, kappa))
+    if len(kappa) != 2 or not abs(kappa[0] + kappa[1] - 1) <= 1e-12:  # a NaN or inf weight fails too
+        raise ValueError(f"kappa must be two finite weights summing to 1, not {kappa}")
+    return kappa
+
+
 @dataclass
 class MopRecord:
     """Cached data at one multi-index (fields fill lazily)."""
@@ -132,8 +140,7 @@ class MopSystem:
         if rec is None:
             rec = self._records[n] = MopRecord(n=n)
         if not rec.P:
-            rec.P = self._solve_type2(n)
-            rec.h = tuple(self._h_value(rec, j) for j in range(1, len(n) + 1))
+            rec.P, rec.h = self._solve_type2(n)
         return rec
 
     def _moment_system(self, n) -> tuple:
@@ -151,17 +158,17 @@ class MopSystem:
 
     def _solve_type2(self, n) -> tuple:
         d = order(n)
-        if d == 0:
-            return (mpf(1),)
         rows, moms = self._moment_system(n)
         with workprec(self.precision_bits):
-            rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
-            coeffs = tuple(self._lu(rows, rhs, n, "II")) + (mpf(1),)
-            self._check_orthogonality(coeffs, n, moms)
-            return coeffs
+            coeffs = (mpf(1),)
+            if d:
+                rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
+                coeffs = tuple(self._lu(rows, rhs, n, "II")) + coeffs
+            return coeffs, self._check_orthogonality(coeffs, n, moms)
 
-    def _check_orthogonality(self, coeffs, n, moms):
-        # exact identities up to rounding; failure signals a non-normal index
+    def _check_orthogonality(self, coeffs, n, moms) -> tuple:
+        """(h_1, ..., h_d) for P = ``coeffs``: the residuals ``int P x^m dmu_k`` vanish up to
+        rounding for m < n_k (else n is not normal, NormalityError), and h_k is the one at m = n_k."""
         bound = self.tolerance * max(abs(c) for c in coeffs)
         d = len(coeffs) - 1
         for nk, mom in zip(n, moms):
@@ -171,11 +178,7 @@ class MopSystem:
                 r = P.dot(coeffs, mom[m:], self.precision_bits)
                 if abs(r) > bound * top:
                     raise NormalityError(f"orthogonality residual too large at n={n}")
-
-    def _h_value(self, rec: MopRecord, j: int):
-        n = rec.n
-        mom = self.moments(j, n[j - 1] + order(n))
-        return P.dot(rec.P, mom[n[j - 1] :], self.precision_bits)
+        return tuple(P.dot(coeffs, mom[nk:], self.precision_bits) for nk, mom in zip(n, moms))
 
     def type1_record(self, n) -> MopRecord:
         """Type I polynomials (A_1..A_d, A0) at n (computing if needed)."""
@@ -440,6 +443,7 @@ class KappaForm:
 
     def __init__(self, sys: MopSystem, kappa, prec=None):
         require_pair(sys)
+        kappa = kappa_pair(kappa)
         self.sys, self.prec = sys, prec
         if prec is None:
             self.weights = kappa[1] / float(sys.mass(1)), kappa[0] / float(sys.mass(2))

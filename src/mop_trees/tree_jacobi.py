@@ -30,7 +30,7 @@ from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import KappaForm, MopSystem, SecondKind, add, require_pair, second_kind, sub
+from .mop_engine import KappaForm, MopSystem, SecondKind, add, kappa_pair, require_pair, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
@@ -141,17 +141,10 @@ def _assemble(coef, tree: Tree, root_terms, kappa, sys: MopSystem | None = None)
     return TreeOperator(tree, V, W, sigma, kappa, sys)
 
 
-def _kappa(kappa) -> tuple:
-    kappa = (float(kappa[0]), float(kappa[1]))
-    if not abs(kappa[0] + kappa[1] - 1) <= 1e-12:  # a NaN or inf weight fails this too
-        raise ValueError(f"kappa must be finite and sum to 1, not {kappa}")
-    return kappa
-
-
 def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
     """Operator on the finite tree for root mixing weights kappa (kappa1 + kappa2 = 1)."""
     require_pair(sys)
-    kappa = _kappa(kappa)
+    kappa = kappa_pair(kappa)
     tree = finite_tree(N)
     return _assemble(sys.recurrence_float, tree, tuple((tree.root_proj, k) for k in kappa), kappa, sys)
 
@@ -159,7 +152,7 @@ def assemble_finite(sys: MopSystem, kappa, N) -> TreeOperator:
 def assemble_truncated(sys: MopSystem, kappa, depth: int) -> TreeOperator:
     """Dirichlet truncation of the operator on the rooted Cayley tree."""
     require_pair(sys)
-    kappa = _kappa(kappa)
+    kappa = kappa_pair(kappa)
     root_terms = (((0, 1), kappa[0]), ((1, 0), kappa[1]))
     return _assemble(sys.recurrence_float, cayley_truncation(depth), root_terms, kappa, sys)
 

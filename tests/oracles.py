@@ -19,10 +19,9 @@ from mop_trees._poly import pval, pval_exact
 from mop_trees.angelesco import _bridge_weights, _path_data
 from mop_trees.errors import AssumptionError, BranchError, DomainError
 from mop_trees.measures import kernel
-from mop_trees.mop_engine import KappaForm, linear_form
+from mop_trees.mop_engine import KappaForm, kappa_pair, linear_form
 from mop_trees.periodic_surface import _BRANCH_GUARD, SurfaceParams, _dist_to_branch, on_cuts
 from mop_trees.quadrature import gauss_legendre, graded_panels, map_rule, map_rule_mp
-from mop_trees.tree_jacobi import _kappa
 
 
 def uniform_moment(a, b, k) -> Fraction:
@@ -535,7 +534,7 @@ def _mustar_density(asys, x: float) -> float:
 def rho_o_point(asys, kappa):
     """x -> the root spectral density at one float x, as ``rho_o`` computed it
     before its density took arrays: one scalar call per Markov kernel."""
-    form = KappaForm(asys.sys, _kappa(kappa))
+    form = KappaForm(asys.sys, kappa_pair(kappa))
     scale = 1.0 / (asys.xi_mass * float(asys.sys.mass(1)) * float(asys.sys.mass(2)))
 
     def value(x):

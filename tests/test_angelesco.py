@@ -12,6 +12,7 @@ from mop_trees.angelesco import (
     find_e_kappa,
     green,
     nu_ne_mass,
+    point_mass_at,
     psi_o,
     psi_tilde,
     psi_x,
@@ -24,9 +25,10 @@ from mop_trees.angelesco import (
     type1_zero_set,
 )
 from mop_trees.errors import DomainError, EndpointError, OverlapError
+from mop_trees.finite_spectral import boundary_polynomial, eigenvalue_set, full_basis
 from mop_trees.measures import DensitySpec, Measure, Piece, uniform
 from mop_trees.mop_engine import KappaForm, second_kind_boundary, second_kind_boundary_mp
-from mop_trees.tree_jacobi import assemble_subtree, assemble_truncated, lattice_values
+from mop_trees.tree_jacobi import assemble_finite, assemble_subtree, assemble_truncated, lattice_values
 
 from oracles import UniformPairOracle, find_e_kappa_sweep
 
@@ -159,6 +161,32 @@ class TestRhoO:
         # used to return a measure of mass 0.186
         with pytest.raises(ValueError):
             rho_o(ang_u, (2, 3))
+
+    @pytest.mark.parametrize("kappa", [(0.7, 0.7), (float("nan"), 1.0), (2, 3), (0.5, 0.5, 0.0)], ids=repr)
+    def test_every_kappa_entry_point_checks_kappa(self, ang_u, kappa):
+        # KappaForm, boundary_polynomial and point_mass_at used to read an unchecked
+        # kappa: at (0.7, 0.7) a boundary polynomial with leading coefficient 1.4
+        # and a point mass of 0.660
+        sysm = ang_u.sys
+        calls = {
+            "KappaForm": lambda: KappaForm(sysm, kappa),
+            "KappaForm mp": lambda: KappaForm(sysm, kappa, 128),
+            "boundary_polynomial": lambda: boundary_polynomial(sysm, kappa, (1, 1)),
+            "point_mass_at": lambda: point_mass_at(ang_u, kappa, 0.0),
+            "find_e_kappa": lambda: find_e_kappa(ang_u, kappa),
+            "rho_o": lambda: rho_o(ang_u, kappa),
+            "psi_o": lambda: psi_o(ang_u, kappa, 1.5, 2),
+            "green at the root": lambda: green(ang_u, kappa, (1,), (), 5.0, depth=2),
+            "green below the root": lambda: green(ang_u, kappa, (1, 2), (1,), 5.0, depth=2),
+            "assemble_finite": lambda: assemble_finite(sysm, kappa, (1, 1)),
+            "assemble_truncated": lambda: assemble_truncated(sysm, kappa, 2),
+            "eigenvalue_set": lambda: eigenvalue_set(sysm, kappa, (1, 1)),
+            "full_basis": lambda: full_basis(sysm, kappa, (1, 1)),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="kappa must be"):
+                call()
+                pytest.fail(f"{name} accepted kappa = {kappa}")
 
     def test_first_moment_is_root_potential(self, ang_u):
         for kappa in ((1.0, 0.0), (0.5, 0.5)):

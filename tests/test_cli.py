@@ -19,6 +19,8 @@ ANG_DOC = {
     "mu2": {"pieces": [{"a": 1.0, "b": 2.0, "density": {"kind": "uniform"}}]},
 }
 
+PAIR_DOC = {**ANG_DOC, "type": "pair"}
+
 NIK_DOC = {
     "schema": "mop-trees/1",
     "type": "nikishin",
@@ -38,6 +40,13 @@ def ang_file(tmp_path_factory):
 def nik_file(tmp_path_factory):
     p = tmp_path_factory.mktemp("sys") / "nik_u.json"
     p.write_text(json.dumps(NIK_DOC))
+    return str(p)
+
+
+@pytest.fixture(scope="module")
+def pair_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("sys") / "pair_u.json"
+    p.write_text(json.dumps(PAIR_DOC))
     return str(p)
 
 
@@ -193,6 +202,50 @@ class TestCommands:
         for path, bits in ((ang_file, "256"), (nik_file, "128")):
             code, out = run(capsys, "verify", "all", "--system", path, "--precision-bits", bits)
             assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+
+class TestSystemKinds:
+    # a command read a key of the loaded system that its kind lacks, and printed
+    # only that key: "mop-trees: 'nsys'" or "mop-trees: 'asys'"
+    @pytest.mark.parametrize(
+        "argv, system, needs, has",
+        [
+            (["nikishin", "signs"], "ang_file", "nikishin", "angelesco"),
+            (["nikishin", "blowup"], "pair_file", "nikishin", "pair"),
+            (["angelesco", "rho", "--kappa", "0.5,0.5"], "nik_file", "angelesco", "nikishin"),
+            (["angelesco", "rho", "--kappa", "0.5,0.5"], "pair_file", "angelesco", "pair"),
+            (["angelesco", "green", "--kappa", "1,0", "--z", "5"], "pair_file", "angelesco", "pair"),
+            (["angelesco", "dos-profile", "--kappa", "1,0", "--grid", "4"], "nik_file", "angelesco", "nikishin"),
+            (["periodic", "raylimit"], "nik_file", "angelesco", "nikishin"),
+        ],
+    )
+    def test_wrong_kind_exits_one_naming_both(self, argv, system, needs, has, request, capsys, monkeypatch):
+        path = request.getfixturevalue(system)
+        for fn in ("rho_o", "green"):
+            monkeypatch.setattr(angelesco, fn, _must_not_run)
+        assert main([*argv, "--system", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"mop-trees: {argv[0]} {argv[1]} needs a system of type {needs!r}; {path} has type {has!r}\n"
+        )
+
+    def test_pair_runs_the_commands_of_any_kind(self, pair_file, capsys):
+        code, out = run(capsys, "mop", "coeffs", "--system", pair_file, "--n", "1,1")
+        assert code == 0 and json.loads(out)["record"]["n"] == [1, 1]
+        code, out = run(capsys, "verify", "all", "--system", pair_file)
+        checks = json.loads(out)["checks"]  # a pair has only the lattice consistency checks
+        assert code == 0 and json.loads(out)["verdict"] == "PASS"
+        assert [c["check"] for c in checks] == [f"consistency {n}" for n in ((1, 1), (2, 1), (1, 2), (2, 2))]
+        assert main(["angelesco", "rho", "--system", pair_file, "--kappa", "0.5,0.5"]) == 1
+        assert "needs a system of type 'angelesco'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [(ANG_DOC, "mu1"), (ANG_DOC, "mu2"), (NIK_DOC, "tau")])
+    def test_missing_measure_names_the_field(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != field}))
+        assert main(["mop", "coeffs", "--system", str(path), "--n", "1,1"]) == 1
+        assert capsys.readouterr().err == f"mop-trees: {field} must be a JSON object, not None\n"
 
 
 class TestExitCodesAndDeterminism:

@@ -138,6 +138,16 @@ class TestRecurrence:
         assert float(h1) == pytest.approx(float(ORACLE.h((1, 1), 1)), rel=1e-28)
         assert float(ORACLE.h((1, 1), 1)) == -0.25  # signed, not a square norm
 
+    @pytest.mark.parametrize("n", [(0, 0), (1, 0), (2, 1), (3, 3)])
+    def test_h_is_the_residual_at_n_k(self, ang_sys, n):
+        # h_{n,k} = int P_n x^{n_k} dmu_k: the residual one past the last that the
+        # orthogonality check bounds, the same dot product bit for bit
+        p, bits = ang_sys.type2(n), ang_sys.precision_bits
+        expected = tuple(P.dot(p, ang_sys.moments(k, nk + sum(n))[nk:], bits) for k, nk in enumerate(n, 1))
+        assert ang_sys.h_values(n) == expected
+        if n == (0, 0):
+            assert expected == (ang_sys.mass(1), ang_sys.mass(2))
+
 
 class TestConsistency:
     def test_residuals_tiny(self, ang_sys):
@@ -400,7 +410,7 @@ class TestEngineChecksRaise:
         d = n[0] + n[1]
         p, moms = ang_sys.record(n).P, (ang_sys.moments(1, n[0] + d), ang_sys.moments(2, n[1] + d))
         with workprec(256):
-            ang_sys._check_orthogonality(p, n, moms)
+            assert ang_sys._check_orthogonality(p, n, moms) == ang_sys.h_values(n)
             with pytest.raises(NormalityError, match="orthogonality residual too large"):
                 ang_sys._check_orthogonality(_nudged(p), n, moms)
 
