@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fone, from_rational, round_nearest
+from mpmath.libmp import fone
 
-from ._poly import cauchy_sum, products, pval, pval_exact, raw_dot, shifted
+from ._poly import cauchy_sum, products, pval, pval_exact, rational, raw_dot, shifted
 from .errors import DomainError, EndpointError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -245,11 +245,21 @@ class Measure:
             total += float(np.sum(wd * f(xs)))
         return total
 
+    def exact_moments(self, upto: int) -> list | None:
+        """Moments 0..upto as exact integer pairs (numerator, denominator) when
+        every piece is uniform (cached, extended incrementally), else None."""
+        if any(p.density.kind != "uniform" for p in self.pieces):
+            return None
+        table = self._cache.get("mom_exact", [])
+        if len(table) <= upto:
+            table = self._cache["mom_exact"] = table + _exact_moments(self, range(len(table), upto + 1))
+        return table[: upto + 1]
+
     def moments_mp(self, upto: int, prec: int) -> list:
         """Moments 0..upto at ``prec`` bits (cached, extended incrementally).
 
-        With only uniform pieces (and atoms) each moment is the exact rational,
-        rounded once (:func:`_exact_moments`); any other density sums the
+        With only uniform pieces (and atoms) each moment is the exact rational
+        of :meth:`exact_moments`, rounded once; any other density sums the
         node table of the Markov kernel at ``prec``.
         """
         if upto < 0:
@@ -258,8 +268,9 @@ class Measure:
         table = self._cache.get(key, [])
         if len(table) > upto:
             return table[: upto + 1]
-        if all(p.density.kind == "uniform" for p in self.pieces):
-            table = table + _exact_moments(self, range(len(table), upto + 1), prec)
+        exact = self.exact_moments(upto)
+        if exact is not None:
+            table = table + [rational(p, q, prec) for p, q in exact[len(table) :]]
         else:
             # per piece the kernel's raw nodes and w*density, and x^k per node and
             # atom, carried across k and across extensions, so the bits do not
@@ -323,10 +334,10 @@ class Measure:
         }
 
 
-def _exact_moments(mu: Measure, ks, prec: int) -> list:
+def _exact_moments(mu: Measure, ks) -> list:
     """Moment k of ``mu`` for each k in ``ks``, every piece uniform:
     ``sum (b^(k+1) - a^(k+1))/(k+1) + sum m x^k`` over the pieces and atoms,
-    rounded once to nearest at ``prec`` bits.
+    as an integer pair (numerator, denominator).
 
     Every double is an integer over a power of two.  Over 2^s, the largest
     of these denominators, moment k is an integer N_k over (k+1) 2^(s(k+1)).
@@ -343,7 +354,7 @@ def _exact_moments(mu: Measure, ks, prec: int) -> list:
     out = []
     for k in ks:
         num = sum([b ** (k + 1) - a ** (k + 1) for a, b in ends]) + (k + 1) * sum([m * x**k for x, m in atoms])
-        out.append(mp.make_mpf(from_rational(num, (k + 1) << s * (k + 1), prec, round_nearest)))
+        out.append((num, (k + 1) << s * (k + 1)))
     return out
 
 

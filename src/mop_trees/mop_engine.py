@@ -1,9 +1,12 @@
 """Multiple orthogonal polynomials of types I and II for a system of d measures.
 
-All solves run in extended precision (default 256-bit) on raw monomial
-moments; the moment matrices are Hankel-structured and severely
-ill-conditioned in double precision, but 256 bits comfortably covers
-multi-indices up to |n| ~ 40 for the systems treated here.
+The solves run on monomial moments, whose matrices are Hankel-structured
+and severely ill-conditioned in double precision.  When every moment is an
+exact rational (uniform pieces and atoms) and the rows scaled to integers are
+short, fraction-free elimination solves them exactly and each coefficient is
+rounded once (:meth:`MopSystem._integer_rows`); otherwise an mp LU runs in
+extended precision (default 256-bit), which comfortably covers multi-indices
+up to |n| ~ 40 for the systems treated here.
 
 Conventions, for a multi-index n = (n_1, ..., n_d) in N^d, a tuple whose
 length d is the system's number of measures, and e_i its i-th unit vector:
@@ -32,12 +35,24 @@ from itertools import accumulate, permutations
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum
+from mpmath.libmp import round_nearest as RND
 
 from . import _poly as P
 from .errors import ConvergenceError, DomainError, NormalityError, PrecisionError, ZeroError
 from .measures import kernel
 
 _ZERO = mpf(0)
+
+
+def _max_abs(xs, prec: int):
+    """max |x| over raw tuples xs (0 for none), each |x| rounded at ``prec`` bits as ``abs`` rounds it."""
+    top = fzero
+    for x in xs:
+        x = mpf_abs(x, prec, RND)
+        if mpf_gt(x, top):
+            top = x
+    return top
 
 
 def multi_index(n, d: int | None = None) -> tuple:
@@ -92,6 +107,7 @@ class MopRecord:
     A: tuple | None = None   # type I (A_1, ..., A_d), each ascending mp coefficients
     A0: tuple | None = None
     rec: tuple | None = None  # (a_1, ..., a_d, b_1, ..., b_d)
+    exact: tuple | None = None  # exact route: P = y / D and h_k = num_k / den_k, as (y, D, ((num, den), ...))
     zeros: dict = field(default_factory=dict)  # k -> zeros of P (k = 0) or of A_k
 
     # the two-measure names, which perfbench's lattice oracle and tracer read
@@ -140,7 +156,7 @@ class MopSystem:
         if rec is None:
             rec = self._records[n] = MopRecord(n=n)
         if not rec.P:
-            rec.P, rec.h = self._solve_type2(n)
+            rec.P, rec.h, rec.exact = self._solve_type2(n)
         return rec
 
     def _moment_system(self, n) -> tuple:
@@ -150,35 +166,88 @@ class MopSystem:
         moms = tuple(self.moments(k, nk + d) for k, nk in enumerate(n, 1))
         return [mom[m : m + d] for nk, mom in zip(n, moms) for m in range(nk)], moms
 
+    def _integer_rows(self, n):
+        """Per measure k, the rows ``L * mom_k[m : m + |n| + 1]`` for m = 0..n_k as
+        integers, each with its scale L (the lcm of its denominators), when every
+        moment is an exact rational (:meth:`Measure.exact_moments`) and no entry
+        is wider than ``(max(precision_bits, 256) + 10) // 2`` bits; else None.
+        The rows m < n_k are the type II system, the row m = n_k gives h_k.
+
+        The gate chooses the route by cost.  Fraction-free elimination on short
+        integers beats the mp LU, which works at ``precision_bits + 10``, but its
+        integers grow with the widths of the rows.  Below 256 bits the LU costs
+        about the same (its time is Python overhead), so the bound stays at 133.
+        """
+        d = order(n)
+        tables = [mu.exact_moments(nk + d) for mu, nk in zip(self.measures, n)]
+        if None in tables:
+            return None
+        bound = (max(self.precision_bits, 256) + 10) // 2
+        out = []
+        for nk, table in zip(n, tables):
+            rows = []
+            for m in range(nk + 1):
+                scale = math.lcm(*[q for _, q in table[m : m + d + 1]])
+                row = [p * (scale // q) for p, q in table[m : m + d + 1]]
+                if max(abs(v) for v in row).bit_length() > bound:
+                    return None
+                rows.append((row, scale))
+            out.append(rows)
+        return out
+
     def _lu(self, rows, rhs, n, kind: str) -> list:
         try:
             return P.lu_solve(rows, rhs, self.precision_bits)
         except ZeroDivisionError as exc:
             raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
 
+    def _exact(self, rows, rhs, n, kind: str) -> tuple:
+        try:
+            return P.fraction_free_solve(rows, rhs)
+        except ZeroDivisionError as exc:
+            raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
+
     def _solve_type2(self, n) -> tuple:
-        d = order(n)
+        """(P_n, h, exact): by the exact route when :meth:`_integer_rows` admits n,
+        each value the exact rational rounded once and ``exact`` those rationals
+        (see :class:`MopRecord`); else by the mp LU, with ``exact`` None."""
+        d, prec = order(n), self.precision_bits
         rows, moms = self._moment_system(n)
-        with workprec(self.precision_bits):
+        exact = self._integer_rows(n)
+        with workprec(prec):
+            if exact is not None:
+                system = [row for rows_k in exact for row, _ in rows_k[:-1]]
+                y, D = self._exact([row[:d] for row in system], [-row[d] for row in system], n, "II")
+                y.append(D)  # the monic top coefficient
+                coeffs = tuple(P.rational(v, D, prec) for v in y)
+                self._check_orthogonality(coeffs, n, moms)
+                hq = tuple((sum(map(operator.mul, y, row)), D * scale) for row, scale in (r[-1] for r in exact))
+                return coeffs, tuple(P.rational(p, q, prec) for p, q in hq), (y, D, hq)
             coeffs = (mpf(1),)
             if d:
                 rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
                 coeffs = tuple(self._lu(rows, rhs, n, "II")) + coeffs
-            return coeffs, self._check_orthogonality(coeffs, n, moms)
+            return coeffs, self._check_orthogonality(coeffs, n, moms), None
 
     def _check_orthogonality(self, coeffs, n, moms) -> tuple:
         """(h_1, ..., h_d) for P = ``coeffs``: the residuals ``int P x^m dmu_k`` vanish up to
-        rounding for m < n_k (else n is not normal, NormalityError), and h_k is the one at m = n_k."""
-        bound = self.tolerance * max(abs(c) for c in coeffs)
-        d = len(coeffs) - 1
+        rounding for m < n_k (else n is not normal, NormalityError), and h_k is the one at m = n_k.
+
+        Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
+        operators round it (:func:`_poly.dot` for the residuals)."""
+        prec = self.precision_bits
+        cs = [c._mpf_ for c in coeffs]
+        bound = mpf_mul(self.tolerance._mpf_, _max_abs(cs, prec), prec, RND)
+        d = len(cs) - 1
         for nk, mom in zip(n, moms):
-            top = max([abs(x) for x in mom[:d]], default=_ZERO)  # max |moment| read so far, row by row
+            raw = [x._mpf_ for x in mom]
+            top = _max_abs(raw[:d], prec)  # max |moment| read so far, row by row
             for m in range(nk):
-                top = max(top, abs(mom[m + d]))
-                r = P.dot(coeffs, mom[m:], self.precision_bits)
-                if abs(r) > bound * top:
+                top = _max_abs((top, raw[m + d]), prec)
+                r = mpf_sum(P.products(cs, raw[m:], prec), prec, RND)
+                if mpf_gt(mpf_abs(r, prec, RND), mpf_mul(bound, top, prec, RND)):
                     raise NormalityError(f"orthogonality residual too large at n={n}")
-        return tuple(P.dot(coeffs, mom[nk:], self.precision_bits) for nk, mom in zip(n, moms))
+        return tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms))
 
     def type1_record(self, n) -> MopRecord:
         """Type I polynomials (A_1..A_d, A0) at n (computing if needed)."""
@@ -188,6 +257,10 @@ class MopSystem:
             raise ValueError("type I requires |n| >= 1")
         rec = self.record(n)
         if rec.A is not None:
+            return rec
+        exact = self._integer_rows(n)
+        if exact is not None:
+            rec.A, rec.A0 = self._exact_type1(n, exact)
             return rec
         rows, moms = self._moment_system(n)
         with workprec(self.precision_bits):
@@ -207,6 +280,32 @@ class MopSystem:
                 a0.append(s)
             rec.A, rec.A0 = A, tuple(a0)
         return rec
+
+    def _exact_type1(self, n, exact) -> tuple:
+        """(A, A0) from the integer rows of :meth:`_integer_rows`, each coefficient
+        the exact rational rounded once.
+
+        The type I matrix is the transpose of the type II one, whose rows were
+        scaled by L, so its solution is L times that of the transposed integer
+        matrix, and A0's coefficients are sums of A's against exact moments.
+        """
+        d, prec = order(n), self.precision_bits
+        system = [(row[:d], scale) for rows_k in exact for row, scale in rows_k[:-1]]
+        z, D = self._exact(list(zip(*[row for row, _ in system])), [0] * (d - 1) + [1], n, "I")
+        num = [scale * v for (_, scale), v in zip(system, z)]  # A's coefficients times D
+        lows = list(accumulate(n, initial=0))
+        tables = [mu.exact_moments(max(nk - 2, 0)) for mu, nk in zip(self.measures, n)]
+        den = math.lcm(*[q for table, nk in zip(tables, n) for _, q in table[: nk - 1]])
+        a0 = []
+        for i in range(max(n) - 1):  # A0_i = sum_k sum_j A_k[j] mom_k[j - 1 - i]
+            total = 0
+            for lo, nk, table in zip(lows, n, tables):
+                for j in range(i + 1, nk):
+                    p, q = table[j - 1 - i]
+                    total += num[lo + j] * p * (den // q)
+            a0.append(P.rational(total, D * den, prec))
+        A = tuple(tuple(P.rational(v, D, prec) for v in num[lo : lo + nk]) for lo, nk in zip(lows, n))
+        return A, tuple(a0)
 
     # -- public facade -------------------------------------------------------
 
@@ -242,18 +341,34 @@ class MopSystem:
         if rec.rec is not None:
             return rec.rec
         n, d = rec.n, order(rec.n)
+        ups = [self.record(add(n, e)) for e in self.units]
+        lows = [self.record(sub(n, e)) if nj else None for nj, e in zip(n, self.units)]
+        for j, low in enumerate(lows):
+            if low is not None and low.h[j] == 0:
+                raise NormalityError(f"vanishing h at n={low.n}, j={j + 1}")
         with workprec(self.precision_bits):
-            lead_low = rec.P[d - 1] if d >= 1 else mpf(0)
-            b = [lead_low - self.record(add(n, e)).P[d] for e in self.units]
-            a = []
-            for j, e in enumerate(self.units):
-                hden = self.record(sub(n, e)).h[j] if n[j] else None
-                if hden == 0:
-                    raise NormalityError(f"vanishing h at n={sub(n, e)}, j={j + 1}")
-                a.append(rec.h[j] / hden if n[j] else mpf(0))
+            if all(r.exact for r in (rec, *ups, *filter(None, lows))):
+                a, b = self._exact_row(rec, ups, lows)
+            else:
+                lead_low = rec.P[d - 1] if d >= 1 else mpf(0)
+                b = [lead_low - up.P[d] for up in ups]
+                a = [mpf(0) if low is None else rec.h[j] / low.h[j] for j, low in enumerate(lows)]
             self._check_recurrence(n, a, b)
             rec.rec = (*a, *b)
         return rec.rec
+
+    def _exact_row(self, rec, ups, lows) -> tuple:
+        """(a, b) at rec.n from the exact rationals of the records n + e_i and n - e_j,
+        each rounded once: b_i = P_n[|n| - 1] - P_{n+e_i}[|n|], a_j = h_{n,j} / h_{n-e_j,j}."""
+        prec, d = self.precision_bits, order(rec.n)
+        y, D, hq = rec.exact
+        low_coeff = y[d - 1] if d else 0
+        b = [P.rational(low_coeff * Du - yu[d] * D, D * Du, prec) for yu, Du, _ in (up.exact for up in ups)]
+        a = [
+            mpf(0) if low is None else P.rational(hq[j][0] * low.exact[2][j][1], hq[j][1] * low.exact[2][j][0], prec)
+            for j, low in enumerate(lows)
+        ]
+        return a, b
 
     def recurrence_float(self, n) -> tuple:
         """:meth:`recurrence` in double precision, converted once per point and system."""
@@ -264,17 +379,31 @@ class MopSystem:
         return row
 
     def _check_recurrence(self, n, a, b):
-        # x P_n - P_{n+e_i} - b_i P_n - sum_j a_j P_{n-e_j} must vanish for every i
-        pn = self.record(n).P
+        """x P_n - P_{n+e_i} - b_i P_n - sum_j a_j P_{n-e_j} must vanish for every i, up to
+        ``tolerance`` times max(1, max|P_n| + |b_i| + sum|a_j|); else PrecisionError.
+
+        Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
+        polynomial operators (``pxshift``, ``pscale``, ``padd``) round it."""
+        prec = self.precision_bits
+        pn = [c._mpf_ for c in self.record(n).P]
+        lows = [(mpf_neg(aj._mpf_, prec, RND), [c._mpf_ for c in self.record(sub(n, ej)).P])
+                for aj, ej in zip(a, self.units) if aj != 0]  # a_j = 0 where n_j = 0
+        top = _max_abs(pn, prec)
+        total_a = fzero
+        for aj in a:
+            total_a = mpf_add(total_a, mpf_abs(aj._mpf_, prec, RND), prec, RND)
         for bi, e in zip(b, self.units):
-            r = P.pxshift(pn)
-            r = P.padd(r, P.pscale(self.record(add(n, e)).P, -1))
-            r = P.padd(r, P.pscale(pn, -bi))
-            for aj, ej in zip(a, self.units):
-                if aj != 0:  # a_j = 0 where n_j = 0
-                    r = P.padd(r, P.pscale(self.record(sub(n, ej)).P, -aj))
-            scale = max(abs(c) for c in pn) + abs(bi) + sum(abs(aj) for aj in a)
-            if max(abs(c) for c in r) > self.tolerance * max(scale, 1):
+            up = [c._mpf_ for c in self.record(add(n, e)).P]
+            r = [mpf_add(x, mpf_mul_int(u, -1, prec, RND), prec, RND) for x, u in zip([fzero, *pn], up)]
+            neg_b = mpf_neg(bi._mpf_, prec, RND)
+            for k, c in enumerate(pn):
+                r[k] = mpf_add(r[k], mpf_mul(c, neg_b, prec, RND), prec, RND)
+            for neg_a, low in lows:
+                for k, c in enumerate(low):
+                    r[k] = mpf_add(r[k], mpf_mul(c, neg_a, prec, RND), prec, RND)
+            scale = mpf_add(mpf_add(top, mpf_abs(bi._mpf_, prec, RND), prec, RND), total_a, prec, RND)
+            limit = mpf_mul(self.tolerance._mpf_, _max_abs((fone, scale), prec), prec, RND)
+            if mpf_gt(_max_abs(r, prec), limit):
                 raise PrecisionError(f"nearest-neighbor recurrence fails at n={n} at {self.precision_bits} bits")
 
     def record_json(self, n) -> dict:

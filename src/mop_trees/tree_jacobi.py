@@ -195,6 +195,8 @@ def s_selfadjoint_check(op: TreeOperator) -> float:
 
 def _second_kind_rows(op: TreeOperator, z) -> tuple:
     """((J - z) f for the second-kind family f, the root boundary term by the Markov route)."""
+    if op.kappa is None:
+        raise ValueError("the root boundary term requires a root operator (one with kappa), not a subtree operator")
     family = SecondKind(op.sys, z)  # one mp Markov pair for every lattice point
     f = lattice_values(lambda n: complex(second_kind(op.sys, n, family)), op.tree.points) / op.m_weights()
     return op.apply(f) - z * f, KappaForm(op.sys, op.kappa)(z)

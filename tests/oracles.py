@@ -47,14 +47,15 @@ def solve_fraction(A, rhs):
 
 
 class UniformPairOracle:
-    """Exact rational MOP data for two uniform intervals (the ANG-U family)."""
+    """Exact rational MOP data for two uniform intervals (the ANG-U family),
+    each optionally with atoms ((x, m), ...)."""
 
-    def __init__(self, i1=(-2, -1), i2=(1, 2)):
-        self.i1, self.i2 = i1, i2
+    def __init__(self, i1=(-2, -1), i2=(1, 2), atoms=((), ())):
+        self.i1, self.i2, self.atoms = i1, i2, atoms
 
     def mom(self, j, k) -> Fraction:
         iv = self.i1 if j == 1 else self.i2
-        return uniform_moment(iv[0], iv[1], k)
+        return uniform_moment(iv[0], iv[1], k) + sum(Fraction(m) * Fraction(x) ** k for x, m in self.atoms[j - 1])
 
     def type2(self, n):
         """Ascending rational coefficients of the monic type II polynomial."""
@@ -84,6 +85,14 @@ class UniformPairOracle:
             rhs.append(Fraction(1) if m == d - 1 else Fraction(0))
         c = solve_fraction(A, rhs)
         return c[: n[0]], c[n[0]:]
+
+    def a0(self, n):
+        """Ascending coefficients of A0, the polynomial part of the Cauchy transform of the type I form."""
+        A = self.type1(n)
+        return [
+            sum(c[jj] * self.mom(j, jj - 1 - i) for j, c in enumerate(A, 1) for jj in range(i + 1, len(c)))
+            for i in range(max(n) - 1)
+        ]
 
     def h(self, n, j) -> Fraction:
         p = self.type2(n)

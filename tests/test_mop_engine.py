@@ -14,6 +14,7 @@ from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
     MopSystem,
     SecondKind,
+    add,
     consistency_residual,
     consistency_residual_from,
     interlacing_check,
@@ -22,6 +23,7 @@ from mop_trees.mop_engine import (
     second_kind_boundary,
     second_kind_boundary_mp,
     sign_lambda_check,
+    sub,
     type1_interlacing_check,
     type1_recursion_residual,
 )
@@ -114,8 +116,6 @@ class TestRecurrence:
     def test_a_routes_agree(self, ang_sys):
         # route 1: h-ratios; route 2: solve the polynomial identity
         # x P_n - P_{n+e_i} - b_i P_n = a1 P_{n-e1} + a2 P_{n-e2} coefficientwise
-        from mop_trees.mop_engine import add, sub
-
         n = (2, 2)
         with workprec(256):
             a1, a2, b1, b2 = ang_sys.recurrence(n)
@@ -139,14 +139,16 @@ class TestRecurrence:
         assert float(ORACLE.h((1, 1), 1)) == -0.25  # signed, not a square norm
 
     @pytest.mark.parametrize("n", [(0, 0), (1, 0), (2, 1), (3, 3)])
-    def test_h_is_the_residual_at_n_k(self, ang_sys, n):
-        # h_{n,k} = int P_n x^{n_k} dmu_k: the residual one past the last that the
-        # orthogonality check bounds, the same dot product bit for bit
-        p, bits = ang_sys.type2(n), ang_sys.precision_bits
-        expected = tuple(P.dot(p, ang_sys.moments(k, nk + sum(n))[nk:], bits) for k, nk in enumerate(n, 1))
-        assert ang_sys.h_values(n) == expected
+    def test_h_is_the_residual_at_n_k(self, nik_sys, n):
+        # on the mp LU route (rule-based moments) h_{n,k} = int P_n x^{n_k} dmu_k is the
+        # residual one past the last that the orthogonality check bounds, the same
+        # dot product bit for bit; the exact route's h is in test_exact_solves.py
+        assert nik_sys.record(n).exact is None
+        p, bits = nik_sys.type2(n), nik_sys.precision_bits
+        expected = tuple(P.dot(p, nik_sys.moments(k, nk + sum(n))[nk:], bits) for k, nk in enumerate(n, 1))
+        assert nik_sys.h_values(n) == expected
         if n == (0, 0):
-            assert expected == (ang_sys.mass(1), ang_sys.mass(2))
+            assert expected == (nik_sys.mass(1), nik_sys.mass(2))
 
 
 class TestConsistency:
@@ -406,13 +408,18 @@ def _nudged(coeffs):
 
 @pytest.mark.parametrize("n", [(1, 1), (3, 2), (5, 4)])
 class TestEngineChecksRaise:
-    def test_orthogonality_check(self, ang_sys, n):
-        d = n[0] + n[1]
-        p, moms = ang_sys.record(n).P, (ang_sys.moments(1, n[0] + d), ang_sys.moments(2, n[1] + d))
-        with workprec(256):
-            assert ang_sys._check_orthogonality(p, n, moms) == ang_sys.h_values(n)
-            with pytest.raises(NormalityError, match="orthogonality residual too large"):
-                ang_sys._check_orthogonality(_nudged(p), n, moms)
+    def test_orthogonality_check(self, ang_sys, nik_sys, n):
+        # ang_u takes the exact route, nik_u (rule-based moments) the mp LU
+        for sys, lu in ((ang_sys, False), (nik_sys, True)):
+            assert (sys.record(n).exact is None) == lu
+            d = n[0] + n[1]
+            p, moms = sys.record(n).P, (sys.moments(1, n[0] + d), sys.moments(2, n[1] + d))
+            with workprec(256):
+                h = sys._check_orthogonality(p, n, moms)
+                if lu:  # the LU route reads h off this pass; the exact route rounds the exact h
+                    assert h == sys.h_values(n)
+                with pytest.raises(NormalityError, match="orthogonality residual too large"):
+                    sys._check_orthogonality(_nudged(p), n, moms)
 
     def test_recurrence_check(self, n):
         sys = MopSystem((uniform(-2, -1), uniform(1, 2)))  # its record at n is nudged below
@@ -425,6 +432,77 @@ class TestEngineChecksRaise:
                 sys._check_recurrence(n, coef[:2], coef[2:])
 
 
+def _mpf_recurrence_excess(sys, n, a, b):
+    """max over i of (max|r_i| - limit_i), with the recurrence residual r_i and its
+    limit formed by the mpf polynomial operators: the reference for the raw check."""
+    pn, worst = sys.record(n).P, None
+    for bi, e in zip(b, sys.units):
+        r = P.pxshift(pn)
+        r = P.padd(r, P.pscale(sys.record(add(n, e)).P, -1))
+        r = P.padd(r, P.pscale(pn, -bi))
+        for aj, ej in zip(a, sys.units):
+            if aj != 0:
+                r = P.padd(r, P.pscale(sys.record(sub(n, ej)).P, -aj))
+        scale = max(abs(c) for c in pn) + abs(bi) + sum(abs(aj) for aj in a)
+        excess = max(abs(c) for c in r) - sys.tolerance * max(scale, 1)
+        worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+def _mpf_orthogonality_excess(sys, coeffs, n, moms):
+    """max over the checked rows of |residual| - bound * top, by mpf operators."""
+    bound, d, worst = sys.tolerance * max(abs(c) for c in coeffs), len(coeffs) - 1, None
+    for nk, mom in zip(n, moms):
+        top = max([abs(x) for x in mom[:d]], default=mpf(0))
+        for m in range(nk):
+            top = max(top, abs(mom[m + d]))
+            excess = abs(P.dot(coeffs, mom[m:], sys.precision_bits)) - bound * top
+            worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+def _threshold(fails, hi):
+    """(lo, hi) with fails(lo) false and fails(hi) true, 2^-60 apart relative, by bisection."""
+    lo = mpf(0)
+    assert not fails(lo) and fails(hi)
+    while hi - lo > hi * mpf(2) ** -60:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("route, n", [("exact", (3, 2)), ("exact", (6, 5)), ("lu", (3, 2)), ("lu", (4, 4))])
+class TestRawChecksDecideAsMpf:
+    """The checks run on raw libmp tuples and decide as the mpf operators do, also
+    at the edge: b_1 (or the largest coefficient of P) moved just inside and just
+    past the bound, the edge found with the mpf arithmetic."""
+
+    def test_recurrence_check(self, ang_sys, nik_sys, route, n):
+        sys = ang_sys if route == "exact" else nik_sys
+        row = sys.recurrence(n)
+        with workprec(sys.precision_bits):
+            a, b1, b2 = row[:2], row[2], row[3]
+            def moved(t):
+                return (b1 + t, b2)
+            lo, hi = _threshold(lambda t: _mpf_recurrence_excess(sys, n, a, moved(t)) > 0, mpf(2) ** -40)
+            sys._check_recurrence(n, a, moved(lo))
+            with pytest.raises(PrecisionError):
+                sys._check_recurrence(n, a, moved(hi))
+
+    def test_orthogonality_check(self, ang_sys, nik_sys, route, n):
+        sys = ang_sys if route == "exact" else nik_sys
+        d = sum(n)
+        p, moms = sys.record(n).P, tuple(sys.moments(k, nk + d) for k, nk in enumerate(n, 1))
+        i = max(range(len(p)), key=lambda j: abs(p[j]))
+        with workprec(sys.precision_bits):
+            def moved(t):
+                return p[:i] + (p[i] * (1 + t),) + p[i + 1 :]
+            lo, hi = _threshold(lambda t: _mpf_orthogonality_excess(sys, moved(t), n, moms) > 0, mpf(2) ** -40)
+            sys._check_orthogonality(moved(lo), n, moms)
+            with pytest.raises(NormalityError):
+                sys._check_orthogonality(moved(hi), n, moms)
+
+
 class TestPrecisionScaledRecurrenceCheck:
     """The recurrence check's bound is 2^(-prec/3), as the orthogonality check's."""
 
@@ -435,8 +513,21 @@ class TestPrecisionScaledRecurrenceCheck:
         assert max(abs(float(g) - float(r)) for g, r in zip(low, ref)) < 1e-10
 
     def test_precision_error_names_the_bits(self):
+        # the skew pair's rows are too wide for the exact route, so the mp LU solves them
+        skew = MopSystem((uniform(-2.791, -2.54), uniform(-2.301, -0.975)), 53)
         with pytest.raises(PrecisionError, match="at 53 bits"):
-            MopSystem((uniform(-2, -1), uniform(1, 2)), 53).recurrence((0, 7))
+            skew.recurrence((5, 0))
+        assert skew.record((5, 0)).exact is None
+
+    @pytest.mark.parametrize("bits", [53, 64])
+    def test_exact_route_solves_ang_u_to_order_twelve(self, bits):
+        # the exact route is right at any precision: every |n| <= 12 passes both checks
+        low = MopSystem((uniform(-2, -1), uniform(1, 2)), bits)
+        ref = MopSystem((uniform(-2, -1), uniform(1, 2)), 512)
+        indices = [(n1, d - n1) for d in range(13) for n1 in range(d + 1)]
+        assert len(indices) == 91
+        for n in indices:
+            assert max(abs(float(g) - float(r)) for g, r in zip(low.recurrence(n), ref.recurrence(n))) < 1e-10, n
 
 
 class TestMultiIndex:

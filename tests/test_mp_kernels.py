@@ -205,10 +205,17 @@ class TestCauchySum:
 # bit pin of the engine
 # ---------------------------------------------------------------------------
 
-# sha256 of the fields below as computed by the mpmath.lu_solve / mp.fsum engine
-# on the exactly rounded uniform moments; any change to the bits of a moment,
-# record or recurrence row breaks it
-ENGINE_DIGEST = "8450fefd3b5293e86b285315512976c6514ed98b657ed08eb9ff217baa36f155"
+# sha256 of the fields below, per system.  The Nikishin system (rule-based
+# moments) and the skew uniform pair (53-bit endpoints: rows too wide for the
+# exact route) keep the bits of the mpmath.lu_solve / mp.fsum engine; any change
+# to the bits of a moment, record or recurrence row breaks them.  The Angelesco
+# pair takes the exact route: every value is the exact rational rounded once
+# (tests/test_exact_solves.py checks that against Fraction solves).
+ENGINE_DIGESTS = {
+    "angelesco": "78e1c3d216b085ca368ffa7b4df33e369fa099ceda7d908f1eb56339e6d76f6d",
+    "nikishin": "63420a32a84a9289a03bfa431f4e7eb6a99e2d20704c661c7bebde2df1e478d3",
+    "skew_pair": "e596b0d0e84d2dd978b71d0c0fe30ea46870b7d71d52738eaa9bbbdf4004cef7",
+}
 
 
 def engine_fields(sys, nmax, moments_upto=40):
@@ -227,10 +234,13 @@ def engine_fields(sys, nmax, moments_upto=40):
     return out
 
 
-def engine_digest():
-    fields = engine_fields(angelesco_system(uniform(-2, -1), uniform(1, 2)).sys, 10)
-    fields += engine_fields(nikishin_system(uniform(2, 3), uniform(0, 1)).sys, 6)
-    return digest(fields)
+def engine_digest(name):
+    sys, nmax = {
+        "angelesco": lambda: (angelesco_system(uniform(-2, -1), uniform(1, 2)).sys, 10),
+        "nikishin": lambda: (nikishin_system(uniform(2, 3), uniform(0, 1)).sys, 6),
+        "skew_pair": lambda: (angelesco_system(uniform(-2.791, -2.54), uniform(-2.301, -0.975)).sys, 6),
+    }[name]()
+    return digest(engine_fields(sys, nmax))
 
 
 def digest(fields):
@@ -244,13 +254,13 @@ def digest(fields):
 
 
 def test_engine_bits_pinned():
-    assert engine_digest() == ENGINE_DIGEST
+    assert {name: engine_digest(name) for name in ENGINE_DIGESTS} == ENGINE_DIGESTS
 
 
 @pytest.mark.parametrize("ambient", [24, 1024])
 def test_engine_bits_ignore_ambient_precision(ambient):
     with workprec(ambient):
-        assert engine_digest() == ENGINE_DIGEST
+        assert {name: engine_digest(name) for name in ENGINE_DIGESTS} == ENGINE_DIGESTS
 
 
 def test_moment_bits_ignore_call_history():

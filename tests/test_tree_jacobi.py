@@ -165,6 +165,14 @@ class TestEigenfunctionIdentities:
         raw, markov_route = root_boundary_gap(op, 5.0)
         assert abs(raw - markov_route) < 1e-10
 
+    def test_root_boundary_needs_a_root_operator(self, ang_sys):
+        # a subtree operator has no kappa, hence no root boundary term
+        op = assemble_subtree(ang_sys, (2, 1), 1, 2)
+        with pytest.raises(ValueError, match="requires a root operator"):
+            eigenfunction_residual(op, "l", 5.0)
+        with pytest.raises(ValueError, match="requires a root operator"):
+            root_boundary_gap(op, 5.0)
+
     def test_commutator_family(self, ang_sys):
         op = assemble_truncated(ang_sys, (1, 0), 4)
         for X in (1, 2):
