@@ -44,6 +44,14 @@ from .measures import kernel
 
 _ZERO = mpf(0)
 
+# The widest integer (bits) of the scaled moment rows that the exact route takes.
+# Type II plus type I on ang_u, the fraction-free elimination costs as much as the
+# mp LU between 145 and 179 bits at 256 and 512 bits of precision, between 179 and
+# 214 at 1024; neither cost moves much with the precision (the LU's is Python
+# overhead), so the bound is one constant below these.  At 53 bits the LU is the
+# cheaper from about 104 bits, but on ang_u it already fails from n = (0, 7).
+EXACT_ROUTE_BITS = 133
+
 
 def _max_abs(xs, prec: int):
     """max |x| over raw tuples xs (0 for none), each |x| rounded at ``prec`` bits as ``abs`` rounds it."""
@@ -107,7 +115,7 @@ class MopRecord:
     A: tuple | None = None   # type I (A_1, ..., A_d), each ascending mp coefficients
     A0: tuple | None = None
     rec: tuple | None = None  # (a_1, ..., a_d, b_1, ..., b_d)
-    exact: tuple | None = None  # exact route: P = y / D and h_k = num_k / den_k, as (y, D, ((num, den), ...))
+    exact: tuple | None = None  # exact route: P's x^(|n|-1) coefficient and h_1..h_d as (num, den) pairs
     zeros: dict = field(default_factory=dict)  # k -> zeros of P (k = 0) or of A_k
 
     # the two-measure names, which perfbench's lattice oracle and tracer read
@@ -159,37 +167,36 @@ class MopSystem:
             rec.P, rec.h, rec.exact = self._solve_type2(n)
         return rec
 
-    def _moment_system(self, n) -> tuple:
-        """The type II rows ``mom_k[m : m + |n|]`` (k = 1..d; m < n_k) at n and the
-        moments (mom_1, ..., mom_d) they read; the type I matrix is their transpose."""
-        d = order(n)
-        moms = tuple(self.moments(k, nk + d) for k, nk in enumerate(n, 1))
-        return [mom[m : m + d] for nk, mom in zip(n, moms) for m in range(nk)], moms
+    def _moments_at(self, n) -> tuple:
+        """The moments (mom_1, ..., mom_d) that the solves at n read: mom_k up to n_k + |n|."""
+        return tuple(self.moments(k, nk + order(n)) for k, nk in enumerate(n, 1))
+
+    @staticmethod
+    def _moment_rows(n, moms) -> list:
+        """The type II rows ``mom_k[m : m + |n|]`` (k = 1..d; m < n_k); the type I matrix is their transpose."""
+        return [mom[m : m + order(n)] for nk, mom in zip(n, moms) for m in range(nk)]
 
     def _integer_rows(self, n):
         """Per measure k, the rows ``L * mom_k[m : m + |n| + 1]`` for m = 0..n_k as
         integers, each with its scale L (the lcm of its denominators), when every
         moment is an exact rational (:meth:`Measure.exact_moments`) and no entry
-        is wider than ``(max(precision_bits, 256) + 10) // 2`` bits; else None.
-        The rows m < n_k are the type II system, the row m = n_k gives h_k.
+        is wider than :data:`EXACT_ROUTE_BITS`; else None.  The rows m < n_k are
+        the type II system, the row m = n_k gives h_k.
 
-        The gate chooses the route by cost.  Fraction-free elimination on short
-        integers beats the mp LU, which works at ``precision_bits + 10``, but its
-        integers grow with the widths of the rows.  Below 256 bits the LU costs
-        about the same (its time is Python overhead), so the bound stays at 133.
+        The gate chooses the route by cost: fraction-free elimination on short
+        integers beats the mp LU, but its integers grow with the widths of the rows.
         """
         d = order(n)
         tables = [mu.exact_moments(nk + d) for mu, nk in zip(self.measures, n)]
         if None in tables:
             return None
-        bound = (max(self.precision_bits, 256) + 10) // 2
         out = []
         for nk, table in zip(n, tables):
             rows = []
             for m in range(nk + 1):
                 scale = math.lcm(*[q for _, q in table[m : m + d + 1]])
                 row = [p * (scale // q) for p, q in table[m : m + d + 1]]
-                if max(abs(v) for v in row).bit_length() > bound:
+                if max(abs(v) for v in row).bit_length() > EXACT_ROUTE_BITS:
                     return None
                 rows.append((row, scale))
             out.append(rows)
@@ -209,10 +216,11 @@ class MopSystem:
 
     def _solve_type2(self, n) -> tuple:
         """(P_n, h, exact): by the exact route when :meth:`_integer_rows` admits n,
-        each value the exact rational rounded once and ``exact`` those rationals
-        (see :class:`MopRecord`); else by the mp LU, with ``exact`` None."""
+        each value the exact rational rounded once and ``exact`` the rationals that
+        :meth:`recurrence` reads (see :class:`MopRecord`); else by the mp LU, with
+        h_k the residual ``int P_n x^{n_k} dmu_k`` and ``exact`` None."""
         d, prec = order(n), self.precision_bits
-        rows, moms = self._moment_system(n)
+        moms = self._moments_at(n)
         exact = self._integer_rows(n)
         with workprec(prec):
             if exact is not None:
@@ -222,16 +230,17 @@ class MopSystem:
                 coeffs = tuple(P.rational(v, D, prec) for v in y)
                 self._check_orthogonality(coeffs, n, moms)
                 hq = tuple((sum(map(operator.mul, y, row)), D * scale) for row, scale in (r[-1] for r in exact))
-                return coeffs, tuple(P.rational(p, q, prec) for p, q in hq), (y, D, hq)
+                return coeffs, tuple(P.rational(p, q, prec) for p, q in hq), ((y[d - 1] if d else 0, D), *hq)
             coeffs = (mpf(1),)
             if d:
                 rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
-                coeffs = tuple(self._lu(rows, rhs, n, "II")) + coeffs
-            return coeffs, self._check_orthogonality(coeffs, n, moms), None
+                coeffs = tuple(self._lu(self._moment_rows(n, moms), rhs, n, "II")) + coeffs
+            self._check_orthogonality(coeffs, n, moms)
+            return coeffs, tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms)), None
 
-    def _check_orthogonality(self, coeffs, n, moms) -> tuple:
-        """(h_1, ..., h_d) for P = ``coeffs``: the residuals ``int P x^m dmu_k`` vanish up to
-        rounding for m < n_k (else n is not normal, NormalityError), and h_k is the one at m = n_k.
+    def _check_orthogonality(self, coeffs, n, moms) -> None:
+        """The residuals ``int P x^m dmu_k`` of P = ``coeffs`` vanish up to rounding for
+        m < n_k; else n is not normal, NormalityError.
 
         Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
         operators round it (:func:`_poly.dot` for the residuals)."""
@@ -247,7 +256,6 @@ class MopSystem:
                 r = mpf_sum(P.products(cs, raw[m:], prec), prec, RND)
                 if mpf_gt(mpf_abs(r, prec, RND), mpf_mul(bound, top, prec, RND)):
                     raise NormalityError(f"orthogonality residual too large at n={n}")
-        return tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms))
 
     def type1_record(self, n) -> MopRecord:
         """Type I polynomials (A_1..A_d, A0) at n (computing if needed)."""
@@ -258,16 +266,16 @@ class MopSystem:
         rec = self.record(n)
         if rec.A is not None:
             return rec
-        exact = self._integer_rows(n)
+        exact = self._integer_rows(n)  # the record keeps no rows: they are |n|^2 integers
         if exact is not None:
             rec.A, rec.A0 = self._exact_type1(n, exact)
             return rec
-        rows, moms = self._moment_system(n)
+        moms = self._moments_at(n)
         with workprec(self.precision_bits):
             if d == 1:  # 1/m[0] rounds at the system's precision, the LU at 10 bits more
                 A = tuple((1 / mom[0],) if nk == 1 else () for nk, mom in zip(n, moms))
             else:
-                c = self._lu(list(zip(*rows)), [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
+                c = self._lu(list(zip(*self._moment_rows(n, moms))), [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
                 A = tuple(tuple(c[lo : lo + nk]) for lo, nk in zip(accumulate(n, initial=0), n))
             # polynomial part of the Cauchy transform of the linear form
             deg0 = max(n) - 2
@@ -359,13 +367,14 @@ class MopSystem:
 
     def _exact_row(self, rec, ups, lows) -> tuple:
         """(a, b) at rec.n from the exact rationals of the records n + e_i and n - e_j,
-        each rounded once: b_i = P_n[|n| - 1] - P_{n+e_i}[|n|], a_j = h_{n,j} / h_{n-e_j,j}."""
-        prec, d = self.precision_bits, order(rec.n)
-        y, D, hq = rec.exact
-        low_coeff = y[d - 1] if d else 0
-        b = [P.rational(low_coeff * Du - yu[d] * D, D * Du, prec) for yu, Du, _ in (up.exact for up in ups)]
+        each rounded once: b_i = P_n[|n| - 1] - P_{n+e_i}[|n|], a_j = h_{n,j} / h_{n-e_j,j}.
+
+        Rounding b from the rounded coefficients would cost it up to 8.4 ulp (the
+        subtraction cancels); a from the rounded h would be within 1.4 ulp."""
+        prec, ((p, q), *hq) = self.precision_bits, rec.exact
+        b = [P.rational(p * qu - pu * q, q * qu, prec) for (pu, qu), *_ in (up.exact for up in ups)]
         a = [
-            mpf(0) if low is None else P.rational(hq[j][0] * low.exact[2][j][1], hq[j][1] * low.exact[2][j][0], prec)
+            mpf(0) if low is None else P.rational(hq[j][0] * low.exact[1 + j][1], hq[j][1] * low.exact[1 + j][0], prec)
             for j, low in enumerate(lows)
         ]
         return a, b

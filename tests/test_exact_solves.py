@@ -72,7 +72,10 @@ def test_records_are_the_exact_rationals_rounded_once(name, prec):
 def test_engine_takes_the_exact_route_only_for_short_rational_rows():
     ang = MopSystem((uniform(-2, -1), uniform(1, 2)))
     assert ang._integer_rows((10, 10)) is not None
-    assert ang._integer_rows((25, 25)) is None  # 173 bits: past the gate, the mp LU
+    assert ang._integer_rows((25, 25)) is None  # 179 bits: past the gate, the mp LU
+    for bits in (512, 1024):  # one bound at every precision: past it the LU is the faster
+        wide = MopSystem((uniform(-2, -1), uniform(1, 2)), bits)
+        assert wide._integer_rows((16, 16)) is not None and wide._integer_rows((20, 20)) is None  # 115, 145 bits
     skew = MopSystem((uniform(-2.791, -2.54), uniform(-2.301, -0.975)))
     assert skew._integer_rows((0, 0)) is not None  # the masses alone
     assert all(skew._integer_rows(n) is None for n in indices(6)[1:])  # 53-bit doubles: wide rows
