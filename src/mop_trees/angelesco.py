@@ -40,6 +40,7 @@ from .mop_engine import (
     _deflate,
     add,
     kappa_pair,
+    label,
     linear_form,
     real_zeros,
     second_kind,
@@ -62,7 +63,7 @@ class AngelescoSystem:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def interval(self, k: int) -> tuple:
-        return self.delta1 if k == 1 else self.delta2
+        return (self.delta1, self.delta2)[label(k, 2) - 1]
 
     def side_of(self, x: float) -> int:
         """1 or 2 for the interval containing x; DomainError otherwise."""

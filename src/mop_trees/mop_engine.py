@@ -5,8 +5,8 @@ and severely ill-conditioned in double precision.  When every moment is an
 exact rational (uniform pieces and atoms) and the rows scaled to integers are
 short, fraction-free elimination solves them exactly and each coefficient is
 rounded once (:meth:`MopSystem._integer_rows`); otherwise an mp LU runs in
-extended precision (default 256-bit), which comfortably covers multi-indices
-up to |n| ~ 40 for the systems treated here.
+extended precision (default 256-bit).  Every record is checked, and a solve
+short of digits raises: on the uniform pair at 256 bits from |n| = 28.
 
 Conventions, for a multi-index n = (n_1, ..., n_d) in N^d, a tuple whose
 length d is the system's number of measures, and e_i its i-th unit vector:
@@ -35,7 +35,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum
+from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
 from mpmath.libmp import round_nearest as RND
 
 from . import _poly as P
@@ -72,6 +72,17 @@ def multi_index(n, d: int | None = None) -> tuple:
     if not n or len(n) != (d or len(n)) or min(n) < 0:
         raise ValueError(f"{n} is not a multi-index of {d or 'one or more'} nonnegative components")
     return n
+
+
+def label(i, d: int, lo: int = 1) -> int:
+    """i as a Python int in lo..d: a measure's label 1..d, or 0..d where 0 names P_n (``zeros``)."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        k = None
+    if k is None or not lo <= k <= d:
+        raise ValueError(f"label {i!r} is not an integer in {lo}..{d}")
+    return k
 
 
 def unit(d: int, i: int) -> tuple:
@@ -123,6 +134,14 @@ class MopRecord:
     A2 = property(lambda self: None if self.A is None else self.A[1])
 
 
+def _sources(rec) -> tuple:
+    """P_n's x^(|n|-1) coefficient (0 at |n| = 0) and h_1..h_d of a type II record as
+    integer pairs (num, den): the exact rationals of an exact-route record, else
+    the values of its mpf numbers, formed here and not kept."""
+    lead = rec.P[-2] if len(rec.P) > 1 else _ZERO
+    return rec.exact or tuple(to_rational(x._mpf_) for x in (lead, *rec.h))
+
+
 class MopSystem:
     """A tuple of measures plus a write-once cache of MOP data per multi-index.
 
@@ -150,7 +169,7 @@ class MopSystem:
     # -- moments -----------------------------------------------------------
 
     def moments(self, j: int, upto: int) -> list:
-        return self.measures[j - 1].moments_mp(upto, self.precision_bits)
+        return self.measures[label(j, len(self.measures)) - 1].moments_mp(upto, self.precision_bits)
 
     def mass(self, j: int):
         return self.moments(j, 0)[0]
@@ -169,7 +188,7 @@ class MopSystem:
 
     def _moments_at(self, n) -> tuple:
         """The moments (mom_1, ..., mom_d) that the solves at n read: mom_k up to n_k + |n|."""
-        return tuple(self.moments(k, nk + order(n)) for k, nk in enumerate(n, 1))
+        return tuple(mu.moments_mp(nk + order(n), self.precision_bits) for mu, nk in zip(self.measures, n))
 
     @staticmethod
     def _moment_rows(n, moms) -> list:
@@ -202,15 +221,11 @@ class MopSystem:
             out.append(rows)
         return out
 
-    def _lu(self, rows, rhs, n, kind: str) -> list:
+    def _solve(self, rows, rhs, n, kind: str, exact: bool):
+        """``rows x = rhs`` by fraction-free elimination (integer rows) or the mp LU;
+        NormalityError where the solver finds the matrix singular."""
         try:
-            return P.lu_solve(rows, rhs, self.precision_bits)
-        except ZeroDivisionError as exc:
-            raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
-
-    def _exact(self, rows, rhs, n, kind: str) -> tuple:
-        try:
-            return P.fraction_free_solve(rows, rhs)
+            return P.fraction_free_solve(rows, rhs) if exact else P.lu_solve(rows, rhs, self.precision_bits)
         except ZeroDivisionError as exc:
             raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
 
@@ -225,7 +240,7 @@ class MopSystem:
         with workprec(prec):
             if exact is not None:
                 system = [row for rows_k in exact for row, _ in rows_k[:-1]]
-                y, D = self._exact([row[:d] for row in system], [-row[d] for row in system], n, "II")
+                y, D = self._solve([row[:d] for row in system], [-row[d] for row in system], n, "II", True)
                 y.append(D)  # the monic top coefficient
                 coeffs = tuple(P.rational(v, D, prec) for v in y)
                 self._check_orthogonality(coeffs, n, moms)
@@ -234,7 +249,7 @@ class MopSystem:
             coeffs = (mpf(1),)
             if d:
                 rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
-                coeffs = tuple(self._lu(self._moment_rows(n, moms), rhs, n, "II")) + coeffs
+                coeffs = tuple(self._solve(self._moment_rows(n, moms), rhs, n, "II", False)) + coeffs
             self._check_orthogonality(coeffs, n, moms)
             return coeffs, tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms)), None
 
@@ -266,26 +281,19 @@ class MopSystem:
         rec = self.record(n)
         if rec.A is not None:
             return rec
-        exact = self._integer_rows(n)  # the record keeps no rows: they are |n|^2 integers
-        if exact is not None:
-            rec.A, rec.A0 = self._exact_type1(n, exact)
+        if rec.exact is not None:  # the record keeps no rows: they are |n|^2 integers
+            rec.A, rec.A0 = self._exact_type1(n, self._integer_rows(n))
             return rec
         moms = self._moments_at(n)
         with workprec(self.precision_bits):
             if d == 1:  # 1/m[0] rounds at the system's precision, the LU at 10 bits more
                 A = tuple((1 / mom[0],) if nk == 1 else () for nk, mom in zip(n, moms))
             else:
-                c = self._lu(list(zip(*self._moment_rows(n, moms))), [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
+                c = self._solve(list(zip(*self._moment_rows(n, moms))), [mpf(0)] * (d - 1) + [mpf(1)], n, "I", False)
                 A = tuple(tuple(c[lo : lo + nk]) for lo, nk in zip(accumulate(n, initial=0), n))
-            # polynomial part of the Cauchy transform of the linear form
-            deg0 = max(n) - 2
-            a0 = []
-            for i in range(max(deg0 + 1, 0)):
-                s = mpf(0)
-                for coeffs, mom in zip(A, moms):
-                    for jj in range(i + 1, len(coeffs)):
-                        s += coeffs[jj] * mom[jj - 1 - i]
-                a0.append(s)
+            # polynomial part of the Cauchy transform of the linear form, each sum in order
+            a0 = (sum(ak[j] * mom[j - 1 - i] for ak, mom in zip(A, moms) for j in range(i + 1, len(ak)))
+                  for i in range(max(n) - 1))
             rec.A, rec.A0 = A, tuple(a0)
         return rec
 
@@ -295,22 +303,20 @@ class MopSystem:
 
         The type I matrix is the transpose of the type II one, whose rows were
         scaled by L, so its solution is L times that of the transposed integer
-        matrix, and A0's coefficients are sums of A's against exact moments.
+        matrix, and A0's coefficients are sums of A's against the moments of
+        row 0, mom_k[m] = row_k[m] / L_k.
         """
         d, prec = order(n), self.precision_bits
         system = [(row[:d], scale) for rows_k in exact for row, scale in rows_k[:-1]]
-        z, D = self._exact(list(zip(*[row for row, _ in system])), [0] * (d - 1) + [1], n, "I")
+        z, D = self._solve(list(zip(*[row for row, _ in system])), [0] * (d - 1) + [1], n, "I", True)
         num = [scale * v for (_, scale), v in zip(system, z)]  # A's coefficients times D
         lows = list(accumulate(n, initial=0))
-        tables = [mu.exact_moments(max(nk - 2, 0)) for mu, nk in zip(self.measures, n)]
-        den = math.lcm(*[q for table, nk in zip(tables, n) for _, q in table[: nk - 1]])
+        row0 = [rows_k[0] for rows_k in exact]
+        den = math.prod(scale for _, scale in row0)
         a0 = []
         for i in range(max(n) - 1):  # A0_i = sum_k sum_j A_k[j] mom_k[j - 1 - i]
-            total = 0
-            for lo, nk, table in zip(lows, n, tables):
-                for j in range(i + 1, nk):
-                    p, q = table[j - 1 - i]
-                    total += num[lo + j] * p * (den // q)
+            total = sum(num[lo + j] * row[j - 1 - i] * (den // scale)
+                        for lo, nk, (row, scale) in zip(lows, n, row0) for j in range(i + 1, nk))
             a0.append(P.rational(total, D * den, prec))
         A = tuple(tuple(P.rational(v, D, prec) for v in num[lo : lo + nk]) for lo, nk in zip(lows, n))
         return A, tuple(a0)
@@ -337,6 +343,7 @@ class MopSystem:
     def zeros(self, n, k: int = 0) -> tuple:
         """Real zeros of P_n (k = 0) or of A_n^{(k)} (k = 1..d), ascending mpf, found
         once per record by :func:`real_zeros`; a constant or empty polynomial has none."""
+        k = label(k, len(self.measures), 0)
         rec = self.record(n) if k == 0 else self.type1_record(n)
         if k not in rec.zeros:
             c = rec.P if k == 0 else rec.A[k - 1]
@@ -344,40 +351,28 @@ class MopSystem:
         return rec.zeros[k]
 
     def recurrence(self, n) -> tuple:
-        """(a_1, ..., a_d, b_1, ..., b_d) at n, with a_{n,i} = 0 when n_i = 0."""
+        """(a_1, ..., a_d, b_1, ..., b_d) at n, with a_{n,i} = 0 when n_i = 0: the exact
+        b_i = P_n[|n| - 1] - P_{n+e_i}[|n|] and a_j = h_{n,j} / h_{n-e_j,j} of the records'
+        :func:`_sources`, each rounded once.  On LU records that is the mpf subtraction
+        and division; from an exact record's rounded values b would be up to 8.4 ulp off."""
         rec = self.record(n)
         if rec.rec is not None:
             return rec.rec
-        n, d = rec.n, order(rec.n)
+        n, prec = rec.n, self.precision_bits
         ups = [self.record(add(n, e)) for e in self.units]
         lows = [self.record(sub(n, e)) if nj else None for nj, e in zip(n, self.units)]
+        (p, q), *hq = _sources(rec)
+        b = [P.rational(p * qu - pu * q, q * qu, prec) for (pu, qu), *_ in map(_sources, ups)]
+        a = [_ZERO] * len(n)
         for j, low in enumerate(lows):
-            if low is not None and low.h[j] == 0:
-                raise NormalityError(f"vanishing h at n={low.n}, j={j + 1}")
-        with workprec(self.precision_bits):
-            if all(r.exact for r in (rec, *ups, *filter(None, lows))):
-                a, b = self._exact_row(rec, ups, lows)
-            else:
-                lead_low = rec.P[d - 1] if d >= 1 else mpf(0)
-                b = [lead_low - up.P[d] for up in ups]
-                a = [mpf(0) if low is None else rec.h[j] / low.h[j] for j, low in enumerate(lows)]
-            self._check_recurrence(n, a, b)
-            rec.rec = (*a, *b)
+            if low is not None:
+                hl, ql = _sources(low)[1 + j]
+                if hl == 0:
+                    raise NormalityError(f"vanishing h at n={low.n}, j={j + 1}")
+                a[j] = P.rational(hq[j][0] * ql, hq[j][1] * hl, prec)
+        self._check_recurrence(rec, ups, lows, a, b)
+        rec.rec = (*a, *b)
         return rec.rec
-
-    def _exact_row(self, rec, ups, lows) -> tuple:
-        """(a, b) at rec.n from the exact rationals of the records n + e_i and n - e_j,
-        each rounded once: b_i = P_n[|n| - 1] - P_{n+e_i}[|n|], a_j = h_{n,j} / h_{n-e_j,j}.
-
-        Rounding b from the rounded coefficients would cost it up to 8.4 ulp (the
-        subtraction cancels); a from the rounded h would be within 1.4 ulp."""
-        prec, ((p, q), *hq) = self.precision_bits, rec.exact
-        b = [P.rational(p * qu - pu * q, q * qu, prec) for (pu, qu), *_ in (up.exact for up in ups)]
-        a = [
-            mpf(0) if low is None else P.rational(hq[j][0] * low.exact[1 + j][1], hq[j][1] * low.exact[1 + j][0], prec)
-            for j, low in enumerate(lows)
-        ]
-        return a, b
 
     def recurrence_float(self, n) -> tuple:
         """:meth:`recurrence` in double precision, converted once per point and system."""
@@ -387,33 +382,34 @@ class MopSystem:
             row = self._floats[n] = tuple(float(c) for c in self.recurrence(n))
         return row
 
-    def _check_recurrence(self, n, a, b):
+    def _check_recurrence(self, rec, ups, lows, a, b):
         """x P_n - P_{n+e_i} - b_i P_n - sum_j a_j P_{n-e_j} must vanish for every i, up to
         ``tolerance`` times max(1, max|P_n| + |b_i| + sum|a_j|); else PrecisionError.
+        The records at n, n + e_i and n - e_j come as :meth:`recurrence` fetched them.
 
         Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
         polynomial operators (``pxshift``, ``pscale``, ``padd``) round it."""
         prec = self.precision_bits
-        pn = [c._mpf_ for c in self.record(n).P]
-        lows = [(mpf_neg(aj._mpf_, prec, RND), [c._mpf_ for c in self.record(sub(n, ej)).P])
-                for aj, ej in zip(a, self.units) if aj != 0]  # a_j = 0 where n_j = 0
+        pn = [c._mpf_ for c in rec.P]
+        terms = [(mpf_neg(aj._mpf_, prec, RND), [c._mpf_ for c in low.P])
+                 for aj, low in zip(a, lows) if aj != 0]  # a_j = 0 where n_j = 0
         top = _max_abs(pn, prec)
         total_a = fzero
         for aj in a:
             total_a = mpf_add(total_a, mpf_abs(aj._mpf_, prec, RND), prec, RND)
-        for bi, e in zip(b, self.units):
-            up = [c._mpf_ for c in self.record(add(n, e)).P]
-            r = [mpf_add(x, mpf_mul_int(u, -1, prec, RND), prec, RND) for x, u in zip([fzero, *pn], up)]
+        for bi, up in zip(b, ups):
+            pu = [c._mpf_ for c in up.P]
+            r = [mpf_add(x, mpf_mul_int(u, -1, prec, RND), prec, RND) for x, u in zip([fzero, *pn], pu)]
             neg_b = mpf_neg(bi._mpf_, prec, RND)
             for k, c in enumerate(pn):
                 r[k] = mpf_add(r[k], mpf_mul(c, neg_b, prec, RND), prec, RND)
-            for neg_a, low in lows:
+            for neg_a, low in terms:
                 for k, c in enumerate(low):
                     r[k] = mpf_add(r[k], mpf_mul(c, neg_a, prec, RND), prec, RND)
             scale = mpf_add(mpf_add(top, mpf_abs(bi._mpf_, prec, RND), prec, RND), total_a, prec, RND)
             limit = mpf_mul(self.tolerance._mpf_, _max_abs((fone, scale), prec), prec, RND)
             if mpf_gt(_max_abs(r, prec), limit):
-                raise PrecisionError(f"nearest-neighbor recurrence fails at n={n} at {self.precision_bits} bits")
+                raise PrecisionError(f"nearest-neighbor recurrence fails at n={rec.n} at {self.precision_bits} bits")
 
     def record_json(self, n) -> dict:
         """Export one record: coefficients ascending, double precision."""
@@ -470,7 +466,9 @@ def type1_recursion_residual(sys: MopSystem, n, i: int, j: int):
     """
     if min(sys._index(n)) < 1:
         raise ValueError("type I recursion requires every component of n >= 1")
-    d, ei = len(n), sys.units[i - 1]
+    d = len(n)
+    i, j = (label(x, d) for x in (i, j))
+    ei = sys.units[i - 1]
     with workprec(sys.precision_bits):
         def aj(m):
             return sys.type1_record(m).A[j - 1]
@@ -721,8 +719,8 @@ def _strict_interlace(inner, outer) -> bool:
 
 def interlacing_check(sys: MopSystem, n, i: int) -> bool:
     """Strict interlacing of the zeros of P_n and P_{n+e_i}."""
+    zu = sys.zeros(add(n, sys.units[label(i, len(sys.measures)) - 1]))
     zn = sys.zeros(n)
-    zu = sys.zeros(add(n, sys.units[i - 1]))
     if len(zn) != order(n) or len(zu) != order(n) + 1:
         raise ZeroError(f"zero count mismatch at n={n} (multiple root?)")
     return _strict_interlace(zn, zu)
@@ -737,6 +735,7 @@ def type1_interlacing_check(sys: MopSystem, n, k: int, l: int) -> bool:
     second-family zeros right, adding e_2 pulls the first-family zeros left);
     for k = l the larger family brackets the smaller one.
     """
+    k, l = (label(x, len(sys.measures)) for x in (k, l))
     lo, hi = sys.measures[k - 1].hull()
 
     def zeros_of(m):

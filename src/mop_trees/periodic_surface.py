@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchError, ConvergenceError, DomainError, InvalidSurfaceError
+from .mop_engine import label, unit
 from .tree_topology import cayley_truncation
 
 _BRANCH_GUARD = 1e-8
@@ -36,10 +37,10 @@ class SurfaceParams:
     cuts: tuple                     # ((a1, b1), (a2, b2)), disjoint
 
     def a_of(self, l: int) -> float:
-        return self.A1 if l == 1 else self.A2
+        return (self.A1, self.A2)[label(l, 2) - 1]
 
     def b_of(self, l: int) -> float:
-        return self.B1 if l == 1 else self.B2
+        return (self.B1, self.B2)[label(l, 2) - 1]
 
 
 def zmap(surf_or_params, chi):
@@ -245,12 +246,12 @@ def green_path(surf: SurfaceParams, l: int, X, z) -> complex:
 
 def l2_norm_sq(surf: SurfaceParams, l: int, z) -> float:
     """Squared l2 norm of G(., O; z) over the whole tree (closed form)."""
+    l = label(l, 2)
     m1, m2 = _m_abs2(surf, chi0(surf, z))
     q = surf.A1 * m1 + surf.A2 * m2
     if q >= 1:
         raise DomainError("Green column not square-summable here")
-    ml = m1 if l == 1 else m2
-    return ml / (1 - q)
+    return (m1, m2)[l - 1] / (1 - q)
 
 
 def l2_norm_sq_direct(surf: SurfaceParams, l: int, z, depth: int) -> float:
@@ -259,8 +260,9 @@ def l2_norm_sq_direct(surf: SurfaceParams, l: int, z, depth: int) -> float:
     Sums path-product classes with binomial multiplicities; independent of
     the closed form (it never divides by 1 - q).
     """
+    l = label(l, 2)
     m1, m2 = _m_abs2(surf, chi0(surf, z))
-    ml = m1 if l == 1 else m2
+    ml = (m1, m2)[l - 1]
     total = ml
     for n in range(1, depth + 1):
         gen = 0.0
@@ -357,8 +359,8 @@ def assemble_Lc(surf: SurfaceParams, l: int, depth: int):
     from .tree_jacobi import _assemble
 
     row = (float(surf.A1), float(surf.A2), float(surf.B1), float(surf.B2))
-    w = (1.0, 0.0) if l == 1 else (0.0, 1.0)  # V = B_l exactly, as a subtree root reads its b
-    return _assemble(lambda n: row, cayley_truncation(depth), (((0, 0), w[0]), ((0, 0), w[1])), None)
+    e = unit(2, label(l, 2))  # V = B_l exactly, as a subtree root reads its b
+    return _assemble(lambda n: row, cayley_truncation(depth), tuple(((0, 0), float(w)) for w in e), None)
 
 
 @dataclass

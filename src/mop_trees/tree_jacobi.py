@@ -30,7 +30,7 @@ from mpmath import mpc, workprec
 
 from . import _poly as P
 from .errors import ZeroWeightError
-from .mop_engine import KappaForm, MopSystem, SecondKind, add, kappa_pair, require_pair, second_kind, sub
+from .mop_engine import KappaForm, MopSystem, SecondKind, add, kappa_pair, label, require_pair, second_kind, sub
 from .tree_topology import Tree, cayley_truncation, finite_tree
 
 _DENSE_LIMIT = 4096
@@ -165,8 +165,10 @@ def assemble_subtree(sys: MopSystem, root_proj, root_iota: int, depth: int) -> T
     coupling to its parent.
     """
     tree = cayley_truncation(depth, root_proj=root_proj)
-    e = sys.units[root_iota - 1]
+    e = sys.units[label(root_iota, len(sys.measures)) - 1]
     low = sub(tree.root_proj, e)  # V_X = b_{root_iota}(low) exactly: the weights are e
+    if min(low) < 0:
+        raise ValueError(f"a step of label {root_iota} does not reach {tree.root_proj}")
     return _assemble(sys.recurrence_float, tree, tuple((low, float(w)) for w in e), None, sys)
 
 

@@ -62,6 +62,11 @@ class TestConstruction:
         asys = angelesco_system(uniform(1, 2), uniform(-2, -1))
         assert asys.delta1 == (-2, -1)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_interval_label_is_checked(self, ang_u, k):
+        with pytest.raises(ValueError, match=f"label {k} is not an integer in 1..2"):
+            ang_u.interval(k)  # read as delta2 before
+
     def test_all_edge_coefficients_positive(self, ang_u):
         op = assemble_truncated(ang_u.sys, (0.5, 0.5), 4)
         assert int(op.sigma.sum()) == 0

@@ -603,3 +603,30 @@ def test_golden_output_ignores_ambient_precision(name, ambient, capsys, tmp_path
     # main runs under whatever precision the caller has set
     with workprec(ambient):
         _check_golden(name, capsys, tmp_path, monkeypatch)
+
+
+class TestOutputFiles:
+    """``--out`` on a JSON command, the point-mass sidecar of a CSV profile and
+    the profile that ``angelesco rho --grid`` adds."""
+
+    def test_out_writes_the_document_and_prints_nothing(self, capsys, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*GOLDEN_COMMANDS["angelesco-rho"], "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == (GOLDENS / "angelesco-rho" / "stdout").read_bytes()
+
+    def test_dos_profile_writes_the_point_masses_beside_the_csv(self, capsys, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = ["angelesco", "dos-profile", "--system", SYSTEM, "--kappa", "0.5,0.5", "--grid", "20", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "wrote 20 points\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.masses.json"]
+        doc = json.loads((tmp_path / "r.csv.masses.json").read_text())
+        assert doc == {"schema": "mop-trees/1", "point_masses": [[3.4383874549607746e-16, 0.9241962407460547]]}
+
+    def test_rho_grid_adds_a_profile(self, capsys):
+        code, out = run(capsys, "angelesco", "rho", "--system", SYSTEM, "--kappa", "0.5,0.5", "--grid", "4")
+        assert code == 0
+        xs = [x for x, _ in json.loads(out)["profile"]]
+        assert len(xs) == 4 and xs == sorted(xs)
+        assert sum(-2 < x < -1 for x in xs) == 2 and sum(1 < x < 2 for x in xs) == 2

@@ -150,6 +150,21 @@ class TestRecurrence:
         if n == (0, 0):
             assert expected == (nik_sys.mass(1), nik_sys.mass(2))
 
+    @pytest.mark.parametrize("system", ["nik_u", "skew"])
+    def test_one_formula_is_the_mpf_formula_on_lu_records(self, nik_sys, system):
+        # the exact-source formula rounds the exact difference and quotient once; on
+        # LU records, whose values are dyadic, that is the mpf subtraction and division
+        sys = nik_sys if system == "nik_u" else MopSystem((uniform(-2.791, -2.54), uniform(-2.301, -0.975)))
+        with workprec(sys.precision_bits):
+            for n in [(n1, d - n1) for d in range(7) for n1 in range(d + 1)]:
+                rec, ups = sys.record(n), [sys.record(add(n, e)) for e in sys.units]
+                assert all(up.exact is None for up in ups)  # of the skew pair only (0, 0), the masses, is exact
+                lead = rec.P[-2] if sum(n) else mpf(0)
+                b = [lead - up.P[sum(n)] for up in ups]
+                lows = [sys.record(sub(n, e)) if nj else None for nj, e in zip(n, sys.units)]
+                a = [mpf(0) if low is None else rec.h[j] / low.h[j] for j, low in enumerate(lows)]
+                assert [c._mpf_ for c in sys.recurrence(n)] == [c._mpf_ for c in (*a, *b)], n
+
 
 class TestConsistency:
     def test_residuals_tiny(self, ang_sys):
@@ -406,6 +421,12 @@ def _nudged(coeffs):
         return coeffs[:i] + (coeffs[i] * (1 + mpf(2) ** -40),) + coeffs[i + 1 :]
 
 
+def _neighbours(sys, n):
+    """The records at n, n + e_i and n - e_j (None where n_j = 0), which recurrence(n) passes to its check."""
+    lows = [sys.record(sub(n, e)) if nj else None for nj, e in zip(n, sys.units)]
+    return sys.record(n), [sys.record(add(n, e)) for e in sys.units], lows
+
+
 @pytest.mark.parametrize("n", [(1, 1), (3, 2), (5, 4)])
 class TestEngineChecksRaise:
     def test_orthogonality_check(self, ang_sys, nik_sys, n):
@@ -423,11 +444,11 @@ class TestEngineChecksRaise:
         sys = MopSystem((uniform(-2, -1), uniform(1, 2)))  # its record at n is nudged below
         coef = sys.recurrence(n)
         with workprec(256):
-            sys._check_recurrence(n, coef[:2], coef[2:])
+            sys._check_recurrence(*_neighbours(sys, n), coef[:2], coef[2:])
             rec = sys.record(n)
             rec.P = _nudged(rec.P)
             with pytest.raises(PrecisionError, match="nearest-neighbor recurrence fails"):
-                sys._check_recurrence(n, coef[:2], coef[2:])
+                sys._check_recurrence(*_neighbours(sys, n), coef[:2], coef[2:])
 
 
 def _mpf_recurrence_excess(sys, n, a, b):
@@ -483,9 +504,9 @@ class TestRawChecksDecideAsMpf:
             def moved(t):
                 return (b1 + t, b2)
             lo, hi = _threshold(lambda t: _mpf_recurrence_excess(sys, n, a, moved(t)) > 0, mpf(2) ** -40)
-            sys._check_recurrence(n, a, moved(lo))
+            sys._check_recurrence(*_neighbours(sys, n), a, moved(lo))
             with pytest.raises(PrecisionError):
-                sys._check_recurrence(n, a, moved(hi))
+                sys._check_recurrence(*_neighbours(sys, n), a, moved(hi))
 
     def test_orthogonality_check(self, ang_sys, nik_sys, route, n):
         sys = ang_sys if route == "exact" else nik_sys
@@ -557,6 +578,36 @@ class TestMultiIndex:
                 a, b = sys.recurrence((n,))
                 assert abs(b) < mpf(10) ** -60
                 assert abs(a - mpf(n * n) / (4 * n * n - 1)) < mpf(10) ** -60
+
+
+class TestLabels:
+    """A measure's label is 1..d (0..d for zeros, where 0 names P_n); another value
+    used to alias a measure through negative indexing, or to raise IndexError."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: interlacing_check(s, (2, 2), 0),
+            lambda s: interlacing_check(s, (2, 2), 3),
+            lambda s: s.zeros((3, 2), -1),
+            lambda s: s.zeros((3, 2), 3),
+            lambda s: s.moments(0, 4),
+            lambda s: s.mass(3),
+            lambda s: type1_recursion_residual(s, (2, 2), 0, 1),
+            lambda s: type1_recursion_residual(s, (2, 2), 1, -1),
+            lambda s: type1_interlacing_check(s, (3, 2), 0, 1),
+            lambda s: type1_interlacing_check(s, (3, 2), 1, 3),
+        ],
+    )
+    def test_label_out_of_range_raises(self, ang_sys, call):
+        with pytest.raises(ValueError, match=r"label -?\d+ is not an integer in [01]\.\.2"):
+            call(ang_sys)
+        assert set(ang_sys.record((3, 2)).zeros) <= {0, 1, 2}  # nothing cached under another key
+
+    def test_label_must_be_an_integer(self, ang_sys):
+        with pytest.raises(ValueError, match="not an integer"):
+            ang_sys.zeros((3, 2), 1.0)
+        assert ang_sys.zeros((3, 2), np.int64(1)) == ang_sys.zeros((3, 2), 1)
 
 
 class TestRecordExport:

@@ -376,6 +376,30 @@ class TestAssembleLc:
             assert op.W[v] == SYM.a_of(t.iota[v])
 
 
+class TestLabels:
+    # every value other than 1 used to read as 2: assemble_Lc(SYM, 5, 2) built the l = 2 operator
+    @pytest.mark.parametrize("bad", [0, 3, 5, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda l: m_function(ASYM, l, 1j),
+            lambda l: m_plus(ASYM, l, ASYM.cuts[0][0] + 0.01),
+            lambda l: green_o(ASYM, l, 5.0),
+            lambda l: dos(ASYM, l, ASYM.cuts[1][0] + 0.01),
+            lambda l: green_path(ASYM, l, (1, 2), 1j),
+            lambda l: green_path(ASYM, 1, (1, l), 1j),
+            lambda l: l2_norm_sq(ASYM, l, 5.0),
+            lambda l: l2_norm_sq_direct(ASYM, l, 5.0, 3),
+            lambda l: truncated_green_o(ASYM, l, 5.0, 3),
+            lambda l: sheet_products(ASYM, l, 1j),
+            lambda l: assemble_Lc(ASYM, l, 2),
+        ],
+    )
+    def test_label_out_of_range_raises(self, call, bad):
+        with pytest.raises(ValueError, match=f"label {bad} is not an integer in 1..2"):
+            call(bad)
+
+
 class TestRayLimits:
     def test_symmetric_estimates(self, ang_u):
         rep = ray_limit_estimate(ang_u, 0.5, 8)

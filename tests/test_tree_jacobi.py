@@ -264,6 +264,15 @@ class TestOneReadPerPoint:
         assert sorted(calls) == sorted(self.corner((1, 1), 7))  # 28 points for 127 vertices
 
 
+class TestSubtreeLabel:
+    # label 0 built the label-2 operator, label 3 raised IndexError, and a label whose
+    # step cannot reach the root projection failed inside numpy
+    @pytest.mark.parametrize("root_proj, label", [((2, 1), 0), ((2, 1), 3), ((0, 1), 1), ((1, 0), 2)])
+    def test_label_is_checked(self, ang_sys, root_proj, label):
+        with pytest.raises(ValueError, match=f"label {label} "):
+            assemble_subtree(ang_sys, root_proj, label, 2)
+
+
 class TestGenericIndex:
     def test_lattice_values_on_three_columns_equal_per_row_calls(self):
         points = np.random.default_rng(3).integers(0, 4, size=(60, 3))
