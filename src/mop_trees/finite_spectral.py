@@ -8,8 +8,9 @@ polynomial values p(E); a joint X with P_{proj(X)}(E) = 0 seeds a vector
 supported on the two subtrees below X, glued so that the rows at and above X
 cancel.
 
-The standing numerical assumptions (all zeros real and simple, parent/child
-zero sets disjoint) are verified on entry, not assumed; a clash within
+The standing numerical assumptions (all zeros real and simple, zero sets
+disjoint along every lattice edge, the boundary polynomial standing for P at
+N's formal parent) are verified on entry, not assumed; a clash within
 ``_CLASH_TOL`` raises :class:`AssumptionError`.
 """
 
@@ -122,48 +123,31 @@ def _eigenvalue_set_on(sys, kappa, N, tree):
         if any(b - a < _CLASH_TOL for a, b in zip(zs[:-1], zs[1:])):
             raise AssumptionError(f"P_{n} has nearly multiple zeros")
 
-    # parent/child zero sets disjoint
-    pairs = [(n, add(n, e)) for n in inner for e in sys.units if add(n, e) in zero_table]
+    # zero sets disjoint along every lattice edge; the boundary polynomial is N's parent
+    pairs = [(n, add(n, e)) for n in inner for e in sys.units if add(n, e) in zero_table] + [(N, "boundary")]
     for n, m in pairs:
-        _assert_disjoint(zero_table[n], zero_table[m], f"{n} vs {m}")
-    _assert_disjoint(zero_table[N], zero_table["boundary"], f"{N} vs boundary")
+        for a, b in product(zero_table[n], zero_table[m]):
+            if abs(a - b) < _CLASH_TOL:
+                raise AssumptionError(f"zero clash between {n} vs {m}: {a} ~ {b}")
 
-    # cluster across polynomials
+    # cluster across polynomials: split the sorted zeros at every gap of at least _CLASH_TOL
     events = [(z, "boundary") for z in zero_table["boundary"]]
-    for n in inner:
-        if min(n) >= 1:
-            events.extend((z, n) for z in zero_table[n])
+    events += [(z, n) for n in inner if min(n) >= 1 for z in zero_table[n]]
     events.sort(key=lambda t: t[0])
+    zeros = [z for z, _ in events]
+    cuts = (np.flatnonzero(np.diff(zeros) >= _CLASH_TOL) + 1).tolist()
     joint_vertices: dict = {}
     joints = np.flatnonzero(np.diff(tree.first_child) == 2)
     for v, n in zip(joints.tolist(), map(tuple, tree.points[joints].tolist())):
         joint_vertices.setdefault(n, []).append(v)
 
     eigenvalues = []
-    i = 0
-    while i < len(events):
-        j = i + 1
-        while j < len(events) and events[j][0] - events[j - 1][0] < _CLASH_TOL:
-            j += 1
-        cluster = events[i:j]
-        E = float(np.mean([z for z, _ in cluster]))
-        vanishing = [src for _, src in cluster]
-        joint_star = []
-        if "boundary" in vanishing:
-            joint_star.append(ROOT_PARENT)
-        for src in vanishing:
-            if src != "boundary":
-                joint_star.extend(joint_vertices.get(src, []))
-        eigenvalues.append(Eigenvalue(E, vanishing, joint_star, len(joint_star)))
-        i = j
+    for lo, hi in zip([0, *cuts], [*cuts, len(events)]):
+        vanishing = [src for _, src in events[lo:hi]]
+        joint_star = [ROOT_PARENT] * ("boundary" in vanishing)
+        joint_star += [X for src in vanishing if src != "boundary" for X in joint_vertices.get(src, [])]
+        eigenvalues.append(Eigenvalue(float(np.mean(zeros[lo:hi])), vanishing, joint_star, len(joint_star)))
     return eigenvalues, zero_table, bpoly
-
-
-def _assert_disjoint(z1, z2, label):
-    for a in z1:
-        for b in z2:
-            if abs(a - b) < _CLASH_TOL:
-                raise AssumptionError(f"zero clash between {label}: {a} ~ {b}")
 
 
 def canonical_vector(sys: MopSystem, kappa, N, E: float, X, op: TreeOperator | None = None):
@@ -206,9 +190,10 @@ def _canonical_family(sys: MopSystem, op: TreeOperator, m, bpoly, E: float):
 def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     """All canonical eigenvectors, verified against the assembled matrix.
 
-    Verifies per-vector residuals, the counting identity
-    ``#V = sum_E #Joint*(E)``, full rank of the stacked vectors, and the
-    multiset agreement of the eigenvalue set with a dense eigensolve.
+    Verifies the counting identity ``#V = sum_E #Joint*(E)``, the eigenpair
+    residuals as one product ``J B - B diag(E)`` over the stacked vectors,
+    their full rank, and the multiset agreement of the eigenvalue set with
+    a dense eigensolve.
     """
     N = sys._index(N)
     kappa = kappa_pair(kappa)
@@ -219,22 +204,24 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     if sum(ev.g for ev in eigenvalues) != nv:
         raise AssumptionError("counting identity #V = sum g_E fails")
 
-    J = op.dense()
-    tol = _RESIDUAL_FACTOR * np.linalg.norm(J, 2)
     m = op.m_weights()
     vectors = {}
     for i, ev in enumerate(eigenvalues):
         vector = _canonical_family(sys, op, m, bpoly, ev.E)
-        for X in ev.joint_star:
-            b = vector(X)
-            res = np.linalg.norm(J @ b - ev.E * b) / np.linalg.norm(b)
-            if res > tol:
-                raise AssumptionError(f"eigenvector residual {res:.2e} exceeds {tol:.2e}")
-            vectors[(i, X)] = b
+        vectors.update(((i, X), vector(X)) for X in ev.joint_star)
 
-    B = np.column_stack([vectors[(i, X)] for i, ev in enumerate(eigenvalues) for X in ev.joint_star])
-    B = B / np.linalg.norm(B, axis=0)
-    rank = np.linalg.matrix_rank(B, tol=1e-8)
+    # every eigenpair at once: the columns of J B - B diag(E), relative to those of B;
+    # the vectors become rows of the one stacked copy, so the basis is held once
+    rows = np.array(list(vectors.values()))
+    vectors, B = dict(zip(vectors, rows)), rows.T
+    J = op.dense()
+    E = np.array([eigenvalues[i].E for i, _ in vectors])
+    norms = np.linalg.norm(B, axis=0)
+    res = float(np.max(np.linalg.norm(J @ B - B * E, axis=0) / norms))
+    tol = _RESIDUAL_FACTOR * np.linalg.norm(J, 2)
+    if res > tol:
+        raise AssumptionError(f"eigenvector residual {res:.2e} exceeds {tol:.2e}")
+    rank = np.linalg.matrix_rank(B / norms, tol=1e-8)
     if rank != nv:
         raise RankError(f"stacked canonical vectors have rank {rank} < {nv}")
 

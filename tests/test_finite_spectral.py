@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from mpmath import workprec
 from oracles import waves_and_fronts_sweep
 
 from mop_trees import finite_spectral
-from mop_trees.errors import JointError
+from mop_trees.angelesco import angelesco_system
+from mop_trees.errors import AssumptionError, JointError
 from mop_trees.finite_spectral import (
     canonical_vector,
     eigenvalue_set,
@@ -13,6 +16,7 @@ from mop_trees.finite_spectral import (
     waves_and_fronts,
     waves_and_fronts_on,
 )
+from mop_trees.measures import uniform
 from mop_trees.tree_jacobi import signature_diagonal
 from mop_trees.tree_topology import ROOT_PARENT, finite_tree
 
@@ -230,3 +234,95 @@ class TestOrthogonalization:
         for j in range(M.shape[1]):
             nu = float(np.dot(s * M[:, j], M[:, j]))
             assert abs(abs(nu) - 1.0) < 1e-10
+
+
+@pytest.fixture
+def fresh_ang():
+    """``ang_u``'s system built for one test, so a monkeypatched method stays with it."""
+    return angelesco_system(uniform(-2, -1), uniform(1, 2)).sys
+
+
+def _fake_zeros(monkeypatch, sys, n, zeros):
+    """Make ``sys.zeros(n)`` return ``zeros``; every other index keeps its real zeros."""
+    real = sys.zeros
+    monkeypatch.setattr(sys, "zeros", lambda m, k=0: tuple(zeros) if m == n else real(m, k))
+
+
+class TestGuards:
+    """Each standing assumption of the finite-tree theorem raises when it fails.
+
+    At N = (2, 1) and kappa = (0, 1) the zeros are: P_(1, 1) at -+1.5275...,
+    P_(2, 0) at -1.7887... and -1.2113..., P_(2, 1) at -1.7989..., -1.2232...,
+    1.5553..., and the boundary polynomial P_(2, 2) at -+1.8088... and -+1.2362....
+    """
+
+    N = (2, 1)
+
+    def zeros(self, sys, n):
+        return [float(z) for z in sys.zeros(n)]
+
+    def test_fewer_zeros_than_the_degree(self, fresh_ang, monkeypatch):
+        _fake_zeros(monkeypatch, fresh_ang, (2, 1), self.zeros(fresh_ang, (2, 1))[:2])
+        with pytest.raises(AssumptionError, match=r"^P_\(2, 1\) has fewer real simple zeros than its degree$"):
+            eigenvalue_set(fresh_ang, (0, 1), self.N)
+
+    def test_nearly_multiple_zeros(self, fresh_ang, monkeypatch):
+        z = self.zeros(fresh_ang, (2, 1))
+        _fake_zeros(monkeypatch, fresh_ang, (2, 1), [z[0], z[0] + 1e-12, z[2]])
+        with pytest.raises(AssumptionError, match=r"^P_\(2, 1\) has nearly multiple zeros$"):
+            eigenvalue_set(fresh_ang, (0, 1), self.N)
+
+    def test_parent_child_clash_names_the_first_pair(self, fresh_ang, monkeypatch):
+        # P_(2, 1) takes a zero of both its tree children, (1, 1) and (2, 0), and one
+        # of its tree parent, the boundary polynomial: the edge from (1, 1) comes first
+        z11, z20 = self.zeros(fresh_ang, (1, 1)), self.zeros(fresh_ang, (2, 0))
+        boundary = eigenvalue_set(fresh_ang, (0, 1), self.N)[1]["boundary"]
+        b = z11[0] + 1e-12
+        _fake_zeros(monkeypatch, fresh_ang, (2, 1), [z20[0], b, boundary[2]])
+        msg = f"zero clash between (1, 1) vs (2, 1): {z11[0]} ~ {b}"
+        with pytest.raises(AssumptionError) as info:
+            eigenvalue_set(fresh_ang, (0, 1), self.N)
+        assert str(info.value) == msg
+
+    def test_boundary_clash(self, fresh_ang, monkeypatch):
+        z = self.zeros(fresh_ang, (2, 1))
+        boundary = eigenvalue_set(fresh_ang, (0, 1), self.N)[1]["boundary"]
+        b = boundary[2] + 1e-12
+        _fake_zeros(monkeypatch, fresh_ang, (2, 1), [z[0], z[1], b])
+        with pytest.raises(AssumptionError) as info:
+            eigenvalue_set(fresh_ang, (0, 1), self.N)
+        assert str(info.value) == f"zero clash between (2, 1) vs boundary: {b} ~ {boundary[2]}"
+
+    def test_eigenvector_residual(self, fresh_ang, monkeypatch):
+        assemble = finite_spectral.assemble_finite
+
+        def moved_root(*args):
+            op = assemble(*args)
+            V = op.V.copy()
+            V[0] += 1e-3
+            return dataclasses.replace(op, V=V)
+
+        monkeypatch.setattr(finite_spectral, "assemble_finite", moved_root)
+        with pytest.raises(AssumptionError, match=r"^eigenvector residual \S+ exceeds \S+$"):
+            full_basis(fresh_ang, (0, 1), self.N)
+
+    def test_canonical_vector_at_a_leaf(self, ang_sys):
+        leaf = int(finite_tree(self.N).canopy()[0])
+        with pytest.raises(JointError, match="^joint must have two children$"):
+            canonical_vector(ang_sys, (0, 1), self.N, 0.0, leaf)
+
+    def test_canonical_vector_off_the_joint_polynomial(self, ang_sys):
+        # a zero of the boundary polynomial only: P_N at the root does not vanish
+        E = eigenvalue_set(ang_sys, (0, 1), self.N)[1]["boundary"][0]
+        with pytest.raises(JointError, match="^E is not a zero of the polynomial at the joint$"):
+            canonical_vector(ang_sys, (0, 1), self.N, E, 0)
+
+    def test_waves_off_the_spectrum(self, ang_sys):
+        dec = full_basis(ang_sys, (0, 1), self.N)
+        with pytest.raises(JointError, match="^E is not an eigenvalue of this decomposition$"):
+            waves_and_fronts(dec, 123.0)
+
+    def test_nikishin_four_three_raises(self, nik_sys):
+        # the dense eigensolve and the zero sets part by ~5e-8 here: a raised error, not a wrong answer
+        with pytest.raises(AssumptionError, match="^dense eigensolve disagrees with the zero sets by "):
+            full_basis(nik_sys, (0, 1), (4, 3))

@@ -17,6 +17,7 @@ from mop_trees.measures import (
     measure_from_json,
     uniform,
 )
+from mop_trees.nikishin import nikishin_system
 
 from oracles import refine_cauchy, refine_markov_log
 
@@ -236,6 +237,25 @@ class TestConstructionAndJson:
         m2 = measure_from_json(json.dumps(m.to_json()))
         assert m2.to_json() == m.to_json()
         assert m2.integrate(lambda x: x**2) == pytest.approx(m.integrate(lambda x: x**2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: uniform(1, 2),
+            lambda: nikishin_system(uniform(2, 3), uniform(0, 1)).mu2,
+            lambda: Measure(
+                atoms=((0.5, 0.25),),
+                pieces=(Piece(1.0, 2.0, DensitySpec("jacobi_weight", p=0.5, q=-0.5, poly=(1.0, 0.1))),),
+            ),
+        ],
+        ids=["uniform", "markov_weighted", "jacobi_weight-and-atom"],
+    )
+    def test_literal_round_trip_each_density_kind(self, build):
+        mu = build()
+        doc = json.loads(json.dumps(mu.to_json()))
+        back = measure_from_json(doc)
+        assert back == mu
+        assert back.to_json() == doc
 
     def test_markov_weighted_literal(self):
         doc = {

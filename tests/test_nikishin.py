@@ -1,10 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mop_trees import cli
 from mop_trees.errors import OverlapError, SeriesError
 from mop_trees.measures import DensitySpec, Measure, Piece, uniform
+from mop_trees.mop_engine import MopSystem
 from mop_trees.nikishin import (
     diagonal_blowup_scan,
     dual_hankel_min_eig,
@@ -92,6 +96,46 @@ class TestSignPatterns:
         assert float(nik_u.sys.h_values((2, 2))[0]) > 0          # n2 <= n1+1
         assert float(nik_u.sys.h_values((1, 3))[0]) < 0          # sign (-1)^{|n|+1} = -1
         assert float(nik_u.sys.h_values((3, 1))[1]) > 0          # sign (-1)^{|n|} = +1
+
+
+class TestFailVerdict:
+    """One flipped a_{(1,2),1} and one flipped h_{(2,2),2}: each check names its entry,
+    and ``nikishin signs`` prints FAIL and exits 2."""
+
+    NIK_U = str(Path(__file__).resolve().parents[1] / "demos" / "systems" / "nik_u.json")
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        nsys = nikishin_system(uniform(2, 3), uniform(0, 1))  # the system of nik_u.json
+        a, h = float(nsys.sys.recurrence((1, 2))[0]), float(nsys.sys.h_values((2, 2))[1])
+        recurrence, h_values = MopSystem.recurrence, MopSystem.h_values
+
+        def flip_a(sys, n):
+            row = recurrence(sys, n)
+            return (-row[0], *row[1:]) if tuple(n) == (1, 2) else row
+
+        def flip_h(sys, n):
+            hs = h_values(sys, n)
+            return (hs[0], -hs[1]) if tuple(n) == (2, 2) else hs
+
+        monkeypatch.setattr(MopSystem, "recurrence", flip_a)
+        monkeypatch.setattr(MopSystem, "h_values", flip_h)
+        return nsys, [{"n": [1, 2], "j": 1, "a": -a}], [{"n": [2, 2], "j": 2, "h": -h}]
+
+    def test_checks_name_the_flipped_entries(self, flipped):
+        nsys, a_violations, h_violations = flipped
+        rep, hrep = sign_pattern_check(nsys, 2), h_sign_check(nsys, 2)
+        assert a_violations[0]["a"] > 0 and h_violations[0]["h"] < 0
+        assert rep["violations"] == a_violations and not rep["passed"]
+        assert hrep["violations"] == h_violations and not hrep["passed"]
+
+    def test_cli_exits_two(self, flipped, capsys):
+        _, a_violations, h_violations = flipped
+        code = cli.main(["nikishin", "signs", "--system", self.NIK_U, "--nmax", "2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["verdict"] == "FAIL"
+        assert doc["sign_pattern"] == {"passed": False, "violations": a_violations}
+        assert doc["h_signs"] == {"passed": False, "violations": h_violations}
 
 
 class TestBlowup:
