@@ -5,8 +5,7 @@ Polynomials on ascending coefficient tuples of mpmath numbers, and kernels
 tuples and round exactly as the mpmath calls they replace, without the
 per-element overhead of mpf objects and ``mpmath.matrix``.  The kernels
 take their precision as an argument and never read ``mp.prec``.
-:func:`fraction_free_solve` is the exact counterpart of :func:`lu_solve` for
-integer systems; :func:`rational` rounds its quotients once.
+:func:`rational` rounds an exact quotient of integers once.
 """
 
 from __future__ import annotations
@@ -177,34 +176,3 @@ def lu_solve(rows, rhs, prec: int) -> list:
 def rational(p: int, q: int, prec: int):
     """The mpf nearest to p/q at ``prec`` bits (one rounding)."""
     return mp.make_mpf(from_rational(p, q, prec, RND))
-
-
-def fraction_free_solve(rows, rhs) -> tuple:
-    """Solve the square integer system ``rows x = rhs`` exactly: integers (y, D)
-    with x = y / D.
-
-    Fraction-free elimination (Bareiss, *Math. Comp.* 22 (1968)): every
-    division is exact, so the entries stay the size of the minors of the
-    matrix and D is its determinant up to sign.  A zero pivot is replaced by
-    the next row with a nonzero entry in its column; a column with none
-    raises ``ZeroDivisionError``.  The back substitution solves for y = D x,
-    which is integral by Cramer's rule.
-    """
-    n = len(rows)
-    a = [[*row, b] for row, b in zip(rows, rhs)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise ZeroDivisionError("singular integer matrix")
-        a[k], a[p] = a[p], a[k]
-        pivot, pk = a[k][k + 1 :], a[k][k]
-        for row in a[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], pivot)]
-        prev = pk
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        y[i] = (prev * row[n] - sum([row[j] * y[j] for j in range(i + 1, n)])) // row[i]
-    return y, prev

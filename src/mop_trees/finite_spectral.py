@@ -215,20 +215,21 @@ def full_basis(sys: MopSystem, kappa, N) -> SpectralDecomposition:
     rows = np.array(list(vectors.values()))
     vectors, B = dict(zip(vectors, rows)), rows.T
     J = op.dense()
+    if np.all(op.sigma == 0):  # J symmetric: ||J||_2 is its largest |eigenvalue|
+        dense_eigs = np.sort(np.linalg.eigvalsh(J))
+        norm = max(-dense_eigs[0], dense_eigs[-1])
+    else:
+        dense_eigs, norm = np.sort(np.linalg.eigvals(J).real), np.linalg.norm(J, 2)
     E = np.array([eigenvalues[i].E for i, _ in vectors])
     norms = np.linalg.norm(B, axis=0)
     res = float(np.max(np.linalg.norm(J @ B - B * E, axis=0) / norms))
-    tol = _RESIDUAL_FACTOR * np.linalg.norm(J, 2)
+    tol = _RESIDUAL_FACTOR * norm
     if res > tol:
         raise AssumptionError(f"eigenvector residual {res:.2e} exceeds {tol:.2e}")
     rank = np.linalg.matrix_rank(B / norms, tol=1e-8)
     if rank != nv:
         raise RankError(f"stacked canonical vectors have rank {rank} < {nv}")
 
-    if np.all(op.sigma == 0):
-        dense_eigs = np.sort(np.linalg.eigvalsh(J))
-    else:
-        dense_eigs = np.sort(np.linalg.eigvals(J).real)
     ours = np.sort(np.concatenate([[ev.E] * ev.g for ev in eigenvalues]))
     gap = float(np.max(np.abs(dense_eigs - ours)))
     if gap > 1e-8:

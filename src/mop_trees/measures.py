@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
@@ -246,8 +247,8 @@ class Measure:
         return total
 
     def exact_moments(self, upto: int) -> list | None:
-        """Moments 0..upto as exact integer pairs (numerator, denominator) when
-        every piece is uniform (cached, extended incrementally), else None."""
+        """Moments 0..upto as exact Fractions when every piece is uniform (cached,
+        extended incrementally), else None."""
         if any(p.density.kind != "uniform" for p in self.pieces):
             return None
         table = self._cache.get("mom_exact", [])
@@ -270,7 +271,7 @@ class Measure:
             return table[: upto + 1]
         exact = self.exact_moments(upto)
         if exact is not None:
-            table = table + [rational(p, q, prec) for p, q in exact[len(table) :]]
+            table = table + [rational(q.numerator, q.denominator, prec) for q in exact[len(table) :]]
         else:
             # per piece the kernel's raw nodes and w*density, and x^k per node and
             # atom, carried across k and across extensions, so the bits do not
@@ -337,7 +338,7 @@ class Measure:
 def _exact_moments(mu: Measure, ks) -> list:
     """Moment k of ``mu`` for each k in ``ks``, every piece uniform:
     ``sum (b^(k+1) - a^(k+1))/(k+1) + sum m x^k`` over the pieces and atoms,
-    as an integer pair (numerator, denominator).
+    as a Fraction.
 
     Every double is an integer over a power of two.  Over 2^s, the largest
     of these denominators, moment k is an integer N_k over (k+1) 2^(s(k+1)).
@@ -354,7 +355,7 @@ def _exact_moments(mu: Measure, ks) -> list:
     out = []
     for k in ks:
         num = sum([b ** (k + 1) - a ** (k + 1) for a, b in ends]) + (k + 1) * sum([m * x**k for x, m in atoms])
-        out.append((num, (k + 1) << s * (k + 1)))
+        out.append(Fraction(num, (k + 1) << s * (k + 1)))
     return out
 
 

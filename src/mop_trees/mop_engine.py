@@ -1,12 +1,10 @@
 """Multiple orthogonal polynomials of types I and II for a system of d measures.
 
-The solves run on monomial moments, whose matrices are Hankel-structured
-and severely ill-conditioned in double precision.  When every moment is an
-exact rational (uniform pieces and atoms) and the rows scaled to integers are
-short, fraction-free elimination solves them exactly and each coefficient is
-rounded once (:meth:`MopSystem._integer_rows`); otherwise an mp LU runs in
-extended precision (default 256-bit).  Every record is checked, and a solve
-short of digits raises: on the uniform pair at 256 bits from |n| = 28.
+When every moment is an exact rational (uniform pieces and atoms), the records
+are filled level by level in |n| from the nearest-neighbor recurrence in exact
+arithmetic, each value rounded once (:meth:`MopSystem._fill`); other moments go
+through an mp LU on the Hankel moment systems at ``precision_bits`` (default
+256), which raises where it runs short of digits.  Every record is checked.
 
 Conventions, for a multi-index n = (n_1, ..., n_d) in N^d, a tuple whose
 length d is the system's number of measures, and e_i its i-th unit vector:
@@ -31,11 +29,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, permutations
+from fractions import Fraction
+from itertools import accumulate, permutations, product, zip_longest
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
+from mpmath.libmp import fnone, fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
 from mpmath.libmp import round_nearest as RND
 
 from . import _poly as P
@@ -43,14 +42,6 @@ from .errors import ConvergenceError, DomainError, NormalityError, PrecisionErro
 from .measures import kernel
 
 _ZERO = mpf(0)
-
-# The widest integer (bits) of the scaled moment rows that the exact route takes.
-# Type II plus type I on ang_u, the fraction-free elimination costs as much as the
-# mp LU between 145 and 179 bits at 256 and 512 bits of precision, between 179 and
-# 214 at 1024; neither cost moves much with the precision (the LU's is Python
-# overhead), so the bound is one constant below these.  At 53 bits the LU is the
-# cheaper from about 104 bits, but on ang_u it already fails from n = (0, 7).
-EXACT_ROUTE_BITS = 133
 
 
 def _max_abs(xs, prec: int):
@@ -126,7 +117,7 @@ class MopRecord:
     A: tuple | None = None   # type I (A_1, ..., A_d), each ascending mp coefficients
     A0: tuple | None = None
     rec: tuple | None = None  # (a_1, ..., a_d, b_1, ..., b_d)
-    exact: tuple | None = None  # exact route: P's x^(|n|-1) coefficient and h_1..h_d as (num, den) pairs
+    exact: tuple | None = None  # lattice fill: P's x^(|n|-1) coefficient and h_1..h_d as Fractions
     zeros: dict = field(default_factory=dict)  # k -> zeros of P (k = 0) or of A_k
 
     # the two-measure names, which perfbench's lattice oracle and tracer read
@@ -136,10 +127,44 @@ class MopRecord:
 
 def _sources(rec) -> tuple:
     """P_n's x^(|n|-1) coefficient (0 at |n| = 0) and h_1..h_d of a type II record as
-    integer pairs (num, den): the exact rationals of an exact-route record, else
-    the values of its mpf numbers, formed here and not kept."""
+    Fractions: the exact rationals of a lattice-fill record, else the values of
+    its mpf numbers, formed here and not kept."""
     lead = rec.P[-2] if len(rec.P) > 1 else _ZERO
-    return rec.exact or tuple(to_rational(x._mpf_) for x in (lead, *rec.h))
+    return rec.exact or tuple(Fraction(*to_rational(x._mpf_)) for x in (lead, *rec.h))
+
+
+@dataclass
+class _Exact:
+    """The lattice fill's exact P_n, h_n, b_{n,i} by 0-based i, and type I (A_1, ..., A_d)."""
+
+    P: list
+    h: tuple
+    b: dict = field(default_factory=dict)
+    A: list | None = None
+
+
+def _box(top) -> list:
+    """Every multi-index n <= top, by level |n|."""
+    return sorted(product(*(range(t + 1) for t in top)), key=order)
+
+
+def _rounded(xs, prec: int) -> tuple:
+    """Each exact rational of xs rounded once at ``prec`` bits."""
+    return tuple(P.rational(x.numerator, x.denominator, prec) for x in xs)
+
+
+def _quotient(num, h, n, j: int, target):
+    """num / h, exact, for h = h_{n,j+1}; NormalityError naming n, the label and ``target`` where h is 0."""
+    if h == 0:
+        raise NormalityError(f"vanishing h at n={n}, j={j + 1}, needed at n={target}")
+    return num / h
+
+
+def _a0(A, moms) -> tuple:
+    """A0, the polynomial part of the Cauchy transform of sum_k A_k dmu_k:
+    A0[s] = sum_k sum_t A_k[t] mom_k[t - 1 - s], each sum in order."""
+    return tuple(sum(ak[t] * mom[t - 1 - s] for ak, mom in zip(A, moms) for t in range(s + 1, len(ak)))
+                 for s in range(max(map(len, A)) - 1))
 
 
 class MopSystem:
@@ -157,6 +182,9 @@ class MopSystem:
             raise ValueError(f"need one or more measures and precision_bits >= 1, got {precision_bits}")
         self._records: dict[tuple, MopRecord] = {}
         self._floats: dict[tuple, tuple] = {}
+        # exact rational moments (uniform pieces and atoms) take the lattice fill, others the mp LU
+        exact = all(mu.exact_moments(0) is not None for mu in self.measures)
+        self._exact: dict[tuple, _Exact] | None = {} if exact else None
 
     def _index(self, n) -> tuple:
         return multi_index(n, len(self.measures))
@@ -181,9 +209,10 @@ class MopSystem:
         n = self._index(n)
         rec = self._records.get(n)
         if rec is None:
-            rec = self._records[n] = MopRecord(n=n)
-        if not rec.P:
-            rec.P, rec.h, rec.exact = self._solve_type2(n)
+            if self._exact is not None:
+                self._fill(n)
+                return self._records[n]
+            rec = self._records[n] = MopRecord(n, *self._solve_type2(n))
         return rec
 
     def _moments_at(self, n) -> tuple:
@@ -195,63 +224,24 @@ class MopSystem:
         """The type II rows ``mom_k[m : m + |n|]`` (k = 1..d; m < n_k); the type I matrix is their transpose."""
         return [mom[m : m + order(n)] for nk, mom in zip(n, moms) for m in range(nk)]
 
-    def _integer_rows(self, n):
-        """Per measure k, the rows ``L * mom_k[m : m + |n| + 1]`` for m = 0..n_k as
-        integers, each with its scale L (the lcm of its denominators), when every
-        moment is an exact rational (:meth:`Measure.exact_moments`) and no entry
-        is wider than :data:`EXACT_ROUTE_BITS`; else None.  The rows m < n_k are
-        the type II system, the row m = n_k gives h_k.
-
-        The gate chooses the route by cost: fraction-free elimination on short
-        integers beats the mp LU, but its integers grow with the widths of the rows.
-        """
-        d = order(n)
-        tables = [mu.exact_moments(nk + d) for mu, nk in zip(self.measures, n)]
-        if None in tables:
-            return None
-        out = []
-        for nk, table in zip(n, tables):
-            rows = []
-            for m in range(nk + 1):
-                scale = math.lcm(*[q for _, q in table[m : m + d + 1]])
-                row = [p * (scale // q) for p, q in table[m : m + d + 1]]
-                if max(abs(v) for v in row).bit_length() > EXACT_ROUTE_BITS:
-                    return None
-                rows.append((row, scale))
-            out.append(rows)
-        return out
-
-    def _solve(self, rows, rhs, n, kind: str, exact: bool):
-        """``rows x = rhs`` by fraction-free elimination (integer rows) or the mp LU;
-        NormalityError where the solver finds the matrix singular."""
+    def _solve(self, rows, rhs, n, kind: str):
+        """``rows x = rhs`` by the mp LU; NormalityError where it finds the matrix singular."""
         try:
-            return P.fraction_free_solve(rows, rhs) if exact else P.lu_solve(rows, rhs, self.precision_bits)
+            return P.lu_solve(rows, rhs, self.precision_bits)
         except ZeroDivisionError as exc:
             raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
 
     def _solve_type2(self, n) -> tuple:
-        """(P_n, h, exact): by the exact route when :meth:`_integer_rows` admits n,
-        each value the exact rational rounded once and ``exact`` the rationals that
-        :meth:`recurrence` reads (see :class:`MopRecord`); else by the mp LU, with
-        h_k the residual ``int P_n x^{n_k} dmu_k`` and ``exact`` None."""
+        """(P_n, h) by the mp LU, with h_k the residual ``int P_n x^{n_k} dmu_k``."""
         d, prec = order(n), self.precision_bits
         moms = self._moments_at(n)
-        exact = self._integer_rows(n)
         with workprec(prec):
-            if exact is not None:
-                system = [row for rows_k in exact for row, _ in rows_k[:-1]]
-                y, D = self._solve([row[:d] for row in system], [-row[d] for row in system], n, "II", True)
-                y.append(D)  # the monic top coefficient
-                coeffs = tuple(P.rational(v, D, prec) for v in y)
-                self._check_orthogonality(coeffs, n, moms)
-                hq = tuple((sum(map(operator.mul, y, row)), D * scale) for row, scale in (r[-1] for r in exact))
-                return coeffs, tuple(P.rational(p, q, prec) for p, q in hq), ((y[d - 1] if d else 0, D), *hq)
             coeffs = (mpf(1),)
             if d:
                 rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
-                coeffs = tuple(self._solve(self._moment_rows(n, moms), rhs, n, "II", False)) + coeffs
+                coeffs = tuple(self._solve(self._moment_rows(n, moms), rhs, n, "II")) + coeffs
             self._check_orthogonality(coeffs, n, moms)
-            return coeffs, tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms)), None
+            return coeffs, tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms))
 
     def _check_orthogonality(self, coeffs, n, moms) -> None:
         """The residuals ``int P x^m dmu_k`` of P = ``coeffs`` vanish up to rounding for
@@ -281,45 +271,94 @@ class MopSystem:
         rec = self.record(n)
         if rec.A is not None:
             return rec
-        if rec.exact is not None:  # the record keeps no rows: they are |n|^2 integers
-            rec.A, rec.A0 = self._exact_type1(n, self._integer_rows(n))
+        if self._exact is not None:
+            self._fill(n)  # the b's that type I reads, also after a fill that raised part way
+            self._fill_type1(n)
             return rec
         moms = self._moments_at(n)
+        rows = list(zip(*self._moment_rows(n, moms)))  # row m: int x^m Q_n = delta_{m,|n|-1}
         with workprec(self.precision_bits):
-            if d == 1:  # 1/m[0] rounds at the system's precision, the LU at 10 bits more
-                A = tuple((1 / mom[0],) if nk == 1 else () for nk, mom in zip(n, moms))
-            else:
-                c = self._solve(list(zip(*self._moment_rows(n, moms))), [mpf(0)] * (d - 1) + [mpf(1)], n, "I", False)
-                A = tuple(tuple(c[lo : lo + nk]) for lo, nk in zip(accumulate(n, initial=0), n))
-            # polynomial part of the Cauchy transform of the linear form, each sum in order
-            a0 = (sum(ak[j] * mom[j - 1 - i] for ak, mom in zip(A, moms) for j in range(i + 1, len(ak)))
-                  for i in range(max(n) - 1))
-            rec.A, rec.A0 = A, tuple(a0)
+            # at |n| = 1 the coefficient 1/m_0 rounds at the system's precision, the LU at 10 bits more
+            c = [1 / rows[0][0]] if d == 1 else self._solve(rows, [mpf(0)] * (d - 1) + [mpf(1)], n, "I")
+            self._check_type1(c, rows, n)
+            A = tuple(tuple(c[lo : lo + nk]) for lo, nk in zip(accumulate(n, initial=0), n))
+            rec.A, rec.A0 = A, _a0(A, moms)
         return rec
 
-    def _exact_type1(self, n, exact) -> tuple:
-        """(A, A0) from the integer rows of :meth:`_integer_rows`, each coefficient
-        the exact rational rounded once.
+    def _check_type1(self, coeffs, rows, n) -> None:
+        """The type I rows ``int x^m Q_n = delta_{m,|n|-1}`` hold for the coefficients of A up to
+        ``tolerance`` times the largest of them times the largest moment read so far; else
+        PrecisionError.  Raw libmp tuples, as in :meth:`_check_orthogonality`."""
+        prec = self.precision_bits
+        cs = [c._mpf_ for c in coeffs]
+        bound, top = mpf_mul(self.tolerance._mpf_, _max_abs(cs, prec), prec, RND), fzero
+        for m, row in enumerate(rows):
+            xs = [x._mpf_ for x in row]
+            top = _max_abs([top, *xs], prec)
+            r = mpf_sum(P.products(cs, xs, prec) + [fnone] * (m == len(rows) - 1), prec, RND)
+            if mpf_gt(mpf_abs(r, prec, RND), mpf_mul(bound, top, prec, RND)):
+                raise PrecisionError(f"type I moments fail at n={n} at {prec} bits")
 
-        The type I matrix is the transpose of the type II one, whose rows were
-        scaled by L, so its solution is L times that of the transposed integer
-        matrix, and A0's coefficients are sums of A's against the moments of
-        row 0, mom_k[m] = row_k[m] / L_k.
-        """
-        d, prec = order(n), self.precision_bits
-        system = [(row[:d], scale) for rows_k in exact for row, scale in rows_k[:-1]]
-        z, D = self._solve(list(zip(*[row for row, _ in system])), [0] * (d - 1) + [1], n, "I", True)
-        num = [scale * v for (_, scale), v in zip(system, z)]  # A's coefficients times D
-        lows = list(accumulate(n, initial=0))
-        row0 = [rows_k[0] for rows_k in exact]
-        den = math.prod(scale for _, scale in row0)
-        a0 = []
-        for i in range(max(n) - 1):  # A0_i = sum_k sum_j A_k[j] mom_k[j - 1 - i]
-            total = sum(num[lo + j] * row[j - 1 - i] * (den // scale)
-                        for lo, nk, (row, scale) in zip(lows, n, row0) for j in range(i + 1, nk))
-            a0.append(P.rational(total, D * den, prec))
-        A = tuple(tuple(P.rational(v, D, prec) for v in num[lo : lo + nk]) for lo, nk in zip(lows, n))
-        return A, tuple(a0)
+    # -- the exact lattice fill ---------------------------------------------
+
+    def _moment_sum(self, coeffs, k: int, shift: int):
+        """``int p x^shift dmu_k`` for the Fraction coefficients of p (k 0-based)."""
+        return sum(map(operator.mul, coeffs, self.measures[k].exact_moments(shift + len(coeffs) - 1)[shift:]))
+
+    def _fill(self, top) -> None:
+        """The records of the box n <= top, level by level in |n|.  Each P_m gives
+        P_{m+e_i} = Q - b_{m,i} P_m, Q = x P_m - sum_j a_{m,j} P_{m-e_j}, for every label
+        i with m + e_i in the box; P_{m+e_i} is orthogonal to x^{m_i} dmu_i, so b_{m,i}
+        is the moment sum ``int Q x^{m_i} dmu_i`` over h_{m,i}.  All in Fractions; the
+        b_{m,i} are kept for type I."""
+        if not self._exact:
+            self._keep((0,) * len(top), [Fraction(1)])
+        for m in _box(top):
+            ex = self._exact[m]
+            labels = [i for i, (mi, ti) in enumerate(zip(m, top)) if mi < ti and i not in ex.b]
+            if not labels:
+                continue
+            q = [0, *ex.P]
+            for j in (j for j, mj in enumerate(m) if mj):  # h_{m-e_j,j} != 0: it gave b_{m-e_j,j}
+                low = self._exact[sub(m, self.units[j])]
+                a = ex.h[j] / low.h[j]
+                q[: len(low.P)] = [x - a * y for x, y in zip(q, low.P)]
+            for i in labels:
+                b = ex.b[i] = _quotient(self._moment_sum(q, i, m[i]), ex.h[i], m, i, top)
+                if add(m, self.units[i]) not in self._exact:
+                    self._keep(add(m, self.units[i]), [x - b * y for x, y in zip(q, [*ex.P, 0])])
+
+    def _keep(self, n, p) -> None:
+        """Record P_n = p (Fractions) and its exact h, each rounded once; P_n is checked as on the LU."""
+        prec, h = self.precision_bits, tuple(self._moment_sum(p, k, nk) for k, nk in enumerate(n))
+        self._exact[n] = _Exact(p, h)
+        rec = MopRecord(n, _rounded(p, prec), _rounded(h, prec), exact=(p[-2] if len(p) > 1 else Fraction(0), *h))
+        self._check_orthogonality(rec.P, n, self._moments_at(n))
+        self._records[n] = rec
+
+    def _fill_type1(self, top) -> None:
+        """Type I on the box below ``top``, level by level: on a marginal Q_{k e_i} =
+        P_{(k-1) e_i} dmu_i / h_{(k-1) e_i, i}, elsewhere Q_n = (Q_{n-e_i} - Q_{n-e_j}) /
+        (b_{n-e_j,j} - b_{n-e_i,i}) for the first two labels with n_i, n_j >= 1 (Van
+        Assche, J. Approx. Theory 163 (2011)).  A and A0 are rounded once."""
+        prec = self.precision_bits
+        for n in _box(top)[1:]:
+            ex = self._exact[n]
+            if ex.A is not None:
+                continue
+            i, *js = [k for k, nk in enumerate(n) if nk]
+            ni = sub(n, self.units[i])
+            if not js:
+                low = self._exact[ni]
+                A = [[c / low.h[i] for c in low.P] if k == i else [] for k in range(len(n))]
+            else:
+                nj = sub(n, self.units[js[0]])
+                c = self._exact[nj].b[js[0]] - self._exact[ni].b[i]  # not 0: only A_{n-e_j,i} has degree n_i - 1
+                A = [[(x - y) / c for x, y in zip_longest(ai, aj, fillvalue=0)]
+                     for ai, aj in zip(self._exact[ni].A, self._exact[nj].A)]
+            ex.A, rec = A, self._records[n]
+            rec.A = tuple(_rounded(ak, prec) for ak in A)
+            rec.A0 = _rounded(_a0(A, [mu.exact_moments(nk) for mu, nk in zip(self.measures, n)]), prec)
 
     # -- public facade -------------------------------------------------------
 
@@ -361,15 +400,10 @@ class MopSystem:
         n, prec = rec.n, self.precision_bits
         ups = [self.record(add(n, e)) for e in self.units]
         lows = [self.record(sub(n, e)) if nj else None for nj, e in zip(n, self.units)]
-        (p, q), *hq = _sources(rec)
-        b = [P.rational(p * qu - pu * q, q * qu, prec) for (pu, qu), *_ in map(_sources, ups)]
-        a = [_ZERO] * len(n)
-        for j, low in enumerate(lows):
-            if low is not None:
-                hl, ql = _sources(low)[1 + j]
-                if hl == 0:
-                    raise NormalityError(f"vanishing h at n={low.n}, j={j + 1}")
-                a[j] = P.rational(hq[j][0] * ql, hq[j][1] * hl, prec)
+        lead, *h = _sources(rec)
+        b = _rounded([lead - _sources(up)[0] for up in ups], prec)
+        a = _rounded([0 if low is None else _quotient(h[j], _sources(low)[1 + j], low.n, j, n)
+                      for j, low in enumerate(lows)], prec)
         self._check_recurrence(rec, ups, lows, a, b)
         rec.rec = (*a, *b)
         return rec.rec
@@ -400,12 +434,9 @@ class MopSystem:
         for bi, up in zip(b, ups):
             pu = [c._mpf_ for c in up.P]
             r = [mpf_add(x, mpf_mul_int(u, -1, prec, RND), prec, RND) for x, u in zip([fzero, *pn], pu)]
-            neg_b = mpf_neg(bi._mpf_, prec, RND)
-            for k, c in enumerate(pn):
-                r[k] = mpf_add(r[k], mpf_mul(c, neg_b, prec, RND), prec, RND)
-            for neg_a, low in terms:
-                for k, c in enumerate(low):
-                    r[k] = mpf_add(r[k], mpf_mul(c, neg_a, prec, RND), prec, RND)
+            for neg, poly in [(mpf_neg(bi._mpf_, prec, RND), pn), *terms]:  # -b_i P_n, then -a_j P_{n-e_j}
+                for k, c in enumerate(poly):
+                    r[k] = mpf_add(r[k], mpf_mul(c, neg, prec, RND), prec, RND)
             scale = mpf_add(mpf_add(top, mpf_abs(bi._mpf_, prec, RND), prec, RND), total_a, prec, RND)
             limit = mpf_mul(self.tolerance._mpf_, _max_abs((fone, scale), prec), prec, RND)
             if mpf_gt(_max_abs(r, prec), limit):

@@ -2,7 +2,7 @@
 
 Everything here is deliberately separate from the library code paths:
 moments of uniform pieces are exact rationals, the moment systems are solved
-by Fraction Gaussian elimination, and integrals are refined with brute-force
+exactly by fraction-free elimination, and integrals are refined with brute-force
 composite rules on ~10^6 nodes.
 """
 
@@ -31,19 +31,28 @@ def uniform_moment(a, b, k) -> Fraction:
 
 
 def solve_fraction(A, rhs):
-    """Gaussian elimination with partial pivoting over the rationals."""
+    """Exact solve of a square rational system: each row scaled to integers, then
+    fraction-free elimination (Bareiss, every division exact) and back
+    substitution in Fractions."""
     n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
+    M = []
+    for row in ([Fraction(x) for x in (*r, b)] for r, b in zip(A, rhs)):
+        scale = math.lcm(*[x.denominator for x in row])
+        M.append([x.numerator * (scale // x.denominator) for x in row])
+    prev = 1
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if M[piv][col] == 0:
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
             raise ZeroDivisionError("singular rational system")
         M[col], M[piv] = M[piv], M[col]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col] / M[col][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] / M[i][i] for i in range(n)]
+        p = M[col]
+        for r in M[col + 1 :]:
+            r[col + 1 :] = [(p[col] * x - r[col] * y) // prev for x, y in zip(r[col + 1 :], p[col + 1 :])]
+        prev = p[col]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = Fraction(M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n)), M[i][i])
+    return x
 
 
 class UniformPairOracle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from mop_trees import _poly as P
 from mop_trees import mop_engine
@@ -27,10 +27,18 @@ from mop_trees.mop_engine import (
     type1_interlacing_check,
     type1_recursion_residual,
 )
+from mop_trees.nikishin import nikishin_system
 
 from oracles import UniformPairOracle
 
 ORACLE = UniformPairOracle()
+
+
+def jacobi_pair():
+    """Weights (x - a)(b - x) on [-2, -1] and [1, 2]: integer exponents, but rule-based
+    moments, so the mp LU solves the pair."""
+    weight = DensitySpec("jacobi_weight", p=1, q=1)
+    return tuple(Measure(pieces=(Piece(a, b, weight),)) for a, b in ((-2, -1), (1, 2)))
 
 
 def as_floats(coeffs):
@@ -142,7 +150,7 @@ class TestRecurrence:
     def test_h_is_the_residual_at_n_k(self, nik_sys, n):
         # on the mp LU route (rule-based moments) h_{n,k} = int P_n x^{n_k} dmu_k is the
         # residual one past the last that the orthogonality check bounds, the same
-        # dot product bit for bit; the exact route's h is in test_exact_solves.py
+        # dot product bit for bit; the lattice fill's h is in test_exact_solves.py
         assert nik_sys.record(n).exact is None
         p, bits = nik_sys.type2(n), nik_sys.precision_bits
         expected = tuple(P.dot(p, nik_sys.moments(k, nk + sum(n))[nk:], bits) for k, nk in enumerate(n, 1))
@@ -150,15 +158,15 @@ class TestRecurrence:
         if n == (0, 0):
             assert expected == (nik_sys.mass(1), nik_sys.mass(2))
 
-    @pytest.mark.parametrize("system", ["nik_u", "skew"])
+    @pytest.mark.parametrize("system", ["nik_u", "jacobi"])
     def test_one_formula_is_the_mpf_formula_on_lu_records(self, nik_sys, system):
         # the exact-source formula rounds the exact difference and quotient once; on
         # LU records, whose values are dyadic, that is the mpf subtraction and division
-        sys = nik_sys if system == "nik_u" else MopSystem((uniform(-2.791, -2.54), uniform(-2.301, -0.975)))
+        sys = nik_sys if system == "nik_u" else MopSystem(jacobi_pair())
         with workprec(sys.precision_bits):
             for n in [(n1, d - n1) for d in range(7) for n1 in range(d + 1)]:
                 rec, ups = sys.record(n), [sys.record(add(n, e)) for e in sys.units]
-                assert all(up.exact is None for up in ups)  # of the skew pair only (0, 0), the masses, is exact
+                assert rec.exact is None and all(up.exact is None for up in ups)
                 lead = rec.P[-2] if sum(n) else mpf(0)
                 b = [lead - up.P[sum(n)] for up in ups]
                 lows = [sys.record(sub(n, e)) if nj else None for nj, e in zip(n, sys.units)]
@@ -522,6 +530,58 @@ class TestRawChecksDecideAsMpf:
                 sys._check_orthogonality(moved(hi), n, moms)
 
 
+def _mpf_type1_excess(sys, coeffs, rows):
+    """max over the type I rows of |residual| - bound * top, by mpf operators."""
+    bound, top, worst = sys.tolerance * max(abs(c) for c in coeffs), mpf(0), None
+    for m, row in enumerate(rows):
+        top = max([top, *(abs(x) for x in row)])
+        r = mp.fsum([c * x for c, x in zip(coeffs, row)] + [mpf(-1) if m == len(rows) - 1 else mpf(0)])
+        excess = abs(r) - bound * top
+        worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+class TestType1Check:
+    """Type I records of the mp LU are checked against their rows
+    ``int x^m Q_n = delta_{m,|n|-1}``, m < |n|; records of the lattice fill are exact."""
+
+    @pytest.mark.parametrize("n", [(3, 2), (4, 4)])
+    def test_decides_as_mpf_at_the_edge(self, nik_sys, n):
+        # the largest coefficient of A moved just inside and just past the bound
+        c = [x for ak in nik_sys.type1_record(n).A for x in ak]
+        rows = list(zip(*nik_sys._moment_rows(n, nik_sys._moments_at(n))))
+        i = max(range(len(c)), key=lambda j: abs(c[j]))
+        with workprec(nik_sys.precision_bits):
+            def moved(t):
+                return c[:i] + [c[i] * (1 + t)] + c[i + 1 :]
+            lo, hi = _threshold(lambda t: _mpf_type1_excess(nik_sys, moved(t), rows) > 0, mpf(2) ** -40)
+            nik_sys._check_type1(moved(lo), rows, n)
+            with pytest.raises(PrecisionError, match=r"type I moments fail at n=\(\d, \d\) at 256 bits"):
+                nik_sys._check_type1(moved(hi), rows, n)
+
+    def test_a_type1_solve_off_in_a_coefficient_raises_naming_the_bits(self, monkeypatch):
+        solve = MopSystem._solve
+
+        def nudged(self, rows, rhs, n, kind):
+            x = solve(self, rows, rhs, n, kind)
+            if kind == "I":
+                x[0] *= 1 + mpf(2) ** -60
+            return x
+
+        monkeypatch.setattr(MopSystem, "_solve", nudged)
+        sys = nikishin_system(uniform(2, 3), uniform(0, 1)).sys
+        with pytest.raises(PrecisionError, match=r"type I moments fail at n=\(3, 2\) at 256 bits"):
+            sys.type1_record((3, 2))
+
+    def test_the_lattice_fill_runs_no_type1_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fill's type I is exact")
+
+        monkeypatch.setattr(MopSystem, "_check_type1", refuse)
+        sys = MopSystem((uniform(-2, -1), uniform(1, 2)))
+        assert [len(a) for a in sys.type1_record((3, 2)).A] == [3, 2]
+
+
 class TestPrecisionScaledRecurrenceCheck:
     """The recurrence check's bound is 2^(-prec/3), as the orthogonality check's."""
 
@@ -532,11 +592,11 @@ class TestPrecisionScaledRecurrenceCheck:
         assert max(abs(float(g) - float(r)) for g, r in zip(low, ref)) < 1e-10
 
     def test_precision_error_names_the_bits(self):
-        # the skew pair's rows are too wide for the exact route, so the mp LU solves them
-        skew = MopSystem((uniform(-2.791, -2.54), uniform(-2.301, -0.975)), 53)
+        # rule-based moments go through the mp LU, which runs short of digits at 53 bits
+        jacobi = MopSystem(jacobi_pair(), 53)
         with pytest.raises(PrecisionError, match="at 53 bits"):
-            skew.recurrence((5, 0))
-        assert skew.record((5, 0)).exact is None
+            jacobi.recurrence((7, 0))
+        assert jacobi.record((7, 0)).exact is None
 
     @pytest.mark.parametrize("bits", [53, 64])
     def test_exact_route_solves_ang_u_to_order_twelve(self, bits):

@@ -119,10 +119,13 @@ class TestLuSolve:
 
 
 class TestSingularMomentMatrices:
-    """Two atoms at 0 and 1 have exact moments 1, 1/2, 1/2, ...: rank 2."""
+    """Two atoms at 0 and 1 have exact moments 1, 1/2, 1/2, ...: rank 2.  The second
+    measure's moments are rule-based, so the mp LU solves the pair (the lattice
+    fill's counterpart is in test_exact_solves.py)."""
 
     def system(self):
-        return MopSystem((Measure(atoms=((0, 0.5), (1, 0.5))), uniform(2, 3)), 128)
+        weight = Measure(pieces=(Piece(2, 3, DensitySpec("jacobi_weight", p=1, q=1)),))
+        return MopSystem((Measure(atoms=((0, 0.5), (1, 0.5))), weight), 128)
 
     def test_type2_raises_normality_error(self):
         sys = self.system()
@@ -205,16 +208,16 @@ class TestCauchySum:
 # bit pin of the engine
 # ---------------------------------------------------------------------------
 
-# sha256 of the fields below, per system.  The Nikishin system (rule-based
-# moments) and the skew uniform pair (53-bit endpoints: rows too wide for the
-# exact route) keep the bits of the mpmath.lu_solve / mp.fsum engine; any change
-# to the bits of a moment, record or recurrence row breaks them.  The Angelesco
-# pair takes the exact route: every value is the exact rational rounded once
-# (tests/test_exact_solves.py checks that against Fraction solves).
+# sha256 of the fields below, per system; any change to the bits of a moment,
+# record or recurrence row breaks them.  The Nikishin system (rule-based
+# moments) keeps the bits of the mpmath.lu_solve / mp.fsum engine.  The
+# Angelesco pair and the skew uniform pair (53-bit endpoints) take the lattice
+# fill: every value is the exact rational rounded once (tests/test_exact_solves.py
+# checks both against exact solves of the moment systems).
 ENGINE_DIGESTS = {
     "angelesco": "78e1c3d216b085ca368ffa7b4df33e369fa099ceda7d908f1eb56339e6d76f6d",
     "nikishin": "63420a32a84a9289a03bfa431f4e7eb6a99e2d20704c661c7bebde2df1e478d3",
-    "skew_pair": "e596b0d0e84d2dd978b71d0c0fe30ea46870b7d71d52738eaa9bbbdf4004cef7",
+    "skew_pair": "90ca11d164e4c0d63c99a7d2140cdc169b5bce1a6cd1625830728b2b385218b5",
 }
 
 
