@@ -34,7 +34,7 @@ from itertools import accumulate, permutations, product, zip_longest
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fnone, fone, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
+from mpmath.libmp import fnone, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
 from mpmath.libmp import round_nearest as RND
 
 from . import _poly as P
@@ -143,6 +143,12 @@ class _Exact:
     A: list | None = None
 
 
+def _common(p) -> tuple:
+    """The rational coefficients of p as (integer numerators, their least common denominator)."""
+    den = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (den // c.denominator) for c in p], den
+
+
 def _box(top) -> list:
     """Every multi-index n <= top, by level |n|."""
     return sorted(product(*(range(t + 1) for t in top)), key=order)
@@ -185,6 +191,7 @@ class MopSystem:
         # exact rational moments (uniform pieces and atoms) take the lattice fill, others the mp LU
         exact = all(mu.exact_moments(0) is not None for mu in self.measures)
         self._exact: dict[tuple, _Exact] | None = {} if exact else None
+        self._moment_ints: dict[int, tuple] = {}
 
     def _index(self, n) -> tuple:
         return multi_index(n, len(self.measures))
@@ -301,9 +308,19 @@ class MopSystem:
 
     # -- the exact lattice fill ---------------------------------------------
 
-    def _moment_sum(self, coeffs, k: int, shift: int):
-        """``int p x^shift dmu_k`` for the Fraction coefficients of p (k 0-based)."""
-        return sum(map(operator.mul, coeffs, self.measures[k].exact_moments(shift + len(coeffs) - 1)[shift:]))
+    def _moment_sum(self, p, k: int, shift: int):
+        """``int p x^shift dmu_k`` for p as :func:`_common` gives it (k 0-based): one integer
+        dot product against mu_k's moments over their common denominator."""
+        nums, den = p
+        moms, mden = self._moment_integers(k, shift + len(nums) - 1)
+        return Fraction(sum(map(operator.mul, nums, moms[shift:])), den * mden)
+
+    def _moment_integers(self, k: int, upto: int) -> tuple:
+        """([N_0, ..., N_upto, ...], D): moment j of mu_k (k 0-based) is N_j / D."""
+        nums, den = self._moment_ints.get(k, ([], 1))
+        if len(nums) <= upto:
+            nums, den = self._moment_ints[k] = _common(self.measures[k].exact_moments(upto))
+        return nums, den
 
     def _fill(self, top) -> None:
         """The records of the box n <= top, level by level in |n|.  Each P_m gives
@@ -323,14 +340,16 @@ class MopSystem:
                 low = self._exact[sub(m, self.units[j])]
                 a = ex.h[j] / low.h[j]
                 q[: len(low.P)] = [x - a * y for x, y in zip(q, low.P)]
+            qc = _common(q)
             for i in labels:
-                b = ex.b[i] = _quotient(self._moment_sum(q, i, m[i]), ex.h[i], m, i, top)
+                b = ex.b[i] = _quotient(self._moment_sum(qc, i, m[i]), ex.h[i], m, i, top)
                 if add(m, self.units[i]) not in self._exact:
                     self._keep(add(m, self.units[i]), [x - b * y for x, y in zip(q, [*ex.P, 0])])
 
     def _keep(self, n, p) -> None:
         """Record P_n = p (Fractions) and its exact h, each rounded once; P_n is checked as on the LU."""
-        prec, h = self.precision_bits, tuple(self._moment_sum(p, k, nk) for k, nk in enumerate(n))
+        pc = _common(p)
+        prec, h = self.precision_bits, tuple(self._moment_sum(pc, k, nk) for k, nk in enumerate(n))
         self._exact[n] = _Exact(p, h)
         rec = MopRecord(n, _rounded(p, prec), _rounded(h, prec), exact=(p[-2] if len(p) > 1 else Fraction(0), *h))
         self._check_orthogonality(rec.P, n, self._moments_at(n))
@@ -641,94 +660,185 @@ class KappaForm:
 # ---------------------------------------------------------------------------
 
 
-def _polish(cm, seeds, prec: int) -> list:
-    """Newton-polish each seed on the mpf coefficients ``cm``.
-
-    Accepts a step either below the target tolerance or stagnating at the
-    rounding floor of the evaluation; anything else raises
-    :class:`ConvergenceError`.
-    """
-    out = []
+def _integers(coeffs, prec: int) -> list:
+    """Integers C_k with sum_k coeffs[k] x^k = 2^e sum_k C_k x^k, exactly (mpf values are
+    dyadic; other numbers become mpf at ``prec + 16`` bits first), the top zeros dropped."""
     with workprec(prec + 16):
-        dcm = P.pder(cm)
-        tol = mpf(2) ** (-(prec - 8))
-        floor_tol = mpf(2) ** (-(prec // 2))
-        for s in seeds:
-            x = mpf(s)
-            ok = False
-            prev = None
-            for _ in range(80):
-                fx = P.pval(cm, x)
-                dfx = P.pval(dcm, x)
-                if dfx == 0:
-                    break
-                dx = abs(fx / dfx)
-                x -= fx / dfx
-                if dx <= tol * max(1, abs(x)) or (
-                    prev is not None and prev <= floor_tol and dx >= prev / 2
-                ):
-                    ok = True
-                    break
-                prev = dx
-            if not ok:
-                raise ConvergenceError("Newton polish failed for a real zero")
-            out.append(x)
+        raw = [c._mpf_ if hasattr(c, "_mpf_") else mpf(c)._mpf_ for c in coeffs]
+    while raw and raw[-1] == fzero:
+        raw.pop()
+    if not raw:
+        raise ValueError("real_zeros requires a nonzero polynomial")
+    if any(not x[1] and x != fzero for x in raw):  # inf and nan have no mantissa
+        raise ValueError("real_zeros requires finite coefficients")
+    low = min(exp for _, man, exp, _ in raw if man)
+    return [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in raw]
+
+
+def _radius_exponent(c) -> int:
+    """E with every zero of sum c_k x^k below 2^E in modulus: Fujiwara's bound
+    2 max |c_k / c_d|^(1/(d-k)), each ratio bounded by the bit lengths."""
+    d, top = len(c) - 1, abs(c[-1]).bit_length()
+    return 1 + max((-((top - abs(ck).bit_length() - 1) // (d - k)) for k, ck in enumerate(c[:-1]) if ck), default=-1)
+
+
+def _fixed(q, bits: int) -> list:
+    """q scaled by a power of two so that its leading coefficient lies in [2^bits, 2^(bits+1)) (floored)."""
+    s = bits + 1 - abs(q[-1]).bit_length()
+    return [ck << s for ck in q] if s >= 0 else [ck >> -s for ck in q]
+
+
+def _ldexp_ratio(a: int, b: int, e: int) -> float:
+    """a / b * 2^e as a double, for integers with b > 0 (to about 64 bits)."""
+    k = a.bit_length() - b.bit_length() - 64
+    return math.ldexp((a << -k) // b if k < 0 else (a >> k) // b, k + e)
+
+
+def _shifted_seeds(c) -> list:
+    """Real companion-matrix seeds for the integer coefficients ``c`` (degree >= 1).
+
+    The polynomial is Taylor-shifted exactly, in integers, to its root centroid
+    on the grid 2^-64, then scaled in double by the power of two above a
+    Fujiwara-type root radius (exact), so that the double-precision rounding of
+    the coefficients stays harmless for real-rooted input.
+    """
+    d = len(c) - 1
+    if c[d] < 0:
+        c = [-ck for ck in c]
+    m = (-c[d - 1] << 64) // (d * c[d])  # the centroid is m 2^-64, floored
+    s = [ck << 64 * (d - k) for k, ck in enumerate(c)]
+    for i in range(d):  # Horner shift x = (m + T) 2^-64
+        for j in range(d - 1, i - 1, -1):
+            s[j] += m * s[j + 1]
+    ratios = [_ldexp_ratio(sk, s[d], -64 * (d - k)) for k, sk in enumerate(s[:d])]  # in t = T 2^-64
+    mu = math.ldexp(m, -64)
+    r = 2 * max(abs(q) ** (1 / (d - k)) for k, q in enumerate(ratios))
+    if r == 0:
+        return [mu] * d
+    e = math.frexp(r)[1]  # 2^e > r
+    roots = np.roots([1.0] + [math.ldexp(ratios[k], -e * (d - k)) for k in range(d - 1, -1, -1)])
+    return [mu + math.ldexp(t.real, e) for t in roots if abs(t.imag) <= 1e-6 * max(1.0, abs(t))]
+
+
+def _newton(c, ts, y: int, bits: int, guard: int):
+    """Newton's method on the integer Y = y 2^bits for the fixed-point coefficients ``c``
+    (leading one near 2^bits, zeros inside the unit disk), each product floored.
+
+    Wherever the next error, predicted from the last two steps, is below a
+    sixteenth of the grid step 2^guard, Y is rounded to the grid and returned
+    if :func:`_certified` (``ts``) accepts it.  None where the derivative at the
+    seed needs more guard bits, the derivative vanishes, Y leaves |y| < 2, the
+    steps stop shrinking at the grid scale (a multiple zero, or too few guard
+    bits for the rounding) or 80 steps do not converge.
+    """
+    prev, cell = None, 1 << guard
+    for _ in range(80):
+        p, dp = c[-1], 0
+        for ck in reversed(c[:-1]):
+            dp = (dp * y >> bits) + p
+            p = (p * y >> bits) + ck
+        lost = bits + 1 - dp.bit_length()  # bits by which the derivative lies below the leading coefficient
+        if not dp or prev is None and lost + len(c).bit_length() + 8 > guard:
+            return None
+        step = (p << bits) // dp
+        y -= step
+        a = abs(step)
+        if 16 * a**3 <= (prev or a) ** 2 << guard:
+            z = _certified(ts, (y + (cell >> 1)) >> guard)
+            if z is not None:
+                return z
+        if abs(y) >> (bits + 1) or (prev is not None and prev <= cell and 2 * a >= prev):
+            return None
+        prev = a
+    return None
+
+
+def _sign_at(ts, m: int) -> int:
+    """The exact sign of q(m 2^-s) for the terms ts[k] = q_k 2^(s (d - k)), by integer Horner."""
+    acc = ts[-1]
+    for t in reversed(ts[:-1]):
+        acc = acc * m + t
+    return (acc > 0) - (acc < 0)
+
+
+def _certified(ts, y: int):
+    """y if q changes sign exactly between its half-grid neighbours (2y -+ 1) 2^-s
+    (``ts`` as in :func:`_sign_at`), else None; a zero on the upper neighbour
+    belongs to the grid point above."""
+    lo, hi = _sign_at(ts, 2 * y - 1), _sign_at(ts, 2 * y + 1)
+    if hi == 0:
+        return _certified(ts, y + 1)
+    return y if lo != hi else None
+
+
+def _polish(q, seeds, prec: int) -> list:
+    """The zero of q (integer coefficients, zeros inside the unit disk) that each
+    seed converges to, as the integer Y of the grid point Y 2^-(prec+16) nearest it.
+
+    Newton runs on Y 2^guard with ``guard`` bits relative to the leading
+    coefficient, 32 + 3 deg at first.  Y is accepted only where the exact signs of
+    q at its half-grid neighbours differ; else the guard doubles and Newton runs
+    again from the seed.  After three tries :class:`ConvergenceError`.
+    """
+    d, grid = len(q) - 1, prec + 16
+    ts = [qk << (grid + 1) * (d - k) for k, qk in enumerate(q)]
+    out = []
+    for seed in seeds:
+        num, den = float(seed).as_integer_ratio()
+        for guard in ((32 + 3 * d) << t for t in range(3)):
+            bits = grid + guard
+            y = _newton(_fixed(q, bits), ts, (num << bits) // den, bits, guard)
+            if y is not None:
+                out.append(y)
+                break
+        else:
+            raise ConvergenceError("Newton polish failed for a real zero")
     return out
 
 
-def _shifted_seeds(cm, prec: int) -> list:
-    """Real companion-matrix seeds for the mpf coefficients ``cm`` (degree >= 1).
-
-    The polynomial is Taylor-shifted in mp to its root centroid, then scaled
-    in double by the power of two above a Fujiwara-type root radius (exact),
-    so that the double-precision rounding of the coefficients stays harmless
-    for real-rooted input.
-    """
-    d = len(cm) - 1
-    with workprec(prec):
-        c = list(cm)
-        mu = -c[d - 1] / (d * c[d])
-        for i in range(d):  # Horner shift x -> mu + t
-            for j in range(d - 1, i - 1, -1):
-                c[j] = c[j] + mu * c[j + 1]
-        ratios = [float(ck / c[d]) for ck in c[:d]]
-    r = 2 * max(abs(q) ** (1 / (d - k)) for k, q in enumerate(ratios))
-    if r == 0:
-        return [float(mu)] * d
-    e = math.frexp(r)[1]  # 2^e > r
-    roots = np.roots([1.0] + [math.ldexp(ratios[k], -e * (d - k)) for k in range(d - 1, -1, -1)])
-    return [float(mu) + math.ldexp(t.real, e) for t in roots if abs(t.imag) <= 1e-6 * max(1.0, abs(t))]
+def _deflated(c, ys, grid: int) -> list:
+    """c with the zeros y 2^-grid divided out, one synthetic division each, floored."""
+    for y in ys:
+        out = [c[-1]]
+        for ck in reversed(c[1:-1]):
+            out.append(ck + (out[-1] * y >> grid))
+        c = out[::-1]
+    return c
 
 
 def real_zeros(coeffs, prec: int = 256) -> list:
-    """All real zeros of a polynomial, Newton-polished in extended precision.
+    """All real zeros of a polynomial, each the certified nearest point of a grid.
 
-    One loop: seed from the current quotient (:func:`_shifted_seeds`),
-    polish the zeros found so far together with the new seeds on the
-    original coefficients, deduplicate, and deflate the found zeros out of
-    the original to get the next quotient.  The loop stops when a round adds
-    no zero, so separated clusters that one companion matrix misses are
-    picked up from the quotient.  Zeros are returned sorted ascending as mpf
-    values.
+    The coefficients become integers, exactly, and x = 2^E y maps every zero
+    into the unit disk (E from :func:`_radius_exponent`).  A zero is returned
+    as the point of the grid 2^(E - prec - 16) nearest it, certified by exact
+    integer signs at the two half-grid neighbours (:func:`_polish`), as an mpf
+    of ``prec + 16`` bits; it does not depend on the ambient precision or on a
+    power-of-two scale of the coefficients.
+
+    One loop: seed from the current quotient (:func:`_shifted_seeds`), polish
+    the new seeds on the original, merge zeros closer than 1e-12 (relative
+    above 1), and while zeros are missing deflate the found ones out of the
+    original to get the next quotient.  The loop stops when a round adds no
+    zero, so separated clusters that one companion matrix misses are picked up
+    from the quotient.  :class:`ConvergenceError` where a seed finds no
+    certified zero, as at a multiple zero.  Sorted ascending.
     """
-    with workprec(prec + 16):
-        cm = [c if hasattr(c, "_mpf_") else mpf(c) for c in coeffs]
-        while cm and cm[-1] == 0:
-            cm.pop()
-        if not cm:
-            raise ValueError("real_zeros requires a nonzero polynomial")
-        found, quotient = [], cm
-        while len(found) < len(cm) - 1:
-            zeros = []
-            for r in sorted(_polish(cm, found + _shifted_seeds(quotient, prec), prec)):
-                if not zeros or abs(r - zeros[-1]) > mpf(1e-12) * max(1, abs(r)):
-                    zeros.append(r)
-            if len(zeros) <= len(found):
-                break
-            found, quotient = zeros, cm
-            for r in found:
-                quotient = _deflate(quotient, r)
-    return found
+    c = _integers(coeffs, prec)
+    d, e, grid = len(c) - 1, _radius_exponent(c), prec + 16
+    q = [ck << (e * k - min(0, e * d)) for k, ck in enumerate(c)]  # proportional to p(2^e y)
+    found, quotient = [], q
+    while len(found) < d:
+        zeros = []
+        for y in sorted(found + _polish(q, _shifted_seeds(quotient), prec)):
+            if not zeros or 10**12 * (y - zeros[-1]) > max(1 << max(grid - e, 0), abs(y)):
+                zeros.append(y)
+        if len(zeros) <= len(found):
+            break
+        found = zeros
+        if len(found) < d:
+            quotient = _deflated(_fixed(q, grid + 32 + 3 * d), found, grid)  # at _polish's first guard
+    return [mp.make_mpf(from_man_exp(y, e - grid, grid, RND)) for y in found]
 
 
 def _deflate(coeffs, r):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import to_rational
 
 from mop_trees import _poly as P
 from mop_trees import mop_engine
-from mop_trees.errors import NormalityError, PrecisionError
+from mop_trees.errors import ConvergenceError, NormalityError, PrecisionError
 from mop_trees.measures import DensitySpec, Measure, Piece, cauchy, uniform
 from mop_trees.mop_engine import (
     MopSystem,
@@ -288,15 +289,40 @@ class TestZeros:
 
     def test_separated_clusters(self, monkeypatch):
         # 18 dyadic roots in three clusters; the first companion matrix finds
-        # only some of them, the deflated quotient the rest
+        # only some of them, the deflated quotient the rest.  The roots lie on
+        # the grid, so each is its own nearest grid point.
         roots = sorted(c + j / 64 for c in (-3, 0.25, 4) for j in range(6))
-        seeded = []
         orig = mop_engine._shifted_seeds
-        monkeypatch.setattr(mop_engine, "_shifted_seeds", lambda cm, prec: seeded.append(cm) or orig(cm, prec))
-        zs = real_zeros(_from_roots(roots))
-        assert len(zs) == len(roots)
-        assert max(abs(z - r) / abs(r) for z, r in zip(zs, roots)) < mpf(2) ** -200
-        assert len(seeded) >= 2 and len(seeded[-1]) < len(seeded[0])  # a quotient was seeded
+        for prec in (256, 53):
+            seeded = []
+            monkeypatch.setattr(mop_engine, "_shifted_seeds", lambda c: seeded.append(c) or orig(c))
+            assert real_zeros(_from_roots(roots), prec) == [mpf(r) for r in roots]
+            assert len(seeded) >= 2 and len(seeded[-1]) < len(seeded[0])  # a quotient was seeded
+
+    @pytest.mark.parametrize("which", ["P(3,2)", "A1(2,8)", "A2(4,5)", "clusters"])
+    def test_power_of_two_scales_give_the_same_bits(self, ang_sys, which):
+        # A1 at (2, 8) has degree 1 and a leading coefficient near 2^-9
+        coeffs = {
+            "P(3,2)": lambda: ang_sys.type2((3, 2)),
+            "A1(2,8)": lambda: ang_sys.type1((2, 8))[0],
+            "A2(4,5)": lambda: ang_sys.type1((4, 5))[1],
+            "clusters": lambda: _from_roots(sorted(c + j / 64 for c in (-3, 0.25, 4) for j in range(6))),
+        }[which]()
+        zs = real_zeros(coeffs)
+        assert len(zs) == len(coeffs) - 1
+        for k in (-600, -40, 40, 600):
+            assert real_zeros([mp.ldexp(c, k) for c in coeffs]) == zs
+
+    def test_a_zero_halfway_between_grid_points_takes_the_upper_one(self):
+        # the grid of x - r at 256 bits has the step 2^-270 near 1, so 1 + 2^-271 is a midpoint
+        with workprec(400):
+            for r, up in ((1 + mpf(2) ** -271, 1 + mpf(2) ** -270), (-1 - mpf(2) ** -271, mpf(-1))):
+                assert real_zeros((-r, 1)) == [up]
+
+    @pytest.mark.parametrize("roots", [(1, 1), (1, 1, 1), (1, 1, -2)])
+    def test_exact_multiple_zeros_raise(self, roots):
+        with pytest.raises(ConvergenceError):
+            real_zeros(_from_roots(roots))
 
     def test_degree_one(self, ang_sys):
         zs = real_zeros(ang_sys.type2((1, 0)))
@@ -319,6 +345,48 @@ class TestZeros:
             for z in real_zeros(ang_sys.record(n).P):
                 x = float(z)
                 assert -2 <= x <= -1 or 1 <= x <= 2
+
+
+def _fraction(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _record_polynomials(sys, nmax):
+    """(n, k, coefficients) of every P_n (k = 0) and A_n^{(k)} of degree >= 1 with 1 <= |n| <= nmax."""
+    for d in range(1, nmax + 1):
+        for n in ((n1, d - n1) for n1 in range(d + 1)):
+            rec = sys.type1_record(n)
+            yield from ((n, k, c) for k, c in enumerate((rec.P, *rec.A)) if len(c) > 1)
+
+
+class TestZeroCertificates:
+    @pytest.mark.parametrize("system, nmax", [("ang_sys", 12), ("nik_sys", 6)])
+    def test_each_zero_is_the_nearest_point_of_its_grid(self, request, system, nmax):
+        # the grid step h = 2^(E - prec - 16), 2^E bounding the zeros; the signs at
+        # z -+ h/2 are formed here in Fractions, apart from the library's integer
+        # Horner.  On ang_u every P_n and A_n^{(k)} has deg real zeros.
+        sys = request.getfixturevalue(system)
+        prec, count = sys.precision_bits, 0
+        for n, k, c in _record_polynomials(sys, nmax):
+            zs = [_fraction(z) for z in sys.zeros(n, k)]
+            if not zs:
+                continue  # some Nikishin A_n^{(k)} have no real zero
+            h = Fraction(2) ** (mop_engine._radius_exponent(mop_engine._integers(c, prec)) - prec - 16)
+            assert max(map(abs, zs)) < h * 2 ** (prec + 16) and h * 2**prec <= max(map(abs, zs))
+            cf = [_fraction(x) for x in c]
+            for z in zs:
+                lo, hi = (sum(ck * t**i for i, ck in enumerate(cf)) for t in (z - h / 2, z + h / 2))
+                assert (z / h).denominator == 1 and lo * hi < 0, (n, k, float(z))
+                count += 1
+        assert count == {"ang_sys": 1300, "nik_sys": 168}[system]
+
+    @pytest.mark.parametrize("system, nmax", [("ang_sys", 12), ("nik_sys", 6)])
+    def test_the_ambient_precision_changes_no_bit(self, request, system, nmax):
+        sys = request.getfixturevalue(system)
+        for n, k, c in _record_polynomials(sys, nmax):
+            for bits in (24, 1024):
+                with workprec(bits):
+                    assert real_zeros(c, sys.precision_bits) == list(sys.zeros(n, k)), (n, k, bits)
 
 
 class TestZerosOnRecords:
@@ -344,7 +412,7 @@ class TestZerosOnRecords:
 
     def test_record_zeros_match_direct_search(self, ang_sys):
         for n, k in [((3, 2), 0), ((3, 2), 1), ((3, 2), 2), ((0, 3), 1), ((1, 1), 2)]:
-            rec = ang_sys.record(n) if k == 0 else ang_sys.type1_record(n)
+            rec = ang_sys.type1_record(n)  # with P_n: record(n) alone leaves A unset
             c = (rec.P, *rec.A)[k]
             assert ang_sys.zeros(n, k) == (tuple(real_zeros(c)) if len(c) > 1 else ())
 
