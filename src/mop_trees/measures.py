@@ -5,17 +5,19 @@ pieces carried by disjoint intervals.  Its monomial moments have one source,
 ``moments_mp`` (extended precision): it rounds the exact rational moments once
 when every piece is uniform, and sums the mp Gauss-Legendre rule of each piece
 for any other density; the mp rule of a uniform measure is therefore built
-only at its first mp transform.  The one double-precision integral is
-``integrate(f)``.  One node table per precision, each piece's Gauss-Legendre
-nodes and w*density, is built in the prepared Markov kernel (:func:`kernel`,
-g = 1), and the moments and ``integrate`` read it there.  Every
-transform of the form ``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes
-through one kernel, :func:`cauchy`: the Markov function and its boundary
-values (the ``Measure.markov*`` methods), the second-kind functions of the
-MOP engine and the bridge integrals of the Angelesco subtree factors.  Off the
-support it switches to graded panels near the pole; on an ac piece it gives
-the boundary values from above/below by the Plemelj split (principal value
--/+ i*pi*g*density).
+only at its first mp transform with a polynomial weight.  The one
+double-precision integral is ``integrate(f)``.  One node table per precision,
+each piece's Gauss-Legendre nodes and w*density, is built in the prepared
+Markov kernel (:func:`kernel`, g = 1) at its first read, and the moments and
+``integrate`` read it there.  Every transform of the form
+``int g(t) dmu(t) / (z - t)``, with g a polynomial, goes through one kernel,
+:func:`cauchy`: the Markov function and its boundary values (the
+``Measure.markov*`` methods), the second-kind functions of the MOP engine and
+the bridge integrals of the Angelesco subtree factors.  Off the support it
+switches to graded panels near the pole, except that the mp Markov function
+takes a uniform piece in closed form, log((z - a)/(z - b)); on an ac piece it
+gives the boundary values from above/below by the Plemelj split (principal
+value -/+ i*pi*g*density).
 
 Instances are immutable and safe to share: the only state is a cache of
 moment tables, quadrature node tables and prepared kernels (:func:`kernel`),
@@ -412,6 +414,15 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
     than the host is integrated on graded panels toward z when it lies closer
     to z than ``_NEAR_FACTOR`` times its length.
 
+    In mp with g = 1 a uniform piece other than the host is not summed: it
+    takes its closed form ``log((z - a)/(z - b))`` at ``prec + 16`` bits,
+    added to the atoms' sum and rounded once: without atoms or other
+    densities, the exact value rounded once up to the guard bits.  Every
+    other mp sum (a weight, a non-uniform density) replays ``mp.fsum`` over
+    its nodes bit for bit, and so does the host piece (for a uniform host at
+    g = 1 that node sum is exactly 0 and is skipped).  Double precision
+    always sums nodes.
+
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
     support, an mpc otherwise.  In double precision z may also be a 1-D array,
@@ -436,22 +447,28 @@ def kernel(mu: Measure, weight=(), prec=None) -> "_Kernel":
 
 class _Kernel:
     """:func:`cauchy` for one measure, weight and precision, with everything
-    that does not depend on z resolved once: the full-piece node tables with
-    w*g*density formed in advance, the weight as floats (double) or mpf, the
-    atoms' m*g(x) values and the pieces' geometry.  Every double z, a point
-    or an array, is answered by :meth:`_batch`, an mp z by :meth:`_value`;
-    both find the host piece and the distances by :meth:`_locate`.
+    that does not depend on z resolved once: the weight as floats (double) or
+    mpf, the atoms' m*g(x) values and the pieces' geometry.  A piece's full
+    node table, with w*g*density formed in advance, is built at its first
+    read (:meth:`table`).  Every double z, a point or an array, is answered by
+    :meth:`_batch`, an mp z by :meth:`_value`; both find the host piece and
+    the distances by :meth:`_locate`.
 
-    The mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
+    The mp Markov kernel (g = 1) takes a uniform piece off the support in
+    closed form (:func:`_uniform_markov`), and as host skips its node sum,
+    which is exactly zero; it builds no node table for a uniform piece.  The
+    other mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
     bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
     against the pre-formed w*g, each rounded at ``prec`` as the mpf operators
     round, then one ``mpf_sum`` per part as fsum runs it (:func:`cauchy_sum`).
     """
 
     def __init__(self, mu: Measure, weight: tuple, prec):
-        self.prec, self.weight, self.pieces = prec, weight, mu.pieces
+        self.mu, self.prec, self.weight, self.pieces = mu, prec, weight, mu.pieces
         self.atom_x = [x for x, _ in mu.atoms]
         self.spans = [(p.a, p.b, _NEAR_FACTOR * (p.b - p.a)) for p in mu.pieces]
+        self.closed = [prec is not None and not weight and p.density.kind == "uniform" for p in mu.pieces]
+        self._tables = {}
         with workprec(prec) if prec else contextlib.nullcontext():
             if prec is None:
                 gf = [float(c) for c in weight]
@@ -460,9 +477,23 @@ class _Kernel:
             else:
                 self.g = (lambda t: pval(weight, t)) if weight else (lambda t: 1)
                 self.atoms = [(mpf(x), mpf(m) * self.g(mpf(x))) for x, m in mu.atoms]
-            self.tables = [_weighted_table(_piece_table(mu, i, prec), weight, prec) for i in range(len(mu.pieces))]
-        # off the support z is complex: the nodes and w*g*density cast once (exact), not per call
-        self.off = [(xs, wg) if prec else (xs.astype(complex), wg.astype(complex)) for xs, _, _, wg in self.tables]
+
+    def table(self, i: int):
+        """(nodes, weights, g*density, w*g*density, off) of piece i's full rule,
+        built at the first read; off is (nodes, w*g*density) as the sums off
+        the support take them (in double cast once to complex, exactly)."""
+        built = self._tables.get(i)
+        if built is None:
+            with workprec(self.prec) if self.prec else contextlib.nullcontext():
+                xs, ws, gd, wg = _weighted_table(_piece_table(self.mu, i, self.prec), self.weight, self.prec)
+            off = (xs, wg) if self.prec else (xs.astype(complex), wg.astype(complex))
+            built = self._tables[i] = (xs, ws, gd, wg, off)
+        return built
+
+    @property
+    def tables(self) -> list:
+        """(nodes, weights, g*density, w*g*density) of every piece, in order."""
+        return [self.table(i)[:4] for i in range(len(self.pieces))]
 
     def _locate(self, z: np.ndarray, side):
         """(host piece per point, -1 for none; per piece, the distance from each point to it)."""
@@ -541,7 +572,7 @@ class _Kernel:
             total[:] = [sum([mg / (q - t) for t, mg in self.atoms]) for q in zq]
         im = np.zeros(len(z))
         for i, (a, b, near) in enumerate(self.spans):
-            xs, ws, gd, wg = self.tables[i]
+            xs, ws, gd, wg, off = self.table(i)
             at = host == i
             if at.any():
                 xh = z[at]
@@ -555,7 +586,7 @@ class _Kernel:
                 im[at] = -math.pi * fx if side == "+" else math.pi * fx
             far = ~at & (dists[i] >= near)
             if far.any():
-                oxs, owg = self.off[i]
+                oxs, owg = off
                 total[far] += (owg / (z[far].astype(complex)[:, None] - oxs)).sum(axis=1)
             for r in np.flatnonzero(~at & (dists[i] < near)).tolist():
                 total[r] += self._panels(i, zr[r], float(dists[i][r]), zq[r])
@@ -565,25 +596,48 @@ class _Kernel:
 
     def _value(self, zq, zr: float, host: int, dists, side):
         """The mp transform at zq, an mpf or mpc at ``prec``, with zr its real
-        part as a float (host -1 off the support)."""
+        part as a float (host -1 off the support).  The closed forms of the
+        uniform pieces off z are added to the atoms at ``prec + 16`` bits, and
+        that sum is rounded once."""
         prec = self.prec
         total = mp.fsum([mg / (zq - x) for x, mg in self.atoms])
+        logs = [_uniform_markov(zq, p.a, p.b, prec) for i, p in enumerate(self.pieces) if self.closed[i] and i != host]
+        if logs:
+            with workprec(prec + 16):
+                total = mp.fsum(logs + [total])
+            with workprec(prec):
+                total = +total
         for i, dist in enumerate(dists):
+            p = self.pieces[i]
             if i == host:
-                xs, ws, gd, wg = self.tables[i]
-                p = self.pieces[i]
                 fx = self.g(zq) * p.density.mp_value(zq, p.a, p.b, prec)
-                if fx:  # the singularity subtraction
-                    wg = products(ws, shifted(gd, fx._mpf_, prec), prec)
-                total += self._sum(xs, wg, zq).real
+                if not self.closed[i]:  # a uniform piece at g = 1 has f(t) - f(x) = 0 at every node
+                    xs, ws, gd, wg, _ = self.table(i)
+                    if fx:  # the singularity subtraction
+                        wg = products(ws, shifted(gd, fx._mpf_, prec), prec)
+                    total += self._sum(xs, wg, zq).real
                 total += fx * mp.log((zq - p.a) / (p.b - zq))
-            elif dist < self.spans[i][2]:
-                total += self._panels(i, zr, dist, zq)
-            else:
-                total += self._sum(*self.off[i], zq)
+            elif not self.closed[i]:
+                near = dist < self.spans[i][2]
+                total += self._panels(i, zr, dist, zq) if near else self._sum(*self.table(i)[4], zq)
         if host < 0:
             return total
         return mpc(total.real, -mp.pi * fx if side == "+" else mp.pi * fx)
+
+
+def _uniform_markov(zq, a: float, b: float, prec: int):
+    """``int_a^b dt / (z - t) = log((z - a)/(z - b))`` at an mpf or mpc z off
+    [a, b], evaluated at ``prec + 16`` bits (the caller rounds it).
+
+    The quotient is 1 + u with u = (b - a)/(z - b).  Where |u| <= 1/2 (z far
+    from both ends) the log is ``log1p(u)``, so a far z keeps the digits that
+    forming 1 + u would cancel; elsewhere the quotient is at least 1/2 away
+    from 1 and its log is well conditioned.  The principal branch is the
+    right one: the quotient is a negative real only for z in (a, b).
+    """
+    with workprec(prec + 16):
+        u = (mpf(b) - a) / (zq - b)
+        return mp.log1p(u) if abs(u) <= 0.5 else mp.log((zq - a) / (zq - b))
 
 
 def _hypot(dx: np.ndarray, zi: np.ndarray) -> np.ndarray:

@@ -563,12 +563,13 @@ def test_spectral_moments_leave_scipy_integrate_unloaded():
     "name, rules",
     [
         ("mop-coeffs", 0), ("tree-spectrum", 0), ("tree-svec", 0), ("angelesco-dos-profile", 0),
-        ("periodic-raylimit", 0), ("angelesco-green", 1), ("angelesco-rho", 1),
+        ("periodic-raylimit", 0), ("angelesco-green", 0), ("angelesco-rho", 0),
     ],
 )
 def test_mp_rule_is_built_only_for_a_transform(name, rules, tmp_path):
-    # the uniform moments are exact rationals, so only a command that takes an
-    # mp Cauchy transform builds the mp Gauss-Legendre rule, and only one
+    # the uniform moments are exact rationals and the mp Markov function of a
+    # uniform piece is its closed form, so no command on ang_u builds the mp
+    # Gauss-Legendre rule (an mp transform with a polynomial weight still would)
     code = (
         "import json, sys; from mop_trees import quadrature; from mop_trees.cli import main\n"
         "assert main(json.loads(sys.argv[1])) == 0\n"

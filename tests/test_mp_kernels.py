@@ -210,13 +210,16 @@ class TestCauchySum:
 
 # sha256 of the fields below, per system; any change to the bits of a moment,
 # record or recurrence row breaks them.  The Nikishin system (rule-based
-# moments) keeps the bits of the mpmath.lu_solve / mp.fsum engine.  The
-# Angelesco pair and the skew uniform pair (53-bit endpoints) take the lattice
-# fill: every value is the exact rational rounded once (tests/test_exact_solves.py
-# checks both against exact solves of the moment systems).
+# moments) keeps the bits of the mpmath.lu_solve / mp.fsum engine; the density
+# column of its mu2 reads tau's mp Markov function in closed form
+# (test_nikishin_mu2_moments_are_within_one_ulp_of_quad checks those moments).
+# The Angelesco pair and the skew uniform pair (53-bit endpoints) take the
+# lattice fill: every value is the exact rational rounded once
+# (tests/test_exact_solves.py checks both against exact solves of the moment
+# systems).
 ENGINE_DIGESTS = {
     "angelesco": "78e1c3d216b085ca368ffa7b4df33e369fa099ceda7d908f1eb56339e6d76f6d",
-    "nikishin": "63420a32a84a9289a03bfa431f4e7eb6a99e2d20704c661c7bebde2df1e478d3",
+    "nikishin": "511ebaffc9d44ed629ae83fb96f9ec0c53c9f984dc61c11c43c6a6d6f739fd4c",
     "skew_pair": "90ca11d164e4c0d63c99a7d2140cdc169b5bce1a6cd1625830728b2b385218b5",
 }
 
@@ -328,11 +331,40 @@ def rule_route_measures():
     }
 
 
-# sha256 of moments 0..40 of the measures above at 53 and 256 bits, as the
-# Gauss-Legendre rule summed them before uniform moments took the closed form
-RULE_MOMENT_DIGEST = "919164065bb5826f7dfaf20ad308bf2983cca1990b974543de62f45a572ac41a"
+# sha256 of moments 0..40 of each measure above at 53 and 256 bits, as the
+# Gauss-Legendre rule sums them.  The markov_weighted entry reads tau's
+# Markov function in closed form at each node; the other two keep the bits
+# the rule gave before uniform moments took the closed form.
+RULE_MOMENT_DIGESTS = {
+    "jacobi_weight": "26c5b5557f0431ee18f96bccef41d3503184ae170d7c6430b86d50b3aa7363ec",
+    "markov_weighted": "6846efc523325165956d675f03ce51090d6b86129ce50a1a7c3a93c74017871c",
+    "mixed": "266a024887e11501a144b4fc6fac015f9f9e0e2236bec93669569a466f0d2e6f",
+}
 
 
 def test_moments_of_other_densities_keep_the_rule_bits():
-    fields = [(name, prec, bits(mu.moments_mp(40, prec))) for prec in (53, 256) for name, mu in rule_route_measures().items()]
-    assert digest(fields) == RULE_MOMENT_DIGEST
+    got = {
+        name: digest([(name, prec, bits(mu.moments_mp(40, prec))) for prec in (53, 256)])
+        for name, mu in rule_route_measures().items()
+    }
+    assert got == RULE_MOMENT_DIGESTS
+
+
+def test_nikishin_mu2_moments_are_within_one_ulp_of_quad():
+    # dmu2 = log(x/(x - 1)) dx on [2, 3], the Markov function of tau = uniform(0, 1)
+    # times mu1 = uniform(2, 3); the reference is mpmath's quad at 700 bits
+    logs = {}
+
+    def s_tau(x):
+        if x._mpf_ not in logs:
+            logs[x._mpf_] = mp.log(x / (x - 1))
+        return logs[x._mpf_]
+
+    with workprec(700):
+        refs = [mp.quad(lambda x: x**k * s_tau(x), [2, 3]) for k in range(41)]
+    for prec in (53, 256):
+        moments = nikishin_system(uniform(2, 3), uniform(0, 1)).mu2.moments_mp(40, prec)
+        for k, (m, ref) in enumerate(zip(moments, refs)):
+            _, _, exp, bc = m._mpf_
+            with workprec(800):
+                assert abs(m - ref) <= mpf(2) ** (exp + bc - prec), (prec, k)
