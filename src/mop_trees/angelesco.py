@@ -31,7 +31,7 @@ import numpy as np
 from mpmath import mpf, workprec
 
 from . import _poly as P
-from .errors import DomainError, EndpointError, IntegrationWarning, OverlapError
+from .errors import DomainError, EndpointError, IntegrationWarning, OverlapError, PrecisionError
 from .measures import Measure, concat, kernel
 from .mop_engine import (
     KappaForm,
@@ -279,16 +279,23 @@ def point_mass_at(asys, kappa, E: float) -> float:
     """Mass (L_1 / L_kappa')(E) at the off-interval zero E of the kappa-form.
 
     The derivative is a central difference with h = 1e-6 evaluated in
-    extended precision.
+    extended precision.  PrecisionError where the difference keeps fewer than
+    prec/3 bits against the rounding of its terms, 2^-prec sum_k |w_k m_k| at
+    both points.
     """
     prec = asys.sys.precision_bits
     form = KappaForm(asys.sys, kappa, prec)
     with workprec(prec):
         h = mpf(10) ** -6
         Em = mpf(E)
-        dL = (form(Em + h) - form(Em - h)) / (2 * h)
+        markovs = form.markov(Em + h), form.markov(Em - h)
+        diff = form.combine(markovs[0]) - form.combine(markovs[1])
+        rounding = sum(abs(w * m) for pair in markovs for w, m in zip(form.weights, pair)) / mpf(2) ** prec
+        if not abs(diff) >= rounding * mpf(2) ** (prec // 3):
+            raise PrecisionError(f"the central difference of the kappa-form at E={E!r} keeps fewer than "
+                                 f"{prec // 3} bits at {prec} bits")
         L1 = second_kind(asys.sys, (1, 1), Em)
-        return float((L1 / dL).real)
+        return float((L1 / (diff / (2 * h))).real)
 
 
 def psi_o(asys: AngelescoSystem, kappa, x: float, depth: int) -> np.ndarray:

@@ -133,6 +133,14 @@ def _grid(zero_ok: bool):
     return grid
 
 
+def _nmax(text: str) -> int:
+    """argparse type for ``--nmax``: the scans run over n = 1..nmax, so 1 or more."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} leaves nothing to check: pass 1 or more")
+    return n
+
+
 def _finite_complex(text: str) -> complex:
     """argparse type for ``--z``: a finite complex number."""
     try:
@@ -339,8 +347,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--kappa", required=True)
     sp.add_argument("--grid", type=_grid(zero_ok=False), required=True)
 
-    command("nikishin", "signs", cmd_nikishin_signs, "nikishin").add_argument("--nmax", type=int, default=4)
-    command("nikishin", "blowup", cmd_nikishin_blowup, "nikishin", fmt=True).add_argument("--nmax", type=int, default=4)
+    command("nikishin", "signs", cmd_nikishin_signs, "nikishin").add_argument("--nmax", type=_nmax, default=4)
+    command("nikishin", "blowup", cmd_nikishin_blowup, "nikishin", fmt=True).add_argument("--nmax", type=_nmax, default=4)
 
     sp = command("periodic", "surface", cmd_periodic_surface, None)
     sp.add_argument("--A", required=True, help="A1,A2")
@@ -352,9 +360,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--grid", type=_grid(zero_ok=False), required=True)
     sp = command("periodic", "raylimit", cmd_periodic_raylimit, "angelesco")
     sp.add_argument("--c", type=float, default=0.5)
-    sp.add_argument("--nmax", type=int, default=8)
+    sp.add_argument("--nmax", type=_nmax, default=8)
 
-    command("verify", "all", cmd_verify_all).add_argument("--nmax", type=int, default=4)
+    command("verify", "all", cmd_verify_all).add_argument("--nmax", type=_nmax, default=4)
     return p
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import fone
 
-from ._poly import cauchy_sum, products, pval, pval_exact, rational, raw_dot, shifted
+from ._poly import products, pval, pval_exact, rational, raw_dot, shifted
 from .errors import DomainError, EndpointError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -457,10 +457,7 @@ class _Kernel:
     The mp Markov kernel (g = 1) takes a uniform piece off the support in
     closed form (:func:`_uniform_markov`), and as host skips its node sum,
     which is exactly zero; it builds no node table for a uniform piece.  The
-    other mp sums run on raw libmp tuples and replay ``mp.fsum(w * g / (z - x))``
-    bit for bit: per node one ``mpf_sub``/``mpc_sub_mpf`` and one division
-    against the pre-formed w*g, each rounded at ``prec`` as the mpf operators
-    round, then one ``mpf_sum`` per part as fsum runs it (:func:`cauchy_sum`).
+    other mp sums are ``mp.fsum(w * g / (z - x))`` over a table (:meth:`_sum`).
     """
 
     def __init__(self, mu: Measure, weight: tuple, prec):
@@ -519,10 +516,10 @@ class _Kernel:
         return host, dists
 
     def _sum(self, xs, wg, z):
-        """Sum of ``wg / (z - t)`` over the nodes t."""
+        """Sum of ``wg / (z - t)`` over the nodes t (in mp by ``mp.fsum``, raw tuples in)."""
         if self.prec is None:
             return complex((wg / (z - xs)).sum())
-        return cauchy_sum(xs, wg, z, self.prec)
+        return mp.fsum([mp.make_mpf(v) / (z - mp.make_mpf(x)) for x, v in zip(xs, wg)])
 
     def _panels(self, i: int, x0: float, dist: float, z):
         """Sum over graded panels of piece i toward x0 (tables built per call)."""

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, permutations, product, zip_longest
 
 import numpy as np
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import lu_solve, matrix, mp, mpc, mpf, workprec
 from mpmath.libmp import fnone, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
 from mpmath.libmp import round_nearest as RND
 
@@ -231,11 +231,13 @@ class MopSystem:
         """The type II rows ``mom_k[m : m + |n|]`` (k = 1..d; m < n_k); the type I matrix is their transpose."""
         return [mom[m : m + order(n)] for nk, mom in zip(n, moms) for m in range(nk)]
 
-    def _solve(self, rows, rhs, n, kind: str):
-        """``rows x = rhs`` by the mp LU; NormalityError where it finds the matrix singular."""
+    def _solve(self, rows, rhs, n, kind: str) -> list:
+        """``rows x = rhs`` by ``mpmath.lu_solve`` at ``precision_bits``; NormalityError where
+        mpmath calls the matrix singular (ZeroDivisionError) or finds no pivot (TypeError)."""
         try:
-            return P.lu_solve(rows, rhs, self.precision_bits)
-        except ZeroDivisionError as exc:
+            with workprec(self.precision_bits):
+                return list(lu_solve(matrix(rows), matrix(rhs)))
+        except (ZeroDivisionError, TypeError) as exc:
             raise NormalityError(f"type {kind} moment matrix singular at n={n}") from exc
 
     def _solve_type2(self, n) -> tuple:

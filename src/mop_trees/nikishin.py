@@ -89,12 +89,19 @@ def dual_hankel_min_eig(tau: Measure, size: int, precision_bits: int = 256) -> f
 # ---------------------------------------------------------------------------
 
 
+def _check_nmax(nmax: int) -> None:
+    """The scans run over n = 1..nmax: below 1 they would pass with nothing checked."""
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, not {nmax!r}")
+
+
 def sign_pattern_check(nsys: NikishinSystem, nmax: int) -> dict:
     """Signs of a_{n,j} over 1 <= n1, n2 <= nmax plus the marginal positivity.
 
     Expected: sgn a_{n,j} = (-1)^{j-1} below and on the diagonal (n2 <= n1),
     flipped above it; a_{(n,0),1} and a_{(0,n),2} positive.
     """
+    _check_nmax(nmax)
     sys = nsys.sys
     violations = []
     table = {}
@@ -121,6 +128,7 @@ def h_sign_check(nsys: NikishinSystem, nmax: int) -> dict:
     n2 >= n1+2; h_{n,2} > 0 for n2 >= n1+1 and sgn h_{n,2} = (-1)^{|n|} for
     n2 <= n1.
     """
+    _check_nmax(nmax)
     sys = nsys.sys
     violations = []
     for n1 in range(1, nmax + 1):
@@ -149,6 +157,7 @@ def diagonal_blowup_scan(nsys: NikishinSystem, nmax: int, region_order: int = 13
     monotone trend with growth ratios); everything off the near-diagonal
     stays within a fixed bound.
     """
+    _check_nmax(nmax)
     sys = nsys.sys
     diag = []
     for n in range(1, nmax + 1):

@@ -383,6 +383,8 @@ def ray_limit_estimate(asys, c: float, nmax: int) -> RayLimitReport:
     """
     if not 0 < c < 1:
         raise DomainError("c must be in (0, 1)")
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, not {nmax!r}")
     sys = asys.sys
     pts = [(1, 1)]
     while pts[-1][0] + pts[-1][1] < 2 * nmax:

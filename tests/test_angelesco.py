@@ -24,7 +24,7 @@ from mop_trees.angelesco import (
     spectrum_envelope_check,
     type1_zero_set,
 )
-from mop_trees.errors import DomainError, EndpointError, OverlapError
+from mop_trees.errors import DomainError, EndpointError, OverlapError, PrecisionError
 from mop_trees.finite_spectral import boundary_polynomial, eigenvalue_set, full_basis
 from mop_trees.measures import DensitySpec, Measure, Piece, uniform
 from mop_trees.mop_engine import KappaForm, second_kind_boundary, second_kind_boundary_mp
@@ -209,6 +209,19 @@ class TestRhoO:
             rep(0.0)
         with pytest.raises(EndpointError):
             rep(-1.0 - 1e-9)
+
+    @pytest.mark.parametrize("bits", [16, 20, 24, 28])
+    def test_point_mass_short_of_bits_raises(self, bits):
+        # the central difference of the kappa-form rounded to 0 at 16 bits (a raw
+        # ZeroDivisionError) and gave 0.9691 at 20 and 24 bits; the mass is 0.92420
+        low = angelesco_system(uniform(-2, -1), uniform(1, 2), bits)
+        with pytest.raises(PrecisionError, match=f"at {bits} bits"):
+            point_mass_at(low, (0.5, 0.5), find_e_kappa(low, (0.5, 0.5)))
+
+    @pytest.mark.parametrize("bits, mass", [(32, 0.9241892036516219), (53, 0.9241962407200179), (256, 0.9241962407460547)])
+    def test_point_mass_with_enough_bits_is_unchanged(self, bits, mass):
+        asys = angelesco_system(uniform(-2, -1), uniform(1, 2), bits)
+        assert point_mass_at(asys, (0.5, 0.5), find_e_kappa(asys, (0.5, 0.5))) == mass
 
     def test_generalized_eigenfunction_residual(self, ang_u):
         x0 = -1.4

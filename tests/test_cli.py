@@ -416,6 +416,33 @@ class TestExitCodesAndDeterminism:
         code = main(["periodic", "dos", "--A", "0.25,0.25", "--B=-1,1", "--grid", grid])
         assert code == 1
 
+    # every scan runs over n = 1..nmax: below 1 a sign check passed with nothing checked
+    @pytest.mark.parametrize("nmax", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nikishin", "signs", "--system", "nik_file"],
+            ["nikishin", "blowup", "--system", "nik_file"],
+            ["verify", "all", "--system", "nik_file"],
+            ["periodic", "raylimit", "--system", "ang_file"],
+        ],
+    )
+    def test_nmax_below_one_exits_one(self, argv, nmax, request, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_system", _must_not_run)
+        argv = [request.getfixturevalue(a) if a.endswith("_file") else a for a in argv]
+        assert main([*argv, "--nmax", nmax]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --nmax: {nmax} leaves nothing to check" in captured.err
+
+    def test_point_mass_short_of_bits_exits_two(self, capsys):
+        # at 16 bits the central difference of the kappa-form rounds to 0
+        code, out = run(capsys, "angelesco", "rho", "--system", SYSTEM, "--kappa", "0.5,0.5", "--precision-bits", "16")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "angelesco.PrecisionError"
+        assert "at 16 bits" in error["message"]
+
     @pytest.mark.parametrize("bits", [0, -8])
     def test_nonpositive_precision_exits_one(self, bits, capsys, tmp_path):
         # fails fast from the flag and from the file: no spin in the moment solve, no fallback to 256

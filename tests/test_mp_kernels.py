@@ -1,4 +1,5 @@
-"""The raw-tuple mp kernels replay mpmath bit for bit, and the engine's bits are pinned."""
+"""The engine's LU route is mpmath's, the raw-tuple sums of products round as
+the mpf operators and ``mp.fsum``, and the engine's bits are pinned."""
 
 import hashlib
 import random
@@ -8,6 +9,7 @@ import pytest
 from mpmath import lu_solve as mp_lu_solve, matrix, mp, mpf, workprec
 from mpmath.libmp import from_rational, round_nearest
 from oracles import uniform_moment
+from test_mop_engine import jacobi_pair
 
 from mop_trees import _poly as P
 from mop_trees.angelesco import angelesco_system
@@ -24,17 +26,6 @@ def bits(values):
 def mpmath_solve(rows, rhs, prec):
     with workprec(prec):
         return bits(mp_lu_solve(matrix(rows), matrix(rhs)))
-
-
-def assert_replays_mpmath(rows, rhs, prec):
-    """Both solve to the same bits, or both reject the matrix."""
-    try:
-        expected = mpmath_solve(rows, rhs, prec)
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            P.lu_solve(rows, rhs, prec)
-        return
-    assert bits(P.lu_solve(rows, rhs, prec)) == expected
 
 
 def type2_system(sys, n):
@@ -65,6 +56,10 @@ def fresh_systems():
 
 
 class TestLuSolve:
+    """The engine's LU route (``MopSystem._solve``) is ``mpmath.lu_solve`` at the
+    system's precision, whatever the ambient precision, with mpmath's singular
+    matrices as NormalityError."""
+
     @pytest.mark.parametrize("family", ["angelesco", "nikishin"])
     @pytest.mark.parametrize("d", range(1, 22))
     def test_moment_matrices_match_mpmath(self, fresh_systems, family, d):
@@ -74,48 +69,41 @@ class TestLuSolve:
         if d >= 2:
             cases.append(type1_system(sys, diagonal))
         for rows, rhs in cases:
-            assert_replays_mpmath(rows, rhs, sys.precision_bits)
+            with workprec(24):
+                got = bits(sys._solve(rows, rhs, diagonal, "II"))
+            assert got == mpmath_solve(rows, rhs, sys.precision_bits)
 
     @pytest.mark.parametrize("prec", [64, 256, 512])
     def test_random_dense_matrices_match_mpmath(self, prec):
         rng = random.Random(prec)
+        sys = MopSystem((uniform(0, 1), uniform(2, 3)), prec)
 
         def draw():
-            # wider than the working precision, so the kernel's roundings all bite
+            # wider than the working precision, so the solve's roundings all bite
             return mpf((rng.choice((-1, 1)) * rng.getrandbits(prec + 40), rng.randint(-prec - 48, -prec - 32)))
 
         for size in range(1, 13):
             with workprec(prec + 40):
                 rows = [[draw() for _ in range(size)] for _ in range(size)]
                 rhs = [draw() for _ in range(size)]
-            assert_replays_mpmath(rows, rhs, prec)
-
-    def test_first_maximal_pivot_score_wins(self):
-        # rows 0 and 1 score |a_k0| / sum_l |a_kl| = 1/3 and 2/6: an exact tie
-        rows = [[mpf(1), mpf(2), mpf(0)], [mpf(2), mpf(1), mpf(3)], [mpf(0), mpf(1), mpf(1)]]
-        rhs = [mpf(1)] * 3
-        with workprec(64):
-            assert 1 / mpf(3) == 2 * (1 / mpf(6))
-        got = bits(P.lu_solve(rows, rhs, 64))
-        assert got == mpmath_solve(rows, rhs, 64)
-        # the other pivot order rounds differently, so the tie rule is visible
-        assert got != bits(P.lu_solve([rows[1], rows[0], rows[2]], rhs, 64))
+                got = bits(sys._solve(rows, rhs, (size, 0), "II"))
+            assert got == mpmath_solve(rows, rhs, prec)
 
     def test_rank_deficient_raises_where_mpmath_raises(self):
         rows = [[mpf(1), mpf(2), mpf(3)], [mpf(2), mpf(4), mpf(6)], [mpf(1), mpf(1), mpf(1)]]
         rhs = [mpf(1)] * 3
         with pytest.raises(ZeroDivisionError):
             mpmath_solve(rows, rhs, 64)
-        with pytest.raises(ZeroDivisionError):
-            P.lu_solve(rows, rhs, 64)
+        with pytest.raises(NormalityError, match=r"type II moment matrix singular at n=\(3, 0\)"):
+            MopSystem((uniform(0, 1), uniform(2, 3)), 64)._solve(rows, rhs, (3, 0), "II")
 
     def test_zero_pivot_column_raises(self):
         # mpmath fails here with a TypeError (no pivot row is ever chosen)
         rows = [[mpf(0), mpf(1)], [mpf(0), mpf(2)]]
         with pytest.raises(TypeError):
             mpmath_solve(rows, [mpf(1)] * 2, 64)
-        with pytest.raises(ZeroDivisionError):
-            P.lu_solve(rows, [mpf(1)] * 2, 64)
+        with pytest.raises(NormalityError, match=r"type I moment matrix singular at n=\(1, 1\)"):
+            MopSystem((uniform(0, 1), uniform(2, 3)), 64)._solve(rows, [mpf(1)] * 2, (1, 1), "I")
 
 
 class TestSingularMomentMatrices:
@@ -176,23 +164,7 @@ class TestDot:
 
 
 class TestCauchySum:
-    @pytest.mark.parametrize("prec", [24, 53, 256, 512])
-    def test_equals_fsum_of_quotients(self, prec):
-        rng = random.Random(prec)
-        with workprec(300):
-            xs = [mpf((rng.getrandbits(290), -290)) for _ in range(40)]  # nodes in [0, 1)
-            vs = [mpf((rng.choice((-1, 1)) * rng.getrandbits(300), rng.randint(-320, -280))) for _ in range(40)]
-            zs = [mpf(-0.25), mpf(1) + mpf(2) ** -40, mp.mpc(0.5, 1e-3), mp.mpc(-3, -2)]
-        vs[5] = mpf(0)
-        for z in zs:
-            for k in (0, 1, 40):
-                with workprec(prec):
-                    zq = mp.mpc(z) if isinstance(z, mp.mpc) else mpf(z)
-                    expected = mp.fsum(v / (zq - x) for x, v in zip(xs[:k], vs[:k]))
-                    got = P.cauchy_sum([x._mpf_ for x in xs[:k]], [v._mpf_ for v in vs[:k]], zq, prec)
-                assert type(got) is type(expected)
-                assert getattr(got, "_mpc_", None) == getattr(expected, "_mpc_", None)
-                assert getattr(got, "_mpf_", None) == getattr(expected, "_mpf_", None)
+    """The products and shifts of the mp Cauchy kernel's singularity subtraction."""
 
     def test_products_and_shifts_round_as_mpf(self):
         with workprec(300):
@@ -209,16 +181,19 @@ class TestCauchySum:
 # ---------------------------------------------------------------------------
 
 # sha256 of the fields below, per system; any change to the bits of a moment,
-# record or recurrence row breaks them.  The Nikishin system (rule-based
-# moments) keeps the bits of the mpmath.lu_solve / mp.fsum engine; the density
-# column of its mu2 reads tau's mp Markov function in closed form
+# record or recurrence row breaks them.  The Nikishin system and the
+# jacobi_weight pair (rule-based moments) are solved by mpmath.lu_solve, with
+# the checks' sums as mp.fsum runs them; the density column of the Nikishin
+# mu2 reads tau's mp Markov function in closed form
 # (test_nikishin_mu2_moments_are_within_one_ulp_of_quad checks those moments).
+# The jacobi_weight pair is the weights (x - a)(b - x) on [-2, -1] and [1, 2].
 # The Angelesco pair and the skew uniform pair (53-bit endpoints) take the
 # lattice fill: every value is the exact rational rounded once
 # (tests/test_exact_solves.py checks both against exact solves of the moment
 # systems).
 ENGINE_DIGESTS = {
     "angelesco": "78e1c3d216b085ca368ffa7b4df33e369fa099ceda7d908f1eb56339e6d76f6d",
+    "jacobi_weight": "45376a0484df47b34a4b1a93bfad78cab721c7c929c641a2200657ec6af55541",
     "nikishin": "511ebaffc9d44ed629ae83fb96f9ec0c53c9f984dc61c11c43c6a6d6f739fd4c",
     "skew_pair": "90ca11d164e4c0d63c99a7d2140cdc169b5bce1a6cd1625830728b2b385218b5",
 }
@@ -245,6 +220,7 @@ def engine_digest(name):
         "angelesco": lambda: (angelesco_system(uniform(-2, -1), uniform(1, 2)).sys, 10),
         "nikishin": lambda: (nikishin_system(uniform(2, 3), uniform(0, 1)).sys, 6),
         "skew_pair": lambda: (angelesco_system(uniform(-2.791, -2.54), uniform(-2.301, -0.975)).sys, 6),
+        "jacobi_weight": lambda: (MopSystem(jacobi_pair(), 256), 6),
     }[name]()
     return digest(engine_fields(sys, nmax))
 
@@ -347,6 +323,16 @@ def test_moments_of_other_densities_keep_the_rule_bits():
         name: digest([(name, prec, bits(mu.moments_mp(40, prec))) for prec in (53, 256)])
         for name, mu in rule_route_measures().items()
     }
+    assert got == RULE_MOMENT_DIGESTS
+
+
+@pytest.mark.parametrize("ambient", [24, 1024])
+def test_rule_moment_bits_ignore_ambient_precision(ambient):
+    with workprec(ambient):
+        got = {
+            name: digest([(name, prec, bits(mu.moments_mp(40, prec))) for prec in (53, 256)])
+            for name, mu in rule_route_measures().items()
+        }
     assert got == RULE_MOMENT_DIGESTS
 
 

@@ -138,6 +138,15 @@ class TestFailVerdict:
         assert doc["h_signs"] == {"passed": False, "violations": h_violations}
 
 
+@pytest.mark.parametrize("nmax", [0, -2])
+@pytest.mark.parametrize("scan", [sign_pattern_check, h_sign_check, diagonal_blowup_scan])
+def test_nmax_below_one_raises(scan, nmax, nik_u, monkeypatch):
+    # the scans run over n = 1..nmax: below 1 a sign check passed with nothing checked
+    monkeypatch.setattr(MopSystem, "recurrence", lambda self, n: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=f"nmax must be at least 1, not {nmax}"):
+        scan(nik_u, nmax)
+
+
 class TestBlowup:
     def test_monotone_diagonal_trend(self, nik_u):
         scan = diagonal_blowup_scan(nik_u, 4, region_order=9)

@@ -420,3 +420,9 @@ class TestRayLimits:
     def test_c_bounds(self, ang_u):
         with pytest.raises(DomainError):
             ray_limit_estimate(ang_u, 0.0, 4)
+
+    @pytest.mark.parametrize("nmax", [0, -3])
+    def test_nmax_below_one_raises(self, ang_u, nmax):
+        # the ray used to stop at (1, 1) and report its coefficients as the limits
+        with pytest.raises(ValueError, match=f"nmax must be at least 1, not {nmax}"):
+            ray_limit_estimate(ang_u, 0.5, nmax)
