@@ -1,18 +1,15 @@
 """mp arithmetic helpers.
 
-Polynomials on ascending coefficient tuples of mpmath numbers, and the sums
-of products the engine's checks and the moment tables run
-(:func:`dot`, :func:`raw_dot`, :func:`products`, :func:`shifted`): they work
-on raw libmp tuples and round exactly as the mpf operators and ``mp.fsum``,
-without the per-element overhead of mpf objects.  They take their precision
-as an argument and never read ``mp.prec``.  :func:`rational` rounds an exact
-quotient of integers once.
+Polynomials on ascending coefficient tuples of mpmath numbers, and
+:func:`rational`, which rounds an exact quotient of integers once at a
+precision it takes as an argument.  Sums of products are ``mp.fsum`` of mpf
+products at the caller's ``workprec``.
 """
 
 from __future__ import annotations
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_mul, mpf_sub, mpf_sum, round_nearest as RND
+from mpmath.libmp import from_rational, round_nearest as RND
 
 
 def pval(c, x):
@@ -63,27 +60,6 @@ def pxshift(c):
 
 def pfloat(c):
     return [float(ci) for ci in c]
-
-
-def dot(xs, ys, prec: int):
-    """``mp.fsum(x * y for x, y in zip(xs, ys))`` at ``prec`` bits: each product
-    rounded, then one ``mpf_sum`` as fsum runs it (mpf in, mpf out)."""
-    return mp.make_mpf(mpf_sum([mpf_mul(x._mpf_, y._mpf_, prec, RND) for x, y in zip(xs, ys)], prec, RND))
-
-
-def raw_dot(xs, ys, prec: int):
-    """:func:`dot` on raw tuples xs and ys (mpf out)."""
-    return mp.make_mpf(mpf_sum(products(xs, ys, prec), prec, RND))
-
-
-def products(xs, ys, prec: int) -> list:
-    """Raw tuples of ``x * y`` rounded at ``prec`` bits, as the mpf product rounds; raw tuples in."""
-    return [mpf_mul(x, y, prec, RND) for x, y in zip(xs, ys)]
-
-
-def shifted(xs, c, prec: int) -> list:
-    """Raw tuples of ``x - c`` rounded at ``prec`` bits; raw tuples in."""
-    return [mpf_sub(x, c, prec, RND) for x in xs]
 
 
 def rational(p: int, q: int, prec: int):

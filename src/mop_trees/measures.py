@@ -35,9 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import fone
 
-from ._poly import products, pval, pval_exact, rational, raw_dot, shifted
+from ._poly import pval, pval_exact, rational
 from .errors import DomainError, EndpointError, OverlapError
 from .quadrature import graded_panels, map_rule, map_rule_mp
 
@@ -275,22 +274,22 @@ class Measure:
         if exact is not None:
             table = table + [rational(q.numerator, q.denominator, prec) for q in exact[len(table) :]]
         else:
-            # per piece the kernel's raw nodes and w*density, and x^k per node and
+            # per piece the kernel's nodes and w*density, and x^k per node and
             # atom, carried across k and across extensions, so the bits do not
             # depend on how the table was grown
             with workprec(prec):
                 cols = [(xs, wd) for xs, _, _, wd in kernel(self, (), prec).tables]
                 pow_rows, atom_pows = self._cache.get(("mom_pows", prec)) or (
-                    [[fone] * len(xs) for xs, _ in cols], [mpf(1)] * len(self.atoms))
+                    [[mpf(1)] * len(xs) for xs, _ in cols], [mpf(1)] * len(self.atoms))
                 for k in range(len(table), upto + 1):
                     total = mpf(0)
                     for (x, m), xp in zip(self.atoms, atom_pows):
                         total += mpf(m) * xp
                     for (_, wd), xp in zip(cols, pow_rows):
-                        total += raw_dot(wd, xp, prec)
+                        total += mp.fsum([w * x for w, x in zip(wd, xp)])
                     table.append(total)
                     atom_pows = [xp * mpf(x) for (x, _), xp in zip(self.atoms, atom_pows)]
-                    pow_rows = [products(xp, xs, prec) for (xs, _), xp in zip(cols, pow_rows)]
+                    pow_rows = [[p * x for p, x in zip(xp, xs)] for (xs, _), xp in zip(cols, pow_rows)]
             self._cache[("mom_pows", prec)] = (pow_rows, atom_pows)
         self._cache[key] = table
         return table[: upto + 1]
@@ -376,7 +375,7 @@ def _rule_table(p: Piece, a, b, order: int, prec):
 
 
 def _weighted_table(table, weight: tuple, prec):
-    """(nodes, weights, g*density, w*g*density) of a rule table; raw libmp tuples in mp.
+    """(nodes, weights, g*density, w*g*density) of a rule table; in mp, mpf under the caller's ``workprec(prec)``.
 
     In double precision g is evaluated exactly at each node and rounded once:
     the monomial form of a weight can be far worse conditioned than g itself.
@@ -388,8 +387,7 @@ def _weighted_table(table, weight: tuple, prec):
         return xs, ws, gd, ws * gd
     if weight:
         gd = [pval(weight, x) * d for x, d in zip(xs, gd)]
-    xs, ws, gd = ([v._mpf_ for v in col] for col in (xs, ws, gd))
-    return xs, ws, gd, products(ws, gd, prec)
+    return xs, ws, gd, [w * g for w, g in zip(ws, gd)]
 
 
 def _piece_table(mu: Measure, i: int, prec):
@@ -418,10 +416,10 @@ def cauchy(mu: Measure, z, weight=(), side=None, prec=None):
     takes its closed form ``log((z - a)/(z - b))`` at ``prec + 16`` bits,
     added to the atoms' sum and rounded once: without atoms or other
     densities, the exact value rounded once up to the guard bits.  Every
-    other mp sum (a weight, a non-uniform density) replays ``mp.fsum`` over
-    its nodes bit for bit, and so does the host piece (for a uniform host at
-    g = 1 that node sum is exactly 0 and is skipped).  Double precision
-    always sums nodes.
+    other mp sum (a weight, a non-uniform density) is ``mp.fsum`` over its
+    nodes of mpf quotients at ``prec``, and so is the host piece (for a
+    uniform host at g = 1 that node sum is exactly 0 and is skipped).
+    Double precision always sums nodes.
 
     ``prec=None`` works in double precision and returns a complex; an int
     works in mpmath at that many bits and returns an mpf for real z off the
@@ -449,10 +447,10 @@ class _Kernel:
     """:func:`cauchy` for one measure, weight and precision, with everything
     that does not depend on z resolved once: the weight as floats (double) or
     mpf, the atoms' m*g(x) values and the pieces' geometry.  A piece's full
-    node table, with w*g*density formed in advance, is built at its first
-    read (:meth:`table`).  Every double z, a point or an array, is answered by
-    :meth:`_batch`, an mp z by :meth:`_value`; both find the host piece and
-    the distances by :meth:`_locate`.
+    node table, with w*g*density formed in advance (numpy arrays in double,
+    lists of mpf in mp), is built at its first read (:meth:`table`).  Every
+    double z, a point or an array, is answered by :meth:`_batch`, an mp z by
+    :meth:`_value`; both find the host piece and the distances by :meth:`_locate`.
 
     The mp Markov kernel (g = 1) takes a uniform piece off the support in
     closed form (:func:`_uniform_markov`), and as host skips its node sum,
@@ -516,10 +514,10 @@ class _Kernel:
         return host, dists
 
     def _sum(self, xs, wg, z):
-        """Sum of ``wg / (z - t)`` over the nodes t (in mp by ``mp.fsum``, raw tuples in)."""
+        """Sum of ``wg / (z - t)`` over the nodes t (in mp by ``mp.fsum``)."""
         if self.prec is None:
             return complex((wg / (z - xs)).sum())
-        return mp.fsum([mp.make_mpf(v) / (z - mp.make_mpf(x)) for x, v in zip(xs, wg)])
+        return mp.fsum([v / (z - x) for x, v in zip(xs, wg)])
 
     def _panels(self, i: int, x0: float, dist: float, z):
         """Sum over graded panels of piece i toward x0 (tables built per call)."""
@@ -611,7 +609,7 @@ class _Kernel:
                 if not self.closed[i]:  # a uniform piece at g = 1 has f(t) - f(x) = 0 at every node
                     xs, ws, gd, wg, _ = self.table(i)
                     if fx:  # the singularity subtraction
-                        wg = products(ws, shifted(gd, fx._mpf_, prec), prec)
+                        wg = [w * (g - fx) for w, g in zip(ws, gd)]
                     total += self._sum(xs, wg, zq).real
                 total += fx * mp.log((zq - p.a) / (p.b - zq))
             elif not self.closed[i]:

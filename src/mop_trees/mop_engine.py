@@ -34,7 +34,7 @@ from itertools import accumulate, permutations, product, zip_longest
 
 import numpy as np
 from mpmath import lu_solve, matrix, mp, mpc, mpf, workprec
-from mpmath.libmp import fnone, fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_sum, to_rational
+from mpmath.libmp import from_man_exp, fzero, to_rational
 from mpmath.libmp import round_nearest as RND
 
 from . import _poly as P
@@ -42,16 +42,6 @@ from .errors import ConvergenceError, DomainError, NormalityError, PrecisionErro
 from .measures import kernel
 
 _ZERO = mpf(0)
-
-
-def _max_abs(xs, prec: int):
-    """max |x| over raw tuples xs (0 for none), each |x| rounded at ``prec`` bits as ``abs`` rounds it."""
-    top = fzero
-    for x in xs:
-        x = mpf_abs(x, prec, RND)
-        if mpf_gt(x, top):
-            top = x
-    return top
 
 
 def multi_index(n, d: int | None = None) -> tuple:
@@ -147,6 +137,22 @@ def _common(p) -> tuple:
     """The rational coefficients of p as (integer numerators, their least common denominator)."""
     den = math.lcm(*(c.denominator for c in p))
     return [c.numerator * (den // c.denominator) for c in p], den
+
+
+def _dyadic(*groups) -> list:
+    """Each group of numbers as integers over one power of two shared by all groups,
+    exactly: every mpf is dyadic, and any other number becomes an mpf at the ambient
+    precision first.  ValueError for an inf or nan."""
+    raws = [[v._mpf_ if hasattr(v, "_mpf_") else mpf(v)._mpf_ for v in g] for g in groups]
+    if any(not x[1] and x != fzero for raw in raws for x in raw):  # inf and nan have no mantissa
+        raise ValueError("exact integers need finite values")
+    e = min([exp for raw in raws for _, man, exp, _ in raw if man], default=0)
+    return [[(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raw] for raw in raws]
+
+
+def _exceeds(r: int, scale: int, prec: int) -> bool:
+    """|r| > 2^-ceil(prec/3) scale (``MopSystem.tolerance`` times scale), decided on integers."""
+    return abs(r) << -(-prec // 3) > scale
 
 
 def _box(top) -> list:
@@ -250,25 +256,21 @@ class MopSystem:
                 rhs = [-mom[m + d] for nk, mom in zip(n, moms) for m in range(nk)]
                 coeffs = tuple(self._solve(self._moment_rows(n, moms), rhs, n, "II")) + coeffs
             self._check_orthogonality(coeffs, n, moms)
-            return coeffs, tuple(P.dot(coeffs, mom[nk:], prec) for nk, mom in zip(n, moms))
+            return coeffs, tuple(mp.fsum(map(operator.mul, coeffs, mom[nk:])) for nk, mom in zip(n, moms))
 
     def _check_orthogonality(self, coeffs, n, moms) -> None:
-        """The residuals ``int P x^m dmu_k`` of P = ``coeffs`` vanish up to rounding for
-        m < n_k; else n is not normal, NormalityError.
-
-        Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
-        operators round it (:func:`_poly.dot` for the residuals)."""
-        prec = self.precision_bits
-        cs = [c._mpf_ for c in coeffs]
-        bound = mpf_mul(self.tolerance._mpf_, _max_abs(cs, prec), prec, RND)
-        d = len(cs) - 1
-        for nk, mom in zip(n, moms):
-            raw = [x._mpf_ for x in mom]
-            top = _max_abs(raw[:d], prec)  # max |moment| read so far, row by row
-            for m in range(nk):
-                top = _max_abs((top, raw[m + d]), prec)
-                r = mpf_sum(P.products(cs, raw[m:], prec), prec, RND)
-                if mpf_gt(mpf_abs(r, prec, RND), mpf_mul(bound, top, prec, RND)):
+        """The residuals ``int P x^m dmu_k`` of P = ``coeffs`` vanish for m < n_k up to
+        ``tolerance`` times the largest coefficient times the largest moment read so far;
+        else n is not normal, NormalityError.  Exact: the values as integers over one
+        power of two (:func:`_dyadic`), each residual is an integer sum, rounded nowhere."""
+        d = len(coeffs) - 1
+        cs, *cols = _dyadic(coeffs, *(mom[: nk + d] for nk, mom in zip(n, moms)))
+        scale = max(map(abs, cs))
+        for xs in cols:
+            top = max(map(abs, xs[:d]), default=0)  # max |moment| read so far, row by row
+            for m in range(len(xs) - d):
+                top = max(top, abs(xs[m + d]))
+                if _exceeds(sum(map(operator.mul, cs, xs[m:])), scale * top, self.precision_bits):
                     raise NormalityError(f"orthogonality residual too large at n={n}")
 
     def type1_record(self, n) -> MopRecord:
@@ -297,15 +299,15 @@ class MopSystem:
     def _check_type1(self, coeffs, rows, n) -> None:
         """The type I rows ``int x^m Q_n = delta_{m,|n|-1}`` hold for the coefficients of A up to
         ``tolerance`` times the largest of them times the largest moment read so far; else
-        PrecisionError.  Raw libmp tuples, as in :meth:`_check_orthogonality`."""
+        PrecisionError.  Exact, as in :meth:`_check_orthogonality`, with the right-hand
+        side 1 among the values: a product is ``one * one`` in the integers' units squared."""
         prec = self.precision_bits
-        cs = [c._mpf_ for c in coeffs]
-        bound, top = mpf_mul(self.tolerance._mpf_, _max_abs(cs, prec), prec, RND), fzero
+        (one,), cs, *rows = _dyadic((1,), coeffs, *rows)
+        scale, top = max(map(abs, cs)), 0
         for m, row in enumerate(rows):
-            xs = [x._mpf_ for x in row]
-            top = _max_abs([top, *xs], prec)
-            r = mpf_sum(P.products(cs, xs, prec) + [fnone] * (m == len(rows) - 1), prec, RND)
-            if mpf_gt(mpf_abs(r, prec, RND), mpf_mul(bound, top, prec, RND)):
+            top = max(top, *map(abs, row))
+            r = sum(map(operator.mul, cs, row)) - (one * one if m == len(rows) - 1 else 0)
+            if _exceeds(r, scale * top, prec):
                 raise PrecisionError(f"type I moments fail at n={n} at {prec} bits")
 
     # -- the exact lattice fill ---------------------------------------------
@@ -441,26 +443,16 @@ class MopSystem:
         """x P_n - P_{n+e_i} - b_i P_n - sum_j a_j P_{n-e_j} must vanish for every i, up to
         ``tolerance`` times max(1, max|P_n| + |b_i| + sum|a_j|); else PrecisionError.
         The records at n, n + e_i and n - e_j come as :meth:`recurrence` fetched them.
-
-        Runs on raw libmp tuples; each step rounds at ``precision_bits`` as the mpf
-        polynomial operators (``pxshift``, ``pscale``, ``padd``) round it."""
-        prec = self.precision_bits
-        pn = [c._mpf_ for c in rec.P]
-        terms = [(mpf_neg(aj._mpf_, prec, RND), [c._mpf_ for c in low.P])
-                 for aj, low in zip(a, lows) if aj != 0]  # a_j = 0 where n_j = 0
-        top = _max_abs(pn, prec)
-        total_a = fzero
-        for aj in a:
-            total_a = mpf_add(total_a, mpf_abs(aj._mpf_, prec, RND), prec, RND)
-        for bi, up in zip(b, ups):
-            pu = [c._mpf_ for c in up.P]
-            r = [mpf_add(x, mpf_mul_int(u, -1, prec, RND), prec, RND) for x, u in zip([fzero, *pn], pu)]
-            for neg, poly in [(mpf_neg(bi._mpf_, prec, RND), pn), *terms]:  # -b_i P_n, then -a_j P_{n-e_j}
-                for k, c in enumerate(poly):
-                    r[k] = mpf_add(r[k], mpf_mul(c, neg, prec, RND), prec, RND)
-            scale = mpf_add(mpf_add(top, mpf_abs(bi._mpf_, prec, RND), prec, RND), total_a, prec, RND)
-            limit = mpf_mul(self.tolerance._mpf_, _max_abs((fone, scale), prec), prec, RND)
-            if mpf_gt(_max_abs(r, prec), limit):
+        Exact, as :meth:`_check_type1`: a single value u counts as the product ``one * u``."""
+        d = len(a)
+        (one,), pn, coef, *polys = _dyadic((1,), rec.P, (*a, *b), *(m.P if m else () for m in (*ups, *lows)))
+        top = max(map(abs, pn)) + sum(map(abs, coef[:d]))
+        for bi, up in zip(coef[d:], polys[:d]):
+            r = [one * (x - u) for x, u in zip([0, *pn], up)]
+            for c, poly in [(bi, pn), *zip(coef, polys[d:])]:  # -b_i P_n, then -a_j P_{n-e_j} (none where n_j = 0)
+                for k, x in enumerate(poly):
+                    r[k] -= c * x
+            if _exceeds(max(map(abs, r)), max(one, top + abs(bi)) * one, self.precision_bits):
                 raise PrecisionError(f"nearest-neighbor recurrence fails at n={rec.n} at {self.precision_bits} bits")
 
     def record_json(self, n) -> dict:
@@ -555,10 +547,18 @@ class SecondKind:
             self.markov = tuple(mu.markov_mp(self.z, prec) for mu in sys.measures)
 
     def __call__(self, n):
-        """L_n(z) through its partial-fraction form ``sum_k A_k*markov_k - A0``."""
-        with workprec(self.sys.precision_bits):
+        """L_n(z) through its partial-fraction form ``sum_k A_k*markov_k - A0``, which
+        cancels to O(|z|^-|n|) at a large |z|: PrecisionError where |L_n| keeps fewer than
+        prec/3 bits against the rounding of its terms, 2^-prec (sum_k |A_k markov_k| + |A0|)."""
+        prec = self.sys.precision_bits
+        with workprec(prec):
             a0, *a = self.sys.type1_values(n, self.z)
-            return sum(ak * mk for ak, mk in zip(a, self.markov)) - a0
+            terms = [ak * mk for ak, mk in zip(a, self.markov)]
+            value = sum(terms) - a0
+            if not abs(value) >= mp.ldexp(sum(abs(t) for t in terms) + abs(a0), prec // 3 - prec):
+                raise PrecisionError(f"L_n at n={tuple(n)}, z={complex(self.z)} keeps fewer than "
+                                     f"{prec // 3} bits at {prec} bits")
+            return value
 
 
 def second_kind(sys: MopSystem, n, z):
@@ -663,18 +663,15 @@ class KappaForm:
 
 
 def _integers(coeffs, prec: int) -> list:
-    """Integers C_k with sum_k coeffs[k] x^k = 2^e sum_k C_k x^k, exactly (mpf values are
-    dyadic; other numbers become mpf at ``prec + 16`` bits first), the top zeros dropped."""
+    """Integers C_k with sum_k coeffs[k] x^k = 2^e sum_k C_k x^k, exactly (:func:`_dyadic`;
+    numbers other than mpf at ``prec + 16`` bits), the top zeros dropped."""
     with workprec(prec + 16):
-        raw = [c._mpf_ if hasattr(c, "_mpf_") else mpf(c)._mpf_ for c in coeffs]
-    while raw and raw[-1] == fzero:
-        raw.pop()
-    if not raw:
+        [c] = _dyadic(coeffs)
+    while c and not c[-1]:
+        c.pop()
+    if not c:
         raise ValueError("real_zeros requires a nonzero polynomial")
-    if any(not x[1] and x != fzero for x in raw):  # inf and nan have no mantissa
-        raise ValueError("real_zeros requires finite coefficients")
-    low = min(exp for _, man, exp, _ in raw if man)
-    return [(-man if sign else man) << (exp - low) if man else 0 for sign, man, exp, _ in raw]
+    return c
 
 
 def _radius_exponent(c) -> int:

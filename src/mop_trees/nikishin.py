@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
-from ._poly import dot
 from .errors import OverlapError, SeriesError
 from .measures import DensitySpec, Measure, Piece, cauchy
 from .mop_engine import MopSystem
@@ -70,7 +69,7 @@ def dual_moments(tau: Measure, K: int, precision_bits: int = 256) -> list:
         g = [1 / m0]
         bound = mpf(2) ** (precision_bits - 16)
         for j in range(1, K + 2):
-            s = dot(moms[1 : j + 1], reversed(g), precision_bits)
+            s = mp.fsum([x * y for x, y in zip(moms[1 : j + 1], reversed(g))])
             g.append(-s / m0)
             if abs(g[-1]) > bound:
                 raise SeriesError(f"series inversion lost all significant digits at order {j}")

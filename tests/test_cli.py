@@ -443,6 +443,18 @@ class TestExitCodesAndDeterminism:
         assert error["code"] == "angelesco.PrecisionError"
         assert "at 16 bits" in error["message"]
 
+    def test_second_kind_short_of_bits_exits_two(self, capsys):
+        # at z = 1e40 the partial-fraction form of L_(2,1) cancels past the bound; at 1e10 it keeps its bits
+        argv = ["angelesco", "green", "--system", SYSTEM, "--kappa", "1,0", "--X", "1", "--Y", "1", "--z"]
+        code, out = run(capsys, *argv, "1e40")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["code"] == "mop_engine.PrecisionError"
+        assert "n=(2, 1)" in error["message"] and "at 256 bits" in error["message"]
+        code, out = run(capsys, *argv, "1e10")
+        assert code == 0
+        assert json.loads(out)["rel_error"] < 1e-10
+
     @pytest.mark.parametrize("bits", [0, -8])
     def test_nonpositive_precision_exits_one(self, bits, capsys, tmp_path):
         # fails fast from the flag and from the file: no spin in the moment solve, no fallback to 256

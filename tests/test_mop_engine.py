@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import to_rational
+from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp, to_rational
 
 from mop_trees import _poly as P
 from mop_trees import mop_engine
@@ -150,11 +150,13 @@ class TestRecurrence:
     @pytest.mark.parametrize("n", [(0, 0), (1, 0), (2, 1), (3, 3)])
     def test_h_is_the_residual_at_n_k(self, nik_sys, n):
         # on the mp LU route (rule-based moments) h_{n,k} = int P_n x^{n_k} dmu_k is the
-        # residual one past the last that the orthogonality check bounds, the same
-        # dot product bit for bit; the lattice fill's h is in test_exact_solves.py
+        # residual one past the last that the orthogonality check bounds, mp.fsum of the
+        # mpf products at the system's precision; the lattice fill's h is in test_exact_solves.py
         assert nik_sys.record(n).exact is None
-        p, bits = nik_sys.type2(n), nik_sys.precision_bits
-        expected = tuple(P.dot(p, nik_sys.moments(k, nk + sum(n))[nk:], bits) for k, nk in enumerate(n, 1))
+        p = nik_sys.type2(n)
+        with workprec(nik_sys.precision_bits):
+            expected = tuple(mp.fsum(c * x for c, x in zip(p, nik_sys.moments(k, nk + sum(n))[nk:]))
+                             for k, nk in enumerate(n, 1))
         assert nik_sys.h_values(n) == expected
         if n == (0, 0):
             assert expected == (nik_sys.mass(1), nik_sys.mass(2))
@@ -233,6 +235,18 @@ class TestSecondKind:
             devs.append(abs(complex(R1) * z ** (n[0] + 1) / float(h1) - 1))
         assert devs[0] < 10 / 1e4 and devs[1] < 10 / 1e6
         assert devs[1] < devs[0] / 50
+
+    @pytest.mark.parametrize("z", [1e18, 1e30, 1e35, 1e80, 1e30j])
+    def test_a_cancelled_value_raises_naming_the_bits(self, ang_sys, z):
+        # sum_k A_k markov_k - A0 cancels to L_(2,1) = O(z^-3): at |z| = 1e18 it keeps 74 of
+        # the 85 bits needed at 256 bits; at 1e80 it rounds to 0
+        with pytest.raises(PrecisionError, match=r"n=\(2, 1\), z=.* fewer than 85 bits at 256 bits"):
+            second_kind(ang_sys, (2, 1), z)
+
+    @pytest.mark.parametrize("z", [1e12, 1e15, 1e15j])
+    def test_a_kept_value_is_the_leading_order(self, ang_sys, z):
+        # L_n(z) = z^-|n| (1 + O(1/z)) by the normalization int x^{|n|-1} Q_n = 1
+        assert complex(second_kind(ang_sys, (2, 1), z) * mpc(z) ** 3) == pytest.approx(1, rel=1e-11)
 
     def test_prepared_family_gives_the_same_bits(self, ang_sys):
         z = complex(0.3, 1.7)
@@ -527,86 +541,117 @@ class TestEngineChecksRaise:
                 sys._check_recurrence(*_neighbours(sys, n), coef[:2], coef[2:])
 
 
-def _mpf_recurrence_excess(sys, n, a, b):
+def _fractions(xs) -> list:
+    return [_fraction(x) for x in xs]
+
+
+def _exact_recurrence_excess(sys, n, a, b):
     """max over i of (max|r_i| - limit_i), with the recurrence residual r_i and its
-    limit formed by the mpf polynomial operators: the reference for the raw check."""
-    pn, worst = sys.record(n).P, None
-    for bi, e in zip(b, sys.units):
+    limit formed in Fractions by the polynomial operators: the reference for the check."""
+    pn, a, tol, worst = _fractions(sys.record(n).P), _fractions(a), _fraction(sys.tolerance), None
+    for bi, e in zip(_fractions(b), sys.units):
         r = P.pxshift(pn)
-        r = P.padd(r, P.pscale(sys.record(add(n, e)).P, -1))
+        r = P.padd(r, P.pscale(_fractions(sys.record(add(n, e)).P), -1))
         r = P.padd(r, P.pscale(pn, -bi))
         for aj, ej in zip(a, sys.units):
             if aj != 0:
-                r = P.padd(r, P.pscale(sys.record(sub(n, ej)).P, -aj))
+                r = P.padd(r, P.pscale(_fractions(sys.record(sub(n, ej)).P), -aj))
         scale = max(abs(c) for c in pn) + abs(bi) + sum(abs(aj) for aj in a)
-        excess = max(abs(c) for c in r) - sys.tolerance * max(scale, 1)
+        excess = max(abs(c) for c in r) - tol * max(scale, 1)
         worst = excess if worst is None else max(worst, excess)
     return worst
 
 
-def _mpf_orthogonality_excess(sys, coeffs, n, moms):
-    """max over the checked rows of |residual| - bound * top, by mpf operators."""
-    bound, d, worst = sys.tolerance * max(abs(c) for c in coeffs), len(coeffs) - 1, None
+def _exact_orthogonality_excess(sys, coeffs, n, moms):
+    """max over the checked rows of |residual| - bound * top, in Fractions."""
+    c = _fractions(coeffs)
+    bound, d, worst = _fraction(sys.tolerance) * max(abs(x) for x in c), len(c) - 1, None
     for nk, mom in zip(n, moms):
-        top = max([abs(x) for x in mom[:d]], default=mpf(0))
+        mom = _fractions(mom)
+        top = max([abs(x) for x in mom[:d]], default=0)
         for m in range(nk):
             top = max(top, abs(mom[m + d]))
-            excess = abs(P.dot(coeffs, mom[m:], sys.precision_bits)) - bound * top
+            excess = abs(sum(x * y for x, y in zip(c, mom[m:]))) - bound * top
             worst = excess if worst is None else max(worst, excess)
     return worst
 
 
-def _threshold(fails, hi):
-    """(lo, hi) with fails(lo) false and fails(hi) true, 2^-60 apart relative, by bisection."""
-    lo = mpf(0)
-    assert not fails(lo) and fails(hi)
-    while hi - lo > hi * mpf(2) ** -60:
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
-    return lo, hi
+def _exact_type1_excess(sys, coeffs, rows):
+    """max over the type I rows of |residual| - bound * top, in Fractions."""
+    c = _fractions(coeffs)
+    bound, top, worst = _fraction(sys.tolerance) * max(abs(x) for x in c), 0, None
+    for m, row in enumerate(rows):
+        row = _fractions(row)
+        top = max([top, *(abs(x) for x in row)])
+        excess = abs(sum(x * y for x, y in zip(c, row)) - (m == len(rows) - 1)) - bound * top
+        worst = excess if worst is None else max(worst, excess)
+    return worst
+
+
+def _edge(fails):
+    """(lo, hi), exact mpf with fails(lo) false and fails(hi) true, 2^-200 apart relative:
+    a bisection on the grid 2^-400 below 2^-40."""
+    def t(k):
+        return mp.make_mpf(from_man_exp(k, -400))
+
+    lo, hi = 0, 1 << 360
+    assert not fails(t(lo)) and fails(t(hi))
+    while (hi - lo) << 200 > hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fails(t(mid)) else (mid, hi)
+    return t(lo), t(hi)
+
+
+def _decides_at_the_edge(check, lo, hi, error):
+    """``check(lo)`` passes and ``check(hi)`` raises ``error``, under every ambient precision."""
+    for ambient in (24, 53, 1024):
+        with workprec(ambient):
+            check(lo)
+            with pytest.raises(error):
+                check(hi)
+
+
+def _grown(c, t):
+    """c (1 + t), exactly."""
+    return mp.fmul(c, mp.fadd(1, t, exact=True), exact=True)
 
 
 @pytest.mark.parametrize("route, n", [("exact", (3, 2)), ("exact", (6, 5)), ("lu", (3, 2)), ("lu", (4, 4))])
-class TestRawChecksDecideAsMpf:
-    """The checks run on raw libmp tuples and decide as the mpf operators do, also
-    at the edge: b_1 (or the largest coefficient of P) moved just inside and just
-    past the bound, the edge found with the mpf arithmetic."""
+class TestChecksDecideOnExactResiduals:
+    """The checks decide exactly as the residuals and bounds formed in Fractions, also
+    at the edge: b_1 (or the largest coefficient of P) moved, exactly, just inside and
+    just past the bound, 2^-200 apart relative; under any ambient precision."""
 
     def test_recurrence_check(self, ang_sys, nik_sys, route, n):
         sys = ang_sys if route == "exact" else nik_sys
         row = sys.recurrence(n)
-        with workprec(sys.precision_bits):
-            a, b1, b2 = row[:2], row[2], row[3]
-            def moved(t):
-                return (b1 + t, b2)
-            lo, hi = _threshold(lambda t: _mpf_recurrence_excess(sys, n, a, moved(t)) > 0, mpf(2) ** -40)
-            sys._check_recurrence(*_neighbours(sys, n), a, moved(lo))
-            with pytest.raises(PrecisionError):
-                sys._check_recurrence(*_neighbours(sys, n), a, moved(hi))
+        a, b1, b2 = row[:2], row[2], row[3]
+
+        def moved(t):
+            return (mp.fadd(b1, t, exact=True), b2)
+
+        lo, hi = _edge(lambda t: _exact_recurrence_excess(sys, n, a, moved(t)) > 0)
+        _decides_at_the_edge(lambda t: sys._check_recurrence(*_neighbours(sys, n), a, moved(t)), lo, hi, PrecisionError)
 
     def test_orthogonality_check(self, ang_sys, nik_sys, route, n):
         sys = ang_sys if route == "exact" else nik_sys
         d = sum(n)
         p, moms = sys.record(n).P, tuple(sys.moments(k, nk + d) for k, nk in enumerate(n, 1))
         i = max(range(len(p)), key=lambda j: abs(p[j]))
-        with workprec(sys.precision_bits):
-            def moved(t):
-                return p[:i] + (p[i] * (1 + t),) + p[i + 1 :]
-            lo, hi = _threshold(lambda t: _mpf_orthogonality_excess(sys, moved(t), n, moms) > 0, mpf(2) ** -40)
-            sys._check_orthogonality(moved(lo), n, moms)
-            with pytest.raises(NormalityError):
-                sys._check_orthogonality(moved(hi), n, moms)
+
+        def moved(t):
+            return p[:i] + (_grown(p[i], t),) + p[i + 1 :]
+
+        lo, hi = _edge(lambda t: _exact_orthogonality_excess(sys, moved(t), n, moms) > 0)
+        _decides_at_the_edge(lambda t: sys._check_orthogonality(moved(t), n, moms), lo, hi, NormalityError)
 
 
-def _mpf_type1_excess(sys, coeffs, rows):
-    """max over the type I rows of |residual| - bound * top, by mpf operators."""
-    bound, top, worst = sys.tolerance * max(abs(c) for c in coeffs), mpf(0), None
-    for m, row in enumerate(rows):
-        top = max([top, *(abs(x) for x in row)])
-        r = mp.fsum([c * x for c, x in zip(coeffs, row)] + [mpf(-1) if m == len(rows) - 1 else mpf(0)])
-        excess = abs(r) - bound * top
-        worst = excess if worst is None else max(worst, excess)
-    return worst
+@pytest.mark.parametrize("value", [mpf("inf"), mpf("-inf"), mpf("nan")])
+def test_exact_integers_refuse_inf_and_nan(value):
+    with pytest.raises(ValueError, match="finite"):
+        mop_engine._dyadic((mpf(1), value))
+    with pytest.raises(ValueError, match="finite"):
+        real_zeros([mpf(1), value])
 
 
 class TestType1Check:
@@ -614,18 +659,19 @@ class TestType1Check:
     ``int x^m Q_n = delta_{m,|n|-1}``, m < |n|; records of the lattice fill are exact."""
 
     @pytest.mark.parametrize("n", [(3, 2), (4, 4)])
-    def test_decides_as_mpf_at_the_edge(self, nik_sys, n):
-        # the largest coefficient of A moved just inside and just past the bound
+    def test_decides_on_the_exact_residual_at_the_edge(self, nik_sys, n):
+        # the largest coefficient of A moved, exactly, just inside and just past the bound
         c = [x for ak in nik_sys.type1_record(n).A for x in ak]
         rows = list(zip(*nik_sys._moment_rows(n, nik_sys._moments_at(n))))
         i = max(range(len(c)), key=lambda j: abs(c[j]))
-        with workprec(nik_sys.precision_bits):
-            def moved(t):
-                return c[:i] + [c[i] * (1 + t)] + c[i + 1 :]
-            lo, hi = _threshold(lambda t: _mpf_type1_excess(nik_sys, moved(t), rows) > 0, mpf(2) ** -40)
-            nik_sys._check_type1(moved(lo), rows, n)
-            with pytest.raises(PrecisionError, match=r"type I moments fail at n=\(\d, \d\) at 256 bits"):
-                nik_sys._check_type1(moved(hi), rows, n)
+
+        def moved(t):
+            return c[:i] + [_grown(c[i], t)] + c[i + 1 :]
+
+        lo, hi = _edge(lambda t: _exact_type1_excess(nik_sys, moved(t), rows) > 0)
+        _decides_at_the_edge(lambda t: nik_sys._check_type1(moved(t), rows, n), lo, hi, PrecisionError)
+        with pytest.raises(PrecisionError, match=rf"type I moments fail at n=\({n[0]}, {n[1]}\) at 256 bits"):
+            nik_sys._check_type1(moved(hi), rows, n)
 
     def test_a_type1_solve_off_in_a_coefficient_raises_naming_the_bits(self, monkeypatch):
         solve = MopSystem._solve

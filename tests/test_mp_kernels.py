@@ -1,5 +1,4 @@
-"""The engine's LU route is mpmath's, the raw-tuple sums of products round as
-the mpf operators and ``mp.fsum``, and the engine's bits are pinned."""
+"""The engine's LU route is mpmath's, and the engine's bits are pinned."""
 
 import hashlib
 import random
@@ -11,7 +10,6 @@ from mpmath.libmp import from_rational, round_nearest
 from oracles import uniform_moment
 from test_mop_engine import jacobi_pair
 
-from mop_trees import _poly as P
 from mop_trees.angelesco import angelesco_system
 from mop_trees.errors import NormalityError
 from mop_trees.measures import DensitySpec, Measure, Piece, uniform
@@ -134,48 +132,6 @@ class TestSingularMomentMatrices:
             sys.type1_record((3, 0))
 
 
-class TestDot:
-    @pytest.mark.parametrize("prec", [24, 53, 256, 512])
-    def test_equals_fsum_of_products(self, prec):
-        rng = random.Random(prec)
-        with workprec(300):
-            xs, ys = (
-                [mpf((rng.choice((-1, 1)) * rng.getrandbits(300), rng.randint(-400, 100))) for _ in range(40)]
-                for _ in range(2)
-            )
-        xs[3] = ys[7] = mpf(0)
-        for k in (0, 1, 2, 40):
-            with workprec(prec):
-                expected = mp.fsum(x * y for x, y in zip(xs[:k], ys[:k]))
-            assert P.dot(xs[:k], ys[:k], prec)._mpf_ == expected._mpf_
-
-    def test_empty_and_zero_terms(self):
-        assert P.dot([], [], 256)._mpf_ == mpf(0)._mpf_
-        assert P.dot([mpf(0), mpf(3)], [mpf(5), mpf(0)], 256)._mpf_ == mpf(0)._mpf_
-
-    @pytest.mark.parametrize("prec, expected", [(24, 0), (256, 1)])
-    def test_large_exponent_gaps_as_fsum(self, prec, expected):
-        # fsum drops a term more than 2*prec bits below the running sum
-        xs = [mpf(2) ** 100, mpf(1), -(mpf(2) ** 100)]
-        ones = [mpf(1)] * 3
-        with workprec(prec):
-            assert mp.fsum(x * y for x, y in zip(xs, ones)) == expected
-        assert P.dot(xs, ones, prec) == expected
-
-
-class TestCauchySum:
-    """The products and shifts of the mp Cauchy kernel's singularity subtraction."""
-
-    def test_products_and_shifts_round_as_mpf(self):
-        with workprec(300):
-            xs = [mpf(1) / 3, mpf(2) ** 100 + 1, -mpf(7) / 11]
-            ys = [mpf(3) / 7, mpf(5), mpf(1) / 9]
-            c = mpf(1) / 13
-        with workprec(64):
-            assert P.products([x._mpf_ for x in xs], [y._mpf_ for y in ys], 64) == [(x * y)._mpf_ for x, y in zip(xs, ys)]
-            assert P.shifted([x._mpf_ for x in xs], c._mpf_, 64) == [(x - c)._mpf_ for x in xs]
-
-
 # ---------------------------------------------------------------------------
 # bit pin of the engine
 # ---------------------------------------------------------------------------
@@ -183,7 +139,7 @@ class TestCauchySum:
 # sha256 of the fields below, per system; any change to the bits of a moment,
 # record or recurrence row breaks them.  The Nikishin system and the
 # jacobi_weight pair (rule-based moments) are solved by mpmath.lu_solve, with
-# the checks' sums as mp.fsum runs them; the density column of the Nikishin
+# h as mp.fsum of the mpf products; the density column of the Nikishin
 # mu2 reads tau's mp Markov function in closed form
 # (test_nikishin_mu2_moments_are_within_one_ulp_of_quad checks those moments).
 # The jacobi_weight pair is the weights (x - a)(b - x) on [-2, -1] and [1, 2].
